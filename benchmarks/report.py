@@ -159,8 +159,12 @@ def bench_flow_churn() -> float:
     return n / (time.perf_counter() - t0)
 
 
-def _wire_sample_messages():
-    """A representative mix of frames (the codec-mode hot path)."""
+def _wire_sample_messages(n: int = 4) -> list:
+    """``n`` distinct messages cycling four shapes (the codec-mode hot
+    path).  Each carries a fresh token, seq or trace id, as live traffic
+    does — the ledger measures ``wire.repeat_frame_frac`` ≈ 0 on every
+    workload — so the wire benches time a real pack or parse, never a
+    repeat of a frame the process has already seen."""
     from repro.brunet.address import BrunetAddress
     from repro.brunet.messages import (
         CtmRequest,
@@ -171,41 +175,46 @@ def _wire_sample_messages():
     )
     from repro.brunet.uri import Uri
     from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
+    from repro.obs.spans import TraceRef
 
-    addr = BrunetAddress(123456789)
+    addr, dest = BrunetAddress(123456789), BrunetAddress(987654321)
     uris = [Uri.udp("10.0.0.2", 14001), Uri.udp("150.1.0.3", 40001)]
-    vip = VirtualIpPacket("10.128.0.2", "10.128.0.3", "icmp", 0,
-                          IcmpEcho(7, False, 12.5), 84)
-    return [
-        PingRequest(42, addr),
-        LinkRequest(43, addr, uris, "structured.near"),
-        RoutedPacket(src=addr, dest=BrunetAddress(987654321),
-                     payload=CtmRequest(44, addr, uris, "structured.near"),
-                     size=320, exact=False, via=[addr]),
-        RoutedPacket(src=addr, dest=BrunetAddress(987654321),
-                     payload=IpEncap(vip, 84), size=84, exact=True),
+    shapes = [
+        lambda i: PingRequest(42 + i, addr),
+        lambda i: LinkRequest(43 + i, addr, uris, "structured.near"),
+        lambda i: RoutedPacket(
+            src=addr, dest=dest,
+            payload=CtmRequest(44 + i, addr, uris, "structured.near"),
+            size=320, exact=False, via=[addr]),
+        lambda i: RoutedPacket(
+            src=addr, dest=dest,
+            payload=IpEncap(VirtualIpPacket(
+                "10.128.0.2", "10.128.0.3", "icmp", 0,
+                IcmpEcho(7 + i, False, 12.5), 84), 84),
+            size=84, exact=True, trace=TraceRef(1 + i, 2 + i)),
     ]
+    return [shapes[i & 3](i) for i in range(n)]
 
 
 def bench_wire_encode() -> float:
-    """Wire-codec serialization throughput (messages/s)."""
+    """Wire-codec serialization throughput (unique messages/s)."""
     from repro.wire import encode
-    msgs = _wire_sample_messages()
     n = 20_000
+    msgs = _wire_sample_messages(n)
     t0 = time.perf_counter()
-    for i in range(n):
-        encode(msgs[i & 3])
+    for m in msgs:
+        encode(m)
     return n / (time.perf_counter() - t0)
 
 
 def bench_wire_decode() -> float:
-    """Wire-codec parse throughput (messages/s)."""
+    """Wire-codec parse throughput (unique frames/s)."""
     from repro.wire import decode, encode
-    bufs = [encode(m) for m in _wire_sample_messages()]
     n = 20_000
+    bufs = [encode(m) for m in _wire_sample_messages(n)]
     t0 = time.perf_counter()
-    for i in range(n):
-        decode(bufs[i & 3])
+    for buf in bufs:
+        decode(buf)
     return n / (time.perf_counter() - t0)
 
 
@@ -343,12 +352,18 @@ def _normalized(report: dict) -> dict[str, float]:
 #: the relative tolerance check — which compares against the *last
 #: committed* numbers and therefore lets performance erode a few percent
 #: per PR — these floors are absolute: the hot-path speedups this
-#: substrate was tuned for (10× wire encode/decode, 10× flow churn) may
-#: never regress below them, on any machine, regardless of what the
-#: committed JSON says.
+#: substrate was tuned for may never regress below them, on any machine,
+#: regardless of what the committed JSON says.
+#:
+#: The two wire floors are for *unique* frames (every message in
+#: ``bench_wire_encode/decode`` is new to the process).  The earlier
+#: 0.130 / 0.055 were memo-hit rates of four repeated objects; the
+#: whole-frame memo codec they measured packs and parses unique frames
+#: at ≈ 0.008 / 0.007 and fails both floors below.
+#: ``BENCH_substrate.json`` was regenerated once with these benches.
 RATIO_FLOORS = {
-    "wire_encode_ops_per_s": 0.130,   # ≥10× the pre-codec-v2 275k baseline
-    "wire_decode_ops_per_s": 0.055,   # ≥10× the pre-codec-v2 90k baseline
+    "wire_encode_ops_per_s": 0.015,   # unique-frame pack (~0.030 typical)
+    "wire_decode_ops_per_s": 0.011,   # unique-frame parse (~0.015 typical)
     "wire_peek_ops_per_s": 0.030,     # header-only transit fast path
     "flow_churn_ops_per_s": 6.0e-4,   # ≥10× the component-solver 1.3k
     "ring_lookup_ops_per_s": 0.015,   # bisect ring index (~0.033 typical);

@@ -79,10 +79,10 @@ class BrunetConfig:
     #: how messages cross the (simulated) wire — see
     #: :class:`repro.transport.sim.SimTransport`:
     #: ``"reference"`` charges the paper-constant sizes above (default,
-    #: byte-identical to the pre-codec simulator); ``"measured"`` charges
-    #: the encoded length from :mod:`repro.wire` plus real UDP/IP headers;
-    #: ``"codec"`` additionally moves actual encoded bytes and decodes on
-    #: delivery (full sim-vs-live equivalence)
+    #: byte-identical to the pre-codec simulator); ``"codec"`` moves real
+    #: encoded bytes from :mod:`repro.wire`, charges their length plus
+    #: real UDP/IP headers and decodes on delivery (the byte path the
+    #: live UDP transport runs)
     wire_mode: str = "reference"
 
     #: overlay-packet TTL (max greedy hops)

@@ -6,7 +6,7 @@ connections (CTM requests/replies, tunnelled IP).  Every type here has a
 deterministic binary encoding in :mod:`repro.wire`; ``size`` accounting
 uses either the paper constants in
 :class:`~repro.brunet.config.BrunetConfig` (``wire_mode="reference"``) or
-the measured encoded length (``"measured"``/``"codec"``).
+the encoded length (``"codec"``).
 """
 
 from __future__ import annotations

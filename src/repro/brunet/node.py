@@ -247,8 +247,8 @@ class BrunetNode:
     # ------------------------------------------------------------------
     def send_direct(self, dst: Endpoint, msg: Any, size: int) -> None:
         """One datagram straight to a physical endpoint.  ``size`` is the
-        paper-constant byte charge; measured/codec transports substitute
-        the encoded length."""
+        paper-constant byte charge; codec-mode transports substitute the
+        encoded length."""
         if self.transport is not None and self.active:
             self.transport.send(dst, msg, size_hint=size)
 

@@ -63,8 +63,8 @@ class IpopRouter:
         """Header bytes charged on the *virtual* wire for one packet.
 
         Reference mode charges IP+UDP (28 B) on everything — the
-        historical behaviour, kept for golden determinism.  Measured
-        modes fix a double count: VTCP segments already include their
+        historical behaviour, kept for golden determinism.  Codec mode
+        fixes a double count: VTCP segments already include their
         TCP/IP header bytes in ``Segment.size`` (40 B), so charging an
         IP+UDP header on top counted the IP header twice.
         """

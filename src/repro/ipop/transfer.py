@@ -48,7 +48,7 @@ class OverlayTransfer:
         self._hop_count: Optional[int] = None
         node = broker.resolve(src_addr)
         # historically the flow moved exactly ``size`` payload bytes with
-        # no encapsulation framing at all; measured wire modes charge the
+        # no encapsulation framing at all; codec wire mode charges the
         # per-MTU-packet overlay+UDP/IP overhead so bulk rates reflect
         # what actually crosses the wire
         self.wire_size = float(size)

@@ -10,7 +10,7 @@ rewrite ``src``/``dst`` in place as the packet crosses them, and append to
 ``header`` selects the fixed framing charge added on top of ``size``.
 The reference (paper-constant) accounting uses :data:`HEADER_BYTES`,
 which bundles IP + UDP *and* overlay framing into one constant.  The
-measured modes pass :data:`~repro.wire.codec.UDP_IP_OVERHEAD` instead,
+codec mode passes :data:`~repro.wire.codec.UDP_IP_OVERHEAD` instead,
 because there the overlay framing is already part of the encoded payload
 length — charging :data:`HEADER_BYTES` on top would count it twice.
 """

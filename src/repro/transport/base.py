@@ -47,8 +47,8 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def send(self, dst: Endpoint, msg: Any, size_hint: int = 0) -> None:
         """Fire-and-forget one message.  ``size_hint`` is the
-        paper-constant byte charge; transports in measured/codec modes
-        ignore it and charge the encoded length instead."""
+        paper-constant byte charge; codec-mode transports ignore it and
+        charge the encoded length instead."""
 
     @abc.abstractmethod
     def close(self) -> None:

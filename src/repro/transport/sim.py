@@ -1,6 +1,6 @@
 """SimTransport: the simulator-backed transport.
 
-Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Three wire modes
+Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
 (selected by ``BrunetConfig.wire_mode``):
 
 ``"reference"``
@@ -9,17 +9,11 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Three wire modes
     plus :data:`~repro.phys.packet.HEADER_BYTES`.  Same-seed runs stay
     byte-identical to the pre-codec simulator.
 
-``"measured"``
-    The object still travels by reference (fast), but the byte charge is
-    the *measured* encoded length ``len(wire.encode(msg))`` plus real
-    UDP/IP headers — honest accounting without paying encode+decode on
-    the receive side.
-
 ``"codec"``
-    Full serialization: the datagram carries encoded bytes; the receive
-    path decodes (or counts ``wire.decode_error`` and drops).  This is
-    the strongest sim-vs-live equivalence mode — the simulator exercises
-    the exact byte path the UDP transport uses.
+    Full serialization: the datagram carries encoded bytes and is charged
+    ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
+    decodes (or counts ``wire.decode_error`` and drops).  The simulator
+    then exercises the exact byte path the UDP transport uses.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phys.packet import Datagram
     from repro.sim.engine import Simulator
 
-WIRE_MODES = ("reference", "measured", "codec")
+WIRE_MODES = ("reference", "codec")
 
 
 class SimTransport(Transport):
@@ -56,12 +50,11 @@ class SimTransport(Transport):
         metrics = sim.obs.metrics
         self._m_decode_err = metrics.counter("wire.decode_error",
                                              node=self.name)
-        if wire_mode != "reference":
+        if wire_mode == "codec":
             self._m_tx_bytes = metrics.counter("wire.tx_bytes",
                                                node=self.name)
             self._m_rx_bytes = metrics.counter("wire.rx_bytes",
                                                node=self.name)
-        if wire_mode == "codec":
             self._m_opaque = metrics.counter("wire.opaque_frames",
                                              node=self.name)
 
@@ -91,14 +84,8 @@ class SimTransport(Transport):
         sock = self.sock
         if sock is None or sock.closed:
             return
-        mode = self.wire_mode
-        if mode == "reference":
+        if self.wire_mode == "reference":
             sock.send(dst, msg, size=size_hint)
-            return
-        if mode == "measured":
-            nbytes = codec.encoded_size(msg)
-            self._m_tx_bytes.inc(nbytes)
-            sock.send(dst, msg, size=nbytes, header=codec.UDP_IP_OVERHEAD)
             return
         # codec: the datagram carries real bytes; causal context must ride
         # the datagram explicitly since the payload is now opaque

@@ -9,8 +9,8 @@ length-prefixed fields) for every protocol message, so that
 * the same ``BrunetNode``/``IpopRouter`` code runs over real sockets
   (:class:`repro.transport.udp.UdpTransport`) or the simulator
   (:class:`repro.transport.sim.SimTransport`);
-* byte accounting can be *measured* (``len(encode(msg))``) instead of
-  asserted from constants — see ``BrunetConfig.wire_mode``.
+* byte accounting can charge the real ``len(encode(msg))`` instead of
+  paper constants — see ``BrunetConfig.wire_mode``.
 
 Decode failures raise the typed :class:`DecodeError`; transports count
 them (``wire.decode_error``) and drop the datagram instead of letting the
@@ -26,11 +26,10 @@ from repro.wire.codec import (
     decode,
     decode_lazy,
     encode,
-    encoded_size,
     materialize,
     peek_header,
 )
-from repro.wire.sizing import encap_overhead, reference_sizes
+from repro.wire.sizing import encap_overhead
 
 __all__ = [
     "UDP_IP_OVERHEAD",
@@ -41,9 +40,7 @@ __all__ = [
     "decode",
     "decode_lazy",
     "encode",
-    "encoded_size",
     "materialize",
     "peek_header",
     "encap_overhead",
-    "reference_sizes",
 ]

@@ -30,12 +30,11 @@ Version 2 is built for per-packet speed:
   :class:`RawBody` slice — a transit hop routes on the envelope and
   re-encodes by splicing the original payload bytes back, never paying a
   body decode/encode (:func:`materialize` decodes at local delivery);
-* repeated values (addresses, URIs, short strings) round-trip through
-  bounded caches, and immutable messages memoize their encoded frame
-  (``via`` / ``hops`` / trace-bearing envelopes are exempt — see
-  ``_CACHEABLE``);
-* :func:`encoded_size` is pure arithmetic over the layout tables — it
-  never encodes to measure.
+* repeated *values* (addresses, URIs, short strings) round-trip through
+  five bounded caches of immutable objects.  Nothing is cached per frame
+  or per message: ``encode`` packs and ``decode`` parses on every call,
+  so a message mutated between two encodes re-encodes as it now is, and
+  two decodes of equal bytes share no mutable state.
 
 Payloads the protocol does not define (middleware RPC bodies, opaque
 application data) fall back to an ``OPAQUE`` frame carrying a pickle of
@@ -56,7 +55,6 @@ error.
 from __future__ import annotations
 
 import pickle
-import weakref
 from struct import Struct
 from struct import error as _StructError
 from typing import Any, NamedTuple, Optional
@@ -88,7 +86,7 @@ from repro.phys.endpoints import Endpoint
 #: VirtualIpPacket/Segment, typed frames for vTCP segments and DHT ops.
 WIRE_VERSION = 2
 
-#: physical framing charged per datagram in measured/codec accounting:
+#: physical framing charged per datagram in codec-mode accounting:
 #: IPv4 header (20) + UDP header (8).  The overlay's own framing is part
 #: of the encoded message, so it is never charged twice.
 UDP_IP_OVERHEAD = 28
@@ -129,8 +127,7 @@ _U32 = Struct(">I")
 # ---------------------------------------------------------------------------
 # composite layouts (one Struct per fixed-shape field run, tag included
 # where the whole prefix is fixed).  These Structs ARE the layout tables:
-# encoders pack them, decoders unpack them, and the arithmetic sizing
-# below derives every fixed size from their .size attributes.
+# encoders pack them and decoders unpack them.
 # ---------------------------------------------------------------------------
 
 _TOK_ADDR = Struct(">BQ20s")            # tag, token, address  (ping/link/ctm heads)
@@ -220,6 +217,11 @@ class FrameHeader(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _CACHE_MAX = 8192
+#: longest encoded string or URI span that is cached.  Length prefixes
+#: are u16, so a peer can send a 64 KB string or a ~128 KB URI; those
+#: decode correctly but uncached, so no peer can pin more than
+#: ``_CACHE_MAX`` keys of this many bytes in any cache.
+_SPAN_MAX = 64
 _ADDR_ENC: dict[int, bytes] = {}
 _ADDR_DEC: dict[bytes, BrunetAddress] = {}
 _URI_ENC: dict[Uri, bytes] = {}
@@ -227,24 +229,26 @@ _URI_DEC: dict[bytes, Uri] = {}
 _STR_DEC: dict[bytes, str] = {}
 
 
+def _remember(cache: dict, key: Any, value: Any) -> None:
+    if len(cache) >= _CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+
+
 def _ab(a: int) -> bytes:
     """Address → exactly 20 big-endian bytes (cached)."""
     b = _ADDR_ENC.get(a)
     if b is None:
-        if len(_ADDR_ENC) >= _CACHE_MAX:
-            _ADDR_ENC.clear()
         b = int(a).to_bytes(ADDRESS_BYTES, "big")
-        _ADDR_ENC[a] = b
+        _remember(_ADDR_ENC, a, b)
     return b
 
 
 def _da(raw: bytes) -> BrunetAddress:
     a = _ADDR_DEC.get(raw)
     if a is None:
-        if len(_ADDR_DEC) >= _CACHE_MAX:
-            _ADDR_DEC.clear()
         a = BrunetAddress(int.from_bytes(raw, "big"))
-        _ADDR_DEC[raw] = a
+        _remember(_ADDR_DEC, raw, a)
     return a
 
 
@@ -261,10 +265,8 @@ def _ds(raw: bytes) -> str:
             s = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError(f"malformed UTF-8 string: {exc}") from None
-        if len(raw) <= 64:
-            if len(_STR_DEC) >= _CACHE_MAX:
-                _STR_DEC.clear()
-            _STR_DEC[raw] = s
+        if len(raw) <= _SPAN_MAX:
+            _remember(_STR_DEC, raw, s)
     return s
 
 
@@ -282,13 +284,12 @@ def _ps(out: bytearray, s: str) -> None:
 def _pu(out: bytearray, u: Uri) -> None:
     b = _URI_ENC.get(u)
     if b is None:
-        if len(_URI_ENC) >= _CACHE_MAX:
-            _URI_ENC.clear()
         t = u.transport.encode("utf-8")
         ip = u.endpoint.ip.encode("utf-8")
         b = b"".join((_U16.pack(len(t)), t, _U16.pack(len(ip)), ip,
                       _U16.pack(u.endpoint.port)))
-        _URI_ENC[u] = b
+        if len(b) <= _SPAN_MAX:
+            _remember(_URI_ENC, u, b)
     out += b
 
 
@@ -330,13 +331,12 @@ def _d_uri(buf: bytes, pos: int, n: int) -> tuple[Uri, int]:
     span = buf[pos:end]
     u = _URI_DEC.get(span)
     if u is None:
-        if len(_URI_DEC) >= _CACHE_MAX:
-            _URI_DEC.clear()
         transport = _ds(buf[pos + 2:p2])
         ip = _ds(buf[p2 + 2:end - 2])
         port = (buf[end - 2] << 8) | buf[end - 1]
         u = Uri(transport, Endpoint(ip, port))
-        _URI_DEC[span] = u
+        if len(span) <= _SPAN_MAX:
+            _remember(_URI_DEC, span, u)
     return u, end
 
 
@@ -529,136 +529,11 @@ _ENCODERS: dict[type, Any] = {
     RawBody: _e_rawbody,
 }
 
-# ---------------------------------------------------------------------------
-# whole-frame memoization.
-#
-# Protocol messages are built immediately before their first send and
-# never field-mutated afterwards, with three audited exceptions: the
-# RoutedPacket envelope (hops/via grow per hop), in-flight TraceRefs
-# (re-parented at every hop), and OPAQUE payloads (arbitrary app objects
-# the codec must assume mutable).  So:
-#
-# * frozen message types memoize their encoded sub-frame, keyed by object
-#   id with a weakref guard (a recycled id can never alias a dead
-#   message); trace-bearing link messages validate the trace ids on every
-#   hit;
-# * RoutedPacket memoizes against a fingerprint of exactly the fields the
-#   router mutates — (hops, len(via), payload identity, trace ids) — so a
-#   resend of an unchanged envelope hits while every forwarded hop
-#   misses; the entry pins the payload object so its id cannot be
-#   recycled under the fingerprint;
-# * any frame that fell back to OPAQUE pickling is never memoized (the
-#   app may mutate the payload between sends, and the opaque_frames
-#   metric must count every pickled frame that hits the wire).
-# ---------------------------------------------------------------------------
-
-_CACHEABLE = (PingRequest, PingReply, LinkError, CloseMessage, CtmRequest,
-              CtmReply, IpEncap, VirtualIpPacket, IcmpEcho, Segment,
-              DhtPut, DhtGet, DhtReply, LinkRequest, LinkReply)
-_CACHEABLE_SET = frozenset(_CACHEABLE)
-_TRACED = frozenset((LinkRequest, LinkReply))
-
-# id -> (sub_frame, full_frame, trace_id|None, trace_parent|None) — the
-# sub-frame (no version byte) splices into nested encodes, the full frame
-# is what a top-level encode() hit returns outright
-_FRAME_CACHE: dict[int, tuple] = {}
-_FRAME_REFS: dict[int, Any] = {}
-
-# RoutedPacket envelope memo:
-# id -> (full_frame, hops, len(via), payload, trace_id|None, parent|None)
-_RP_CACHE: dict[int, tuple] = {}
-_RP_REFS: dict[int, Any] = {}
-
-
-def _frame_evict(key: int) -> None:
-    _FRAME_CACHE.pop(key, None)
-    _FRAME_REFS.pop(key, None)
-
-
-def _rp_evict(key: int) -> None:
-    _RP_CACHE.pop(key, None)
-    _RP_REFS.pop(key, None)
-
-
-def _frame_remember(m: Any, frame: bytes) -> None:
-    key = id(m)
-    if len(_FRAME_CACHE) >= _CACHE_MAX:
-        _FRAME_CACHE.clear()
-        _FRAME_REFS.clear()
-    try:
-        ref = weakref.ref(m, lambda _r, _k=key: _frame_evict(_k))
-    except TypeError:  # pragma: no cover - all message types are weakrefable
-        return
-    t = getattr(m, "trace", None)
-    _FRAME_CACHE[key] = (frame, _VERSION_BYTE + frame,
-                         t.trace_id if t else None,
-                         t.parent if t else None)
-    _FRAME_REFS[key] = ref
-
-
-def _frame_lookup(m: Any) -> Optional[tuple]:
-    key = id(m)
-    entry = _FRAME_CACHE.get(key)
-    if entry is None or _FRAME_REFS[key]() is not m:
-        return None
-    tid = entry[2]
-    if tid is not None:
-        t = m.trace
-        if t is None or t.trace_id != tid or t.parent != entry[3]:
-            return None
-    elif type(m) in _TRACED and m.trace is not None:
-        return None
-    return entry
-
-
-def _rp_remember(m: RoutedPacket, full: bytes) -> None:
-    key = id(m)
-    if len(_RP_CACHE) >= _CACHE_MAX:
-        _RP_CACHE.clear()
-        _RP_REFS.clear()
-    try:
-        ref = weakref.ref(m, lambda _r, _k=key: _rp_evict(_k))
-    except TypeError:  # pragma: no cover
-        return
-    t = m.trace
-    _RP_CACHE[key] = (full, m.hops, len(m.via), m.payload,
-                      t.trace_id if t else None, t.parent if t else None)
-    _RP_REFS[key] = ref
-
-
-def _rp_lookup(m: RoutedPacket) -> Optional[bytes]:
-    key = id(m)
-    entry = _RP_CACHE.get(key)
-    if entry is None or _RP_REFS[key]() is not m:
-        return None
-    full, hops, nvia, payload, tid, parent = entry
-    if m.hops != hops or m.payload is not payload or len(m.via) != nvia:
-        return None
-    t = m.trace
-    if tid is None:
-        if t is not None:
-            return None
-    elif t is None or t.trace_id != tid or t.parent != parent:
-        return None
-    return full
-
-
 def _e_any(out: bytearray, value: Any) -> None:
     global opaque_frames
     t = type(value)
     enc = _ENCODERS.get(t)
     if enc is not None:
-        if t in _CACHEABLE_SET:
-            entry = _frame_lookup(value)
-            if entry is not None:
-                out += entry[0]
-                return
-            start = len(out)
-            before = opaque_frames
-            enc(out, value)
-            if opaque_frames == before:
-                _frame_remember(value, bytes(out[start:]))
-            return
         enc(out, value)
     elif value is None:
         out.append(T_NONE)
@@ -913,12 +788,7 @@ def _d_bytes(buf: bytes, pos: int, n: int):
     return buf[pos:end], end
 
 
-_dec_opaque = 0  # OPAQUE sub-frames decoded (templates must skip these)
-
-
 def _d_opaque(buf: bytes, pos: int, n: int):
-    global _dec_opaque
-    _dec_opaque += 1
     raw, pos = _d_bytes(buf, pos, n)
     try:
         return pickle.loads(raw), pos
@@ -963,57 +833,6 @@ def _d_any(buf: bytes, pos: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# decode template caches.
-#
-# Decoding is memoized by frame *content*: the first decode of a byte
-# pattern parses it and stores the result as a template; later decodes of
-# equal bytes return a fresh top-level object copied from the template.
-# The copy owns its __dict__ (attribute assignment never aliases), plus
-# fresh copies of the only two innards the stack mutates in place — the
-# RoutedPacket ``via`` list and TraceRefs (re-parented per hop).  All
-# other nested values (addresses, URIs, strings, payload messages) are
-# shared, exactly like the value caches above; the consumer audit in
-# DESIGN.md §14 shows they are treated as immutable values.  Frames
-# containing OPAQUE pickles are never cached — app payloads are mutable
-# and every unpickle must happen for real.
-# ---------------------------------------------------------------------------
-
-_DEC_CACHE: dict[bytes, Any] = {}    # full frame bytes -> eager template
-_LAZY_CACHE: dict[bytes, Any] = {}   # full frame bytes -> lazy template
-_MAT_CACHE: dict[bytes, Any] = {}    # payload sub-frame bytes -> template
-
-
-def _copy_out(t: Any) -> Any:
-    cls = t.__class__
-    m = _new(cls)
-    d = dict(t.__dict__)
-    m.__dict__ = d
-    if cls is RoutedPacket:
-        d["via"] = d["via"][:]
-        tr = d["trace"]
-        if tr is not None:
-            d["trace"] = TraceRef(tr.trace_id, tr.parent)
-    else:
-        tr = d.get("trace")
-        if tr is not None:
-            d["trace"] = TraceRef(tr.trace_id, tr.parent)
-    return m
-
-
-def _dec_store(cache: dict, buf: bytes, msg: Any) -> Any:
-    """Template-cache a freshly parsed frame and hand back a safe copy.
-
-    Scalars (None/str/bytes results) need no template: they are immutable
-    and returned as-is without caching overhead."""
-    if isinstance(msg, _CACHEABLE) or type(msg) is RoutedPacket:
-        if len(cache) >= _CACHE_MAX:
-            cache.clear()
-        cache[buf] = msg
-        return _copy_out(msg)
-    return msg
-
-
-# ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
@@ -1023,33 +842,6 @@ _enc_buf_busy = False
 
 def encode(msg: Any) -> bytes:
     """Serialize one protocol message into a versioned frame."""
-    t = type(msg)
-    # memo-hit fast paths, inlined: a validated hit is the per-packet
-    # steady state (keep-alive resends, unchanged envelopes), so it must
-    # not pay helper-call overhead
-    if t is RoutedPacket:
-        key = id(msg)
-        e = _RP_CACHE.get(key)
-        if e is not None and _RP_REFS[key]() is msg:
-            d = msg.__dict__
-            tr = d["trace"]
-            if (d["hops"] == e[1] and d["payload"] is e[3]
-                    and len(d["via"]) == e[2]
-                    and (e[4] is None if tr is None
-                         else tr.trace_id == e[4] and tr.parent == e[5])):
-                return e[0]
-    elif t in _CACHEABLE_SET:
-        key = id(msg)
-        e = _FRAME_CACHE.get(key)
-        if e is not None and _FRAME_REFS[key]() is msg:
-            tid = e[2]
-            if tid is None:
-                if t not in _TRACED or msg.trace is None:
-                    return e[1]
-            else:
-                tr = msg.trace
-                if tr is not None and tr.trace_id == tid and tr.parent == e[3]:
-                    return e[1]
     global _enc_buf_busy
     if _enc_buf_busy:          # reentrant encode: fall back to a fresh buffer
         out = bytearray(_VERSION_BYTE)
@@ -1060,12 +852,8 @@ def encode(msg: Any) -> bytes:
         out = _ENC_BUF
         del out[:]
         out += _VERSION_BYTE
-        before = opaque_frames
         _e_any(out, msg)
-        full = bytes(out)
-        if t is RoutedPacket and opaque_frames == before:
-            _rp_remember(msg, full)
-        return full
+        return bytes(out)
     finally:
         _enc_buf_busy = False
 
@@ -1086,29 +874,29 @@ def _check_version(buf: bytes) -> None:
                           f"(expected {WIRE_VERSION})")
 
 
-def decode(buf: Any) -> Any:
-    """Inverse of :func:`encode`; raises :class:`DecodeError` on any
-    malformed input (truncation, bad version, unknown tag, trailing
-    bytes)."""
-    if type(buf) is not bytes:
-        buf = _coerce(buf)
-    t = _DEC_CACHE.get(buf)
-    if t is not None:
-        return _copy_out(t)
-    _check_version(buf)
+def _parse(buf: bytes, pos: int) -> Any:
+    """Decode the one value starting at ``pos`` and running to the end of
+    ``buf``; every failure is a :class:`DecodeError`."""
     n = len(buf)
-    before = _dec_opaque
     try:
-        msg, pos = _d_any(buf, 1, n)
+        msg, pos = _d_any(buf, pos, n)
     except DecodeError:
         raise
     except (_StructError, IndexError, OverflowError, ValueError) as exc:
         raise DecodeError(f"malformed frame: {exc}") from None
     if pos != n:
         raise DecodeError(f"{n - pos} trailing bytes after message")
-    if _dec_opaque != before:
-        return msg
-    return _dec_store(_DEC_CACHE, buf, msg)
+    return msg
+
+
+def decode(buf: Any) -> Any:
+    """Inverse of :func:`encode`; raises :class:`DecodeError` on any
+    malformed input (truncation, bad version, unknown tag, trailing
+    bytes)."""
+    if type(buf) is not bytes:
+        buf = _coerce(buf)
+    _check_version(buf)
+    return _parse(buf, 1)
 
 
 def decode_lazy(buf: Any) -> Any:
@@ -1122,9 +910,6 @@ def decode_lazy(buf: Any) -> Any:
     """
     if type(buf) is not bytes:
         buf = _coerce(buf)
-    t = _LAZY_CACHE.get(buf)
-    if t is not None:
-        return _copy_out(t)
     _check_version(buf)
     if buf[1] != T_ROUTED:
         return decode(buf)
@@ -1138,7 +923,7 @@ def decode_lazy(buf: Any) -> Any:
     if pos >= n:
         raise _trunc(1, pos, n)
     m.__dict__["payload"] = RawBody(buf, pos)
-    return _dec_store(_LAZY_CACHE, buf, m)
+    return m
 
 
 def materialize(payload: Any) -> Any:
@@ -1146,23 +931,7 @@ def materialize(payload: Any) -> Any:
     else).  Raises :class:`DecodeError` on a malformed body."""
     if type(payload) is not RawBody:
         return payload
-    buf, n = payload.buf, len(payload.buf)
-    span = bytes(payload.raw)
-    t = _MAT_CACHE.get(span)
-    if t is not None:
-        return _copy_out(t)
-    before = _dec_opaque
-    try:
-        msg, pos = _d_any(buf, payload.off, n)
-    except DecodeError:
-        raise
-    except (_StructError, IndexError, OverflowError, ValueError) as exc:
-        raise DecodeError(f"malformed frame: {exc}") from None
-    if pos != n:
-        raise DecodeError(f"{n - pos} trailing bytes after message")
-    if _dec_opaque != before:
-        return msg
-    return _dec_store(_MAT_CACHE, span, msg)
+    return _parse(payload.buf, payload.off)
 
 
 def peek_header(buf: Any) -> FrameHeader:
@@ -1197,153 +966,3 @@ def peek_header(buf: Any) -> FrameHeader:
                        excl != 0, approach, ttl, hops,
                        trace.trace_id if trace else None,
                        trace.parent if trace else None)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic sizing: byte counts derived from the layout tables above —
-# encoded_size() never encodes (the OPAQUE pickle fallback is the one
-# unavoidable exception: pickle's length is not predictable).
-# Typed sizers return the full sub-frame size INCLUDING the tag byte
-# (the composite Structs carry it).  tests/wire/ assert
-# encoded_size(m) == len(encode(m)) over the full fuzz corpus.
-# ---------------------------------------------------------------------------
-
-def _sz_str(s: str) -> int:
-    return 2 + (len(s) if s.isascii() else len(s.encode("utf-8")))
-
-
-def _sz_uri(u: Uri) -> int:
-    return _sz_str(u.transport) + _sz_str(u.endpoint.ip) + 2
-
-
-def _sz_uris(uris: list) -> int:
-    return 2 + sum(_sz_uri(u) for u in uris)
-
-
-def _sz_trace(ref: Optional[TraceRef]) -> int:
-    return _TRACE.size if ref is not None else 1
-
-
-def _sz_link_request(m: LinkRequest) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.sender_uris)
-            + _sz_str(m.conn_type) + _sz_trace(m.trace))
-
-
-def _sz_link_reply(m: LinkReply) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.sender_uris) + _sz_uri(m.observed_uri)
-            + _sz_str(m.conn_type) + _sz_trace(m.trace))
-
-
-def _sz_link_error(m: LinkError) -> int:
-    return _TOK_ADDR.size + _sz_str(m.reason)
-
-
-def _sz_close(m: CloseMessage) -> int:
-    return _ADDR20.size + _sz_str(m.reason)
-
-
-def _sz_ping_request(m: PingRequest) -> int:
-    return _TOK_ADDR.size
-
-
-def _sz_ping_reply(m: PingReply) -> int:
-    return _TOK_ADDR.size + _sz_uri(m.observed_uri) + 1
-
-
-def _sz_ctm_request(m: CtmRequest) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.initiator_uris)
-            + _sz_str(m.conn_type)
-            + (1 + ADDRESS_BYTES if m.reply_via is not None else 1) + 2)
-
-
-def _sz_ctm_reply(m: CtmReply) -> int:
-    return (_TOK_ADDR.size + _sz_uris(m.responder_uris)
-            + _sz_str(m.conn_type))
-
-
-def _sz_ip_encap(m: IpEncap) -> int:
-    return _IPENC.size + _sz_any(m.payload)
-
-
-def _sz_forward(m: Forward) -> int:
-    return _FWD.size + _sz_any(m.inner)
-
-
-def _sz_routed(m: RoutedPacket) -> int:
-    s = _RHDR.size + _sz_trace(m.trace) + 2 + ADDRESS_BYTES * len(m.via)
-    if m.approach not in _APPROACH_CODE:
-        s += _sz_str(m.approach)
-    return s + _sz_any(m.payload)
-
-
-def _sz_virtual_ip(m: VirtualIpPacket) -> int:
-    return (1 + _sz_str(m.src_ip) + _sz_str(m.dst_ip) + _sz_str(m.proto)
-            + _VIP_TAIL.size + _sz_any(m.payload))  # 1 = explicit tag byte
-
-
-def _sz_icmp_echo(m: IcmpEcho) -> int:
-    return _ICMP.size
-
-
-def _sz_segment(m: Segment) -> int:
-    return _SEG.size + _sz_str(m.flags) + _sz_any(m.payload)
-
-
-def _sz_dht_put(m: DhtPut) -> int:
-    return _DHT_PUT.size + _sz_str(m.key) + _sz_any(m.value)
-
-
-def _sz_dht_get(m: DhtGet) -> int:
-    return _DHT_GET.size + _sz_str(m.key)
-
-
-def _sz_dht_reply(m: DhtReply) -> int:
-    return (_DHT_REP.size + _sz_str(m.key) + 2
-            + sum(_sz_any(v) for v in m.values))
-
-
-def _sz_rawbody(m: RawBody) -> int:
-    return len(m)  # raw already includes its own tag byte
-
-
-_SIZERS: dict[type, Any] = {
-    LinkRequest: _sz_link_request,
-    LinkReply: _sz_link_reply,
-    LinkError: _sz_link_error,
-    CloseMessage: _sz_close,
-    PingRequest: _sz_ping_request,
-    PingReply: _sz_ping_reply,
-    CtmRequest: _sz_ctm_request,
-    CtmReply: _sz_ctm_reply,
-    IpEncap: _sz_ip_encap,
-    Forward: _sz_forward,
-    RoutedPacket: _sz_routed,
-    VirtualIpPacket: _sz_virtual_ip,
-    IcmpEcho: _sz_icmp_echo,
-    Segment: _sz_segment,
-    DhtPut: _sz_dht_put,
-    DhtGet: _sz_dht_get,
-    DhtReply: _sz_dht_reply,
-    RawBody: _sz_rawbody,
-}
-
-
-def _sz_any(value: Any) -> int:
-    """Full sub-frame size (tag + fields) of a nested value."""
-    t = type(value)
-    sz = _SIZERS.get(t)
-    if sz is not None:
-        return sz(value)
-    if value is None:
-        return 1
-    if t is str:
-        return 1 + _sz_str(value)
-    if t is bytes:
-        return 5 + len(value)
-    return 5 + len(pickle.dumps(value, protocol=4))
-
-
-def encoded_size(msg: Any) -> int:
-    """On-wire size of ``msg`` in bytes (excluding UDP/IP), computed
-    arithmetically from the layout tables — no encode, no allocation."""
-    return 1 + _sz_any(msg)

@@ -1,13 +1,13 @@
-"""Measured-size helpers: what the wire actually charges per message.
+"""What codec mode charges for tunnelling one virtual-IP packet.
 
 ``BrunetConfig.wire_mode == "reference"`` reproduces the paper-constant
 byte accounting (``size_ctm``/``size_link``/``size_ping`` plus the fixed
 :data:`~repro.phys.packet.HEADER_BYTES`), keeping existing experiments
-byte-identical.  The ``"measured"`` and ``"codec"`` modes charge
-``len(encode(msg))`` plus :data:`~repro.wire.codec.UDP_IP_OVERHEAD` —
-this module pre-computes the fixed overheads those modes imply so that
-higher layers (bulk-flow accounting, tests) can reason about them
-without encoding a packet per call.
+byte-identical.  ``"codec"`` mode charges ``len(encode(msg))`` plus
+:data:`~repro.wire.codec.UDP_IP_OVERHEAD`; :func:`encap_overhead` is the
+fixed part of that charge, encoded once, so higher layers (bulk-flow
+accounting, tests) can reason about it without encoding a packet per
+call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 from repro.brunet.address import BrunetAddress
 from repro.brunet.messages import IpEncap, RoutedPacket
 from repro.ipop.ippacket import VirtualIpPacket
-from repro.wire.codec import UDP_IP_OVERHEAD, encoded_size
+from repro.wire.codec import UDP_IP_OVERHEAD, encode
 
 
 @lru_cache(maxsize=1)
@@ -32,14 +32,4 @@ def encap_overhead() -> int:
     vip = VirtualIpPacket("10.128.0.2", "10.128.0.3", "icmp", 0, None, 0)
     pkt = RoutedPacket(src=addr, dest=addr, payload=IpEncap(vip, 0),
                        size=0, exact=True)
-    return encoded_size(pkt) + UDP_IP_OVERHEAD
-
-
-def reference_sizes(config) -> dict[str, int]:
-    """The paper-constant per-message charges, for comparison tables."""
-    return {
-        "ctm": config.size_ctm,
-        "link": config.size_link,
-        "ping": config.size_ping,
-        "routed_header": config.size_routed_header,
-    }
+    return len(encode(pkt)) + UDP_IP_OVERHEAD

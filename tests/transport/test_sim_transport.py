@@ -1,9 +1,8 @@
-"""SimTransport behaviour across the three wire modes.
+"""SimTransport behaviour across the two wire modes.
 
 The protocol trajectory (who connects to whom, when) must be identical in
-all modes — sizes feed byte accounting, not latency — while the byte
-accounting itself switches from paper constants to measured encoded
-lengths.
+both modes — sizes feed byte accounting, not latency — while the byte
+accounting itself switches from paper constants to encoded lengths.
 """
 
 import pytest
@@ -17,7 +16,7 @@ from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
 from repro.sim import Simulator
 from repro.transport.sim import SimTransport
-from repro.wire import UDP_IP_OVERHEAD, encode, encoded_size
+from repro.wire import UDP_IP_OVERHEAD, decode, encode
 
 
 def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
@@ -39,7 +38,7 @@ def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
     return sim, net, nodes
 
 
-@pytest.mark.parametrize("mode", ["reference", "measured", "codec"])
+@pytest.mark.parametrize("mode", ["reference", "codec"])
 def test_overlay_forms_in_every_wire_mode(mode):
     sim, net, nodes = _build_overlay(mode)
     assert all(n.in_ring for n in nodes)
@@ -55,9 +54,7 @@ def test_trajectory_identical_across_modes():
                  for cat, recs in sorted(sim.tracer.records.items())
                  for t, d in recs]
         return trace, [n.joined_at for n in nodes]
-    ref = fingerprint("reference")
-    assert fingerprint("measured") == ref
-    assert fingerprint("codec") == ref
+    assert fingerprint("codec") == fingerprint("reference")
 
 
 def test_codec_mode_carries_bytes_on_the_wire():
@@ -80,7 +77,7 @@ def test_codec_mode_carries_bytes_on_the_wire():
     assert seen and all(isinstance(p, bytes) for p in seen)
 
 
-def test_measured_mode_charges_encoded_length():
+def test_codec_mode_charges_encoded_length():
     sim = Simulator(seed=1, trace=False)
     net = Internet(sim)
     site = Site(net, "pub")
@@ -88,16 +85,23 @@ def test_measured_mode_charges_encoded_length():
     peer = site.add_host("b")
     got = []
     peer.bind_udp(7000, lambda payload, src, size: got.append((payload, size)))
-    t = SimTransport(sim, host, 6000, wire_mode="measured", name="a")
+    t = SimTransport(sim, host, 6000, wire_mode="codec", name="a")
     t.open(lambda *a: None)
     msg = PingRequest(5, random_address(sim.rng.stream("x")))
     t.send(peer.sockets[7000].endpoint, msg, size_hint=96)
     sim.run()
     assert len(got) == 1
     payload, size = got[0]
-    assert payload is msg  # measured mode: object passes by reference
-    assert size == encoded_size(msg) + UDP_IP_OVERHEAD
+    assert decode(payload) == msg  # codec mode: real bytes cross the wire
+    assert size == len(encode(msg)) + UDP_IP_OVERHEAD
     assert size != 96  # the paper-constant hint is ignored
+
+
+def test_measured_mode_is_gone():
+    sim = Simulator(seed=1, trace=False)
+    host = Site(Internet(sim), "pub").add_host("a")
+    with pytest.raises(ValueError, match="unknown wire_mode"):
+        SimTransport(sim, host, 6000, wire_mode="measured")
 
 
 def test_reference_mode_charges_paper_constant():

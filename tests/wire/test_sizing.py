@@ -1,8 +1,8 @@
-"""Size-accounting invariants for measured wire modes.
+"""Size-accounting invariants for the codec wire mode.
 
 Reference mode keeps the paper constants (HEADER_BYTES on every
-datagram); measured/codec modes charge the encoded length plus real
-UDP/IP headers.  These tests pin the encap overhead for a tunnelled IP
+datagram); codec mode charges the encoded length plus real UDP/IP
+headers.  These tests pin the encap overhead for a tunnelled IP
 packet and the Datagram framing override that makes the split possible.
 """
 
@@ -14,7 +14,7 @@ from repro.ipop.ippacket import VirtualIpPacket
 from repro.obs.spans import TraceRef
 from repro.phys.endpoints import Endpoint
 from repro.phys.packet import Datagram, HEADER_BYTES
-from repro.wire import UDP_IP_OVERHEAD, encap_overhead, encoded_size
+from repro.wire import UDP_IP_OVERHEAD, encap_overhead, encode
 
 A = Endpoint("10.0.0.1", 14001)
 B = Endpoint("10.0.0.2", 14001)
@@ -33,12 +33,12 @@ def test_encap_overhead_pinned():
     # minimal packet above) + IPv4/UDP (28 B).  A change here is a wire
     # format change and must bump WIRE_VERSION.
     assert encap_overhead() == 129
-    assert encap_overhead() == encoded_size(_tunnelled()) + UDP_IP_OVERHEAD
+    assert encap_overhead() == len(encode(_tunnelled())) + UDP_IP_OVERHEAD
 
 
 def test_traced_packet_pays_exactly_the_trace_ref():
-    untraced = encoded_size(_tunnelled())
-    traced = encoded_size(_tunnelled(trace=TraceRef(123, 456)))
+    untraced = len(encode(_tunnelled()))
+    traced = len(encode(_tunnelled(trace=TraceRef(123, 456))))
     # two u64 span ids — ids, not object references (the presence byte
     # is paid either way)
     assert traced - untraced == 8 + 8
@@ -46,7 +46,7 @@ def test_traced_packet_pays_exactly_the_trace_ref():
 
 def test_payload_bytes_do_not_change_framing_overhead():
     small, big = _tunnelled(vip_size=10), _tunnelled(vip_size=60000)
-    assert encoded_size(small) == encoded_size(big)
+    assert len(encode(small)) == len(encode(big))
 
 
 def test_udp_ip_overhead_is_real_headers_not_paper_constant():
@@ -59,7 +59,7 @@ def test_datagram_default_framing_is_reference_constant():
     assert d.size == HEADER_BYTES + 100
 
 
-def test_datagram_header_override_for_measured_modes():
+def test_datagram_header_override_for_codec_mode():
     d = Datagram(A, B, payload="x", size=100, header=UDP_IP_OVERHEAD)
     assert d.size == UDP_IP_OVERHEAD + 100
     # encoded frames carry their own overlay framing: header=0 must also
@@ -72,14 +72,3 @@ def test_encap_overhead_is_cached_and_stable():
     assert encap_overhead() is not None
     assert encap_overhead() == encap_overhead()
 
-
-def test_encoded_size_equals_real_encode_over_fuzz_corpus():
-    """The arithmetic sizer must agree with an actual encode, byte for
-    byte, across every message type and a large randomized corpus —
-    otherwise bandwidth accounting in the simulator silently drifts from
-    what the codec-mode transport would really put on the wire."""
-    from repro.wire import encode
-    from tests.wire.test_codec_roundtrip import _sample_messages
-
-    for msg in _sample_messages(seed=17, per_type=25):
-        assert encoded_size(msg) == len(encode(msg)), msg
