@@ -63,6 +63,7 @@ class BrunetNode:
         self.sim = sim
         self.host = host
         self.addr = addr
+        self._addr_bytes = wire.address_bytes(addr)   # as frames carry it
         self.config = config or DEFAULT_CONFIG
         self.active = False
         self.transport = transport
@@ -481,6 +482,16 @@ class BrunetNode:
     def _on_datagram(self, payload: Any, src: Endpoint, size: int) -> None:
         if not self.active:
             return
+        if type(payload) is bytes:
+            # a codec transport hands routed frames over undecoded
+            view = wire.transit_view(payload, self._addr_bytes)
+            if view is not None and self._cut_through(payload, view):
+                return
+            try:
+                payload = wire.decode_lazy(payload)
+            except wire.DecodeError:
+                self._m_decode_err.inc()
+                return
         if isinstance(payload, RoutedPacket):
             if payload.via:
                 conn = self.table.get(payload.via[-1])
@@ -502,6 +513,32 @@ class BrunetNode:
             self.table.remove(payload.sender_addr)
         else:
             self.trace("datagram.unhandled", kind=type(payload).__name__)
+
+    def _cut_through(self, buf: bytes, view: tuple) -> bool:
+        """Forward a transit frame as bytes: the bookkeeping of
+        :meth:`_on_datagram` + :meth:`send_over` for a frame that only
+        passes through here, without a decode, a ``RoutedPacket`` or an
+        encode.  False at a local minimum — :meth:`route` then delivers
+        or drops the decoded packet."""
+        (dest, exclude_dest_link, approach, size, previous_hop,
+         _hops, _via_count) = view
+        conn = next_hop(self.table, self.addr, dest, exclude_dest_link,
+                        approach)
+        if conn is None:
+            return False
+        if previous_hop is not None:
+            heard = self.table.get(previous_hop)
+            if heard is not None:
+                heard.heard_from(self.sim.now)
+                heard.packets_received += 1
+        conn.packets_sent += 1
+        conn.bytes_sent += size
+        self.stats["forwarded"] += 1
+        self._m_forwarded.inc()
+        self.transport.send_frame(
+            conn.remote_endpoint,
+            wire.patch_forward(buf, view, self._addr_bytes))
+        return True
 
     # ------------------------------------------------------------------
     # keep-alive (§IV-B)

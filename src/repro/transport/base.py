@@ -10,7 +10,14 @@ the historical socket one::
 where ``message`` is a decoded protocol object (transports running the
 wire codec decode before dispatch — a frame that fails to decode is
 counted on the ``wire.decode_error`` metric and dropped, mirroring how a
-real daemon must treat garbage datagrams).
+real daemon must treat garbage datagrams) — with one exception: a
+codec transport hands a *routed* frame (tag ``T_ROUTED``) to the handler
+as the received ``bytes``, undecoded.  The node then either forwards it
+as bytes (:func:`repro.wire.transit_view` + :func:`repro.wire.patch_forward`
++ :meth:`Transport.send_frame`: a transit hop builds no message object)
+or decodes it itself with :func:`repro.wire.decode_lazy`, counting a
+failure on the same ``wire.decode_error`` series.  A handler that is not
+a ``BrunetNode`` must therefore accept ``bytes`` for routed frames.
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ class Transport(abc.ABC):
         """Fire-and-forget one message.  ``size_hint`` is the
         paper-constant byte charge; codec-mode transports ignore it and
         charge the encoded length instead."""
+
+    @abc.abstractmethod
+    def send_frame(self, dst: Endpoint, frame: bytes) -> None:
+        """Fire-and-forget one already-encoded frame (transit forwarding
+        of a routed frame the handler received as bytes).  Counts and
+        charges exactly what :meth:`send` does for the same bytes."""
 
     @abc.abstractmethod
     def close(self) -> None:

@@ -12,8 +12,11 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
 ``"codec"``
     Full serialization: the datagram carries encoded bytes and is charged
     ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
-    decodes (or counts ``wire.decode_error`` and drops).  The simulator
-    then exercises the exact byte path the UDP transport uses.
+    decodes (or counts ``wire.decode_error`` and drops) — except an
+    untraced routed frame, which goes to the node as bytes, exactly as
+    :class:`~repro.transport.udp.UdpTransport` delivers it, so transit
+    hops patch and resend through :meth:`SimTransport.send_frame`.  The
+    simulator then exercises the exact byte path the UDP transport uses.
 """
 
 from __future__ import annotations
@@ -97,15 +100,31 @@ class SimTransport(Transport):
         sock.send(dst, buf, size=len(buf), header=codec.UDP_IP_OVERHEAD,
                   trace=getattr(msg, "trace", None))
 
+    def send_frame(self, dst: Endpoint, frame: bytes) -> None:
+        sock = self.sock
+        if sock is None or sock.closed:
+            return
+        self._m_tx_bytes.inc(len(frame))
+        sock.send(dst, frame, size=len(frame), header=codec.UDP_IP_OVERHEAD)
+
     # ------------------------------------------------------------------
     def _on_codec_dgram(self, dgram: "Datagram") -> None:
-        """Codec-mode delivery: decode the routing envelope (payloads of
-        routed frames stay as zero-copy :class:`~repro.wire.RawBody`
-        slices until local delivery), restore post-transit trace context,
-        dispatch.  Malformed frames are counted and dropped — never
-        raised into the simulation event loop."""
+        """Codec-mode delivery.  An untraced routed frame goes to the
+        node as bytes (transit cut-through, see
+        :mod:`repro.transport.base`).  Everything else is decoded here
+        (payloads of routed frames stay as zero-copy
+        :class:`~repro.wire.RawBody` slices until local delivery), gets
+        its post-transit trace context restored, and is dispatched.
+        Malformed frames are counted and dropped — never raised into the
+        simulation event loop."""
+        buf = dgram.payload
+        if (dgram.trace is None and type(buf) is bytes and len(buf) > 1
+                and buf[1] == codec.T_ROUTED):
+            self._m_rx_bytes.inc(len(buf))
+            self._handler(buf, dgram.src, dgram.size)
+            return
         try:
-            msg = codec.decode_lazy(dgram.payload)
+            msg = codec.decode_lazy(buf)
         except codec.DecodeError:
             self._m_decode_err.inc()
             if dgram.trace is not None:
@@ -115,11 +134,11 @@ class SimTransport(Transport):
                 # explanation of where the packet went
                 spans = self.sim.obs.spans
                 spans.hop(dgram.trace, "wire.decode_drop", self.name,
-                          self.sim.now, bytes=len(dgram.payload))
+                          self.sim.now, bytes=len(buf))
                 spans.end_trace(dgram.trace.trace_id, self.sim.now,
                                 decode_error=True)
             return
-        self._m_rx_bytes.inc(len(dgram.payload))
+        self._m_rx_bytes.inc(len(buf))
         if dgram.trace is not None and getattr(msg, "trace", None) is not None:
             # the transit span re-parented the sender's ref at delivery;
             # adopt its ids so the receiver's hop chain nests under the

@@ -2,9 +2,12 @@
 
 Every outbound message is framed by :mod:`repro.wire` (version byte, type
 tag, length-prefixed fields) and handed to the OS; every inbound datagram
-is decoded back into the protocol object the node layer expects.  A frame
-that fails to decode increments the ``wire.decode_error`` counter and is
-dropped — malformed traffic never raises into the event loop.
+is decoded back into the protocol object the node layer expects — except
+a routed frame, which goes to the node as received bytes so that a
+transit hop can patch and resend it through :meth:`UdpTransport.send_frame`
+without a decode or an encode (the node decodes the ones it keeps).  A
+frame that fails to decode increments the ``wire.decode_error`` counter
+and is dropped — malformed traffic never raises into the event loop.
 
 The reported receive ``size`` is ``len(frame) + UDP_IP_OVERHEAD`` so that
 byte accounting (``conn.bytes_sent`` etc.) matches what a codec-mode
@@ -92,26 +95,30 @@ class UdpTransport(Transport):
 
     # ------------------------------------------------------------------
     def send(self, dst: Endpoint, msg: Any, size_hint: int = 0) -> None:
-        if self._transport is None or self._transport.is_closing():
-            return
         before = codec.opaque_frames
         buf = codec.encode(msg)
         if codec.opaque_frames != before:
             self._m_opaque.inc(codec.opaque_frames - before)
+        self.send_frame(dst, buf)
+
+    def send_frame(self, dst: Endpoint, frame: bytes) -> None:
+        if self._transport is None or self._transport.is_closing():
+            return
         self.sent += 1
-        self._m_tx_bytes.inc(len(buf))
-        self._transport.sendto(buf, (dst.ip, dst.port))
+        self._m_tx_bytes.inc(len(frame))
+        self._transport.sendto(frame, (dst.ip, dst.port))
 
     def _on_datagram(self, data: bytes, addr) -> None:
         if self._handler is None:
             return
-        try:
-            # header-only fast path: routed frames in transit keep their
-            # payload undecoded until the node delivers locally
-            msg = codec.decode_lazy(data)
-        except codec.DecodeError:
-            self._m_decode_err.inc()
-            return
+        if len(data) > 1 and data[1] == codec.T_ROUTED:
+            msg = data     # the node forwards it as bytes or decodes it
+        else:
+            try:
+                msg = codec.decode_lazy(data)
+            except codec.DecodeError:
+                self._m_decode_err.inc()
+                return
         self.received += 1
         self._m_rx_bytes.inc(len(data))
         self._handler(msg, Endpoint(addr[0], addr[1]),

@@ -23,11 +23,14 @@ from repro.wire.codec import (
     FrameHeader,
     RawBody,
     WIRE_VERSION,
+    address_bytes,
     decode,
     decode_lazy,
     encode,
     materialize,
+    patch_forward,
     peek_header,
+    transit_view,
 )
 from repro.wire.sizing import encap_overhead
 
@@ -37,10 +40,13 @@ __all__ = [
     "DecodeError",
     "FrameHeader",
     "RawBody",
+    "address_bytes",
     "decode",
     "decode_lazy",
     "encode",
     "materialize",
+    "patch_forward",
     "peek_header",
+    "transit_view",
     "encap_overhead",
 ]

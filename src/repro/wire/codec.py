@@ -25,11 +25,17 @@ Version 2 is built for per-packet speed:
   once at the end;
 * the :class:`RoutedPacket` frame is **header-first**: src/dest/size/
   flags/ttl/hops, then trace ids, then the via list, with the payload
-  sub-frame *last*.  :func:`peek_header` parses just that routing header,
-  and :func:`decode_lazy` defers the payload to a zero-copy
-  :class:`RawBody` slice — a transit hop routes on the envelope and
-  re-encodes by splicing the original payload bytes back, never paying a
-  body decode/encode (:func:`materialize` decodes at local delivery);
+  sub-frame *last*.  One parse of that head (``_routed_head``) serves
+  the two readers that stop before the via list: :func:`peek_header`
+  (tooling and the perf gate) and :func:`transit_view`, which a node
+  calls on every routed frame it receives.  Plain transit traffic is
+  forwarded with :func:`patch_forward`, which splices ``hops + 1``,
+  ``via_count + 1`` and the node's own address into the received bytes,
+  so a transit hop builds no message object and never calls ``encode``.
+  Frames the view declines (local delivery, TTL expiry, traced, odd
+  flags, malformed) go through :func:`decode_lazy`, which defers the
+  payload to a zero-copy :class:`RawBody` slice that ``encode`` splices
+  back (:func:`materialize` decodes it at local delivery);
 * repeated *values* (addresses, URIs, short strings) round-trip through
   five bounded caches of immutable objects.  Nothing is cached per frame
   or per message: ``encode`` packs and ``decode`` parses on every call,
@@ -115,6 +121,7 @@ T_VTCP_SEGMENT = 18
 T_DHT_PUT = 19
 T_DHT_GET = 20
 T_DHT_REPLY = 21
+T_VTCP_DATAGRAM = 22
 
 #: OPAQUE-pickle fallback frames encoded since process start; transports
 #: snapshot this around ``encode`` to feed the ``wire.opaque_frames``
@@ -144,6 +151,17 @@ _SEG = Struct(">BqqI")                  # tag, seq, ack, size (flags+payload fol
 _DHT_PUT = Struct(">BQd20sHB")          # tag, rid, ttl, reply_to, replicate, primary
 _DHT_GET = Struct(">BQ20s")             # tag, rid, reply_to
 _DHT_REP = Struct(">BQB")               # tag, rid, found
+_VDG = Struct(">BH")                    # tag, source port (segment follows)
+_FWD_PATCH = Struct(">HBH")             # hops, trace presence, via count
+
+# Offsets into a top-level routed frame, all derived from _RHDR (the
+# version byte shifts every struct offset by one).  The last three hold
+# only for the shape transit_view accepts: coded approach, no trace.
+_O_DEST = 1 + Struct(">B20s").size              # dest address
+_O_EXCLUDE = 1 + Struct(">B20s20sIB").size      # exclude_dest_link flag
+_O_HOPS = 1 + _RHDR.size - _U16.size            # hops is _RHDR's last field
+_O_COUNT = 1 + _RHDR.size + 1                   # via count, after the trace byte
+_O_VIA = _O_COUNT + _U16.size                   # first via address
 
 _APPROACH_NONE, _APPROACH_LEFT, _APPROACH_RIGHT, _APPROACH_OTHER = 0, 1, 2, 3
 _APPROACH_CODE = {None: 0, "left": 1, "right": 2}
@@ -235,13 +253,17 @@ def _remember(cache: dict, key: Any, value: Any) -> None:
     cache[key] = value
 
 
-def _ab(a: int) -> bytes:
-    """Address → exactly 20 big-endian bytes (cached)."""
+def address_bytes(a: int) -> bytes:
+    """Address → exactly 20 big-endian bytes (cached): how an address
+    appears in every frame."""
     b = _ADDR_ENC.get(a)
     if b is None:
         b = int(a).to_bytes(ADDRESS_BYTES, "big")
         _remember(_ADDR_ENC, a, b)
     return b
+
+
+_ab = address_bytes
 
 
 def _da(raw: bytes) -> BrunetAddress:
@@ -544,6 +566,11 @@ def _e_any(out: bytearray, value: Any) -> None:
         out.append(T_BYTES)
         out += _U32.pack(len(value))
         out += value
+    elif (t is tuple and len(value) == 2 and type(value[1]) is Segment
+          and type(value[0]) is int and 0 <= value[0] <= 0xFFFF):
+        # what VtcpSocket puts in a virtual-IP packet: (source port, segment)
+        out += _VDG.pack(T_VTCP_DATAGRAM, value[0])
+        _e_segment(out, value[1])
     else:
         opaque_frames += 1
         out.append(T_OPAQUE)
@@ -770,6 +797,16 @@ def _d_dht_reply(buf: bytes, pos: int, n: int):
     return m, pos
 
 
+def _d_vtcp_datagram(buf: bytes, pos: int, n: int):
+    if pos + 3 > n:
+        raise _trunc(3, pos, n)
+    if buf[pos + 2] != T_VTCP_SEGMENT:
+        raise DecodeError(f"vtcp datagram carries tag {buf[pos + 2]}, "
+                          f"not a segment")
+    seg, end = _d_segment(buf, pos + 3, n)
+    return ((buf[pos] << 8) | buf[pos + 1], seg), end
+
+
 def _d_none(buf: bytes, pos: int, n: int):
     return None, pos
 
@@ -819,6 +856,7 @@ for _tag, _fn in {
     T_DHT_PUT: _d_dht_put,
     T_DHT_GET: _d_dht_get,
     T_DHT_REPLY: _d_dht_reply,
+    T_VTCP_DATAGRAM: _d_vtcp_datagram,
 }.items():
     _DECODERS[_tag] = _fn
 
@@ -934,6 +972,25 @@ def materialize(payload: Any) -> Any:
     return _parse(payload.buf, payload.off)
 
 
+def _routed_head(buf: bytes, n: int):
+    """Head of a top-level routed frame, for the two readers that stop
+    before the via list (:func:`peek_header`, :func:`transit_view`):
+    (the raw ``_RHDR`` fields, approach, trace)."""
+    head = _RHDR.unpack_from(buf, 1)
+    pos = 1 + _RHDR.size
+    apc = head[6]
+    if apc == _APPROACH_OTHER:
+        approach, pos = _d_str(buf, pos, n)
+    else:
+        try:
+            approach = _APPROACH_STR[apc]
+        except IndexError:
+            raise DecodeError(f"unknown approach code {apc}") from None
+    if pos < n and not buf[pos]:
+        return head, approach, None     # untraced: the common case, no call
+    return head, approach, _d_trace(buf, pos, n)[0]
+
+
 def peek_header(buf: Any) -> FrameHeader:
     """Parse only the routing header of a frame: version, type tag and —
     for RoutedPacket frames — src/dest, size, flags, ttl/hops and trace
@@ -947,22 +1004,63 @@ def peek_header(buf: Any) -> FrameHeader:
         raise DecodeError(f"unknown type tag {tag}")
     if tag != T_ROUTED:
         return FrameHeader(buf[0], tag)
-    n = len(buf)
     try:
-        (src, dest, size, exact, excl, apc,
-         ttl, hops) = _RHDR.unpack_from(buf, 1)[1:]
+        ((_, src, dest, size, exact, excl, _, ttl, hops),
+         approach, trace) = _routed_head(buf, len(buf))
     except _StructError as exc:
         raise DecodeError(f"malformed frame: {exc}") from None
-    pos = 1 + _RHDR.size
-    if apc == _APPROACH_OTHER:
-        approach, pos = _d_str(buf, pos, n)
-    else:
-        try:
-            approach = _APPROACH_STR[apc]
-        except IndexError:
-            raise DecodeError(f"unknown approach code {apc}") from None
-    trace, pos = _d_trace(buf, pos, n)
     return FrameHeader(buf[0], tag, _da(src), _da(dest), size, exact != 0,
                        excl != 0, approach, ttl, hops,
                        trace.trace_id if trace else None,
                        trace.parent if trace else None)
+
+
+def transit_view(buf: bytes, mine: bytes) -> Optional[tuple]:
+    """Header view of a received frame for the node whose
+    :func:`address_bytes` are ``mine``: ``(dest, exclude_dest_link,
+    approach, size, previous_hop, hops, via_count)`` when the frame is
+    one a relay may forward as bytes with :func:`patch_forward`, else
+    None — the caller then takes the object path through
+    :func:`decode_lazy`, which also reports anything malformed.
+
+    Forwardable means: a routed frame of this wire version, not
+    addressed to this node (unless ``exclude_dest_link`` keeps it
+    moving) and not sent by it, ``hops < ttl``, approach
+    none/left/right, untraced, flag bytes 0 or 1 (anything else would
+    not re-encode to the same bytes), and a complete via list with at
+    least one payload byte after it.  The own-address test comes first,
+    so a frame that has arrived pays one slice compare and no parse.
+    """
+    try:
+        if buf[_O_DEST:_O_DEST + ADDRESS_BYTES] == mine \
+                and not buf[_O_EXCLUDE]:
+            return None
+        if buf[0] != WIRE_VERSION or buf[1] != T_ROUTED:
+            return None
+        n = len(buf)
+        ((_, src, dest, size, exact, excl, apc, ttl, hops),
+         approach, trace) = _routed_head(buf, n)
+    except (DecodeError, _StructError, IndexError):
+        return None
+    if (trace is not None or apc == _APPROACH_OTHER or exact > 1 or excl > 1
+            or hops >= ttl or src == mine or n <= _O_VIA):
+        return None
+    count = (buf[_O_COUNT] << 8) | buf[_O_COUNT + 1]
+    end = _O_VIA + count * ADDRESS_BYTES
+    if end >= n or count == 0xFFFF:
+        return None
+    prev = _da(buf[end - ADDRESS_BYTES:end]) if count else None
+    return _da(dest), excl == 1, approach, size, prev, hops, count
+
+
+def patch_forward(buf: bytes, view: tuple, mine: bytes) -> bytes:
+    """The frame the relay with :func:`address_bytes` ``mine`` sends on
+    for a received frame ``buf`` whose :func:`transit_view` is ``view``:
+    the same bytes with ``hops + 1``, ``via_count + 1`` and ``mine``
+    appended to the via list — exactly what ``encode`` gives for the
+    lazily decoded packet after ``BrunetNode.send_over`` has stamped
+    it."""
+    hops, count = view[-2:]
+    end = _O_VIA + count * ADDRESS_BYTES
+    return b"".join((buf[:_O_HOPS], _FWD_PATCH.pack(hops + 1, 0, count + 1),
+                     buf[_O_VIA:end], mine, buf[end:]))

@@ -25,8 +25,9 @@ from repro.brunet.messages import (
 )
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
+from repro.ipop.vtcp import Segment
 from repro.obs.spans import TraceRef
-from repro.wire import DecodeError, WIRE_VERSION, decode, encode
+from repro.wire import DecodeError, WIRE_VERSION, codec, decode, encode
 
 # ---------------------------------------------------------------------------
 # seeded generators, one per message type
@@ -72,6 +73,15 @@ def _vip(rng: random.Random) -> VirtualIpPacket:
         payload, rng.randrange(0, 65536))
 
 
+def _segment(rng: random.Random) -> Segment:
+    flags = rng.choice(["SYN", "SYN+ACK", "ACK", "DATA", "FIN"])
+    if flags != "DATA":
+        return Segment(rng.randrange(1 << 40), rng.randrange(1 << 40), flags)
+    body = rng.randbytes(rng.choice([0, 1, 200, 1400]))
+    return Segment(rng.randrange(1 << 40), rng.randrange(1 << 40), flags,
+                   body, len(body) + 40)
+
+
 GENERATORS = {
     LinkRequest: lambda rng: LinkRequest(
         rng.randrange(1, 1 << 40), _addr(rng), _uris(rng), _conn_type(rng),
@@ -102,6 +112,9 @@ GENERATORS = {
         rng.randrange(0, 65536)),
     VirtualIpPacket: _vip,
     IcmpEcho: _icmp,
+    Segment: _segment,
+    # what VtcpSocket._transmit puts in a virtual-IP packet
+    tuple: lambda rng: (rng.randrange(1 << 16), _segment(rng)),
     RoutedPacket: lambda rng: RoutedPacket(
         src=_addr(rng), dest=_addr(rng),
         payload=rng.choice([
@@ -226,3 +239,45 @@ def test_malformed_opaque_pickle():
         decode(bytes(buf))
     except DecodeError:
         pass  # typed failure is the requirement; a lucky decode is fine
+
+
+# ---------------------------------------------------------------------------
+# VTCP datagrams ride their typed frame, never the OPAQUE pickle
+# ---------------------------------------------------------------------------
+
+def _vtcp_packets() -> list:
+    """The two datagrams of a VTCP bulk transfer, wrapped exactly as
+    ``VtcpSocket._transmit`` → ``IpopRouter.send_ip`` wraps them."""
+    data = Segment(1001, 2002, "DATA", b"\x11" * 1400, 1440)
+    ack = Segment(2002, 1002, "ACK")
+    return [IpEncap(VirtualIpPacket("10.128.0.2", "10.128.0.3", "vtcp", 5001,
+                                    (5000, seg), seg.size), seg.size)
+            for seg in (data, ack)]
+
+
+def test_vtcp_datagrams_encode_without_opaque(monkeypatch):
+    before = codec.opaque_frames
+    frames = [encode(pkt) for pkt in _vtcp_packets()]
+    assert codec.opaque_frames == before
+    # no T_OPAQUE byte at any tag position: the frames decode with the
+    # pickle decoder unplugged
+    decoders = list(codec._DECODERS)
+    decoders[codec.T_OPAQUE] = None
+    monkeypatch.setattr(codec, "_DECODERS", decoders)
+    assert [decode(f) for f in frames] == _vtcp_packets()
+    assert len(frames[0]) < 1400 + 120      # the body rides T_BYTES as is
+
+
+def test_vtcp_datagram_shape_is_strict():
+    """Only ``(u16 port, Segment)`` takes the typed frame; its decoder
+    accepts nothing but a segment after the port."""
+    before = codec.opaque_frames
+    for near_miss in [(70000, Segment(1, 2, "ACK")), (5000, "seg"),
+                      (5000, Segment(1, 2, "ACK"), 3), [5000, Segment(1, 2, "ACK")]]:
+        assert decode(encode(near_miss)) == near_miss
+    assert codec.opaque_frames == before + 4
+    buf = bytearray(encode((5000, Segment(1, 2, "ACK"))))
+    assert buf[1] == codec.T_VTCP_DATAGRAM and buf[4] == codec.T_VTCP_SEGMENT
+    buf[4] = codec.T_NONE
+    with pytest.raises(DecodeError, match="segment"):
+        decode(bytes(buf))
