@@ -33,12 +33,16 @@ class BrunetConfig:
     # -- keep-alive (§IV-B "ping messages") ------------------------------
     ping_interval: float = 15.0
     ping_retries: int = 3
-    #: route periodic work (keep-alive sweeps, overlord ticks) through the
-    #: kernel's shared :class:`~repro.sim.engine.SweepWheel` instead of one
-    #: independent timer per node/overlord.  Off by default — batching
+    #: route periodic work (keep-alive sweeps, the leaf/near/far overlord
+    #: ticks, and the shortcut overlord's tick while it is armed) through
+    #: the kernel's shared :class:`~repro.sim.engine.SweepWheel` instead of
+    #: one independent timer per node/overlord.  Off by default — batching
     #: quantizes timing to ``sweep_granularity`` and therefore changes
     #: same-seed trajectories; the 10k-node scaling runs turn it on, where
-    #: n independent keep-alive timers would dominate the event kernel.
+    #: n independent keep-alive timers would dominate the event kernel
+    #: (an idle node fires 0.73 periodic timers per second: three
+    #: overlords / 5 s + keep-alive / 7.5 s; DESIGN.md §16.2 has what
+    #: batching buys at that load).
     batch_timers: bool = False
     #: sweep-wheel bucket width (seconds) when ``batch_timers`` is on
     sweep_granularity: float = 1.0
@@ -59,7 +63,12 @@ class BrunetConfig:
     #: shortcut score service rate c (packets/s) and threshold
     shortcut_service_rate: float = 0.4
     shortcut_threshold: float = 14.0
-    #: shortcut score tick, seconds
+    #: shortcut score tick, seconds: the spacing of the grid (anchored at
+    #: node start) on which the score recurrence runs.  Not a polling
+    #: period — the overlord is demand-driven and schedules a tick only
+    #: while it has scores, arrivals or pending attempts to work on
+    #: (DESIGN.md §9.4); ``c`` per tick is ``shortcut_service_rate`` times
+    #: this.
     shortcut_tick: float = 1.0
     #: master switch for the ShortcutConnectionOverlord — the paper's
     #: experiments compare shortcuts enabled vs disabled

@@ -10,11 +10,14 @@ ensures the node has the right number of connections."  Four overlords:
 * **Shortcut** — the paper's §IV-E contribution: a per-destination score
   queue ``s(i+1) = max(s(i) + a(i) − c, 0)`` driven by traffic inspection;
   scores above a threshold trigger decentralized single-hop link creation.
+
+Leaf, near and far tick every ``overlord_interval``.  The shortcut overlord
+is demand-driven: it holds a timer only while it has traffic to score.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.brunet.address import (
     BrunetAddress,
@@ -29,14 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Overlord:
-    """Base: periodic ``tick`` while the node is active."""
-
-    interval_attr = "overlord_interval"
+    """Base: periodic ``tick`` every ``overlord_interval`` while the node
+    is active."""
 
     def __init__(self, node: "BrunetNode"):
         self.node = node
         self._timer = None
         self._stopped = False
+        #: (callback list, callback) pairs registered via :meth:`_hook`
+        self._hooks: list[tuple[list, Callable]] = []
 
     def start(self) -> None:
         """Begin periodic maintenance (first tick runs immediately)."""
@@ -49,8 +53,16 @@ class Overlord:
         return (int(self.node.addr), self.node.name,
                 f"overlord.{type(self).__name__}")
 
+    def _hook(self, hooks: list, fn: Callable) -> None:
+        """Register ``fn`` on one of the node's callback lists
+        (``on_connection`` / ``on_disconnection``); :meth:`stop` takes it
+        off again, so a node restarted in place does not accumulate the
+        callbacks of its dead overlords."""
+        hooks.append(fn)
+        self._hooks.append((hooks, fn))
+
     def stop(self) -> None:
-        """Cancel future ticks (node shutdown)."""
+        """Cancel future ticks and unregister hooks (node shutdown)."""
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
@@ -59,6 +71,9 @@ class Overlord:
         if node.config.batch_timers:
             sweep_wheel(node.sim, node.config.sweep_granularity).cancel(
                 self._sweep_key)
+        for hooks, fn in self._hooks:
+            hooks.remove(fn)
+        self._hooks.clear()
 
     def tick_safe(self) -> None:
         """Run one tick if the node is alive, then reschedule."""
@@ -66,7 +81,7 @@ class Overlord:
             return
         self.tick()
         node = self.node
-        interval = getattr(node.config, self.interval_attr)
+        interval = node.config.overlord_interval
         if node.config.batch_timers:
             sweep_wheel(node.sim, node.config.sweep_granularity).schedule(
                 self._sweep_key, interval, self.tick_safe)
@@ -129,8 +144,10 @@ class NearConnectionOverlord(Overlord):
         self._last_announce = -1e18
         self._m_announces = node.sim.obs.metrics.counter(
             "overlord.announces", node=node.name)
-        node.on_disconnection.append(self._on_disconnection)
-        node.on_connection.append(self._on_connection)
+        #: ``table.version`` at the end of the last relabel pass
+        self._relabeled_version = -1
+        self._hook(node.on_disconnection, self._on_disconnection)
+        self._hook(node.on_connection, self._on_connection)
 
     def _on_connection(self, conn: Connection) -> None:
         # announce the moment the bootstrap leaf link lands, rather than
@@ -176,15 +193,21 @@ class NearConnectionOverlord(Overlord):
         Stale near labels (from join-time fanout or departed in-between
         nodes) are trimmed; a connection left with no labels is closed
         gracefully so both sides release state promptly.
+
+        The pass is a function of the table alone and idempotent, so it
+        is skipped while ``table.version`` is what the last pass left.
         """
         node = self.node
+        table = node.table
+        if table.version == self._relabeled_version:
+            return
         keep = set()
         per_side = node.config.near_per_side
-        for conn in node.table.neighbors_of(node.addr, per_side=per_side):
+        for conn in table.neighbors_of(node.addr, per_side=per_side):
             keep.add(conn.peer_addr)
             if ConnectionType.STRUCTURED_NEAR not in conn.types:
                 conn.add_type(ConnectionType.STRUCTURED_NEAR)
-        for conn in node.table.by_type(ConnectionType.STRUCTURED_NEAR):
+        for conn in table.by_type(ConnectionType.STRUCTURED_NEAR):
             if conn.peer_addr in keep:
                 continue
             if conn.types == {ConnectionType.STRUCTURED_NEAR}:
@@ -192,6 +215,7 @@ class NearConnectionOverlord(Overlord):
                                      notify=True)
             else:
                 conn.discard_type(ConnectionType.STRUCTURED_NEAR)
+        self._relabeled_version = table.version
 
 
 class FarConnectionOverlord(Overlord):
@@ -205,7 +229,7 @@ class FarConnectionOverlord(Overlord):
         self._pending: list[float] = []  # expiry times of CTMs in flight
         self._m_ctms = node.sim.obs.metrics.counter(
             "overlord.far_ctms", node=node.name)
-        node.on_connection.append(self._on_connection)
+        self._hook(node.on_connection, self._on_connection)
 
     def _on_connection(self, conn: Connection) -> None:
         # a far connection landed: release one in-flight slot so the next
@@ -250,9 +274,17 @@ class ShortcutConnectionOverlord(Overlord):
     ``observe`` is called by the IPOP layer for every outbound tunnelled
     packet; each tick applies the queueing recurrence and connects to
     destinations whose backlog exceeds the threshold.
-    """
 
-    interval_attr = "shortcut_tick"
+    Demand-driven: the overlord holds **no timer** while it has nothing
+    to decay (see :meth:`_has_work`).  ``observe`` — or, for idle-drop, a
+    SHORTCUT connection landing — arms it, and an armed tick re-arms only
+    while state remains.  Ticks fire on a fixed grid anchored at
+    :meth:`start` — spacing ``shortcut_tick``, walked by repeated float
+    addition — so *when* a tick runs depends on the node's start time
+    alone, never on which packet happened to arm it: the recurrence sees
+    the arrivals, at the instants, a tick chain that never stopped would
+    have seen (DESIGN.md §9.4).
+    """
 
     def __init__(self, node: "BrunetNode"):
         super().__init__(node)
@@ -260,6 +292,12 @@ class ShortcutConnectionOverlord(Overlord):
         self.arrivals: dict[BrunetAddress, int] = {}
         self._pending: dict[BrunetAddress, float] = {}
         self._last_nonzero: dict[BrunetAddress, float] = {}
+        #: True from :meth:`_arm` until the armed tick runs
+        self._armed = False
+        #: the latest tick-grid instant reached (set by :meth:`start`)
+        self._grid = 0.0
+        #: the sweep wheel the armed tick sits on (``batch_timers`` only)
+        self._wheel = None
         cfg = node.config
         self._pending_ttl = 2.0 * cfg.uri_give_up_time() + 30.0
         metrics = node.sim.obs.metrics
@@ -267,19 +305,95 @@ class ShortcutConnectionOverlord(Overlord):
                                        node=node.name)
         self._m_evictions = metrics.counter("overlord.shortcut_evictions",
                                             node=node.name)
-        node.on_connection.append(
-            lambda conn: self._pending.pop(conn.peer_addr, None))
+        self._hook(node.on_connection, self._on_connection)
 
     @property
     def enabled(self) -> bool:
         """Mirrors ``BrunetConfig.shortcuts_enabled``."""
         return self.node.config.shortcuts_enabled
 
+    def start(self) -> None:
+        """Anchor the tick grid at the node's start; schedule nothing."""
+        self._grid = self.node.sim.now
+
+    def _on_connection(self, conn: Connection) -> None:
+        self._pending.pop(conn.peer_addr, None)
+        # under idle-drop a SHORTCUT link is itself state to watch
+        if not self._armed and self._has_work():
+            self._arm()
+
     def observe(self, dest: BrunetAddress, packets: int = 1) -> None:
         """Record outbound IP traffic toward ``dest`` (a(i) arrivals)."""
         if not self.enabled or dest == self.node.addr:
             return
         self.arrivals[dest] = self.arrivals.get(dest, 0) + packets
+        if not self._armed:
+            self._arm()
+
+    # -- demand-driven timer --------------------------------------------
+    def _has_work(self) -> bool:
+        """True while a tick would find something to decay, prune or
+        drop: a score, an arrival, a pending slot or — only with
+        ``shortcut_idle_drop`` on — a SHORTCUT-labelled connection."""
+        if not self.enabled:
+            return False
+        if self.scores or self.arrivals or self._pending:
+            return True
+        node = self.node
+        return (node.config.shortcut_idle_drop > 0
+                and bool(node.table.by_type(ConnectionType.SHORTCUT)))
+
+    @property
+    def timer_pending(self) -> bool:
+        """True when a tick really is scheduled (what ``_armed`` claims;
+        the auditor's ``leak.shortcut-unarmed`` rule reads this)."""
+        if self._wheel is not None:
+            return self._wheel.pending(self._sweep_key)
+        return self._timer is not None and self._timer.pending
+
+    def _arm(self) -> None:
+        """Schedule one tick at the first grid instant after ``now``.
+
+        The grid is walked one tick at a time (``t + shortcut_tick``;
+        under ``batch_timers`` the sweep wheel's ceil to a bucket edge)
+        because a closed form would not reproduce the rounding of the
+        chained additions: catching up over an idle stretch costs one
+        float add per skipped tick and lands on exactly the instant an
+        unbroken tick chain reaches."""
+        if self._stopped:
+            return
+        node = self.node
+        cfg = node.config
+        now = node.sim.now
+        tick = cfg.shortcut_tick
+        due = self._grid
+        if cfg.batch_timers:
+            wheel = self._wheel = sweep_wheel(node.sim,
+                                              cfg.sweep_granularity)
+            while True:
+                bucket = wheel.bucket_at(due + tick)
+                due = bucket * wheel.granularity
+                if due > now:
+                    break
+            wheel.schedule_bucket(self._sweep_key, bucket, self._fire)
+        else:
+            while True:
+                due += tick
+                if due > now:
+                    break
+            self._timer = node.sim.schedule_at(due, self._fire)
+        self._grid = due
+        self._armed = True
+
+    def _fire(self) -> None:
+        """The armed tick: run it, re-arm only while state remains."""
+        self._armed = False
+        self._timer = None
+        if self._stopped or not self.node.active:
+            return
+        self.tick()
+        if self._has_work():
+            self._arm()
 
     def score_of(self, dest: BrunetAddress) -> float:
         """Current backlog score s(i) for ``dest``."""

@@ -404,8 +404,9 @@ def check_leaks(nodes: Iterable["BrunetNode"], now: float,
                 span_grace: float = 900.0) -> list[Violation]:
     """After quiescence no subsystem may hold unreleasable state: stuck
     linking attempts, expired overlord ``_pending`` slots, shortcut slots
-    for already-connected peers, desynchronized NAT mapping indices, or
-    trace spans that can never close."""
+    for already-connected peers, a demand-driven shortcut overlord that
+    has state to decay but no tick scheduled, desynchronized NAT mapping
+    indices, or trace spans that can never close."""
     from repro.brunet.overlords import FarConnectionOverlord
     out: list[Violation] = []
     for node in nodes:
@@ -441,6 +442,15 @@ def check_leaks(nodes: Iterable["BrunetNode"], now: float,
                         f"expired _pending slots"))
         shortcut = getattr(node, "shortcut_overlord", None)
         if shortcut is not None:
+            if shortcut._has_work() and not shortcut.timer_pending:
+                out.append(Violation(
+                    now, "leak", "leak.shortcut-unarmed", node.name,
+                    f"leak.shortcut-unarmed:{node.name}",
+                    f"{node.name} shortcut overlord holds "
+                    f"{len(shortcut.scores)} scores, "
+                    f"{len(shortcut.arrivals)} arrivals and "
+                    f"{len(shortcut._pending)} _pending slots but no tick "
+                    f"is scheduled to decay them"))
             for dest, until in shortcut._pending.items():
                 if node.table.get(dest) is not None:
                     out.append(Violation(

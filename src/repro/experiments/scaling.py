@@ -23,6 +23,11 @@ from repro.phys import Internet, Site
 from repro.sim import Simulator
 
 
+#: hosts per public :class:`Site`: a site is one /24 (252 allocatable
+#: addresses), so ``measure`` opens a new one before that runs out
+HOSTS_PER_SITE = 250
+
+
 @dataclass
 class ScalePoint:
     n_nodes: int
@@ -38,7 +43,10 @@ class ScalePoint:
 
 def measure(n_nodes: int, seed: int = 0, far_count: int = 4,
             sample_pairs: int = 400) -> ScalePoint:
-    """Build an ``n_nodes`` public overlay and survey it."""
+    """Build an ``n_nodes`` public overlay and survey it.
+
+    Hosts fill public sites of :data:`HOSTS_PER_SITE`; up to that size
+    the overlay sits in the single site ``pub``."""
     sim = Simulator(seed=seed, trace=False)
     net = Internet(sim)
     site = Site(net, "pub")
@@ -48,6 +56,8 @@ def measure(n_nodes: int, seed: int = 0, far_count: int = 4,
     bootstrap: list[Uri] = []
     join_times: list[float] = []
     for i in range(n_nodes):
+        if i and i % HOSTS_PER_SITE == 0:
+            site = Site(net, f"pub{i // HOSTS_PER_SITE}")
         host = site.add_host(f"n{i}")
         node = BrunetNode(sim, host, random_address(rng), config,
                           name=f"n{i}")

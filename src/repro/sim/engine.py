@@ -386,11 +386,13 @@ class SweepWheel:
 
     Quantization rounds *up* to the bucket edge, so work is never run
     early — a registrant asking for ``delay`` seconds runs within
-    ``[delay, delay + granularity)``.  Batching therefore perturbs
-    timing by design; it is opt-in via ``BrunetConfig.batch_timers``
-    (off by default, keeping default trajectories byte-identical) and
-    meant for the 10k-node scaling runs where per-node timer precision
-    is irrelevant.
+    ``[delay, delay + granularity)``.  A registrant that tracks its own
+    due buckets (the demand-driven shortcut overlord) registers by bucket
+    index through :meth:`schedule_bucket` instead.  Batching therefore
+    perturbs timing by design; it is opt-in via
+    ``BrunetConfig.batch_timers`` (off by default, keeping default
+    trajectories byte-identical) and meant for the 10k-node scaling runs
+    where per-node timer precision is irrelevant.
     """
 
     def __init__(self, sim: Simulator, granularity: float = 1.0):
@@ -407,21 +409,35 @@ class SweepWheel:
         #: entries skipped as stale (telemetry)
         self.skipped = 0
 
+    def bucket_at(self, t: float) -> int:
+        """Index of the first bucket whose edge is at or after ``t``
+        (ceil: never early)."""
+        return -int(-t // self.granularity)
+
     def schedule(self, key: Any, delay: float, fn: Callable[[], Any]) -> None:
         """Run ``fn()`` at the first bucket edge at or after now+``delay``.
         Any earlier registration under the same key is implicitly
         cancelled (one live entry per key)."""
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"negative/NaN delay: {delay!r}")
+        self.schedule_bucket(key, self.bucket_at(self.sim.now + delay), fn)
+
+    def schedule_bucket(self, key: Any, bucket: int,
+                        fn: Callable[[], Any]) -> None:
+        """Run ``fn()`` when ``bucket`` fires (at ``bucket * granularity``).
+
+        Absolute registration, for a registrant that keeps its own grid
+        of due buckets: going through :meth:`schedule` with
+        ``bucket * granularity - now`` would re-derive the bucket from
+        ``now + (due - now)``, which can round past the edge and land one
+        bucket late."""
         gen = self._gen.get(key, 0) + 1
         self._gen[key] = gen
-        t = self.sim.now + delay
-        g = self.granularity
-        bucket = -int(-t // g)  # ceil: never early
         entries = self._buckets.get(bucket)
         if entries is None:
             self._buckets[bucket] = [(key, gen, fn)]
-            self.sim.schedule_at(bucket * g, self._fire, bucket)
+            self.sim.schedule_at(bucket * self.granularity, self._fire,
+                                 bucket)
         else:
             entries.append((key, gen, fn))
 

@@ -166,3 +166,37 @@ class TestFarOverlord:
         node.table.remove(far_peer)
         far.tick()
         assert node.stats["ctm_sent"] == sent + 1
+
+
+class TestRestartInPlace:
+    """``FaultSchedule.restart_node`` stops and starts the *same* node
+    object; every ``start`` builds fresh overlords."""
+
+    def test_hooks_do_not_accumulate_across_restarts(self, sim, internet):
+        nodes, bootstrap = build_overlay(sim, internet, 4)
+        node = nodes[-1]
+        hooks = (len(node.on_connection), len(node.on_disconnection))
+        for _ in range(4):
+            node.stop()
+            sim.run(until=sim.now + 5.0)
+            node.start(list(bootstrap))
+            sim.run(until=sim.now + 30.0)
+        assert node.in_ring
+        assert (len(node.on_connection),
+                len(node.on_disconnection)) == hooks
+
+    def test_stopped_overlord_ignores_later_connections(self, sim, internet):
+        from repro.brunet.connection import Connection
+        from repro.phys.endpoints import Endpoint
+        nodes, bootstrap = build_overlay(sim, internet, 4)
+        node = nodes[-1]
+        dead = node.shortcut_overlord
+        peer = node.addr.offset(4242)
+        node.stop()
+        dead._pending[peer] = sim.now + 300.0
+        node.start(list(bootstrap))
+        node.table.add(Connection(peer, Endpoint("150.1.0.99", 14001),
+                                  ConnectionType.SHORTCUT, sim.now))
+        assert peer in dead._pending, \
+            "a stopped overlord's callback still ran on a new connection"
+        assert node.shortcut_overlord is not dead

@@ -270,6 +270,56 @@ def test_leak_flags_shortcut_pending_for_connected_peer(sim, overlay):
         v.key for v in found}
 
 
+def test_leak_flags_unarmed_shortcut_overlord(sim, overlay):
+    """The demand-driven overlord's one new failure mode: state to decay
+    and no tick scheduled to decay it."""
+    ordered = _ordered(overlay)
+    node, healthy = ordered[0], ordered[1]
+    ghost = BrunetAddress((int(node.addr) + 424_242) % ADDRESS_SPACE)
+    # scored behind observe()'s back: nothing armed the timer
+    node.shortcut_overlord.scores[ghost] = 3.0
+    healthy.inspect_traffic(ghost, 3)        # the real path arms itself
+    keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
+    assert f"leak.shortcut-unarmed:{node.name}" in keys
+    assert f"leak.shortcut-unarmed:{healthy.name}" not in keys
+    # a cancelled timer is as bad as none
+    healthy.shortcut_overlord._timer.cancel()
+    keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
+    assert f"leak.shortcut-unarmed:{healthy.name}" in keys
+
+
+def test_failed_shortcut_slot_is_pruned_with_no_traffic_behind_it(
+        sim, internet, overlay):
+    """One burst, one attempt toward an address nobody owns, then
+    silence: the ``_pending`` slot is never popped by a connection, so
+    only the overlord's own tick can prune it — and with no traffic the
+    slot is the only thing keeping that tick armed.  The auditor (whose
+    ``leak.shortcut-pending-expired`` rule allows 3 ticks) stays clean
+    across the expiry, and the timer is released once the slot is gone."""
+    node = _ordered(overlay)[0]
+    overlord = node.shortcut_overlord
+    ghost = BrunetAddress((int(node.addr) + 424_242) % ADDRESS_SPACE)
+    auditor = Auditor(sim, overlay, internet=internet).start()
+    node.inspect_traffic(ghost, 40)
+    sim.run(until=sim.now + 5.0)
+    assert ghost in overlord._pending
+    expiry = overlord._pending[ghost]
+    sim.run(until=expiry - 1.0)
+    assert not overlord.scores          # drained and collected long ago
+    assert ghost in overlord._pending and overlord.timer_pending
+    sim.run(until=expiry + 3.0 * node.config.shortcut_tick)
+    assert ghost not in overlord._pending
+    assert not overlord.timer_pending
+    auditor.finish()
+    assert auditor.ok, [v.detail for v in auditor.violations]
+    # the rule itself: the same slot, expired and with nothing armed
+    overlord._pending[ghost] = sim.now - 10.0
+    keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
+    assert (f"leak.shortcut-pending-expired:{node.name}:{ghost.hex()}"
+            in keys)
+    assert f"leak.shortcut-unarmed:{node.name}" in keys
+
+
 def test_leak_flags_linker_state_after_stop(sim, overlay):
     ordered = _ordered(overlay)
     node = ordered[-1]

@@ -35,3 +35,24 @@ def test_report_renders(capsys, point):
     out = capsys.readouterr().out
     assert "Overlay scaling sweep" in out
     assert "24" in out
+
+
+def test_measure_allocates_hosts_past_one_slash_24(monkeypatch):
+    """Regression: ``run()``'s own default sizes end at 256 nodes, and
+    ``measure`` put every host in one public /24, dying at host 252 with
+    ``ValueError: subnet 150.1.0. exhausted``.  Only allocation is under
+    test, so the kernel never runs an event here."""
+    created = []
+
+    class _AllocationOnly(scaling.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+        def run(self, until=None, max_events=None):
+            return self.now
+
+    monkeypatch.setattr(scaling, "Simulator", _AllocationOnly)
+    point = scaling.measure(300, seed=0, sample_pairs=4)
+    assert point.n_nodes == 300
+    assert created[0].events_processed == 0

@@ -80,6 +80,29 @@ def test_periodic_reregistration(sim):
     assert ticks == [2.0, 4.0, 6.0, 8.0]
 
 
+def test_schedule_bucket_registers_by_index_not_by_delay(sim):
+    """A registrant that tracks its own due bucket must land in it.  Going
+    back through ``schedule(due - now)`` recomputes the bucket from
+    ``now + (due - now)``, which can round past the edge."""
+    wheel = SweepWheel(sim, granularity=0.3)
+    sim.run(until=0.7)
+    bucket = next(b for b in range(3, 10_000)
+                  if wheel.bucket_at(sim.now + (b * 0.3 - sim.now)) != b)
+    at = []
+    wheel.schedule_bucket("abs", bucket, lambda: at.append(sim.now))
+    wheel.schedule("rel", bucket * 0.3 - sim.now, lambda: at.append(sim.now))
+    assert wheel.pending("abs") and wheel.pending("rel")
+    sim.run(until=(bucket + 2) * 0.3)
+    assert at == [bucket * 0.3, (bucket + 1) * 0.3]
+    # same key, same generation rules as schedule()
+    wheel.schedule_bucket("abs", bucket + 5, lambda: at.append("stale"))
+    wheel.schedule_bucket("abs", bucket + 6, lambda: at.append("live"))
+    sim.run(until=(bucket + 8) * 0.3)
+    assert at[2:] == ["live"]
+    with pytest.raises(SimulationError):
+        wheel.schedule_bucket("abs", 1, lambda: None)     # in the past
+
+
 def test_rejects_negative_delay_and_bad_granularity(sim):
     with pytest.raises(SimulationError):
         SweepWheel(sim, granularity=0.0)
