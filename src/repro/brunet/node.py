@@ -4,6 +4,17 @@ Owns the UDP socket, connection table, linker, overlords and the greedy
 router.  The IPOP layer sits on top via :attr:`ip_handler` (inbound
 tunnelled packets) and :meth:`inspect_traffic` (outbound traffic scores for
 the shortcut overlord).
+
+On a transport that carries frames (``Transport.carries_frames``) the
+common routed packets never become objects here: :meth:`send_routed`
+launches an untraced ``exact`` packet as one ``wire.encode_origin``
+frame, and :meth:`_on_datagram` classifies a received frame from its
+bytes — transit (``wire.transit_view`` → :meth:`_cut_through`), a
+tunnelled IP packet that has arrived (``wire.deliver_view`` →
+:meth:`_deliver_ip`) — and only the rest is decoded and walks
+:meth:`route` / :meth:`send_over` / :meth:`_deliver`, the path every
+packet takes on a transport that carries objects.  Each byte path does
+the object path's bookkeeping to the counter (DESIGN.md §14.4).
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from repro.brunet.table import ConnectionTable
 from repro.brunet.uri import Uri, UriSet
 from repro.sim.engine import sweep_wheel
 from repro import wire
+from repro.wire import codec
 from repro.obs.spans import TraceRef
 from repro.phys.endpoints import Endpoint
 
@@ -273,12 +285,36 @@ class BrunetNode:
 
     def send_routed(self, dest: BrunetAddress, payload: Any, size: int,
                     exact: bool = True,
-                    trace: Optional[TraceRef] = None) -> RoutedPacket:
+                    trace: Optional[TraceRef] = None) -> None:
+        """Launch ``payload`` toward ``dest``.  An untraced ``exact``
+        packet for another node whose next hop is known leaves a
+        frame-carrying transport as one :func:`wire.encode_origin` frame:
+        the bookkeeping of :meth:`route` + :meth:`send_over` +
+        ``Transport.send`` without a ``RoutedPacket`` or an ``encode``
+        walk.  Everything else is routed as an object."""
+        if (trace is None and exact and self.active
+                and self.transport.carries_frames and dest != self.addr
+                and self.config.ttl > 0):
+            conn = next_hop(self.table, self.addr, dest, False, None)
+            if conn is not None:
+                conn.packets_sent += 1
+                conn.bytes_sent += size
+                self.stats["sent"] += 1
+                self._m_sent.inc()
+                opaque = codec.opaque_frames
+                frame = wire.encode_origin(
+                    self._addr_bytes, wire.address_bytes(dest), size,
+                    self.config.ttl, payload)
+                if codec.opaque_frames != opaque:
+                    self.sim.obs.metrics.counter(
+                        "wire.opaque_frames", node=self.name).inc(
+                            codec.opaque_frames - opaque)
+                self.transport.send_frame(conn.remote_endpoint, frame)
+                return
         pkt = RoutedPacket(src=self.addr, dest=dest, payload=payload,
                            size=size, exact=exact, ttl=self.config.ttl,
                            trace=trace)
         self.route(pkt)
-        return pkt
 
     def connect_to(self, dest: BrunetAddress, conn_type: ConnectionType,
                    via_leaf: bool = False, fanout: int = 0) -> None:
@@ -485,8 +521,14 @@ class BrunetNode:
         if type(payload) is bytes:
             # a codec transport hands routed frames over undecoded
             view = wire.transit_view(payload, self._addr_bytes)
-            if view is not None and self._cut_through(payload, view):
-                return
+            if view is not None:
+                if self._cut_through(payload, view):
+                    return
+            elif self.ip_handler is not None:
+                arrived = wire.deliver_view(payload, self._addr_bytes)
+                if arrived is not None:
+                    self._deliver_ip(*arrived)
+                    return
             try:
                 payload = wire.decode_lazy(payload)
             except wire.DecodeError:
@@ -539,6 +581,22 @@ class BrunetNode:
             conn.remote_endpoint,
             wire.patch_forward(buf, view, self._addr_bytes))
         return True
+
+    def _deliver_ip(self, previous_hop: Optional[BrunetAddress], hops: int,
+                    encap: IpEncap) -> None:
+        """Hand over a tunnelled IP packet that :func:`wire.deliver_view`
+        decoded from an arrived frame: the bookkeeping of
+        :meth:`_on_datagram` + :meth:`route` + :meth:`_deliver` without a
+        ``RoutedPacket``, a via list or a second parse."""
+        if previous_hop is not None:
+            heard = self.table.get(previous_hop)
+            if heard is not None:
+                heard.heard_from(self.sim.now)
+                heard.packets_received += 1
+        self.stats["delivered"] += 1
+        self._m_delivered.inc()
+        self._m_hops.observe(hops)
+        self.ip_handler(encap)
 
     # ------------------------------------------------------------------
     # keep-alive (§IV-B)

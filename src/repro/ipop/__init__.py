@@ -8,20 +8,19 @@ model over the *current* overlay route, re-pathed live as shortcuts form or
 nodes migrate.
 """
 
-from repro.ipop.ippacket import VirtualIpPacket, IcmpEcho
-from repro.ipop.mapping import addr_for_ip
-from repro.ipop.router import IpopRouter
-from repro.ipop.bandwidth import BandwidthBroker
-from repro.ipop.transfer import OverlayTransfer
-from repro.ipop.icmp import Pinger, PingStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VirtualIpPacket",
-    "IcmpEcho",
-    "addr_for_ip",
-    "IpopRouter",
-    "BandwidthBroker",
-    "OverlayTransfer",
-    "Pinger",
-    "PingStats",
-]
+#: public name -> the submodule that defines it (imported on first use)
+_ORIGIN = {
+    "VirtualIpPacket": "ippacket",
+    "IcmpEcho": "ippacket",
+    "addr_for_ip": "mapping",
+    "IpopRouter": "router",
+    "BandwidthBroker": "bandwidth",
+    "OverlayTransfer": "transfer",
+    "Pinger": "icmp",
+    "PingStats": "icmp",
+}
+
+__all__ = list(_ORIGIN)
+__getattr__ = lazy_exports(__name__, _ORIGIN)

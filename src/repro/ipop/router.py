@@ -16,11 +16,16 @@ from repro.ipop.mapping import addr_for_ip
 from repro.obs.spans import TraceRef
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.brunet.address import BrunetAddress
     from repro.brunet.node import BrunetNode
 
 Handler = Callable[[VirtualIpPacket], None]
 
 IP_HEADER = 28  # IP + UDP header bytes on the virtual wire
+
+#: destination IPs whose ring address a router remembers; the memo is
+#: cleared wholesale when full, like the codec's value caches
+ADDR_MEMO_MAX = 1024
 
 
 class IpopRouter:
@@ -34,6 +39,8 @@ class IpopRouter:
             raise ValueError(
                 f"node address {node.addr!r} does not own {virtual_ip}")
         self._handlers: dict[tuple[str, int], Handler] = {}
+        #: destination IP -> ring address (a SHA-1 per miss, not per packet)
+        self._dest_addrs: dict[str, "BrunetAddress"] = {}
         self.packets_out = 0
         self.packets_in = 0
         metrics = node.sim.obs.metrics
@@ -81,7 +88,12 @@ class IpopRouter:
 
     def _transmit(self, pkt: VirtualIpPacket) -> None:
         node = self.node
-        dest_addr = addr_for_ip(pkt.dst_ip)
+        memo = self._dest_addrs
+        dest_addr = memo.get(pkt.dst_ip)
+        if dest_addr is None:
+            if len(memo) >= ADDR_MEMO_MAX:
+                memo.clear()
+            dest_addr = memo[pkt.dst_ip] = addr_for_ip(pkt.dst_ip)
         self.packets_out += 1
         self._m_encap_pkts.inc()
         self._m_encap_bytes.inc(pkt.size)

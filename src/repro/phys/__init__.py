@@ -6,36 +6,27 @@ simulated per-datagram (:mod:`repro.phys.network`); bulk data uses a
 max-min-fair fluid-flow model (:mod:`repro.phys.flows`).
 """
 
-from repro.phys.endpoints import Endpoint, ip_in_subnet
-from repro.phys.packet import Datagram
-from repro.phys.nat import (
-    Nat,
-    NatSpec,
-    MappingBehavior,
-    FilteringBehavior,
-    FirewallPolicy,
-)
-from repro.phys.host import Host, UdpSocket
-from repro.phys.latency import LatencyModel
-from repro.phys.topology import Site
-from repro.phys.network import Internet
-from repro.phys.flows import Flow, FlowManager, Resource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "ip_in_subnet",
-    "Datagram",
-    "Nat",
-    "NatSpec",
-    "MappingBehavior",
-    "FilteringBehavior",
-    "FirewallPolicy",
-    "Host",
-    "UdpSocket",
-    "LatencyModel",
-    "Site",
-    "Internet",
-    "Flow",
-    "FlowManager",
-    "Resource",
-]
+#: public name -> the submodule that defines it (imported on first use)
+_ORIGIN = {
+    "Endpoint": "endpoints",
+    "ip_in_subnet": "endpoints",
+    "Datagram": "packet",
+    "Nat": "nat",
+    "NatSpec": "nat",
+    "MappingBehavior": "nat",
+    "FilteringBehavior": "nat",
+    "FirewallPolicy": "nat",
+    "Host": "host",
+    "UdpSocket": "host",
+    "LatencyModel": "latency",
+    "Site": "topology",
+    "Internet": "network",
+    "Flow": "flows",
+    "FlowManager": "flows",
+    "Resource": "flows",
+}
+
+__all__ = list(_ORIGIN)
+__getattr__ = lazy_exports(__name__, _ORIGIN)

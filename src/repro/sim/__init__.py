@@ -10,23 +10,23 @@ Time is a float in **seconds**; data sizes are **bytes**; bandwidth is
 **bytes/second** throughout the code base (see :mod:`repro.sim.units`).
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process, Signal, Timeout, WaitSignal, AllOf
-from repro.sim.rng import RngRegistry
-from repro.sim.shards import ShardedKernel
-from repro.sim.trace import Tracer, TimeSeries
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "SimulationError",
-    "ShardedKernel",
-    "Process",
-    "Signal",
-    "Timeout",
-    "WaitSignal",
-    "AllOf",
-    "RngRegistry",
-    "Tracer",
-    "TimeSeries",
-]
+#: public name -> the submodule that defines it (imported on first use)
+_ORIGIN = {
+    "Event": "engine",
+    "Simulator": "engine",
+    "SimulationError": "engine",
+    "ShardedKernel": "shards",
+    "Process": "process",
+    "Signal": "process",
+    "Timeout": "process",
+    "WaitSignal": "process",
+    "AllOf": "process",
+    "RngRegistry": "rng",
+    "Tracer": "trace",
+    "TimeSeries": "trace",
+}
+
+__all__ = list(_ORIGIN)
+__getattr__ = lazy_exports(__name__, _ORIGIN)

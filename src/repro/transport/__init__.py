@@ -14,9 +14,15 @@ RNG/observability surface protocol code expects from a ``Simulator``, but
 backed by the asyncio event loop and the wall clock.
 """
 
-from repro.transport.base import Transport
-from repro.transport.runtime import RealtimeKernel
-from repro.transport.sim import SimTransport
-from repro.transport.udp import UdpTransport
+from repro._lazy import lazy_exports
 
-__all__ = ["Transport", "SimTransport", "UdpTransport", "RealtimeKernel"]
+#: public name -> the submodule that defines it (imported on first use)
+_ORIGIN = {
+    "Transport": "base",
+    "SimTransport": "sim",
+    "UdpTransport": "udp",
+    "RealtimeKernel": "runtime",
+}
+
+__all__ = list(_ORIGIN)
+__getattr__ = lazy_exports(__name__, _ORIGIN)

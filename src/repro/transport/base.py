@@ -12,12 +12,24 @@ wire codec decode before dispatch — a frame that fails to decode is
 counted on the ``wire.decode_error`` metric and dropped, mirroring how a
 real daemon must treat garbage datagrams) — with one exception: a
 codec transport hands a *routed* frame (tag ``T_ROUTED``) to the handler
-as the received ``bytes``, undecoded.  The node then either forwards it
-as bytes (:func:`repro.wire.transit_view` + :func:`repro.wire.patch_forward`
-+ :meth:`Transport.send_frame`: a transit hop builds no message object)
-or decodes it itself with :func:`repro.wire.decode_lazy`, counting a
-failure on the same ``wire.decode_error`` series.  A handler that is not
-a ``BrunetNode`` must therefore accept ``bytes`` for routed frames.
+as the received ``bytes``, undecoded, after counting it as received.
+The node then forwards it as bytes (:func:`repro.wire.transit_view` +
+:func:`repro.wire.patch_forward` + :meth:`Transport.send_frame`: a
+transit hop builds no message object), takes a tunnelled IP packet out
+of it in one pass (:func:`repro.wire.deliver_view`), or decodes it itself
+with :func:`repro.wire.decode_lazy`, counting a failure on the same
+``wire.decode_error`` series.  A handler that is not a ``BrunetNode``
+must therefore accept ``bytes`` for routed frames.
+
+A transport that works this way says so with
+:attr:`Transport.carries_frames`; the node reads that attribute — not the
+config — to decide whether it may also *launch* a packet as bytes
+(:func:`repro.wire.encode_origin` + :meth:`Transport.send_frame`).  What
+such a transport must offer: ``send`` encodes with
+:func:`repro.wire.encode` and counts OPAQUE fallbacks on
+``wire.opaque_frames``; ``send_frame`` counts and charges a frame
+exactly as ``send`` does for the same bytes; routed frames arrive at the
+handler as ``bytes``.
 """
 
 from __future__ import annotations
@@ -33,6 +45,12 @@ ReceiveHandler = Callable[[Any, Endpoint, int], None]
 
 class Transport(abc.ABC):
     """One node's datagram endpoint (sim-backed or socket-backed)."""
+
+    #: True when messages cross this transport as :mod:`repro.wire`
+    #: frames: routed frames reach the handler as ``bytes`` and
+    #: :meth:`send_frame` is live, so the node may launch and forward
+    #: packets as bytes.  False: objects travel by reference.
+    carries_frames = False
 
     @property
     @abc.abstractmethod
@@ -59,9 +77,10 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def send_frame(self, dst: Endpoint, frame: bytes) -> None:
-        """Fire-and-forget one already-encoded frame (transit forwarding
-        of a routed frame the handler received as bytes).  Counts and
-        charges exactly what :meth:`send` does for the same bytes."""
+        """Fire-and-forget one already-encoded frame (a routed frame the
+        node launched with ``encode_origin`` or forwards as received
+        bytes).  Counts and charges exactly what :meth:`send` does for
+        the same bytes."""
 
     @abc.abstractmethod
     def close(self) -> None:

@@ -14,9 +14,11 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
     ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
     decodes (or counts ``wire.decode_error`` and drops) — except an
     untraced routed frame, which goes to the node as bytes, exactly as
-    :class:`~repro.transport.udp.UdpTransport` delivers it, so transit
-    hops patch and resend through :meth:`SimTransport.send_frame`.  The
-    simulator then exercises the exact byte path the UDP transport uses.
+    :class:`~repro.transport.udp.UdpTransport` delivers it, so origins
+    launch and transit hops patch and resend through
+    :meth:`SimTransport.send_frame` (``carries_frames`` is True in this
+    mode only).  The simulator then exercises the exact byte paths the
+    UDP transport uses.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class SimTransport(Transport):
         self.host = host
         self.port = port
         self.wire_mode = wire_mode
+        self.carries_frames = wire_mode == "codec"
         self.name = name or host.name
         self.sock: Optional["UdpSocket"] = None
         self._handler: Optional[ReceiveHandler] = None
@@ -110,7 +113,7 @@ class SimTransport(Transport):
     # ------------------------------------------------------------------
     def _on_codec_dgram(self, dgram: "Datagram") -> None:
         """Codec-mode delivery.  An untraced routed frame goes to the
-        node as bytes (transit cut-through, see
+        node as bytes (the byte paths, see
         :mod:`repro.transport.base`).  Everything else is decoded here
         (payloads of routed frames stay as zero-copy
         :class:`~repro.wire.RawBody` slices until local delivery), gets

@@ -5,7 +5,9 @@ tag, length-prefixed fields) and handed to the OS; every inbound datagram
 is decoded back into the protocol object the node layer expects — except
 a routed frame, which goes to the node as received bytes so that a
 transit hop can patch and resend it through :meth:`UdpTransport.send_frame`
-without a decode or an encode (the node decodes the ones it keeps).  A
+without a decode or an encode, and a destination can take a tunnelled
+IP packet out of it in one pass (the node decodes the rest itself);
+frames the node launches as bytes leave through ``send_frame`` too.  A
 frame that fails to decode increments the ``wire.decode_error`` counter
 and is dropped — malformed traffic never raises into the event loop.
 
@@ -45,6 +47,8 @@ class _Protocol(asyncio.DatagramProtocol):
 
 class UdpTransport(Transport):
     """One node's live UDP endpoint (localhost or LAN)."""
+
+    carries_frames = True
 
     def __init__(self, kernel: RealtimeKernel, name: str = ""):
         self.kernel = kernel

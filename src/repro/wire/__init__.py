@@ -26,7 +26,9 @@ from repro.wire.codec import (
     address_bytes,
     decode,
     decode_lazy,
+    deliver_view,
     encode,
+    encode_origin,
     materialize,
     patch_forward,
     peek_header,
@@ -43,7 +45,9 @@ __all__ = [
     "address_bytes",
     "decode",
     "decode_lazy",
+    "deliver_view",
     "encode",
+    "encode_origin",
     "materialize",
     "patch_forward",
     "peek_header",

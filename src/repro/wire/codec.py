@@ -32,7 +32,12 @@ Version 2 is built for per-packet speed:
   forwarded with :func:`patch_forward`, which splices ``hops + 1``,
   ``via_count + 1`` and the node's own address into the received bytes,
   so a transit hop builds no message object and never calls ``encode``.
-  Frames the view declines (local delivery, TTL expiry, traced, odd
+  The two ends of a tunnelled IP packet work on bytes too:
+  :func:`encode_origin` packs everything a launching node puts before
+  the payload (version … ``via[0]``, 76 bytes) with one struct, and
+  :func:`deliver_view` hands the destination the previous hop, ``hops``
+  and the decoded ``IpEncap`` from one pass over an arrived frame.
+  Frames the views decline (other payloads, TTL expiry, traced, odd
   flags, malformed) go through :func:`decode_lazy`, which defers the
   payload to a zero-copy :class:`RawBody` slice that ``encode`` splices
   back (:func:`materialize` decodes it at local delivery);
@@ -51,8 +56,10 @@ carry; like the paper's deployment, peers on a link are assumed to be
 inside one trust domain (do not decode frames from untrusted networks).
 
 Every decode failure — truncation, bad version, unknown tag, malformed
-UTF-8/pickle, trailing garbage — raises :class:`DecodeError` and nothing
-else.  The lazy path defers *body* validation to :func:`materialize`
+UTF-8/pickle, a ``conn_type`` that names no ``ConnectionType``, trailing
+garbage — raises :class:`DecodeError` and nothing else (the header
+views return None instead, and the caller's ``decode_lazy`` raises it).
+The lazy path defers *body* validation to :func:`materialize`
 (a transit router does not validate payloads it merely forwards); the
 node layer counts a late body failure exactly like a transport decode
 error.
@@ -66,6 +73,7 @@ from struct import error as _StructError
 from typing import Any, NamedTuple, Optional
 
 from repro.brunet.address import BrunetAddress
+from repro.brunet.connection import ConnectionType
 from repro.brunet.dht import DhtGet, DhtPut, DhtReply
 from repro.brunet.messages import (
     CloseMessage,
@@ -153,14 +161,19 @@ _DHT_GET = Struct(">BQ20s")             # tag, rid, reply_to
 _DHT_REP = Struct(">BQB")               # tag, rid, found
 _VDG = Struct(">BH")                    # tag, source port (segment follows)
 _FWD_PATCH = Struct(">HBH")             # hops, trace presence, via count
+# a whole frame up to its payload as the origin sends it: version, _RHDR,
+# no trace, a via list of one
+_ORIGIN = Struct(">B" + _RHDR.format[1:] + "BH20s")
 
 # Offsets into a top-level routed frame, all derived from _RHDR (the
 # version byte shifts every struct offset by one).  The last three hold
-# only for the shape transit_view accepts: coded approach, no trace.
+# only for the shape the byte paths accept: coded approach, no trace.
 _O_DEST = 1 + Struct(">B20s").size              # dest address
 _O_EXCLUDE = 1 + Struct(">B20s20sIB").size      # exclude_dest_link flag
+_O_APPROACH = _O_EXCLUDE + 1                    # approach code
 _O_HOPS = 1 + _RHDR.size - _U16.size            # hops is _RHDR's last field
-_O_COUNT = 1 + _RHDR.size + 1                   # via count, after the trace byte
+_O_TRACE = 1 + _RHDR.size                       # trace presence byte
+_O_COUNT = _O_TRACE + 1                         # via count
 _O_VIA = _O_COUNT + _U16.size                   # first via address
 
 _APPROACH_NONE, _APPROACH_LEFT, _APPROACH_RIGHT, _APPROACH_OTHER = 0, 1, 2, 3
@@ -173,6 +186,13 @@ _VERSION_BYTE = bytes((WIRE_VERSION,))
 
 class DecodeError(ValueError):
     """A buffer could not be decoded into a protocol message."""
+
+
+#: everything a decoder can raise on malformed input (``DecodeError`` is
+#: a ``ValueError``; ``RecursionError``: frames nested deeper than the
+#: interpreter's stack)
+_MALFORMED = (_StructError, IndexError, OverflowError, ValueError,
+              RecursionError)
 
 
 class RawBody:
@@ -393,6 +413,18 @@ def _d_addr(buf: bytes, pos: int, n: int) -> tuple[BrunetAddress, int]:
     return _da(buf[pos:end]), end
 
 
+_CONN_TYPES = frozenset(t.value for t in ConnectionType)
+
+
+def _d_conn_type(buf: bytes, pos: int, n: int) -> tuple[str, int]:
+    """A ``conn_type`` field: the receiver builds a ``ConnectionType``
+    from it, so any other string is a malformed frame."""
+    s, pos = _d_str(buf, pos, n)
+    if s not in _CONN_TYPES:
+        raise DecodeError(f"unknown connection type {s!r}")
+    return s, pos
+
+
 _new = object.__new__
 
 
@@ -589,7 +621,7 @@ def _e_any(out: bytearray, value: Any) -> None:
 def _d_link_request(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     trace, pos = _d_trace(buf, pos, n)
     m = _new(LinkRequest)
     m.__dict__ = {"token": token, "sender_addr": _da(raw),
@@ -602,7 +634,7 @@ def _d_link_reply(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
     observed, pos = _d_uri(buf, pos, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     trace, pos = _d_trace(buf, pos, n)
     m = _new(LinkReply)
     m.__dict__ = {"token": token, "sender_addr": _da(raw),
@@ -648,7 +680,7 @@ def _d_ping_reply(buf: bytes, pos: int, n: int):
 def _d_ctm_request(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     if pos >= n:
         raise _trunc(1, pos, n)
     if buf[pos]:
@@ -668,7 +700,7 @@ def _d_ctm_request(buf: bytes, pos: int, n: int):
 def _d_ctm_reply(buf: bytes, pos: int, n: int):
     token, raw = _TOK_ADDR.unpack_from(buf, pos - 1)[1:]
     uris, pos = _d_uris(buf, pos + 28, n)
-    conn_type, pos = _d_str(buf, pos, n)
+    conn_type, pos = _d_conn_type(buf, pos, n)
     m = _new(CtmReply)
     m.__dict__ = {"token": token, "responder_addr": _da(raw),
                   "responder_uris": uris, "conn_type": conn_type}
@@ -896,6 +928,19 @@ def encode(msg: Any) -> bytes:
         _enc_buf_busy = False
 
 
+def encode_origin(src: bytes, dest: bytes, size: int, ttl: int,
+                  payload: Any) -> bytes:
+    """The frame a node with :func:`address_bytes` ``src`` launches toward
+    ``dest``: exactly ``encode`` of the untraced ``exact`` ``RoutedPacket``
+    that ``BrunetNode.send_over`` has stamped at its origin (``hops=1``,
+    ``via=[src]``) — one struct for everything before the payload, no
+    packet object."""
+    out = bytearray(_ORIGIN.pack(WIRE_VERSION, T_ROUTED, src, dest, size,
+                                 1, 0, _APPROACH_NONE, ttl, 1, 0, 1, src))
+    _e_any(out, payload)
+    return bytes(out)
+
+
 def _coerce(buf: Any) -> bytes:
     if type(buf) is bytes:
         return buf
@@ -920,7 +965,7 @@ def _parse(buf: bytes, pos: int) -> Any:
         msg, pos = _d_any(buf, pos, n)
     except DecodeError:
         raise
-    except (_StructError, IndexError, OverflowError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed frame: {exc}") from None
     if pos != n:
         raise DecodeError(f"{n - pos} trailing bytes after message")
@@ -956,7 +1001,7 @@ def decode_lazy(buf: Any) -> Any:
         m, pos = _d_routed_env(buf, 2, n)
     except DecodeError:
         raise
-    except (_StructError, IndexError, OverflowError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DecodeError(f"malformed frame: {exc}") from None
     if pos >= n:
         raise _trunc(1, pos, n)
@@ -1051,6 +1096,42 @@ def transit_view(buf: bytes, mine: bytes) -> Optional[tuple]:
         return None
     prev = _da(buf[end - ADDRESS_BYTES:end]) if count else None
     return _da(dest), excl == 1, approach, size, prev, hops, count
+
+
+def deliver_view(buf: bytes, mine: bytes) -> Optional[tuple]:
+    """``(previous_hop, hops, payload)`` when ``buf`` is a plain routed
+    frame that has arrived at the node whose :func:`address_bytes` are
+    ``mine`` and carries a tunnelled IP packet — the decoded ``IpEncap``,
+    parsed in this one pass — else None: the caller then takes the
+    object path (:func:`decode_lazy`, ``route``, :func:`materialize`),
+    which delivers, drops and counts every other frame as always.
+
+    Plain means what it does for :func:`transit_view`: this wire
+    version, approach none/left/right, untraced, flag bytes 0 or 1,
+    ``hops < ttl``, a complete via list.  The payload tag is read before
+    anything is unpacked, so control frames pay a few byte tests; a body
+    that is malformed or leaves trailing bytes is None too, and
+    ``materialize`` reports it.
+    """
+    try:
+        if (buf[0] != WIRE_VERSION or buf[1] != T_ROUTED
+                or buf[_O_APPROACH] >= _APPROACH_OTHER or buf[_O_TRACE]):
+            return None
+        count = (buf[_O_COUNT] << 8) | buf[_O_COUNT + 1]
+        end = _O_VIA + count * ADDRESS_BYTES
+        if buf[end] != T_IP_ENCAP:
+            return None
+        _, _, dest, _, exact, excl, _, ttl, hops = _RHDR.unpack_from(buf, 1)
+        if dest != mine or excl or exact > 1 or hops >= ttl:
+            return None
+        n = len(buf)
+        payload, pos = _d_ip_encap(buf, end + 1, n)
+    except _MALFORMED:
+        return None
+    if pos != n:
+        return None
+    return (_da(buf[end - ADDRESS_BYTES:end]) if count else None,
+            hops, payload)
 
 
 def patch_forward(buf: bytes, view: tuple, mine: bytes) -> bytes:

@@ -41,6 +41,32 @@ def internet(sim) -> Internet:
     return Internet(sim)
 
 
+class StubSocket:
+    """What ``UdpTransport`` needs of an asyncio datagram transport;
+    keeps every datagram as ``(frame, (ip, port))``."""
+
+    def __init__(self):
+        self.out: list[tuple[bytes, tuple]] = []
+
+    def is_closing(self) -> bool:
+        return False
+
+    def sendto(self, frame: bytes, addr: tuple) -> None:
+        self.out.append((frame, addr))
+
+    def close(self) -> None:
+        pass
+
+
+def stub_socket(transport, ip: str, port: int) -> StubSocket:
+    """Put a live ``UdpTransport`` on a :class:`StubSocket` bound to
+    ``(ip, port)``: its own send/receive code, no OS socket."""
+    from repro.phys.endpoints import Endpoint
+    socket = transport._transport = StubSocket()
+    transport._endpoint = Endpoint(ip, port)
+    return socket
+
+
 def build_overlay(sim, internet, n_nodes: int, config=None,
                   site=None, stagger: float = 5.0):
     """A public-site overlay of ``n_nodes``; returns (nodes, bootstrap)."""

@@ -120,3 +120,47 @@ def test_router_reattach_keeps_bindings(sim, internet):
     a.send_ip(b.virtual_ip, "udp", 700, "after-restart", 20)
     sim.run(until=sim.now + 5)
     assert got == ["after-restart"]
+
+
+def test_ring_address_is_hashed_once_per_destination(monkeypatch):
+    """``_transmit`` used to SHA-1 the destination IP on every packet;
+    the router now remembers the ring address, in a dict of its own that
+    is emptied at a fixed cap, and keeps it across detach/attach (the
+    mapping depends on the IP alone)."""
+    from repro.ipop import router as router_mod
+    hashed = []
+
+    def counting(ip):
+        hashed.append(ip)
+        return addr_for_ip(ip)
+
+    sim = Simulator(seed=1)
+    site = Site(Internet(sim), "p")
+    ip = "172.16.1.9"
+    node = BrunetNode(sim, site.add_host("h"), addr_for_ip(ip), BrunetConfig())
+    router = IpopRouter(node, ip)
+    monkeypatch.setattr(router_mod, "addr_for_ip", counting)
+    for _ in range(10_000):
+        router.send_ip("172.16.1.10", "udp", 9, "x", 10)
+    assert hashed == ["172.16.1.10"] and router.packets_out == 10_000
+
+    router.detach()
+    fresh = BrunetNode(sim, node.host, router.addr, node.config, name="re")
+    router.attach(fresh)
+    router.send_ip("172.16.1.10", "udp", 9, "x", 10)
+    assert len(hashed) == 1 and fresh.ip_handler is not None
+
+    cap = router_mod.ADDR_MEMO_MAX
+    for host in range(cap + 50):
+        router.send_ip(f"172.17.{host // 250}.{host % 250 + 2}", "udp", 9,
+                       "x", 10)
+        assert len(router._dest_addrs) <= cap
+    assert len(hashed) == 1 + cap + 50
+    # the memo answers what the hash answers, also after it was emptied
+    assert all(addr == addr_for_ip(dst)
+               for dst, addr in router._dest_addrs.items())
+    # and it is this router's, not the process's
+    other = IpopRouter(BrunetNode(sim, site.add_host("h2"),
+                                  addr_for_ip("172.16.1.11"), BrunetConfig()),
+                       "172.16.1.11")
+    assert other._dest_addrs == {}

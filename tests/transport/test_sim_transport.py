@@ -8,7 +8,14 @@ accounting itself switches from paper constants to encoded lengths.
 import pytest
 
 from repro.brunet import BrunetConfig, BrunetNode, random_address
-from repro.brunet.messages import PingRequest
+from repro.brunet.messages import (
+    CtmReply,
+    CtmRequest,
+    LinkReply,
+    LinkRequest,
+    PingRequest,
+    RoutedPacket,
+)
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho
 from repro.ipop.mapping import addr_for_ip
@@ -141,6 +148,38 @@ def test_codec_mode_counts_decode_errors_and_drops():
     errs = sim.obs.metrics.counter("wire.decode_error", node="b").value
     assert errs == 2
     assert [m.token for m in delivered] == [2]
+
+
+def test_unknown_conn_type_is_counted_and_dropped_not_raised():
+    """Regression: a well-formed frame whose ``conn_type`` is no
+    ``ConnectionType`` raised ``ValueError`` out of the node's handlers
+    and aborted ``sim.run()``.  Direct frames now fail in the transport's
+    decode, routed bodies at local delivery; both are counted."""
+    sim = Simulator(seed=1, trace=False)
+    site = Site(Internet(sim), "pub")
+    me, peer = addr_for_ip("10.128.0.2"), addr_for_ip("10.128.0.3")
+    node = BrunetNode(sim, site.add_host("a"), me,
+                      BrunetConfig(wire_mode="codec"), name="a")
+    node.start([])
+    sender = site.add_host("b").bind_udp(6000, lambda *a: None)
+    uris = [Uri.udp("150.1.0.9", 6000)]
+    ep = node.transport.local_endpoint
+    direct = [LinkRequest(1, peer, uris, "bogus"),
+              LinkReply(2, peer, uris, uris[0], "bogus")]
+    routed = [CtmRequest(3, peer, uris, "bogus"),
+              CtmReply(4, peer, uris, "bogus")]
+    for msg in direct:
+        sender.send(ep, encode(msg), size=10)
+    for msg in routed:
+        sender.send(ep, encode(RoutedPacket(src=peer, dest=me, payload=msg,
+                                            size=80)), size=10)
+    sim.run(until=1.0)
+    assert len(node.table) == 0 and not node.linker.by_addr
+    assert node.stats["body_decode_drop"] == len(routed)
+    assert node.stats["delivered"] == 0
+    metrics = sim.obs.metrics
+    assert metrics.counter("wire.decode_error", node="a").value == 4
+    assert metrics.counter("wire.body_decode_drop", node="a").value == 2
 
 
 def test_codec_mode_preserves_trace_context_across_bytes():

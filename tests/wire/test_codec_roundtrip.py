@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
+from repro.brunet.connection import ConnectionType
 from repro.brunet.messages import (
     CloseMessage,
     CtmReply,
@@ -53,8 +54,7 @@ def _trace(rng: random.Random):
 
 
 def _conn_type(rng: random.Random) -> str:
-    return rng.choice(["leaf", "structured.near", "structured.far",
-                       "structured.shortcut"])
+    return rng.choice([t.value for t in ConnectionType])
 
 
 def _icmp(rng: random.Random) -> IcmpEcho:
@@ -215,6 +215,49 @@ def test_corrupted_bytes_never_raise_anything_else():
                 decode(bytes(corrupt))
             except DecodeError:
                 pass  # the only acceptable exception
+
+@pytest.mark.parametrize("msg_type",
+                         [LinkRequest, LinkReply, CtmRequest, CtmReply],
+                         ids=lambda t: t.__name__)
+def test_unknown_conn_type_is_a_decode_error(msg_type):
+    """The receiver builds ``ConnectionType(msg.conn_type)``: a frame that
+    is well-formed except for that string must fail here, typed, not as a
+    ``ValueError`` inside the node."""
+    rng = random.Random(12)
+    for hostile in ("bogus", "", "LEAF", "structured.shortcut", "leaf\x00"):
+        msg = GENERATORS[msg_type](rng)
+        msg.conn_type = hostile
+        with pytest.raises(DecodeError, match="connection type"):
+            decode(encode(msg))
+        # as a routed body the envelope still parses; the body fails at
+        # materialize, nested one level down too
+        for body in (msg, Forward(_addr(rng), msg, 80)):
+            pkt = RoutedPacket(src=_addr(rng), dest=_addr(rng), payload=body,
+                               size=80)
+            with pytest.raises(DecodeError, match="connection type"):
+                decode(encode(pkt))
+            lazy = codec.decode_lazy(encode(pkt))
+            with pytest.raises(DecodeError, match="connection type"):
+                codec.materialize(lazy.payload)
+
+
+def test_nesting_deeper_than_the_stack_is_a_decode_error():
+    """5 bytes per level: a 15 KB datagram nests 3000 ``IpEncap`` frames,
+    and the recursive decoders ran out of stack with a ``RecursionError``
+    that no caller catches."""
+    body = encode(IpEncap(None, 0))[1:-1] * 3000 + encode(None)[1:]
+    pkt = RoutedPacket(src=BrunetAddress(1), dest=BrunetAddress(2),
+                       payload=None, size=10)
+    buf = encode(pkt)[:-1] + body
+    with pytest.raises(DecodeError, match="malformed"):
+        decode(buf)
+    with pytest.raises(DecodeError, match="malformed"):
+        codec.materialize(codec.decode_lazy(buf).payload)
+    assert codec.deliver_view(buf, codec.address_bytes(BrunetAddress(2))) \
+        is None
+    shallow = encode(pkt)[:-1] + body[-5 * 100 - 1:]
+    assert decode(shallow).payload.size == 0
+
 
 def test_non_buffer_input():
     with pytest.raises(DecodeError):
