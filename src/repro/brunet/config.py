@@ -40,9 +40,9 @@ class BrunetConfig:
     #: quantizes timing to ``sweep_granularity`` and therefore changes
     #: same-seed trajectories; the 10k-node scaling runs turn it on, where
     #: n independent keep-alive timers would dominate the event kernel
-    #: (an idle node fires 0.73 periodic timers per second: three
-    #: overlords / 5 s + keep-alive / 7.5 s; DESIGN.md §16.2 has what
-    #: batching buys at that load).
+    #: (an idle node fires 0.17 periodic timers per second: keep-alive
+    #: / 7.5 s + re-announce / 30 s; DESIGN.md §16.2 has what batching
+    #: buys at that load).
     batch_timers: bool = False
     #: sweep-wheel bucket width (seconds) when ``batch_timers`` is on
     sweep_granularity: float = 1.0
@@ -58,7 +58,8 @@ class BrunetConfig:
     near_per_side: int = 1
     #: structured-far connection target count (k of §IV-A)
     far_count: int = 4
-    #: overlord maintenance tick, seconds
+    #: spacing, seconds, of the grid leaf/near/far overlord ticks land on
+    #: (a tick runs only where one is due: DESIGN.md §9.4)
     overlord_interval: float = 5.0
     #: shortcut score service rate c (packets/s) and threshold
     shortcut_service_rate: float = 0.4

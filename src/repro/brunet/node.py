@@ -206,9 +206,9 @@ class BrunetNode:
 
     def rebootstrap(self, uris: list[Uri]) -> int:
         """Merge fresh bootstrap URIs (cached peers, operator-injected
-        seeds) into the rotation and, when the node is currently
-        stranded, kick the leaf overlord immediately instead of waiting
-        for its next tick.  Returns the number of new URIs adopted.
+        seeds) into the rotation and kick the leaf overlord, so a
+        stranded node tries them at once instead of at its next grid
+        instant.  Returns the number of new URIs adopted.
 
         This is the runtime half of the cached-peer bootstrap design:
         :meth:`start` seeds the initial URI list; ``rebootstrap`` lets a
@@ -222,9 +222,8 @@ class BrunetNode:
         # freshest information first: the leaf overlord walks the list
         # round-robin, so prepending biases the very next attempt
         self.bootstrap_uris[:0] = fresh
-        if (fresh and self.active and not self.in_ring
-                and self.leaf_connection() is None):
-            self.sim.schedule(0.0, self.leaf_overlord.tick)
+        if fresh and self.active:
+            self.leaf_overlord.kick()
         return len(fresh)
 
     # ------------------------------------------------------------------

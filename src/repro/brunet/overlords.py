@@ -11,13 +11,16 @@ ensures the node has the right number of connections."  Four overlords:
   queue ``s(i+1) = max(s(i) + a(i) − c, 0)`` driven by traffic inspection;
   scores above a threshold trigger decentralized single-hop link creation.
 
-Leaf, near and far tick every ``overlord_interval``.  The shortcut overlord
-is demand-driven: it holds a timer only while it has traffic to score.
+All four are deadline-driven (DESIGN.md §9.4): each holds one timer, for
+the earliest instant at which its ``tick`` could do anything, and none
+while only an event can give it work — a settled node holds one overlord
+timer, the near overlord's re-announce.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+import math
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.brunet.address import (
     BrunetAddress,
@@ -32,24 +35,45 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Overlord:
-    """Base: periodic ``tick`` every ``overlord_interval`` while the node
-    is active."""
+    """Base: runs ``tick`` at the first grid instant at or after
+    ``_due()`` — the earliest instant at which ``tick`` could do anything
+    given the current state (one in the past: the next grid instant), or
+    ``None`` when only an event can give it work and no timer is held.
+
+    The grid is anchored at :meth:`start` and walked a step at a time
+    (``t + interval``; under ``batch_timers`` the sweep wheel's ceil to a
+    bucket edge) because no closed form reproduces the rounding of
+    chained additions: a tick lands on exactly the instant an unbroken
+    periodic chain reaches, whatever armed it."""
+
+    #: the ``BrunetConfig`` field holding the grid spacing
+    INTERVAL = "overlord_interval"
 
     def __init__(self, node: "BrunetNode"):
         self.node = node
         self._timer = None
         self._stopped = False
+        #: the latest tick-grid instant known to be behind us
+        self._grid = 0.0
+        #: the grid instant the one timer is armed for (None: unarmed)
+        self._armed_at: Optional[float] = None
+        #: the sweep wheel armed ticks sit on (``batch_timers`` only)
+        self._wheel = (sweep_wheel(node.sim, node.config.sweep_granularity)
+                       if node.config.batch_timers else None)
         #: (callback list, callback) pairs registered via :meth:`_hook`
         self._hooks: list[tuple[list, Callable]] = []
+        # a connection landing or leaving can move any deadline earlier
+        self._hook(node.on_connection, self._wake)
+        self._hook(node.on_disconnection, self._wake)
 
     def start(self) -> None:
-        """Begin periodic maintenance (first tick runs immediately)."""
-        self.tick_safe()
+        """Anchor the tick grid at now; the first tick runs immediately."""
+        self._grid = self.node.sim.now
+        self.kick()
 
     @property
     def _sweep_key(self) -> tuple:
-        """Shared-wheel key: address first, so batched overlord ticks
-        walk the ring in address order."""
+        """Shared-wheel key, address first: sweeps walk the ring."""
         return (int(self.node.addr), self.node.name,
                 f"overlord.{type(self).__name__}")
 
@@ -62,34 +86,71 @@ class Overlord:
         self._hooks.append((hooks, fn))
 
     def stop(self) -> None:
-        """Cancel future ticks and unregister hooks (node shutdown)."""
+        """Cancel the armed tick and unregister hooks (node shutdown)."""
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
-            self._timer = None
-        node = self.node
-        if node.config.batch_timers:
-            sweep_wheel(node.sim, node.config.sweep_granularity).cancel(
-                self._sweep_key)
+        if self._wheel is not None:
+            self._wheel.cancel(self._sweep_key)
         for hooks, fn in self._hooks:
             hooks.remove(fn)
         self._hooks.clear()
 
-    def tick_safe(self) -> None:
-        """Run one tick if the node is alive, then reschedule."""
-        if self._stopped or not self.node.active:
-            return
-        self.tick()
-        node = self.node
-        interval = node.config.overlord_interval
-        if node.config.batch_timers:
-            sweep_wheel(node.sim, node.config.sweep_granularity).schedule(
-                self._sweep_key, interval, self.tick_safe)
-        else:
-            self._timer = node.sim.schedule(interval, self.tick_safe)
+    @property
+    def timer_pending(self) -> bool:
+        """True when a tick really is scheduled (what ``_armed_at`` claims)."""
+        if self._wheel is not None:
+            return self._wheel.pending(self._sweep_key)
+        return self._timer is not None and self._timer.pending
 
-    def tick(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _wake(self, _conn: Optional[Connection] = None) -> None:
+        """State changed: arm a tick for the first grid instant, from now
+        on, at or after ``_due()``; one armed for a deadline that moved
+        later since is left alone (it runs as a no-op and re-arms)."""
+        node = self.node
+        due = None if self._stopped or not node.active else self._due()
+        if due is None:
+            return
+        now, wheel = node.sim.now, self._wheel
+        step = getattr(node.config, self.INTERVAL)
+        at = self._grid
+        while True:
+            if wheel is not None:
+                bucket = wheel.bucket_at(at + step)
+                at = bucket * wheel.granularity
+            else:
+                at += step
+            if at < now or (wheel is not None and bucket <= wheel.swept):
+                self._grid = at     # its tick, had one been due, has run
+            elif at >= due:
+                break
+        if self._armed_at is not None and self._armed_at <= at:
+            return
+        self._armed_at = at
+        if wheel is not None:
+            wheel.schedule_bucket(self._sweep_key, bucket, self._fire)
+        else:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = node.sim.schedule_at(at, self._fire,
+                                               priority=self._order())
+
+    def _order(self, deferred: bool = False) -> int:
+        """Kernel priority, a periodic chain's order: after the instant's
+        ordinary events, by ``node.overlords``; deferred work after all."""
+        overlords = self.node.overlords
+        return 1 + (len(overlords) if deferred else overlords.index(self))
+
+    def _fire(self) -> None:
+        """The armed tick: the grid has reached the instant it was for."""
+        self._grid, self._armed_at, self._timer = self._armed_at, None, None
+        self.kick()
+
+    def kick(self) -> None:
+        """Tick now, on the grid or off it; re-arm only if still due."""
+        if not self._stopped and self.node.active:
+            self.tick()
+            self._wake()
 
 
 class LeafConnectionOverlord(Overlord):
@@ -102,24 +163,25 @@ class LeafConnectionOverlord(Overlord):
         self._m_attempts = node.sim.obs.metrics.counter(
             "overlord.leaf_attempts", node=node.name)
 
+    def _due(self) -> Optional[float]:
+        node = self.node
+        stranded = (node.leaf_connection() is None and not self._attempting
+                    and node.bootstrap_uris)
+        return node.sim.now if stranded else None
+
     def tick(self) -> None:
         """Ensure a live leaf connection to some bootstrap seed."""
         node = self.node
-        if self._stopped or not node.active:
-            # rebootstrap() schedules a one-shot kick straight at tick();
-            # the kick may land after shutdown
-            return
-        if node.leaf_connection() is not None or self._attempting:
+        if self._due() is None:
             return
         seeds = node.bootstrap_uris
-        if not seeds:
-            return
         uri = seeds[self._seed_index % len(seeds)]
         self._seed_index += 1
         self._attempting = True
 
         def on_done(*_args) -> None:
             self._attempting = False
+            self._wake()
 
         self._m_attempts.inc()
         node.linker.start(None, [uri], ConnectionType.LEAF,
@@ -154,15 +216,17 @@ class NearConnectionOverlord(Overlord):
         # waiting for the next maintenance tick — join latency matters
         # (abstract: "90% of the nodes self-configured P2P routes within
         # 10 seconds")
-        if ConnectionType.LEAF in conn.types and not self.node.in_ring \
-                and not self._stopped and self.node.active:
-            self.node.sim.schedule(0.0, self._maybe_announce)
+        if ConnectionType.LEAF in conn.types and not self.node.in_ring:
+            self._announce_soon()
 
     def _on_disconnection(self, conn: Connection) -> None:
-        if ConnectionType.STRUCTURED_NEAR in conn.types \
-                and not self._stopped and self.node.active:
-            # neighbour died: rediscover current nearest on both sides
-            self.node.sim.schedule(0.0, self._maybe_announce)
+        # neighbour died: rediscover current nearest on both sides
+        if ConnectionType.STRUCTURED_NEAR in conn.types:
+            self._announce_soon()
+
+    def _announce_soon(self) -> None:
+        self.node.sim.schedule(0.0, self._maybe_announce,
+                               priority=self._order(deferred=True))
 
     def _maybe_announce(self) -> None:
         node = self.node
@@ -175,6 +239,18 @@ class NearConnectionOverlord(Overlord):
         self._last_announce = node.sim.now
         self._m_announces.inc()
         node.announce()
+
+    def _due(self) -> Optional[float]:
+        node = self.node
+        in_ring = node.in_ring
+        if in_ring and node.table.version != self._relabeled_version:
+            return node.sim.now
+        if not in_ring and node.leaf_connection() is None:
+            return None  # the LEAF hook announces the moment one lands
+        wait = self.REANNOUNCE_INTERVAL if in_ring else self.ANNOUNCE_RETRY
+        # an ulp early: ``tick`` tests ``now - last >= wait``, a rounded
+        # subtraction this sum can overshoot — and an early tick is a no-op
+        return math.nextafter(self._last_announce + wait, -math.inf)
 
     def tick(self) -> None:
         """Announce when not in the ring; relabel/re-announce when in."""
@@ -241,6 +317,16 @@ class FarConnectionOverlord(Overlord):
         if ConnectionType.STRUCTURED_FAR in conn.types and self._pending:
             self._pending.pop(0)
 
+    def _due(self) -> Optional[float]:
+        node = self.node
+        if not node.in_ring:
+            return None
+        have = len(node.table.by_type(ConnectionType.STRUCTURED_FAR))
+        if node.config.far_count - have - len(self._pending) > 0:
+            return node.sim.now
+        # a slot is pruned, and may free a CTM, once its expiry is reached
+        return min(self._pending, default=None)
+
     def tick(self) -> None:
         """Top up structured-far links toward the configured k."""
         node = self.node
@@ -275,16 +361,12 @@ class ShortcutConnectionOverlord(Overlord):
     packet; each tick applies the queueing recurrence and connects to
     destinations whose backlog exceeds the threshold.
 
-    Demand-driven: the overlord holds **no timer** while it has nothing
-    to decay (see :meth:`_has_work`).  ``observe`` — or, for idle-drop, a
-    SHORTCUT connection landing — arms it, and an armed tick re-arms only
-    while state remains.  Ticks fire on a fixed grid anchored at
-    :meth:`start` — spacing ``shortcut_tick``, walked by repeated float
-    addition — so *when* a tick runs depends on the node's start time
-    alone, never on which packet happened to arm it: the recurrence sees
-    the arrivals, at the instants, a tick chain that never stopped would
-    have seen (DESIGN.md §9.4).
+    It is due only while :meth:`_has_work`: ``observe`` — or, for
+    idle-drop, a SHORTCUT connection landing — arms it, and the recurrence
+    sees the arrivals, at the instants, a 1 Hz chain would have seen.
     """
+
+    INTERVAL = "shortcut_tick"
 
     def __init__(self, node: "BrunetNode"):
         super().__init__(node)
@@ -292,12 +374,6 @@ class ShortcutConnectionOverlord(Overlord):
         self.arrivals: dict[BrunetAddress, int] = {}
         self._pending: dict[BrunetAddress, float] = {}
         self._last_nonzero: dict[BrunetAddress, float] = {}
-        #: True from :meth:`_arm` until the armed tick runs
-        self._armed = False
-        #: the latest tick-grid instant reached (set by :meth:`start`)
-        self._grid = 0.0
-        #: the sweep wheel the armed tick sits on (``batch_timers`` only)
-        self._wheel = None
         cfg = node.config
         self._pending_ttl = 2.0 * cfg.uri_give_up_time() + 30.0
         metrics = node.sim.obs.metrics
@@ -312,25 +388,20 @@ class ShortcutConnectionOverlord(Overlord):
         """Mirrors ``BrunetConfig.shortcuts_enabled``."""
         return self.node.config.shortcuts_enabled
 
-    def start(self) -> None:
-        """Anchor the tick grid at the node's start; schedule nothing."""
-        self._grid = self.node.sim.now
-
     def _on_connection(self, conn: Connection) -> None:
         self._pending.pop(conn.peer_addr, None)
-        # under idle-drop a SHORTCUT link is itself state to watch
-        if not self._armed and self._has_work():
-            self._arm()
 
     def observe(self, dest: BrunetAddress, packets: int = 1) -> None:
         """Record outbound IP traffic toward ``dest`` (a(i) arrivals)."""
         if not self.enabled or dest == self.node.addr:
             return
         self.arrivals[dest] = self.arrivals.get(dest, 0) + packets
-        if not self._armed:
-            self._arm()
+        if self._armed_at is None:
+            self._wake()
 
-    # -- demand-driven timer --------------------------------------------
+    def _due(self) -> Optional[float]:
+        return self.node.sim.now if self._has_work() else None
+
     def _has_work(self) -> bool:
         """True while a tick would find something to decay, prune or
         drop: a score, an arrival, a pending slot or — only with
@@ -342,58 +413,6 @@ class ShortcutConnectionOverlord(Overlord):
         node = self.node
         return (node.config.shortcut_idle_drop > 0
                 and bool(node.table.by_type(ConnectionType.SHORTCUT)))
-
-    @property
-    def timer_pending(self) -> bool:
-        """True when a tick really is scheduled (what ``_armed`` claims;
-        the auditor's ``leak.shortcut-unarmed`` rule reads this)."""
-        if self._wheel is not None:
-            return self._wheel.pending(self._sweep_key)
-        return self._timer is not None and self._timer.pending
-
-    def _arm(self) -> None:
-        """Schedule one tick at the first grid instant after ``now``.
-
-        The grid is walked one tick at a time (``t + shortcut_tick``;
-        under ``batch_timers`` the sweep wheel's ceil to a bucket edge)
-        because a closed form would not reproduce the rounding of the
-        chained additions: catching up over an idle stretch costs one
-        float add per skipped tick and lands on exactly the instant an
-        unbroken tick chain reaches."""
-        if self._stopped:
-            return
-        node = self.node
-        cfg = node.config
-        now = node.sim.now
-        tick = cfg.shortcut_tick
-        due = self._grid
-        if cfg.batch_timers:
-            wheel = self._wheel = sweep_wheel(node.sim,
-                                              cfg.sweep_granularity)
-            while True:
-                bucket = wheel.bucket_at(due + tick)
-                due = bucket * wheel.granularity
-                if due > now:
-                    break
-            wheel.schedule_bucket(self._sweep_key, bucket, self._fire)
-        else:
-            while True:
-                due += tick
-                if due > now:
-                    break
-            self._timer = node.sim.schedule_at(due, self._fire)
-        self._grid = due
-        self._armed = True
-
-    def _fire(self) -> None:
-        """The armed tick: run it, re-arm only while state remains."""
-        self._armed = False
-        self._timer = None
-        if self._stopped or not self.node.active:
-            return
-        self.tick()
-        if self._has_work():
-            self._arm()
 
     def score_of(self, dest: BrunetAddress) -> float:
         """Current backlog score s(i) for ``dest``."""
@@ -475,3 +494,7 @@ class ShortcutConnectionOverlord(Overlord):
             self.node.drop_connection(conn, reason=reason, notify=True)
         else:
             conn.discard_type(ConnectionType.SHORTCUT)
+            # no connection hook fires for a label change, but it moves
+            # the table version the near overlord's relabel pass watches
+            for overlord in self.node.overlords:
+                overlord._wake()

@@ -404,8 +404,8 @@ def check_leaks(nodes: Iterable["BrunetNode"], now: float,
                 span_grace: float = 900.0) -> list[Violation]:
     """After quiescence no subsystem may hold unreleasable state: stuck
     linking attempts, expired overlord ``_pending`` slots, shortcut slots
-    for already-connected peers, a demand-driven shortcut overlord that
-    has state to decay but no tick scheduled, desynchronized NAT mapping
+    for already-connected peers, an overlord whose ``_due()`` names an
+    instant but which holds no timer for it, desynchronized NAT mapping
     indices, or trace spans that can never close."""
     from repro.brunet.overlords import FarConnectionOverlord
     out: list[Violation] = []
@@ -431,6 +431,13 @@ def check_leaks(nodes: Iterable["BrunetNode"], now: float,
                     f"{now - attempt.started_at:.0f}s, budget "
                     f"{budget:.0f}s"))
         for overlord in node.overlords:
+            if not overlord.timer_pending and overlord._due() is not None:
+                kind = type(overlord).__name__
+                out.append(Violation(
+                    now, "leak", "leak.overlord-unarmed", node.name,
+                    f"leak.overlord-unarmed:{node.name}:{kind}",
+                    f"{node.name} {kind} has work due at "
+                    f"{overlord._due():.3f} but no tick is scheduled"))
             if isinstance(overlord, FarConnectionOverlord):
                 stale = [t for t in overlord._pending
                          if t <= now - 2 * node.config.overlord_interval]
@@ -442,15 +449,6 @@ def check_leaks(nodes: Iterable["BrunetNode"], now: float,
                         f"expired _pending slots"))
         shortcut = getattr(node, "shortcut_overlord", None)
         if shortcut is not None:
-            if shortcut._has_work() and not shortcut.timer_pending:
-                out.append(Violation(
-                    now, "leak", "leak.shortcut-unarmed", node.name,
-                    f"leak.shortcut-unarmed:{node.name}",
-                    f"{node.name} shortcut overlord holds "
-                    f"{len(shortcut.scores)} scores, "
-                    f"{len(shortcut.arrivals)} arrivals and "
-                    f"{len(shortcut._pending)} _pending slots but no tick "
-                    f"is scheduled to decay them"))
             for dest, until in shortcut._pending.items():
                 if node.table.get(dest) is not None:
                     out.append(Violation(

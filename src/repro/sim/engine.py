@@ -382,7 +382,9 @@ class SweepWheel:
     Cancellation is tombstone-free: every key carries a generation
     counter; :meth:`cancel` (and re-registration) bump it, and an entry
     whose captured generation is stale is simply skipped at fire time —
-    no bucket-list scan, no kernel-event cancellation.
+    no bucket-list scan, no kernel-event cancellation.  The bucket the
+    live entry sits in is kept beside the generation (``None`` once it
+    fired or was cancelled), so :meth:`pending` is one dict lookup.
 
     Quantization rounds *up* to the bucket edge, so work is never run
     early — a registrant asking for ``delay`` seconds runs within
@@ -402,8 +404,12 @@ class SweepWheel:
         self.granularity = granularity
         #: bucket index -> [(key, generation, fn), ...] (unsorted until fire)
         self._buckets: dict[int, list[tuple]] = {}
-        #: current generation per key (bumped on schedule/cancel)
-        self._gen: dict[Any, int] = {}
+        #: per key: (current generation — bumped on schedule/cancel —,
+        #: bucket holding the live entry or None)
+        self._gen: dict[Any, tuple[int, Optional[int]]] = {}
+        #: index of the last bucket to fire: a registrant walking its own
+        #: grid must not re-arm a bucket the sweep has reached
+        self.swept = -1
         #: fired sweep buckets (telemetry)
         self.sweeps = 0
         #: entries skipped as stale (telemetry)
@@ -431,8 +437,8 @@ class SweepWheel:
         ``bucket * granularity - now`` would re-derive the bucket from
         ``now + (due - now)``, which can round past the edge and land one
         bucket late."""
-        gen = self._gen.get(key, 0) + 1
-        self._gen[key] = gen
+        gen = self._gen.get(key, (0, None))[0] + 1
+        self._gen[key] = (gen, bucket)
         entries = self._buckets.get(bucket)
         if entries is None:
             self._buckets[bucket] = [(key, gen, fn)]
@@ -444,24 +450,25 @@ class SweepWheel:
     def cancel(self, key: Any) -> None:
         """Invalidate the key's live entry (O(1); idempotent).  The entry
         stays in its bucket and is discarded, not run, at fire time."""
-        if key in self._gen:
-            self._gen[key] += 1
+        live = self._gen.get(key)
+        if live is not None:
+            self._gen[key] = (live[0] + 1, None)
 
     def pending(self, key: Any) -> bool:
         """True when the key has a live (not cancelled/fired) entry."""
-        return self._gen.get(key, 0) > 0 and any(
-            e[0] == key and e[1] == self._gen[key]
-            for entries in self._buckets.values() for e in entries)
+        return self._gen.get(key, (0, None))[1] is not None
 
     def _fire(self, bucket: int) -> None:
         entries = self._buckets.pop(bucket, [])
         entries.sort(key=lambda e: e[0])  # address order within the sweep
+        self.swept = bucket
         self.sweeps += 1
         gen = self._gen
         for key, g, fn in entries:
-            if gen.get(key) != g:
+            if gen[key][0] != g:
                 self.skipped += 1
                 continue
+            gen[key] = (g, None)
             fn()
 
 

@@ -200,3 +200,153 @@ class TestRestartInPlace:
         assert peer in dead._pending, \
             "a stopped overlord's callback still ran on a new connection"
         assert node.shortcut_overlord is not dead
+
+
+def _overlord(node, cls):
+    return next(o for o in node.overlords if type(o) is cls)
+
+
+class TestDeadlineDriven:
+    """Leaf, near and far hold a timer only for an instant ``_due()``
+    names; events — not a poll — give them work."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_settled_ring_holds_one_overlord_timer_per_node(
+            self, sim, internet, batch):
+        from repro.brunet.overlords import (FarConnectionOverlord,
+                                            LeafConnectionOverlord,
+                                            NearConnectionOverlord)
+        nodes, _ = build_overlay(sim, internet, 8,
+                                 config=BrunetConfig(batch_timers=batch))
+        sim.run(until=sim.now + 120.0)
+        for node in nodes:
+            assert not _overlord(node, LeafConnectionOverlord).timer_pending
+            assert not _overlord(node, FarConnectionOverlord).timer_pending
+            assert not node.shortcut_overlord.timer_pending
+            near = _overlord(node, NearConnectionOverlord)
+            assert near.timer_pending
+            # ... due at its next re-announce, one grid step at most past it
+            slack = (near._armed_at - near._last_announce
+                     - near.REANNOUNCE_INTERVAL)
+            assert 0.0 <= slack + 1e-9 < node.config.overlord_interval + 1.0
+
+    def test_losing_a_far_peer_rearms_the_far_overlord(self, sim, internet):
+        from repro.brunet.overlords import FarConnectionOverlord
+        nodes, _ = build_overlay(sim, internet, 8)
+        sim.run(until=sim.now + 60.0)
+        node = nodes[3]
+        far = _overlord(node, FarConnectionOverlord)
+        assert not far.timer_pending
+        victim = node.table.by_type(ConnectionType.STRUCTURED_FAR)[0]
+        sent = far._m_ctms.value
+        node.table.remove(victim.peer_addr)
+        assert far.timer_pending
+        assert far._armed_at - sim.now <= node.config.overlord_interval
+        sim.run(until=far._armed_at)
+        assert far._m_ctms.value == sent + 1
+
+    def test_relabel_without_a_connection_event_wakes_near(self, sim,
+                                                          internet):
+        """Dropping the SHORTCUT label off a link that has other roles
+        fires no hook, but moves the table version the near overlord's
+        relabel pass keys on: it must run at the next grid instant."""
+        from repro.brunet.overlords import NearConnectionOverlord
+        nodes, _ = build_overlay(sim, internet, 8)
+        sim.run(until=sim.now + 60.0)
+        node = nodes[2]
+        near = _overlord(node, NearConnectionOverlord)
+        sim.run(until=near._armed_at)       # just re-announced: 30 s off
+        assert near._armed_at - sim.now > 2 * node.config.overlord_interval
+        conn = node.table.by_type(ConnectionType.STRUCTURED_FAR)[0]
+        conn.add_type(ConnectionType.SHORTCUT)
+        node.shortcut_overlord._release_shortcut(conn, "shortcut-idle")
+        assert near._relabeled_version != node.table.version
+        assert near._armed_at - sim.now <= node.config.overlord_interval
+        sim.run(until=near._armed_at)
+        assert near._relabeled_version == node.table.version
+
+    def test_re_announce_deadline_is_never_late(self):
+        """``tick`` tests ``now - last >= wait``; the deadline ``_due()``
+        states must not lie above any instant that passes that test —
+        also where ``last + wait`` does (small ``last``: the subtraction
+        rounds) — and may lie below one that fails it only by ulps."""
+        import random
+        from repro.brunet.overlords import NearConnectionOverlord
+        sim = Simulator(seed=9)
+        host = Site(Internet(sim), "solo").add_host("h")
+        node = BrunetNode(sim, host, random_address(sim.rng.stream("x")),
+                          BrunetConfig())
+        node.start([])
+        near = _overlord(node, NearConnectionOverlord)
+        from repro.brunet.connection import Connection
+        from repro.phys.endpoints import Endpoint
+        node.table.add(Connection(node.addr.offset(99), Endpoint("9.9.9.9", 1),
+                                  ConnectionType.STRUCTURED_NEAR, sim.now))
+        near.tick()                       # relabel pass: only the 30 s left
+        wait = near.REANNOUNCE_INTERVAL
+        rng = random.Random(11)
+        for _ in range(4000):
+            last = rng.choice((rng.uniform(0.0, 40.0),
+                               rng.uniform(0.0, 5000.0)))
+            near._last_announce = last
+            due = near._due()
+            step = rng.choice((5.0, 0.5, 0.3, 1.0))
+            t = last
+            for _ in range(int(wait / step) + 3):
+                t += step
+                if t - last >= wait:
+                    assert t >= due
+                elif t >= due:
+                    assert wait - (t - last) < 1e-12
+
+
+class TestStrandedNode:
+    """Red-first: every seed died and ``bootstrap_uris`` is empty, so the
+    leaf overlord has nothing it could ever do — it must hold no timer,
+    and ``rebootstrap`` must be what gets it going again."""
+
+    def _stranded(self, sim, internet):
+        from repro.brunet.overlords import LeafConnectionOverlord
+        nodes, bootstrap = build_overlay(sim, internet, 3)
+        host = Site(internet, "extra").add_host("x")
+        node = BrunetNode(sim, host, random_address(sim.rng.stream("x")),
+                          BrunetConfig(), name="x")
+        node.start([])
+        sim.run(until=sim.now + 20.0)
+        assert node.leaf_connection() is None and not node.in_ring
+        return node, _overlord(node, LeafConnectionOverlord), bootstrap
+
+    def test_no_leaf_timer_and_rebootstrap_links_in_one_handshake(
+            self, sim, internet):
+        node, leaf, bootstrap = self._stranded(sim, internet)
+        assert leaf._timer is None and not leaf.timer_pending
+        assert node.rebootstrap(list(bootstrap)) == len(bootstrap)
+        # well inside one grid interval: the kick did not wait for it
+        sim.run(until=sim.now + 1.0)
+        assert node.leaf_connection() is not None
+        sim.run(until=sim.now + 30.0)
+        assert node.in_ring
+        assert not leaf.timer_pending
+
+    def test_rebootstrap_after_stop_schedules_nothing(self, sim, internet):
+        node, leaf, bootstrap = self._stranded(sim, internet)
+        node.stop()
+        pending = sim.pending()
+        assert node.rebootstrap(list(bootstrap)) == len(bootstrap)
+        assert sim.pending() == pending
+        assert leaf._timer is None
+
+    def test_stop_right_after_rebootstrap_leaves_no_tick_queued(self):
+        """The kick used to be a bare ``schedule(0.0, tick)`` nobody held
+        a handle to: it outlived ``stop()`` and only ``_stopped`` kept it
+        from linking on behalf of a dead node."""
+        from repro.brunet.uri import Uri
+        sim = Simulator(seed=5)
+        host = Site(Internet(sim), "solo").add_host("h")
+        node = BrunetNode(sim, host, random_address(sim.rng.stream("x")),
+                          BrunetConfig())
+        node.start([])
+        sim.run(until=20.0)
+        node.rebootstrap([Uri.udp("150.9.9.9", 4000)])
+        node.stop()
+        assert not any("Overlord" in repr(ev.fn) for ev in sim.iter_pending())

@@ -5,8 +5,9 @@ decay and arms one from ``observe`` (or a SHORTCUT link landing under
 idle-drop).  The claim pinned here: every tick that has work still runs
 at the float instant, and on the state, a poller anchored at ``start()``
 would have run it.  The poller itself — the design this replaced — lives
-only in this file, as ``_PeriodicReference``: it runs the overlord's own
-``tick`` at *every* grid instant, for ever.
+only in the tests, as ``test_overlord_demand_equivalence``'s
+``_PeriodicReference`` mixin: it runs the overlord's own ``tick`` at
+*every* grid instant, for ever.
 
 One node is driven twice through the same seeded schedule (once per
 overlord class) under ``Simulator``; ``connect_to`` / ``drop_connection``
@@ -16,8 +17,8 @@ sequence, the overlord's state at every stop, and its final state.
 
 Arrival times are drawn from a continuous distribution, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
-may legitimately disagree on (DESIGN.md "Demand-driven shortcut
-scoring"), and it is not what this file tests.
+may legitimately disagree on (DESIGN.md §9.4), and it is not what this
+file tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.brunet.overlords import ShortcutConnectionOverlord
 from repro.phys import Internet, Site
 from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
-from repro.sim.engine import sweep_wheel
+from tests.brunet.test_overlord_demand_equivalence import periodic
 
 SHORTCUT_MAX = 2
 #: (batch_timers, sweep_granularity); 0.3 does not divide the 1 s tick,
@@ -44,27 +45,8 @@ SHORTCUT_MAX = 2
 TIMER_MODES = [(False, 1.0), (True, 1.0), (True, 0.3)]
 
 
-class _PeriodicReference(ShortcutConnectionOverlord):
-    """The polling design: one tick per grid instant from ``start()`` on,
-    whether or not there is anything to decay."""
-
-    def start(self) -> None:
-        self._poll()
-
-    def _arm(self) -> None:     # demand never arms the poller
-        pass
-
-    def _poll(self) -> None:
-        node = self.node
-        if self._stopped or not node.active:
-            return
-        self.tick()
-        cfg = node.config
-        if cfg.batch_timers:
-            sweep_wheel(node.sim, cfg.sweep_granularity).schedule(
-                self._sweep_key, cfg.shortcut_tick, self._poll)
-        else:
-            self._timer = node.sim.schedule(cfg.shortcut_tick, self._poll)
+#: the polling design, from the harness all four overlords share
+_PeriodicReference = periodic(ShortcutConnectionOverlord)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ import pytest
 from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.linking import LinkAttempt
-from repro.brunet.overlords import FarConnectionOverlord
+from repro.brunet.overlords import (
+    FarConnectionOverlord,
+    LeafConnectionOverlord,
+    NearConnectionOverlord,
+)
 from repro.brunet.routing import next_hop, ring_distance
 from repro.check import AuditConfig, Auditor, invariants
 from repro.obs.spans import SpanCollector
@@ -280,12 +284,67 @@ def test_leak_flags_unarmed_shortcut_overlord(sim, overlay):
     node.shortcut_overlord.scores[ghost] = 3.0
     healthy.inspect_traffic(ghost, 3)        # the real path arms itself
     keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
-    assert f"leak.shortcut-unarmed:{node.name}" in keys
-    assert f"leak.shortcut-unarmed:{healthy.name}" not in keys
+    rule = "leak.overlord-unarmed:%s:ShortcutConnectionOverlord"
+    assert rule % node.name in keys
+    assert rule % healthy.name not in keys
     # a cancelled timer is as bad as none
     healthy.shortcut_overlord._timer.cancel()
     keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
-    assert f"leak.shortcut-unarmed:{healthy.name}" in keys
+    assert rule % healthy.name in keys
+
+
+def _unarmed(overlay, now) -> set[str]:
+    return {v.key for v in invariants.check_leaks(overlay, now)
+            if v.kind == "leak.overlord-unarmed"}
+
+
+def test_leak_flags_unarmed_leaf_overlord(sim, overlay):
+    """The leaf link vanishes behind the hooks' back: the overlord is due
+    for a new attempt and nothing will ever run it."""
+    node = next(n for n in _ordered(overlay)
+                if n.bootstrap_uris and n.leaf_connection())
+    leaf = next(o for o in node.overlords
+                if isinstance(o, LeafConnectionOverlord))
+    assert _unarmed(overlay, sim.now) == set()
+    for conn in node.table.by_type(ConnectionType.LEAF):
+        node.table._conns.pop(conn.peer_addr)
+    node.table.bump_version()
+    assert leaf._due() is not None and not leaf.timer_pending
+    assert (f"leak.overlord-unarmed:{node.name}:LeafConnectionOverlord"
+            in _unarmed(overlay, sim.now))
+
+
+def test_leak_flags_unarmed_near_overlord(sim, overlay):
+    """A settled node's one timer is the near overlord's re-announce:
+    cancelled, the ring would never be re-stabilised from this node."""
+    node = _ordered(overlay)[0]
+    near = next(o for o in node.overlords
+                if isinstance(o, NearConnectionOverlord))
+    assert near.timer_pending
+    near._timer.cancel()
+    assert _unarmed(overlay, sim.now) == {
+        f"leak.overlord-unarmed:{node.name}:NearConnectionOverlord"}
+
+
+def test_leak_flags_unarmed_far_overlord(sim, overlay):
+    """A CTM in flight that nothing is armed to expire is what used to
+    become ``leak.far-pending`` two intervals later; a far link lost
+    behind the hooks' back is a deficit nobody will top up."""
+    def far_of(n):
+        return next(o for o in n.overlords
+                    if isinstance(o, FarConnectionOverlord))
+
+    node, other = [n for n in _ordered(overlay)
+                   if far_of(n)._due() is None][:2]
+    far = far_of(node)
+    assert not far.timer_pending and not far_of(other).timer_pending
+    far._pending.append(sim.now + 30.0)
+    for conn in other.table.by_type(ConnectionType.STRUCTURED_FAR):
+        other.table._conns.pop(conn.peer_addr)
+    other.table.bump_version()
+    assert _unarmed(overlay, sim.now) >= {
+        f"leak.overlord-unarmed:{name}:FarConnectionOverlord"
+        for name in (node.name, other.name)}
 
 
 def test_failed_shortcut_slot_is_pruned_with_no_traffic_behind_it(
@@ -317,7 +376,8 @@ def test_failed_shortcut_slot_is_pruned_with_no_traffic_behind_it(
     keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
     assert (f"leak.shortcut-pending-expired:{node.name}:{ghost.hex()}"
             in keys)
-    assert f"leak.shortcut-unarmed:{node.name}" in keys
+    assert (f"leak.overlord-unarmed:{node.name}:ShortcutConnectionOverlord"
+            in keys)
 
 
 def test_leak_flags_linker_state_after_stop(sim, overlay):

@@ -103,6 +103,55 @@ def test_schedule_bucket_registers_by_index_not_by_delay(sim):
         wheel.schedule_bucket("abs", 1, lambda: None)     # in the past
 
 
+def test_pending_tracks_the_live_entry_through_its_whole_life(sim):
+    wheel = SweepWheel(sim, granularity=1.0)
+    assert not wheel.pending("k")
+    again = []
+
+    def fire():
+        # its own entry is spent by the time it runs ...
+        again.append(wheel.pending("k"))
+        if len(again) == 1:
+            wheel.schedule("k", 0.0, fire)    # ... same instant, new bucket
+            again.append(wheel.pending("k"))
+
+    wheel.schedule("k", 2.0, fire)
+    assert wheel.pending("k")
+    wheel.cancel("k")
+    assert not wheel.pending("k")
+    wheel.schedule("k", 2.0, fire)
+    wheel.schedule("other", 2.0, lambda: None)
+    sim.run(until=1.5)
+    assert wheel.pending("k")
+    sim.run(until=5.0)
+    assert again == [False, True, False]
+    assert not wheel.pending("k") and not wheel.pending("other")
+
+
+def test_pending_is_constant_time_in_the_number_of_keys(sim):
+    """``pending`` used to scan every entry of every bucket, so an auditor
+    asking it once per overlord was quadratic in the overlay size.  With
+    10 000 live keys, 10 000 queries must cost about what they cost with
+    ten — not 1 000 times more."""
+    from time import perf_counter
+
+    def cost(keys: int) -> float:
+        wheel = SweepWheel(sim, granularity=1.0)
+        for k in range(keys):
+            wheel.schedule(k, 1.0 + (k % 97), lambda: None)
+        best = float("inf")
+        for _ in range(3):
+            t0 = perf_counter()
+            hits = sum(wheel.pending(k % keys) for k in range(10_000))
+            best = min(best, perf_counter() - t0)
+        assert hits == 10_000 and not wheel.pending(-1)
+        return best
+
+    small, large = cost(10), cost(10_000)
+    assert large < 20 * small + 0.01, (small, large)
+    assert large < 0.25        # the scan took 1.6 s here
+
+
 def test_rejects_negative_delay_and_bad_granularity(sim):
     with pytest.raises(SimulationError):
         SweepWheel(sim, granularity=0.0)

@@ -113,3 +113,49 @@ def test_datagram_after_close_dropped_silently():
     asyncio.run(scenario())
     assert received == []
     assert unhandled == [], f"teardown noise: {unhandled}"
+
+
+def test_idle_live_overlay_fires_no_overlord_timer():
+    """Two linked, idle nodes on real sockets and the wall clock: over 20
+    grid intervals the loop wakes for keep-alive sweeps only (the pollers
+    woke it 3 × 20 times per node on top) — leaf and far hold no handle,
+    near holds one, for its re-announce half a minute out."""
+    config = BrunetConfig(far_count=0, link_resend_interval=0.2,
+                          overlord_interval=0.1, ping_interval=1.0,
+                          liveness_timeout=4.0, wire_mode="codec")
+    window = 20 * config.overlord_interval
+
+    async def scenario():
+        kernel = RealtimeKernel(seed=1)
+        transports = [await UdpTransport.create(kernel, "127.0.0.1", 0,
+                                                name=f"n{i}")
+                      for i in range(2)]
+        nodes = [BrunetNode(kernel, None, addr_for_ip(f"10.200.1.{i + 2}"),
+                            config, transport=t, name=t.name)
+                 for i, t in enumerate(transports)]
+        try:
+            nodes[0].start([])
+            nodes[1].start([transports[0].local_uri])
+            for _ in range(100):
+                if all(n.in_ring for n in nodes):
+                    break
+                await asyncio.sleep(0.05)
+            assert all(n.in_ring for n in nodes)
+            await asyncio.sleep(0.5)    # join-time ticks run out
+            before = kernel.events_processed
+            await asyncio.sleep(window)
+            fired = kernel.events_processed - before
+            for node in nodes:
+                leaf, near, far, shortcut = node.overlords
+                assert not leaf.timer_pending and leaf._timer is None
+                assert not far.timer_pending and not shortcut.timer_pending
+                assert near._timer.pending
+                assert near._armed_at - kernel.now > window
+            return fired
+        finally:
+            for node in nodes:
+                node.stop()
+
+    fired = asyncio.run(scenario())
+    keepalives = 2 * (window / (config.ping_interval / 2) + 1)
+    assert fired <= keepalives, (fired, keepalives)
