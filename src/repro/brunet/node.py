@@ -533,7 +533,12 @@ class BrunetNode:
             except wire.DecodeError:
                 self._m_decode_err.inc()
                 return
-        if isinstance(payload, RoutedPacket):
+        kind = type(payload)        # keep-alives first: most datagrams
+        if kind is PingRequest:
+            self._handle_ping_request(payload, src)
+        elif kind is PingReply:
+            self._handle_ping_reply(payload, src)
+        elif isinstance(payload, RoutedPacket):
             if payload.via:
                 conn = self.table.get(payload.via[-1])
                 if conn is not None:
@@ -546,10 +551,6 @@ class BrunetNode:
             self.linker.handle_reply(payload, src)
         elif isinstance(payload, LinkError):
             self.linker.handle_error(payload, src)
-        elif isinstance(payload, PingRequest):
-            self._handle_ping_request(payload, src)
-        elif isinstance(payload, PingReply):
-            self._handle_ping_reply(payload, src)
         elif isinstance(payload, CloseMessage):
             self.table.remove(payload.sender_addr)
         else:

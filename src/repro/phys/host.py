@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class UdpSocket:
     """A bound UDP port on a host.
 
-    ``handler(payload, src_endpoint, size)`` is invoked on delivery.  A
+    ``Internet._deliver`` calls ``handler(payload, src_endpoint, size)``.  A
     transport that needs the full :class:`Datagram` (e.g. to recover the
     post-transit trace context around an encoded payload) may set
     :attr:`dgram_handler`, which then takes precedence.
@@ -46,11 +46,16 @@ class UdpSocket:
         self.closed = False
         self.sent = 0
         self.received = 0
+        self._endpoint = Endpoint(host.ip, port)
 
     @property
     def endpoint(self) -> Endpoint:
-        """The socket's (ip, port)."""
-        return Endpoint(self.host.ip, self.port)
+        """The socket's (ip, port); rebuilt when ``host.ip`` is
+        reassigned (a guest re-homed behind a NAT)."""
+        ep = self._endpoint
+        if ep.ip != self.host.ip:
+            ep = self._endpoint = Endpoint(self.host.ip, self.port)
+        return ep
 
     def send(self, dst: Endpoint, payload: Any, size: int = 0,
              header: Optional[int] = None, trace: Any = None) -> None:
@@ -69,16 +74,6 @@ class UdpSocket:
         if trace is not None:
             dgram.trace = trace
         self.host.internet.send(self.host, dgram)
-
-    def deliver(self, dgram: Datagram) -> None:
-        """Hand an arriving datagram to the bound handler."""
-        if self.closed:
-            return
-        self.received += 1
-        if self.dgram_handler is not None:
-            self.dgram_handler(dgram)
-        else:
-            self.handler(dgram.payload, dgram.src, dgram.size)
 
     def close(self) -> None:
         """Unbind the port; further sends raise, deliveries are dropped."""
@@ -131,17 +126,6 @@ class Host:
         port = self._ephemeral
         self._ephemeral += 1
         return port
-
-    def deliver(self, dgram: Datagram) -> None:
-        """Called by the internet when a datagram reaches this host."""
-        if not self.up:
-            return
-        if self.allowed_ports is not None \
-                and dgram.dst.port not in self.allowed_ports:
-            return
-        sock = self.sockets.get(dgram.dst.port)
-        if sock is not None:
-            sock.deliver(dgram)
 
     # -- CPU ---------------------------------------------------------------
     def compute_time(self, ref_seconds: float) -> float:

@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LatencyModel:
-    """Computes per-datagram one-way delays and loss decisions."""
+    """Decides per datagram: lost, or delivered after a one-way delay
+    (:meth:`sample`); the other methods hold the site-pair configuration."""
 
     def __init__(self, rng: np.random.Generator,
                  default_wan_latency: float = ms(25.0),
@@ -33,45 +34,62 @@ class LatencyModel:
         self.default_wan_latency = default_wan_latency
         self.jitter_sigma = jitter_sigma
         self.default_loss = default_loss
-        self._pair_latency: dict[frozenset, float] = {}
-        self._pair_loss: dict[frozenset, float] = {}
+        # keyed by ordered name pair, both orders stored
+        self._pair_latency: dict[tuple[str, str], float] = {}
+        self._pair_loss: dict[tuple[str, str], float] = {}
 
     # -- configuration -------------------------------------------------
     def set_pair(self, site_a: str, site_b: str, one_way: float,
                  loss: float | None = None) -> None:
         """Configure the symmetric base latency (and loss) for a site pair."""
-        key = frozenset((site_a, site_b))
-        self._pair_latency[key] = one_way
-        if loss is not None:
-            self._pair_loss[key] = loss
+        for key in ((site_a, site_b), (site_b, site_a)):
+            self._pair_latency[key] = one_way
+            if loss is not None:
+                self._pair_loss[key] = loss
 
     def base_latency(self, site_a: str, site_b: str) -> float:
         """One-way base latency between two (distinct) sites."""
         if site_a == site_b:
             raise ValueError("intra-site latency comes from the Site object")
-        return self._pair_latency.get(frozenset((site_a, site_b)),
+        return self._pair_latency.get((site_a, site_b),
                                       self.default_wan_latency)
 
     def loss_probability(self, site_a: str, site_b: str) -> float:
         """Per-packet loss probability for the site pair (0 intra-site)."""
         if site_a == site_b:
             return 0.0
-        return self._pair_loss.get(frozenset((site_a, site_b)),
-                                   self.default_loss)
+        return self._pair_loss.get((site_a, site_b), self.default_loss)
 
     # -- sampling --------------------------------------------------------
-    def sample_delay(self, src: "Host", dst: "Host") -> float:
-        """One-way delay for a datagram from ``src`` to ``dst``."""
-        if src.site is dst.site:
-            base = src.site.lan_latency
-        else:
-            base = self.base_latency(src.site.name, dst.site.name)
-        jitter = float(self.rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
-        proc = src.processing_delay(self.rng) + dst.processing_delay(self.rng)
-        return base * jitter + proc
+    def sample(self, src: "Host", dst: "Host") -> float | None:
+        """One-way delay for a datagram from ``src`` to ``dst``, or None
+        when it is lost in transit.
 
-    def sample_loss(self, src: "Host", dst: "Host") -> bool:
-        """True when the datagram should be dropped in transit."""
-        p = self.loss_probability(src.site.name, dst.site.name)
-        p = min(1.0, p + src.extra_loss + dst.extra_loss)
-        return bool(self.rng.random() < p) if p > 0 else False
+        Draws, in order: a uniform for the loss decision (only when its
+        probability is positive), the lognormal jitter, one exponential
+        per endpoint with a ``proc_delay_mean`` (:meth:`Host.
+        processing_delay`'s draw).  Hosts share a LAN when they hold the
+        *same* ``Site`` object; other pairs are looked up by name.
+        """
+        rng = self.rng
+        site = src.site
+        if site is dst.site:
+            base, p = site.lan_latency, 0.0
+        else:
+            names = (site.name, dst.site.name)
+            if names[0] == names[1]:
+                raise ValueError(f"two Site objects named {names[0]!r}")
+            base = self._pair_latency.get(names, self.default_wan_latency)
+            p = self._pair_loss.get(names, self.default_loss)
+        p = p + src.extra_loss + dst.extra_loss
+        if p > 0 and rng.random() < p:
+            return None
+        delay = base * rng.lognormal(0.0, self.jitter_sigma)
+        proc = 0.0
+        if src.proc_delay_mean > 0.0:
+            proc = rng.exponential(
+                src.proc_delay_mean * (1.0 + max(0.0, src.load)))
+        if dst.proc_delay_mean > 0.0:
+            proc += rng.exponential(
+                dst.proc_delay_mean * (1.0 + max(0.0, dst.load)))
+        return delay + proc

@@ -177,10 +177,10 @@ class Internet:
             if rule.drops(src_host, host):
                 self._drop(dgram, f"fault:{rule.name}")
                 return
-        if self.latency.sample_loss(src_host, host):
+        delay = self.latency.sample(src_host, host)
+        if delay is None:
             self._drop(dgram, "loss")
             return
-        delay = self.latency.sample_delay(src_host, host)
         if dgram.trace is not None:
             dgram.span = self.sim.obs.spans.start(
                 "phys.tx", node=src_host.name, t=self.sim.now,
@@ -208,7 +208,17 @@ class Internet:
             self.sim.obs.spans.end(dgram.span, self.sim.now)
             # downstream hops at the receiving node parent at the transit
             dgram.trace.parent = dgram.span
-        host.deliver(dgram)
+        port = dgram.dst.port
+        if host.allowed_ports is not None and port not in host.allowed_ports:
+            return
+        sock = host.sockets.get(port)
+        if sock is None or sock.closed:
+            return
+        sock.received += 1
+        if sock.dgram_handler is not None:
+            sock.dgram_handler(dgram)
+        else:
+            sock.handler(dgram.payload, dgram.src, dgram.size)
 
     def _drop(self, dgram: Datagram, reason: str) -> None:
         self.drops[reason] += 1

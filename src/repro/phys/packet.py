@@ -5,7 +5,7 @@ internet.  ``payload`` is any Python object (protocol message) — or raw
 ``bytes`` when the sending transport runs the wire codec.  ``size`` is
 the on-wire size in bytes used for serialization-delay accounting.  NATs
 rewrite ``src``/``dst`` in place as the packet crosses them, and append to
-``path`` for debugging/tests.
+``path`` (allocated on the first hop) for debugging/tests.
 
 ``header`` selects the fixed framing charge added on top of ``size``.
 The reference (paper-constant) accounting uses :data:`HEADER_BYTES`,
@@ -17,7 +17,7 @@ length — charging :data:`HEADER_BYTES` on top would count it twice.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.phys.endpoints import Endpoint
 
@@ -43,7 +43,8 @@ class Datagram:
         self.proto = proto
         # original (pre-NAT) source, for trace assertions
         self.orig_src = src
-        self.path: list[str] = []
+        # a list once the first hop() is recorded
+        self.path: Sequence[str] = ()
         # causal-trace context lifted off the payload by Internet.send
         # when span tracing is on; ``span`` is the open phys.tx span id
         self.trace = None
@@ -51,7 +52,10 @@ class Datagram:
 
     def hop(self, label: str) -> None:
         """Record a traversal step (NAT, core, delivery)."""
-        self.path.append(label)
+        if self.path:
+            self.path.append(label)
+        else:
+            self.path = [label]
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = type(self.payload).__name__

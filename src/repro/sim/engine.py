@@ -79,10 +79,6 @@ class Event:
             if self._sim is not None:
                 self._sim._note_cancel(self)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
                  else "fired" if self.fired else "pending")
@@ -146,7 +142,7 @@ class Simulator:
         #: that coalesce work until the end of the current event)
         self.executing = False
         #: optional :class:`~repro.obs.prof.KernelProfiler` — when set,
-        #: :meth:`step` wall-times every stride-th handler into it
+        #: :meth:`run` wall-times every stride-th handler into it
         #: (read-only: attaching one never changes the event trajectory)
         self.profiler = None
         #: lazy-compaction sweeps performed so far (kernel-health signal)
@@ -173,16 +169,23 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(f"negative/NaN delay: {delay!r}")
-        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        return self._enqueue(self.now + delay, priority, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
                     priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        if time < self.now:
+        return self._enqueue(time, priority, fn, args)
+
+    def _enqueue(self, time: float, priority: int,
+                 fn: Callable[..., Any], args: tuple) -> Event:
+        # ``not >=`` also refuses NaN, which would sort ahead of every
+        # finite key and fire first with ``now`` set to NaN
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self.now}")
+                f"cannot schedule in the past or at NaN: "
+                f"{time!r} vs now {self.now}")
         ev = Event(time, priority, self._seq, fn, args)
         ev._sim = self
         self._seq += 1
@@ -214,27 +217,31 @@ class Simulator:
                 self._compact()
 
     def _compact(self) -> None:
-        """Drop tombstones and re-heapify.  Pop order is unchanged: the
-        heap's pop sequence depends only on the (totally ordered) element
-        set, not on its internal layout."""
-        self._queue = [e for e in self._queue if not e[3].cancelled]
+        """Drop tombstones and re-heapify (in place: the dispatch loop
+        holds the list).  Pop order is unchanged: the heap's pop sequence
+        depends only on the (totally ordered) element set, not on its
+        internal layout."""
+        self._queue[:] = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
         self._heap_dead = 0
         self.compactions += 1
 
-    def _head(self) -> Optional[Event]:
-        """The next live event (without popping), or None.
+    def _head(self) -> float:
+        """Bring the next live event to ``self._queue[0]`` and return its
+        time (``inf`` when nothing is queued).
 
         Strips cancelled heap heads and merges every wheel bucket that
-        could contain an event at or before the current heap head.
+        could contain an event at or before the current heap head.  The
+        dispatch loop only comes here when its one look at the head finds
+        one of those things to do.
         """
         queue = self._queue
         while True:
             while queue and queue[0][3].cancelled:
                 heapq.heappop(queue)
                 self._heap_dead -= 1
+            head_time = queue[0][0] if queue else math.inf
             if self._bucket_heap:
-                head_time = queue[0][0] if queue else math.inf
                 bucket = self._bucket_heap[0]
                 if bucket * self._gran <= head_time:
                     heapq.heappop(self._bucket_heap)
@@ -245,50 +252,16 @@ class Simulator:
                             heapq.heappush(
                                 queue, (ev.time, ev.priority, ev.seq, ev))
                     continue
-            return queue[0][3] if queue else None
+            return head_time
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.  Returns False when queue is empty."""
-        ev = self._head()
-        if ev is None:
-            return False
-        heapq.heappop(self._queue)
-        if ev.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("event queue corrupted: time went backwards")
-        self.now = ev.time
-        self.events_processed += 1
-        self._live -= 1
-        ev.fired = True
-        self.executing = True
-        prof = self.profiler
-        if prof is None:
-            try:
-                ev.fn(*ev.args)
-            finally:
-                self.executing = False
-        else:
-            # sampling stride: every stride-th event is wall-timed and
-            # attributed; the rest pay one decrement (KernelProfiler
-            # scales the samples back into totals)
-            tick = prof._stride_tick - 1
-            if tick:
-                prof._stride_tick = tick
-                try:
-                    ev.fn(*ev.args)
-                finally:
-                    self.executing = False
-            else:
-                prof._stride_tick = prof.stride
-                t0 = perf_counter()
-                try:
-                    ev.fn(*ev.args)
-                finally:
-                    self.executing = False
-                    prof.account(ev.fn, perf_counter() - t0, self)
-        return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -298,20 +271,52 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
+        queue, buckets, gran = self._queue, self._bucket_heap, self._gran
         fired = 0
         try:
             while not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                head = self._head()
-                if head is None:
-                    if until is not None:
-                        self.now = max(self.now, until)
-                    break
-                if until is not None and head.time > until:
+                # the one look at the head: a live entry no parked bucket
+                # could precede fires as it is
+                if (not queue or queue[0][3].cancelled
+                        or (buckets and buckets[0] * gran <= queue[0][0])):
+                    self._head()
+                    if not queue:
+                        if until is not None:
+                            self.now = max(self.now, until)
+                        break
+                time, _priority, _seq, ev = queue[0]
+                if until is not None and time > until:
                     self.now = until
                     break
-                self.step()
+                heapq.heappop(queue)
+                if time < self.now:  # pragma: no cover - defensive
+                    raise SimulationError(
+                        "event queue corrupted: time went backwards")
+                self.now = time
+                self.events_processed += 1
+                self._live -= 1
+                ev.fired = True
+                self.executing = True
+                # sampling stride: every stride-th event is wall-timed and
+                # attributed; the rest pay one decrement (KernelProfiler
+                # scales the samples back into totals)
+                t0 = None
+                prof = self.profiler
+                if prof is not None:
+                    tick = prof._stride_tick - 1
+                    if tick:
+                        prof._stride_tick = tick
+                    else:
+                        prof._stride_tick = prof.stride
+                        t0 = perf_counter()
+                try:
+                    ev.fn(*ev.args)
+                finally:
+                    self.executing = False
+                    if t0 is not None:
+                        prof.account(ev.fn, perf_counter() - t0, self)
                 fired += 1
         finally:
             self._running = False

@@ -32,6 +32,7 @@ that a future multi-process runner can pick up — not a GIL miracle.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -67,12 +68,11 @@ class ShardedKernel:
         base = Simulator(seed=seed, trace=trace,
                          trace_max_records=trace_max_records, metrics=metrics)
         self.shards: list[Simulator] = [base]
+        # one seed, one tracer, one metrics hub for the whole kernel
+        self.rng, self.tracer, self.obs = base.rng, base.tracer, base.obs
         for _ in range(shards - 1):
             s = Simulator(seed=seed, trace=False, metrics=False)
-            # one seed, one tracer, one metrics hub for the whole kernel
-            s.rng = base.rng
-            s.tracer = base.tracer
-            s.obs = base.obs
+            s.rng, s.tracer, s.obs = self.rng, self.tracer, self.obs
             self.shards.append(s)
         self.n_shards = shards
         self.lookahead = lookahead
@@ -116,9 +116,8 @@ class ShardedKernel:
         """
         if self.n_shards == 1:
             return
-        internet._schedule_delivery = (  # type: ignore[method-assign]
-            lambda delay, host, dgram:
-                self._route_delivery(internet, delay, host, dgram))
+        internet._schedule_delivery = partial(  # type: ignore[method-assign]
+            self._route_delivery, internet)
 
     def _route_delivery(self, internet: "Internet", delay: float,
                         host: "Host", dgram: "Datagram") -> None:
@@ -168,11 +167,8 @@ class ShardedKernel:
         try:
             while not self._stopped:
                 self._drain_mail()
-                head = math.inf
-                for s in self.shards:
-                    ev = s._head()
-                    if ev is not None and ev.time < head:
-                        head = ev.time
+                heads = [s._head() for s in self.shards]
+                head = min(heads)
                 if math.isinf(head) or (until is not None and head > until):
                     if until is not None and until > barrier:
                         barrier = until
@@ -186,7 +182,12 @@ class ShardedKernel:
                         nxt = head
                 if until is not None and nxt > until:
                     nxt = until  # a narrower window is strictly safe
-                for shard in self.shards:
+                for shard, first in zip(self.shards, heads):
+                    if first > nxt:
+                        # nothing due this window: where run(until=nxt)
+                        # would leave the clock, without entering it
+                        shard.now = nxt
+                        continue
                     self._active = shard
                     try:
                         shard.run(until=nxt)
@@ -229,20 +230,8 @@ class ShardedKernel:
         return (self._active or self.shards[0]).executing
 
     @property
-    def rng(self):
-        return self.shards[0].rng
-
-    @property
-    def tracer(self):
-        return self.shards[0].tracer
-
-    @property
-    def obs(self):
-        return self.shards[0].obs
-
-    @property
     def trace_on(self) -> bool:
-        return self.shards[0].tracer.enabled
+        return self.tracer.enabled
 
     def trace(self, category: str, **data: Any) -> None:
         self.tracer.record(self.now, category, data)

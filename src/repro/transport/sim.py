@@ -26,12 +26,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.phys.endpoints import Endpoint
+from repro.phys.packet import Datagram
 from repro.transport.base import ReceiveHandler, Transport
 from repro.wire import codec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phys.host import Host, UdpSocket
-    from repro.phys.packet import Datagram
     from repro.sim.engine import Simulator
 
 WIRE_MODES = ("reference", "codec")
@@ -91,7 +91,10 @@ class SimTransport(Transport):
         if sock is None or sock.closed:
             return
         if self.wire_mode == "reference":
-            sock.send(dst, msg, size=size_hint)
+            sock.sent += 1
+            host = self.host
+            host.internet.send(
+                host, Datagram(sock.endpoint, dst, msg, size=size_hint))
             return
         # codec: the datagram carries real bytes; causal context must ride
         # the datagram explicitly since the payload is now opaque

@@ -7,6 +7,7 @@ tests only read from them; tests that mutate topology build their own.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -65,6 +66,24 @@ def stub_socket(transport, ip: str, port: int) -> StubSocket:
     socket = transport._transport = StubSocket()
     transport._endpoint = Endpoint(ip, port)
     return socket
+
+
+def count_calls(fn, *args) -> int:
+    """Python-level ``call`` events while ``fn(*args)`` runs (C functions
+    are not counted).  Deterministic, so the call-budget tests pin it."""
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def build_overlay(sim, internet, n_nodes: int, config=None,

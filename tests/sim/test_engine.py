@@ -80,6 +80,23 @@ def test_nan_delay_rejected():
         sim.schedule(float("nan"), lambda: None)
 
 
+@pytest.mark.parametrize("timer_wheel", [True, False])
+def test_nan_time_rejected_by_schedule_at(timer_wheel):
+    """``schedule_at(nan)`` used to be queued: a NaN key compares false
+    against everything, so it sat wherever the heap put it — events at
+    1.0, NaN, 0.5 fired NaN, 0.5, 1.0 — and its handler ran with ``now``
+    set to NaN.  Both entry points now refuse it in ``_enqueue``."""
+    sim = Simulator(timer_wheel=timer_wheel)
+    order = []
+    sim.schedule_at(1.0, order.append, 1.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: order.append(sim.now))
+    sim.schedule_at(0.5, order.append, 0.5)
+    assert sim.pending() == 2
+    sim.run()
+    assert order == [0.5, 1.0] and sim.now == 1.0
+
+
 def test_events_scheduled_during_run_fire():
     sim = Simulator()
     hits = []

@@ -15,7 +15,6 @@ The object path makes 41 + 82 + 41 = 164 calls for the same echo.
 """
 
 import asyncio
-import sys
 
 from repro.brunet.config import BrunetConfig
 from repro.brunet.connection import Connection, ConnectionType
@@ -26,7 +25,7 @@ from repro.ipop.router import IpopRouter
 from repro.transport.runtime import RealtimeKernel
 from repro.transport.udp import UdpTransport
 
-from tests.conftest import stub_socket
+from tests.conftest import count_calls as _calls, stub_socket
 
 #: calls per leg as measured when the byte paths landed
 MEASURED = (28, 58, 30)
@@ -34,23 +33,6 @@ MEASURED = (28, 58, 30)
 BUDGET = sum(MEASURED) * 105 // 100
 
 IPS = ("10.128.0.2", "10.128.0.3")
-
-
-def _calls(fn, *args) -> int:
-    """Python-level ``call`` events while ``fn(*args)`` runs."""
-    count = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal count
-        if event == "call":
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return count
 
 
 def _linked_pair(loop):
