@@ -33,19 +33,12 @@ class BrunetConfig:
     # -- keep-alive (§IV-B "ping messages") ------------------------------
     ping_interval: float = 15.0
     ping_retries: int = 3
-    #: route periodic work (keep-alive sweeps, the leaf/near/far overlord
-    #: ticks, and the shortcut overlord's tick while it is armed) through
-    #: the kernel's shared :class:`~repro.sim.engine.SweepWheel` instead of
-    #: one independent timer per node/overlord.  Off by default — batching
-    #: quantizes timing to ``sweep_granularity`` and therefore changes
-    #: same-seed trajectories; the 10k-node scaling runs turn it on, where
-    #: n independent keep-alive timers would dominate the event kernel
-    #: (an idle node fires 0.17 periodic timers per second: keep-alive
-    #: / 7.5 s + re-announce / 30 s; DESIGN.md §16.2 has what batching
-    #: buys at that load).
+    #: accepted and ignored: it selected a batched timer path that no
+    #: longer exists (every timer is a kernel event, DESIGN.md §9.1).  It
+    #: stays only because the frozen benchmark harness passes
+    #: ``batch_timers=True``; the next benchmark revision drops that
+    #: argument and this field with it.
     batch_timers: bool = False
-    #: sweep-wheel bucket width (seconds) when ``batch_timers`` is on
-    sweep_granularity: float = 1.0
     #: a connection with this many consecutive unanswered pings is dropped
     ping_timeout: float = 4.0
     #: hard liveness backstop: drop a connection when *nothing* has been

@@ -43,7 +43,6 @@ from repro.brunet.messages import (
 from repro.brunet.routing import next_hop
 from repro.brunet.table import ConnectionTable
 from repro.brunet.uri import Uri, UriSet
-from repro.sim.engine import sweep_wheel
 from repro import wire
 from repro.wire import codec
 from repro.obs.spans import TraceRef
@@ -53,6 +52,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phys.host import Host
     from repro.sim.engine import Simulator
     from repro.transport.base import Transport
+
+
+def keepalive_phase(addr: BrunetAddress) -> float:
+    """Where in its ``ping_interval / 2`` period a node's keep-alive tick
+    falls, as a fraction in (0, 1]: the low 64 bits of its ring address.
+
+    Nodes started in one instant would otherwise tick in step, and both
+    ends of every link would find each other silent and ping in the same
+    instant.  Out of step, whichever end ticks first pings and the other
+    has just heard from it and stays quiet — the cure Floyd and Jacobson
+    give for periodic routing messages that synchronise.  The low bits,
+    not the high ones, so that ring neighbours, whose addresses share
+    their top bits, do not share a phase.  No RNG is drawn."""
+    return ((int(addr) & 0xFFFF_FFFF_FFFF_FFFF) + 1) / 2 ** 64
 
 
 class BrunetNode:
@@ -167,7 +180,9 @@ class BrunetNode:
         ]
         for o in self.overlords:
             o.start()
-        self._schedule_ping()
+        self._ping_timer = self.sim.schedule(
+            self.config.ping_interval / 2 * keepalive_phase(self.addr),
+            self._ping_tick)
         self.trace("node.start")
 
     def stop(self, notify: bool = False) -> None:
@@ -189,9 +204,6 @@ class BrunetNode:
         if self._ping_timer is not None:
             self._ping_timer.cancel()
             self._ping_timer = None
-        if self.config.batch_timers:
-            sweep_wheel(self.sim, self.config.sweep_granularity).cancel(
-                self._sweep_key)
         if notify and self.transport is not None:
             # active is already False, so bypass send_direct's gate — the
             # transport itself is still open until the close below
@@ -601,21 +613,6 @@ class BrunetNode:
     # ------------------------------------------------------------------
     # keep-alive (§IV-B)
     # ------------------------------------------------------------------
-    @property
-    def _sweep_key(self) -> tuple:
-        """Shared-wheel key: address first, so batched sweeps walk due
-        connections in ring-address order."""
-        return (int(self.addr), self.name, "ping")
-
-    def _schedule_ping(self) -> None:
-        cfg = self.config
-        delay = cfg.ping_interval / 2
-        if cfg.batch_timers:
-            sweep_wheel(self.sim, cfg.sweep_granularity).schedule(
-                self._sweep_key, delay, self._ping_tick)
-        else:
-            self._ping_timer = self.sim.schedule(delay, self._ping_tick)
-
     def _ping_tick(self) -> None:
         if not self.active:
             return
@@ -636,7 +633,8 @@ class BrunetNode:
                 req = PingRequest(self.next_token(), self.addr)
                 conn.unanswered_pings += 1
                 self.send_direct(conn.remote_endpoint, req, cfg.size_ping)
-        self._schedule_ping()
+        self._ping_timer = self.sim.schedule(cfg.ping_interval / 2,
+                                             self._ping_tick)
 
     def _handle_ping_request(self, msg: PingRequest, src: Endpoint) -> None:
         conn = self.table.get(msg.sender_addr)

@@ -28,7 +28,6 @@ from repro.brunet.address import (
     kleinberg_far_target,
 )
 from repro.brunet.connection import Connection, ConnectionType
-from repro.sim.engine import sweep_wheel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.brunet.node import BrunetNode
@@ -41,8 +40,7 @@ class Overlord:
     ``None`` when only an event can give it work and no timer is held.
 
     The grid is anchored at :meth:`start` and walked a step at a time
-    (``t + interval``; under ``batch_timers`` the sweep wheel's ceil to a
-    bucket edge) because no closed form reproduces the rounding of
+    (``t + interval``) because no closed form reproduces the rounding of
     chained additions: a tick lands on exactly the instant an unbroken
     periodic chain reaches, whatever armed it."""
 
@@ -57,9 +55,6 @@ class Overlord:
         self._grid = 0.0
         #: the grid instant the one timer is armed for (None: unarmed)
         self._armed_at: Optional[float] = None
-        #: the sweep wheel armed ticks sit on (``batch_timers`` only)
-        self._wheel = (sweep_wheel(node.sim, node.config.sweep_granularity)
-                       if node.config.batch_timers else None)
         #: (callback list, callback) pairs registered via :meth:`_hook`
         self._hooks: list[tuple[list, Callable]] = []
         # a connection landing or leaving can move any deadline earlier
@@ -70,12 +65,6 @@ class Overlord:
         """Anchor the tick grid at now; the first tick runs immediately."""
         self._grid = self.node.sim.now
         self.kick()
-
-    @property
-    def _sweep_key(self) -> tuple:
-        """Shared-wheel key, address first: sweeps walk the ring."""
-        return (int(self.node.addr), self.node.name,
-                f"overlord.{type(self).__name__}")
 
     def _hook(self, hooks: list, fn: Callable) -> None:
         """Register ``fn`` on one of the node's callback lists
@@ -90,8 +79,6 @@ class Overlord:
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
-        if self._wheel is not None:
-            self._wheel.cancel(self._sweep_key)
         for hooks, fn in self._hooks:
             hooks.remove(fn)
         self._hooks.clear()
@@ -99,8 +86,6 @@ class Overlord:
     @property
     def timer_pending(self) -> bool:
         """True when a tick really is scheduled (what ``_armed_at`` claims)."""
-        if self._wheel is not None:
-            return self._wheel.pending(self._sweep_key)
         return self._timer is not None and self._timer.pending
 
     def _wake(self, _conn: Optional[Connection] = None) -> None:
@@ -111,29 +96,22 @@ class Overlord:
         due = None if self._stopped or not node.active else self._due()
         if due is None:
             return
-        now, wheel = node.sim.now, self._wheel
+        now = node.sim.now
         step = getattr(node.config, self.INTERVAL)
         at = self._grid
         while True:
-            if wheel is not None:
-                bucket = wheel.bucket_at(at + step)
-                at = bucket * wheel.granularity
-            else:
-                at += step
-            if at < now or (wheel is not None and bucket <= wheel.swept):
+            at += step
+            if at < now:
                 self._grid = at     # its tick, had one been due, has run
             elif at >= due:
                 break
         if self._armed_at is not None and self._armed_at <= at:
             return
         self._armed_at = at
-        if wheel is not None:
-            wheel.schedule_bucket(self._sweep_key, bucket, self._fire)
-        else:
-            if self._timer is not None:
-                self._timer.cancel()
-            self._timer = node.sim.schedule_at(at, self._fire,
-                                               priority=self._order())
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = node.sim.schedule_at(at, self._fire,
+                                           priority=self._order())
 
     def _order(self, deferred: bool = False) -> int:
         """Kernel priority, a periodic chain's order: after the instant's

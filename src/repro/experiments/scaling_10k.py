@@ -10,14 +10,18 @@ the interesting cost.  Methodology:
 * **Warm-started formation** — the structured ring (near neighbours plus k
   Kleinberg-sampled far links, resolved to their nearest live node) is
   constructed directly from the sorted address array, exactly the state
-  the join protocol converges to.  Every node then *starts for real*:
-  keep-alive sweeps, overlord maintenance and periodic re-announces run
-  the genuine protocol over the constructed state for ``settle`` seconds,
-  so a mis-wired ring would be repaired — or flagged by the audit.
+  the join protocol converges to.  Every node then *starts for real*, all
+  in the same instant: keep-alives, overlord maintenance and periodic
+  re-announces run the genuine protocol over the constructed state for
+  ``settle`` seconds, so a mis-wired ring would be repaired — or flagged
+  by the audit.  Each node's keep-alive ticks at a phase taken from its
+  address (:func:`~repro.brunet.node.keepalive_phase`), so the ring does
+  not ping in step although it started in step.
 * **Sharded kernel** — nodes are partitioned into contiguous address
-  regions on a :class:`~repro.sim.shards.ShardedKernel`; batched timers
-  (``BrunetConfig.batch_timers``) keep per-node keep-alives from
-  dominating the event queues.
+  regions on a :class:`~repro.sim.shards.ShardedKernel`, each region's
+  timers and deliveries on its own event queue, with the same timers as
+  any other run: one kernel event per keep-alive and per armed overlord
+  tick.
 * **Measurement** — mean greedy hop count over sampled pairs at each n,
   a least-squares fit of ``hops = c·log²n``, an optional churn slice
   (crash a fraction, time ring recovery), and a budgeted post-hoc
@@ -260,8 +264,8 @@ def measure_point(n: int, seed: int = 0, shards: int = 8,
     # aggregate metrics + O(sectors) ring rollup above the node-series
     # threshold; a 10k-node bundle must not carry 10k label series
     kernel.obs.scale_to(n, nodes_fn=lambda: [x for x in nodes if x.active])
-    config = BrunetConfig(batch_timers=True)
-    _internet, built = build_warm_overlay(kernel, n, config, k_far=k_far)
+    _internet, built = build_warm_overlay(kernel, n, BrunetConfig(),
+                                          k_far=k_far)
     nodes.extend(built)
     kernel.run(until=settle)
 

@@ -160,8 +160,6 @@ class Simulator:
         self._wheel_floor = 0               # buckets <= floor are heap-resident
         self._live = 0                      # non-cancelled events queued
         self._heap_dead = 0                 # tombstones inside self._queue
-        # -- shared per-simulator services (see :meth:`shared`) ---------
-        self._shared: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     # scheduling
@@ -342,21 +340,6 @@ class Simulator:
         """Record a trace entry stamped with the current time."""
         self.tracer.record(self.now, category, data)
 
-    def shared(self, key: Any, factory: Callable[["Simulator"], Any]) -> Any:
-        """Per-simulator service registry: return the object registered
-        under ``key``, creating it via ``factory(self)`` on first use.
-
-        Subsystems that want exactly one instance *per kernel* (e.g. the
-        batched :class:`SweepWheel` shared by every node on a shard) go
-        through here instead of module globals, so a sharded simulation
-        gets one instance per shard and two simulators in one process
-        never share state."""
-        try:
-            return self._shared[key]
-        except KeyError:
-            obj = self._shared[key] = factory(self)
-            return obj
-
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
@@ -371,114 +354,3 @@ class Simulator:
             for ev in entries:
                 if not ev.cancelled:
                     yield ev
-
-
-class SweepWheel:
-    """Batched periodic work: many registrants share one kernel timer.
-
-    n nodes each rescheduling a keep-alive every ``ping_interval/2``
-    put 2n/ping_interval events per simulated second through the kernel
-    — at 10k nodes the heap traffic dominates the overlay itself.  The
-    sweep wheel quantizes registrations into buckets of ``granularity``
-    seconds and fires **one** kernel event per occupied bucket, walking
-    that bucket's due entries in key order.  Registrants key themselves
-    by ring address, so a sweep walks due connections in address order.
-
-    Cancellation is tombstone-free: every key carries a generation
-    counter; :meth:`cancel` (and re-registration) bump it, and an entry
-    whose captured generation is stale is simply skipped at fire time —
-    no bucket-list scan, no kernel-event cancellation.  The bucket the
-    live entry sits in is kept beside the generation (``None`` once it
-    fired or was cancelled), so :meth:`pending` is one dict lookup.
-
-    Quantization rounds *up* to the bucket edge, so work is never run
-    early — a registrant asking for ``delay`` seconds runs within
-    ``[delay, delay + granularity)``.  A registrant that tracks its own
-    due buckets (the demand-driven shortcut overlord) registers by bucket
-    index through :meth:`schedule_bucket` instead.  Batching therefore
-    perturbs timing by design; it is opt-in via
-    ``BrunetConfig.batch_timers`` (off by default, keeping default
-    trajectories byte-identical) and meant for the 10k-node scaling runs
-    where per-node timer precision is irrelevant.
-    """
-
-    def __init__(self, sim: Simulator, granularity: float = 1.0):
-        if granularity <= 0:
-            raise SimulationError("granularity must be positive")
-        self.sim = sim
-        self.granularity = granularity
-        #: bucket index -> [(key, generation, fn), ...] (unsorted until fire)
-        self._buckets: dict[int, list[tuple]] = {}
-        #: per key: (current generation — bumped on schedule/cancel —,
-        #: bucket holding the live entry or None)
-        self._gen: dict[Any, tuple[int, Optional[int]]] = {}
-        #: index of the last bucket to fire: a registrant walking its own
-        #: grid must not re-arm a bucket the sweep has reached
-        self.swept = -1
-        #: fired sweep buckets (telemetry)
-        self.sweeps = 0
-        #: entries skipped as stale (telemetry)
-        self.skipped = 0
-
-    def bucket_at(self, t: float) -> int:
-        """Index of the first bucket whose edge is at or after ``t``
-        (ceil: never early)."""
-        return -int(-t // self.granularity)
-
-    def schedule(self, key: Any, delay: float, fn: Callable[[], Any]) -> None:
-        """Run ``fn()`` at the first bucket edge at or after now+``delay``.
-        Any earlier registration under the same key is implicitly
-        cancelled (one live entry per key)."""
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(f"negative/NaN delay: {delay!r}")
-        self.schedule_bucket(key, self.bucket_at(self.sim.now + delay), fn)
-
-    def schedule_bucket(self, key: Any, bucket: int,
-                        fn: Callable[[], Any]) -> None:
-        """Run ``fn()`` when ``bucket`` fires (at ``bucket * granularity``).
-
-        Absolute registration, for a registrant that keeps its own grid
-        of due buckets: going through :meth:`schedule` with
-        ``bucket * granularity - now`` would re-derive the bucket from
-        ``now + (due - now)``, which can round past the edge and land one
-        bucket late."""
-        gen = self._gen.get(key, (0, None))[0] + 1
-        self._gen[key] = (gen, bucket)
-        entries = self._buckets.get(bucket)
-        if entries is None:
-            self._buckets[bucket] = [(key, gen, fn)]
-            self.sim.schedule_at(bucket * self.granularity, self._fire,
-                                 bucket)
-        else:
-            entries.append((key, gen, fn))
-
-    def cancel(self, key: Any) -> None:
-        """Invalidate the key's live entry (O(1); idempotent).  The entry
-        stays in its bucket and is discarded, not run, at fire time."""
-        live = self._gen.get(key)
-        if live is not None:
-            self._gen[key] = (live[0] + 1, None)
-
-    def pending(self, key: Any) -> bool:
-        """True when the key has a live (not cancelled/fired) entry."""
-        return self._gen.get(key, (0, None))[1] is not None
-
-    def _fire(self, bucket: int) -> None:
-        entries = self._buckets.pop(bucket, [])
-        entries.sort(key=lambda e: e[0])  # address order within the sweep
-        self.swept = bucket
-        self.sweeps += 1
-        gen = self._gen
-        for key, g, fn in entries:
-            if gen[key][0] != g:
-                self.skipped += 1
-                continue
-            gen[key] = (g, None)
-            fn()
-
-
-def sweep_wheel(sim: Simulator, granularity: float = 1.0) -> SweepWheel:
-    """The simulator's shared :class:`SweepWheel` (one per kernel/shard;
-    the first caller's ``granularity`` wins)."""
-    return sim.shared("sweep_wheel",
-                      lambda s: SweepWheel(s, granularity=granularity))

@@ -194,9 +194,13 @@ class ShardedKernel:
                     finally:
                         self._active = None
                     if self._stopped:
+                        # the round is unfinished: the stopped shard and
+                        # the ones not yet run keep their clocks, and the
+                        # barrier stays, so the next run() completes it
                         break
-                barrier = nxt
-                self.rounds += 1
+                else:
+                    barrier = nxt
+                    self.rounds += 1
         finally:
             self._running = False
             for s in self.shards:
@@ -263,11 +267,6 @@ class ShardedKernel:
                     priority: int = 0) -> Event:
         return (self._active or self.shards[0]).schedule_at(
             time, fn, *args, priority=priority)
-
-    def shared(self, key: Any, factory: Callable[[Simulator], Any]) -> Any:
-        """Per-*shard* service registry: a node asking for the shared
-        sweep wheel gets its own shard's instance."""
-        return (self._active or self.shards[0]).shared(key, factory)
 
 
 __all__ = ["ShardedKernel"]

@@ -123,10 +123,12 @@ class TestDiscovery:
     def test_ranked_discovery(self):
         sim, tb = make_mini_testbed(seed=89)
         tb.deployment.enable_dht()
-        for i in (3, 17, 30):
-            ResourcePublisher(tb.vm(i))
+        publishers = [ResourcePublisher(tb.vm(i)) for i in (3, 17, 30)]
         finder = ResourceDiscovery(tb.vm(2))
-        sim.run(until=sim.now + 20)
+        # a put is one routed datagram with no retry, and a hop can lose
+        # it (seed 89 loses node017's first one): wait for the republish
+        # that soft state relies on
+        sim.run(until=sim.now + publishers[0].period + 5)
         out = {}
 
         def proc():

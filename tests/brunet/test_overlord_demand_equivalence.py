@@ -11,11 +11,11 @@ builds its reference from the same mixin.
 
 One node is driven twice through the same seeded schedule (once with all
 four overlords as shipped, once with all four polling) under
-``Simulator``.  The world around it is scripted — leaf link attempts,
-announces and far CTMs are recorded and answered (or not) by the
-schedule — so nothing but the overlords decides what happens.  Compared:
-the ``(float time, action)`` sequence, the overlords' state at every
-stop, and their final state.
+``Simulator``, on each of its queue layouts (``KERNELS``).  The world
+around it is scripted — leaf link attempts, announces and far CTMs are
+recorded and answered (or not) by the schedule — so nothing but the
+overlords decides what happens.  Compared: the ``(float time, action)``
+sequence, the overlords' state at every stop, and their final state.
 
 Scripted times are drawn from continuous distributions, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
@@ -46,15 +46,16 @@ from repro.brunet.uri import Uri
 from repro.phys import Internet, Site
 from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
-from repro.sim.engine import sweep_wheel
 
 LEAF, NEAR, FAR = (ConnectionType.LEAF, ConnectionType.STRUCTURED_NEAR,
                    ConnectionType.STRUCTURED_FAR)
 OVERLORDS = (LeafConnectionOverlord, NearConnectionOverlord,
              FarConnectionOverlord, ShortcutConnectionOverlord)
-#: (batch_timers, sweep_granularity); 0.3 does not divide the 5 s grid,
-#: so due buckets only survive if they are registered by index
-TIMER_MODES = [(False, 1.0), (True, 1.0), (True, 0.3)]
+#: the kernel's queue layouts, ``(timer_wheel, wheel_granularity)``: the
+#: plain heap, and the calendar wheel with 1 s buckets and with 0.3 s
+#: ones, which do not divide the 5 s grid, so armed ticks are merged out
+#: of buckets that straddle grid instants
+KERNELS = [(False, 1.0), (True, 1.0), (True, 0.3)]
 ME = BrunetAddress(1 << 159)
 _REAL_TICK = {cls: cls.tick for cls in OVERLORDS}
 
@@ -77,13 +78,8 @@ class _PeriodicReference:
         if self._stopped or not node.active:
             return
         self.tick()
-        cfg = node.config
-        interval = getattr(cfg, self.INTERVAL)
-        if cfg.batch_timers:
-            sweep_wheel(node.sim, cfg.sweep_granularity).schedule(
-                self._sweep_key, interval, self._poll)
-        else:
-            self._timer = node.sim.schedule(interval, self._poll)
+        self._timer = node.sim.schedule(getattr(node.config, self.INTERVAL),
+                                        self._poll)
 
 
 def periodic(cls: type[Overlord]) -> type[Overlord]:
@@ -123,8 +119,7 @@ class Schedule:
     far_count: int = 3
     #: (time, op, args); ops: join, die, stop, start, rebootstrap.
     #: A time given as ``("grid", k)`` is the k-th grid instant after t0,
-    #: as a kernel event queued at set-up; ``("sweep", k)`` is the same
-    #: instant from inside the sweep-wheel bucket (plain under heap timers)
+    #: as a kernel event queued at set-up
     ops: list[tuple] = field(default_factory=list)
 
     def seed_alive(self, uri: Uri, now: float) -> bool:
@@ -158,9 +153,8 @@ def structured_schedule(seed: int) -> Schedule:
     # another dies *on* a grid instant, by an event queued long before:
     # it runs ahead of the poller's tick there, which tops up at once
     s.ops.append((("grid", 62), "die", "far"))
-    # ... and one dies in a keep-alive sweep that shares a bucket with the
-    # far tick: batched, the tick sorts ahead of it and has already run
-    s.ops.append((("sweep", 70), "die", "far"))
+    # ... and another, eight grid instants later
+    s.ops.append((("grid", 70), "die", "far"))
     # the leaf seed dies after its window closed: the overlord walks the
     # (dead) rotation until rebootstrap hands it a live URI
     s.ops.append((j(420.0, 440.0), "die", "leaf"))
@@ -228,18 +222,18 @@ def _state(node: BrunetNode) -> tuple:
                    for c in node.table.all()))
 
 
-def play(schedule: Schedule, reference: bool, monkeypatch, *, batch: bool,
-         granularity: float):
+def play(schedule: Schedule, reference: bool, monkeypatch, *,
+         wheel: bool = True, granularity: float = 1.0):
     """Drive one node through ``schedule``; returns (log, final state,
     ticks run per overlord class)."""
     for cls in OVERLORDS:
         monkeypatch.setattr(overlords, cls.__name__,
                             periodic(cls) if reference else cls)
-    sim = Simulator(seed=7, trace=False)
+    sim = Simulator(seed=7, trace=False, timer_wheel=wheel,
+                    wheel_granularity=granularity)
     host = Site(Internet(sim), "pub").add_host("h")
     # keep-alives off: this node's peers are table entries, not nodes
-    config = BrunetConfig(far_count=schedule.far_count, batch_timers=batch,
-                          sweep_granularity=granularity,
+    config = BrunetConfig(far_count=schedule.far_count,
                           ping_interval=1e9, liveness_timeout=0.0)
     node = BrunetNode(sim, host, ME, config, name="n")
     log: list[tuple] = []
@@ -352,40 +346,28 @@ def play(schedule: Schedule, reference: bool, monkeypatch, *, batch: bool,
     def rebootstrap(uris) -> None:
         log.append((sim.now, "rebootstrap", node.rebootstrap(uris)))
 
-    wheel = sweep_wheel(sim, granularity)
-
-    def grid(k: int) -> tuple[float, int]:
-        """The k-th instant of the tick grid anchored at t0 (and its
-        bucket), walked the way the timer mode walks it."""
-        t, bucket = schedule.t0, 0
+    def grid(k: int) -> float:
+        """The k-th instant of the tick grid anchored at t0, walked the
+        way the chain walks it."""
+        t = schedule.t0
         for _ in range(k):
             t += config.overlord_interval
-            if batch:
-                bucket = wheel.bucket_at(t)
-                t = bucket * wheel.granularity
-        return t, bucket
+        return t
 
     sim.schedule_at(schedule.t0, node.start, schedule.seeds)
     for t, op, *args in schedule.ops:
         fn = {"join": join, "die": die, "stop": stop, "start": start,
               "rebootstrap": rebootstrap}[op]
-        if isinstance(t, tuple):
-            kind, (t, bucket) = t[0], grid(t[1])
-            if kind == "sweep" and batch:
-                # where the node's own keep-alive sweep sits in the bucket
-                wheel.schedule_bucket((int(ME), "n", "ping.op"), bucket,
-                                      lambda fn=fn, args=args: fn(*args))
-                continue
-        sim.schedule_at(t, fn, *args)
+        sim.schedule_at(grid(t[1]) if isinstance(t, tuple) else t, fn, *args)
     sim.run(until=schedule.end)
     assert all(type(o).__name__.startswith("Periodic") == reference
                for o in node.overlords)
     return log, _state(node), ticks
 
 
-def both(schedule: Schedule, monkeypatch, **mode):
-    lazy = play(schedule, False, monkeypatch, **mode)
-    reference = play(schedule, True, monkeypatch, **mode)
+def both(schedule: Schedule, monkeypatch, **kernel):
+    lazy = play(schedule, False, monkeypatch, **kernel)
+    reference = play(schedule, True, monkeypatch, **kernel)
     return lazy, reference
 
 
@@ -397,13 +379,13 @@ def _actions(log: list[tuple]) -> list[str]:
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("batch,granularity", TIMER_MODES)
+@pytest.mark.parametrize("wheel,granularity", KERNELS)
 @pytest.mark.parametrize("seed", range(4))
-def test_structured_schedule_matches_pollers(monkeypatch, seed, batch,
+def test_structured_schedule_matches_pollers(monkeypatch, seed, wheel,
                                              granularity):
     schedule = structured_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, batch=batch, granularity=granularity)
+        schedule, monkeypatch, wheel=wheel, granularity=granularity)
     assert log == ref_log
     assert state == ref_state
     # the schedule really exercised what it was written for ...
@@ -424,13 +406,13 @@ def test_structured_schedule_matches_pollers(monkeypatch, seed, batch,
         "NearConnectionOverlord"]
 
 
-@pytest.mark.parametrize("batch,granularity", TIMER_MODES)
+@pytest.mark.parametrize("wheel,granularity", KERNELS)
 @pytest.mark.parametrize("seed", range(8))
-def test_random_schedule_matches_pollers(monkeypatch, seed, batch,
+def test_random_schedule_matches_pollers(monkeypatch, seed, wheel,
                                          granularity):
     schedule = soup_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, batch=batch, granularity=granularity)
+        schedule, monkeypatch, wheel=wheel, granularity=granularity)
     assert log == ref_log
     assert state == ref_state
     assert {"link", "announce"} <= set(_actions(ref_log))
@@ -446,7 +428,7 @@ def test_unanswered_far_ctms_expire_on_the_grid(monkeypatch):
         link_delay=0.3, fail_delay=5.0, ring_open=[(0.0, 1e9)],
         ring_delay=0.2, far_answers=[None] * 100)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, batch=False, granularity=1.0)
+        schedule, monkeypatch)
     assert log == ref_log and state == ref_state
     batches = sorted({t for t, action, *_ in log if action == "far"})
     ttl = FarConnectionOverlord.PENDING_TTL

@@ -10,10 +10,11 @@ only in the tests, as ``test_overlord_demand_equivalence``'s
 *every* grid instant, for ever.
 
 One node is driven twice through the same seeded schedule (once per
-overlord class) under ``Simulator``; ``connect_to`` / ``drop_connection``
-are recorded and link outcomes are scripted, so nothing but the overlord
-decides what happens.  Compared: the ``(float time, dest, action)``
-sequence, the overlord's state at every stop, and its final state.
+overlord class) under ``Simulator``, on each of its queue layouts;
+``connect_to`` / ``drop_connection`` are recorded and link outcomes are
+scripted, so nothing but the overlord decides what happens.  Compared:
+the ``(float time, dest, action)`` sequence, the overlord's state at
+every stop, and its final state.
 
 Arrival times are drawn from a continuous distribution, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
@@ -37,12 +38,9 @@ from repro.brunet.overlords import ShortcutConnectionOverlord
 from repro.phys import Internet, Site
 from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
-from tests.brunet.test_overlord_demand_equivalence import periodic
+from tests.brunet.test_overlord_demand_equivalence import KERNELS, periodic
 
 SHORTCUT_MAX = 2
-#: (batch_timers, sweep_granularity); 0.3 does not divide the 1 s tick,
-#: so due buckets only survive if they are registered by index
-TIMER_MODES = [(False, 1.0), (True, 1.0), (True, 0.3)]
 
 
 #: the polling design, from the harness all four overlords share
@@ -140,18 +138,18 @@ def _state(overlord: ShortcutConnectionOverlord) -> tuple:
             dict(overlord._pending), dict(overlord._last_nonzero))
 
 
-def play(schedule: Schedule, overlord_cls, monkeypatch, *, batch: bool,
-         granularity: float, idle_drop: float):
+def play(schedule: Schedule, overlord_cls, monkeypatch, *,
+         idle_drop: float, wheel: bool = True, granularity: float = 1.0):
     """Drive one node through ``schedule``; returns (log, final state,
     ticks run)."""
     monkeypatch.setattr(overlords, "ShortcutConnectionOverlord",
                         overlord_cls)
-    sim = Simulator(seed=7, trace=False)
+    sim = Simulator(seed=7, trace=False, timer_wheel=wheel,
+                    wheel_granularity=granularity)
     host = Site(Internet(sim), "pub").add_host("h")
     # keep-alives off: this node's peers are table entries, not nodes
     config = BrunetConfig(shortcut_max=SHORTCUT_MAX,
-                          shortcut_idle_drop=idle_drop, batch_timers=batch,
-                          sweep_granularity=granularity,
+                          shortcut_idle_drop=idle_drop,
                           ping_interval=1e9, liveness_timeout=0.0)
     node = BrunetNode(sim, host, BrunetAddress(1 << 159), config, name="n")
     endpoints = {dest: Endpoint(f"150.9.9.{i + 2}", 14001)
@@ -217,15 +215,15 @@ def _actions(log: list[tuple]) -> set[str]:
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("batch,granularity", TIMER_MODES)
+@pytest.mark.parametrize("wheel,granularity", KERNELS)
 @pytest.mark.parametrize("idle_drop", [0.0, 45.0])
 @pytest.mark.parametrize("seed", range(4))
 def test_structured_schedule_matches_poller(monkeypatch, seed, idle_drop,
-                                            batch, granularity):
+                                            wheel, granularity):
     schedule = structured_schedule(seed)
-    mode = dict(batch=batch, granularity=granularity, idle_drop=idle_drop)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, **mode)
+        schedule, monkeypatch, idle_drop=idle_drop, wheel=wheel,
+        granularity=granularity)
     assert log == ref_log
     assert state == ref_state
     # the schedule really exercised what it was written for ...
@@ -238,19 +236,19 @@ def test_structured_schedule_matches_poller(monkeypatch, seed, idle_drop,
     assert schedule.dests[6] not in connects      # stayed under threshold
     # ... and the quiet stretches cost the demand-driven overlord nothing:
     # the poller ticks once a second all the way through
-    assert ref_ticks > 1400      # 1.2 s apart on the 0.3 s wheel
+    assert ref_ticks > 1400
     assert ticks < 0.6 * ref_ticks
 
 
-@pytest.mark.parametrize("batch,granularity", TIMER_MODES)
+@pytest.mark.parametrize("wheel,granularity", KERNELS)
 @pytest.mark.parametrize("idle_drop", [0.0, 45.0])
 @pytest.mark.parametrize("seed", range(6))
-def test_random_schedule_matches_poller(monkeypatch, seed, idle_drop, batch,
+def test_random_schedule_matches_poller(monkeypatch, seed, idle_drop, wheel,
                                         granularity):
     schedule = soup_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, batch=batch, granularity=granularity,
-        idle_drop=idle_drop)
+        schedule, monkeypatch, idle_drop=idle_drop, wheel=wheel,
+        granularity=granularity)
     assert log == ref_log
     assert state == ref_state
     assert "connect" in _actions(ref_log)
@@ -266,7 +264,7 @@ def test_pending_slot_of_a_failed_attempt_expires_on_the_grid(monkeypatch):
     schedule = Schedule(t0=0.4, end=500.0, dests=[dest], landing={})
     schedule.burst(rng, dest, 2.0, 12.0, 6.0)
     (log, state, ticks), (ref_log, ref_state, _) = both(
-        schedule, monkeypatch, batch=False, granularity=1.0, idle_drop=0.0)
+        schedule, monkeypatch, idle_drop=0.0)
     assert log == ref_log and state == ref_state
     assert [a for _, _, a in log] == ["connect"]
     assert state == ({}, {}, {}, {})

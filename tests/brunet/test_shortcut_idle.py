@@ -6,7 +6,7 @@ packets there are no scores to decay, so it must hold no timer — in the
 simulator (where its 1 Hz poll used to be 58 % of all periodic timer
 firings) and in a live daemon (which used to wake once a second for it).
 Leaf and far overlords are event-driven too: a settled node's periodic
-load is its keep-alive sweep and the near overlord's re-announce.
+load is its keep-alive tick and the near overlord's re-announce.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from __future__ import annotations
 import asyncio
 from collections import Counter
 
-import pytest
-
 from repro.brunet.address import BrunetAddress
 from repro.brunet.config import BrunetConfig
 from repro.brunet.node import BrunetNode
 from repro.ipop.mapping import addr_for_ip
 from repro.ipop.router import IpopRouter
-from repro.sim.engine import sweep_wheel
 from repro.transport.runtime import RealtimeKernel
 from repro.transport.udp import UdpTransport
 from tests.conftest import build_overlay
@@ -37,10 +34,10 @@ def _owner(fn) -> str:
     return f"{type(owner).__name__}.{name}" if owner is not None else name
 
 
-def _count_registrations(sim, wheel=None) -> Counter:
+def _count_registrations(sim) -> Counter:
     """Wrap the two funnels every timer goes through — the kernel's
-    ``schedule_at`` and, under ``batch_timers``, the sweep wheel's
-    ``schedule_bucket`` — and count registrations by handler."""
+    ``schedule`` and ``schedule_at`` — and count registrations by
+    handler."""
     seen: Counter = Counter()
 
     def counting(real):
@@ -49,25 +46,16 @@ def _count_registrations(sim, wheel=None) -> Counter:
             return real(when, fn, *args, **kwargs)
         return wrapper
 
+    sim.schedule = counting(sim.schedule)
     sim.schedule_at = counting(sim.schedule_at)
-    if wheel is not None:
-        real_bucket = wheel.schedule_bucket
-
-        def schedule_bucket(key, bucket, fn):
-            seen[_owner(fn)] += 1
-            real_bucket(key, bucket, fn)
-
-        wheel.schedule_bucket = schedule_bucket
     return seen
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_quiescent_overlay_schedules_no_shortcut_ticks(sim, internet, batch):
-    nodes, _ = build_overlay(sim, internet, NODES,
-                             config=BrunetConfig(batch_timers=batch))
+def test_quiescent_overlay_schedules_no_shortcut_ticks(sim, internet):
+    nodes, _ = build_overlay(sim, internet, NODES)
     assert all(n.in_ring for n in nodes)
     sim.run(until=sim.now + 60.0)   # the last joiner's far CTMs settle
-    seen = _count_registrations(sim, sweep_wheel(sim) if batch else None)
+    seen = _count_registrations(sim)
     sim.run(until=sim.now + WINDOW)
 
     idle = {k: v for k, v in seen.items()

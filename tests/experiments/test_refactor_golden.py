@@ -1,10 +1,11 @@
-"""Pre/post-refactor byte-identity (ISSUE 9 satellite).
+"""Pre/post-refactor byte-identity.
 
 The digests below were captured on main *before* the array-backed ring
-index, sweep-wheel timer layer and sharded kernel landed.  They pin the
-complete tracer record stream (plus result payloads) of a small churn
-run and a small fig4 run, so the refactor is machine-checked to be
-decision-identical: same seed, byte-identical trajectory.
+index, a batched timer layer (since deleted) and the sharded kernel
+landed.  They pin the complete tracer record stream (plus result
+payloads) of a small churn run and a small fig4 run, so the refactor is
+machine-checked to be decision-identical: same seed, byte-identical
+trajectory.
 
 Regenerate (only when an *intentional* trajectory change lands)::
 
@@ -13,26 +14,20 @@ Regenerate (only when an *intentional* trajectory change lands)::
 
 from tests.experiments._golden_fp import capture_churn, capture_fig4
 
-#: captured at 8e638bd (pre ISSUE-9 refactor)
-CHURN_FP = "4a3dbc42990e618dd912f53ab3c5b23ffc91ba7176a80ea8f5aa093f841915ca"
-#: regenerated once, deliberately, by ISSUE 23 on top of fda7b27 (was
-#: 75c4aaff…cabaee1eb since ISSUE 19, which regenerated it for the same
-#: kind of reason; bffcc6c2…fea87d32 before).  Deadline-driven leaf, near
-#: and far overlords remove the 5 s ticks that had nothing to do (90 182
-#: → 60 470 kernel events in this run).  Every tick that has work still
-#: runs at the poller's float instant, after that instant's ordinary
-#: events and in leaf/near/far order within a node — which keeps
-#: ``CHURN_FP`` — but two *nodes* due at one instant now run in arming
-#: order, where the pollers ran in the order their chains were born.  The
-#: tie that moves this run is the first of its kind: at t = 21.2 plnode2
-#: (started at 1.2) and plnode27 (started at 16.2) both trim a stale
-#: neighbour and re-announce; the pollers ran plnode27 first (its start
-#: event, queued at set-up, ran ahead of plnode2's tick at 16.2 and chain
-#: order never changes after that), now plnode2 goes first, their close
-#: messages and CTMs draw from the shared latency RNG in the other order
-#: (send 1 352 of 49 645 is the first to differ) and the run is another
-#: sample of the same process from there on (DESIGN.md §9.4).
-FIG4_FP = "87c5cb52236a916e1f274edc51b2fdca9417385366aaa29c7b29186f705c448f"
+#: regenerated once, deliberately, when each node's first keep-alive
+#: tick moved to ``ping_interval / 2 · keepalive_phase(addr)`` after its
+#: start (it was ``ping_interval / 2`` for every node): every keep-alive
+#: tick lands at another instant, pings go out in another order and
+#: draw the shared latency RNG in another order, and the run is another
+#: sample of the same process (675 → 689 kernel events).  Captured at
+#: 8e638bd before that, and unchanged until it.
+CHURN_FP = "b9f18e82f40a5f4c34968bff89e94c709a2afa09e8ad31155ecf1aa8bb14431d"
+#: regenerated for the same change (60 470 → 60 033 kernel events).
+#: Before it, regenerated once each when the shortcut overlord and then
+#: the leaf, near and far overlords stopped polling (87c5cb52…f705c448f,
+#: 75c4aaff…cabaee1eb, bffcc6c2…fea87d32): same-instant ties between two
+#: nodes' ticks ran in another order (DESIGN.md §9.4).
+FIG4_FP = "9cdf8e38313edb656d5dd98df9626cac53e58ea8750bd05abcc6aa549cf952f7"
 
 
 def test_churn_trajectory_byte_identical_to_main():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ipop.vtcp import MAX_SYN_RETRIES, Segment, VtcpStack
+from repro.ipop.vtcp import MAX_SYN_RETRIES, RTO_MAX, Segment, VtcpStack
 from tests.conftest import make_mini_testbed
 
 
@@ -84,6 +84,10 @@ def test_messages_survive_loss_via_retransmission(bed):
         client.send(i)
     sim.run(until=sim.now + 240)
     net.latency.default_loss = old_loss
-    sim.run(until=sim.now + 60)
+    # the client may have backed off to RTO_MAX while the loss lasted, so
+    # its next retransmission can come a whole RTO_MAX after the loss
+    # lifts; the ACK it draws resets the RTO, and a margin covers the
+    # go-back retransmissions that follow at 1, 2, 4 … s
+    sim.run(until=sim.now + RTO_MAX + 60)
     assert got == list(range(10))
     assert client.retransmissions > 0

@@ -142,6 +142,31 @@ def test_run_until_advances_all_shard_clocks():
     assert kernel.now == 12.0
 
 
+def test_stop_mid_round_resumes_where_it_left_off():
+    """A stop from a shard-1 event inside a window: shard 1 has more
+    events in that window and shard 2 has not run it yet.  Their clocks
+    and the barrier stay where those events lie, so the next ``run()``
+    fires them in time order — it used to move every clock to the end of
+    the window and die with "time went backwards"."""
+    kernel = ShardedKernel(seed=0, shards=3, lookahead=1.0)
+    fired = []
+
+    def mark(tag):
+        fired.append((tag, kernel.now))
+
+    kernel.shard(0).schedule_at(0.2, mark, "a")
+    kernel.shard(1).schedule_at(0.3, kernel.stop)
+    kernel.shard(1).schedule_at(0.6, mark, "b")
+    kernel.shard(2).schedule_at(0.4, mark, "c")
+    kernel.shard(2).schedule_at(1.5, mark, "d")
+    kernel.run(until=5.0)
+    assert fired == [("a", 0.2)]
+    assert kernel.shard(1).now == 0.3 and kernel.shard(2).now <= 0.4
+    assert kernel.run(until=5.0) == 5.0
+    assert fired == [("a", 0.2), ("b", 0.6), ("c", 0.4), ("d", 1.5)]
+    assert all(s.now == 5.0 for s in kernel.shards)
+
+
 def test_multi_shard_overlay_forms_consistent_ring():
     """24 nodes over 4 shards: the full join protocol runs across the
     mailbox seam and must still converge to a consistent, routable ring."""
