@@ -286,7 +286,7 @@ def bench_obs_overhead() -> tuple[float, float]:
 
 
 def bench_scaling10k(n_nodes: int) -> float:
-    """Warm-start formation + settle + survey on the sharded kernel."""
+    """Warm-start formation + settle + survey of a ``n_nodes`` ring."""
     from repro.experiments import scaling_10k
     t0 = time.perf_counter()
     scaling_10k.measure_point(n_nodes, seed=0, settle=30.0,

@@ -5,7 +5,7 @@ each re-export their public names, and importing any submodule runs the
 package's ``__init__`` first.  Done eagerly, that made a live node — which
 needs ``repro.phys.endpoints``, ``repro.sim.engine``, ``repro.ipop.router``
 and ``repro.transport.udp`` — import the whole simulator (NAT model,
-flows, topology, sharded kernel, ...) before its first packet.  These
+flows, topology, latency model, ...) before its first packet.  These
 packages instead declare *where* each name lives and import the
 submodule the first time the name is asked for, so
 ``from repro.phys import Internet`` works as ever and costs what it uses.

@@ -1,4 +1,4 @@
-"""10k-node ring scaling on the sharded kernel.
+"""10k-node ring scaling on one event kernel.
 
 The paper's scalability argument (§I, §IV-A) is asymptotic: greedy routing
 over k Kleinberg far links costs O((1/k)·log²n) expected hops.  The
@@ -17,11 +17,10 @@ the interesting cost.  Methodology:
   by the audit.  Each node's keep-alive ticks at a phase taken from its
   address (:func:`~repro.brunet.node.keepalive_phase`), so the ring does
   not ping in step although it started in step.
-* **Sharded kernel** — nodes are partitioned into contiguous address
-  regions on a :class:`~repro.sim.shards.ShardedKernel`, each region's
-  timers and deliveries on its own event queue, with the same timers as
-  any other run: one kernel event per keep-alive and per armed overlord
-  tick.
+* **One kernel** — the whole ring runs on one
+  :class:`~repro.sim.engine.Simulator` with the timing model of every
+  other experiment: each datagram lands after its sampled latency, and
+  there is one kernel event per keep-alive and per armed overlord tick.
 * **Measurement** — mean greedy hop count over sampled pairs at each n,
   a least-squares fit of ``hops = c·log²n``, an optional churn slice
   (crash a fraction, time ring recovery), and a budgeted post-hoc
@@ -53,13 +52,42 @@ from repro.brunet.routing import overlay_hop_count, trace_route
 from repro.check import invariants
 from repro.experiments.common import print_table
 from repro.phys import Endpoint, Internet, Site
-from repro.sim.shards import ShardedKernel
+from repro.sim.engine import Simulator
 
 #: minimum public sites the overlay is spread over (round-robin), so
 #: maintenance and repair traffic crosses WAN latencies; grows with n
 #: because one site's /24 holds at most ~250 hosts
 MIN_SITES = 4
 SITE_CAPACITY = 250
+
+
+class ShardedKernel(Simulator):
+    """A plain :class:`Simulator` under the name the frozen benchmark
+    harness (``benchmarks/ledger``, ``sim_ring_3k``) builds its ring on.
+
+    There is one kernel and one queue: ``shards`` and ``lookahead`` are
+    accepted and ignored, ``shards`` is ``[self]``, ``shard(i)`` is
+    ``self``, every address is on shard 0, and ``rounds`` and
+    ``cross_shard`` stay 0.  Nothing else uses this name; ROADMAP item
+    5.8's benchmark change drops it from the harness and then deletes it.
+    """
+
+    rounds = 0
+    cross_shard = 0
+
+    def __init__(self, seed: int = 0, shards: int = 1,
+                 lookahead: float = 0.0, **kwargs):
+        super().__init__(seed=seed, **kwargs)
+
+    @property
+    def shards(self) -> list[Simulator]:
+        return [self]
+
+    def shard(self, index: int) -> Simulator:
+        return self
+
+    def shard_index(self, addr: int) -> int:
+        return 0
 
 
 @dataclass
@@ -76,17 +104,14 @@ class ChurnSlice:
 
 @dataclass
 class Scale10kPoint:
-    """One (n, shards) measurement."""
+    """One scale-point measurement."""
 
     n_nodes: int
-    shards: int
     mean_hops: float
     p95_hops: float
     unreachable: int
     sample_pairs: int
     events: int
-    cross_shard: int
-    rounds: int
     wall_s: float
     churn: Optional[ChurnSlice] = None
     violations: list = field(default_factory=list)
@@ -118,16 +143,14 @@ def _wire(a: BrunetNode, b: BrunetNode, conn_type: ConnectionType,
                            conn_type, now))
 
 
-def build_warm_overlay(kernel: ShardedKernel, n: int, config: BrunetConfig,
+def build_warm_overlay(kernel: Simulator, n: int, config: BrunetConfig,
                        k_far: int = 4) -> tuple[Internet, list[BrunetNode]]:
     """``n`` nodes with the converged structured topology pre-installed.
 
-    Returns (internet, nodes sorted by ring address).  Node starts are
-    scheduled at t=0 on each node's owning shard, so every node's timers
-    and handlers live on the shard that owns its address region.
+    Returns (internet, nodes sorted by ring address); every node's start
+    is scheduled at the kernel's current instant.
     """
     internet = Internet(kernel)
-    kernel.attach(internet)
     n_sites = max(MIN_SITES, -(-n // SITE_CAPACITY))
     sites = [Site(internet, f"pub{i}") for i in range(n_sites)]
     arng = kernel.rng.stream("scaling10k.addrs")
@@ -138,7 +161,6 @@ def build_warm_overlay(kernel: ShardedKernel, n: int, config: BrunetConfig,
     nodes: list[BrunetNode] = []
     for i, a in enumerate(addrs):
         host = sites[i % n_sites].add_host(f"s{i}")
-        kernel.register_host(host, a)
         nodes.append(BrunetNode(kernel, host, BrunetAddress(a), config,
                                 name=f"s{i}"))
     now = kernel.now
@@ -163,8 +185,7 @@ def build_warm_overlay(kernel: ShardedKernel, n: int, config: BrunetConfig,
             _wire(node, peer, ConnectionType.STRUCTURED_FAR, now)
             made += 1
     for node in nodes:
-        shard = kernel.shard(kernel.shard_index(int(node.addr)))
-        shard.schedule_at(now, node.start, [])
+        kernel.schedule_at(now, node.start, [])
     return internet, nodes
 
 
@@ -213,7 +234,7 @@ def _crash(node: BrunetNode) -> None:
     node.host.shutdown()
 
 
-def _churn_slice(kernel: ShardedKernel, nodes: list[BrunetNode],
+def _churn_slice(kernel: Simulator, nodes: list[BrunetNode],
                  kill_fraction: float, horizon: float,
                  sample_every: float, sample_pairs: int) -> ChurnSlice:
     n = len(nodes)
@@ -224,11 +245,7 @@ def _churn_slice(kernel: ShardedKernel, nodes: list[BrunetNode],
     victim_set = set(victims)
     t_kill = kernel.now + 1.0
     for i in victims:
-        node = nodes[i]
-        # crash on the victim's own shard so the event lands in its
-        # region's timeline, like any other local event
-        kernel.shard(kernel.shard_index(int(node.addr))).schedule_at(
-            t_kill, _crash, node)
+        kernel.schedule_at(t_kill, _crash, nodes[i])
     survivors = [nodes[i] for i in range(n) if i not in victim_set]
     kernel.run(until=t_kill)
     prng = kernel.rng.stream("scaling10k.recovery")
@@ -249,8 +266,7 @@ def _churn_slice(kernel: ShardedKernel, nodes: list[BrunetNode],
 # ---------------------------------------------------------------------------
 # one scale point
 # ---------------------------------------------------------------------------
-def measure_point(n: int, seed: int = 0, shards: int = 8,
-                  lookahead: float = 0.002, settle: float = 45.0,
+def measure_point(n: int, seed: int = 0, settle: float = 45.0,
                   sample_pairs: int = 600, k_far: int = 4,
                   churn_fraction: float = 0.0,
                   churn_horizon: float = 300.0,
@@ -258,8 +274,7 @@ def measure_point(n: int, seed: int = 0, shards: int = 8,
                   audit_budget: int = 200) -> Scale10kPoint:
     """Build, settle, and survey one ``n``-node overlay."""
     wall0 = time.perf_counter()
-    kernel = ShardedKernel(seed=seed, shards=shards, lookahead=lookahead,
-                           trace=False)
+    kernel = Simulator(seed=seed, trace=False)
     nodes: list[BrunetNode] = []
     # aggregate metrics + O(sectors) ring rollup above the node-series
     # threshold; a 10k-node bundle must not carry 10k label series
@@ -288,25 +303,21 @@ def measure_point(n: int, seed: int = 0, shards: int = 8,
                       + invariants.check_cache(live, now,
                                                budget=audit_budget))
     return Scale10kPoint(
-        n_nodes=n, shards=shards,
-        mean_hops=float(np.mean(hops)) if hops else float("nan"),
+        n_nodes=n, mean_hops=float(np.mean(hops)) if hops else float("nan"),
         p95_hops=float(np.percentile(hops, 95)) if hops else float("nan"),
         unreachable=unreachable, sample_pairs=sample_pairs,
-        events=kernel.events_processed, cross_shard=kernel.cross_shard,
-        rounds=kernel.rounds, wall_s=time.perf_counter() - wall0,
+        events=kernel.events_processed, wall_s=time.perf_counter() - wall0,
         churn=churn, violations=violations)
 
 
-def run(sizes=(1000, 2000, 5000, 10000), seed: int = 0, shards: int = 8,
-        lookahead: float = 0.002, settle: float = 45.0,
+def run(sizes=(1000, 2000, 5000, 10000), seed: int = 0, settle: float = 45.0,
         sample_pairs: int = 600, churn_fraction: float = 0.01,
         churn_horizon: float = 300.0, audit: bool = True,
         audit_budget: int = 200) -> list[Scale10kPoint]:
     """The full sweep; the churn slice runs at the largest size only."""
     largest = max(sizes)
     return [measure_point(
-        n, seed=seed, shards=shards, lookahead=lookahead, settle=settle,
-        sample_pairs=sample_pairs,
+        n, seed=seed, settle=settle, sample_pairs=sample_pairs,
         churn_fraction=churn_fraction if n == largest else 0.0,
         churn_horizon=churn_horizon, audit=audit,
         audit_budget=audit_budget) for n in sizes]
@@ -314,12 +325,12 @@ def run(sizes=(1000, 2000, 5000, 10000), seed: int = 0, shards: int = 8,
 
 def report(points: list[Scale10kPoint]) -> None:
     print_table(
-        "Ring scaling on the sharded kernel — greedy hops vs c·log²n",
-        ["nodes", "shards", "mean hops", "p95", "hops/log²n",
-         "unreachable", "events", "x-shard", "wall (s)"],
-        [[p.n_nodes, p.shards, f"{p.mean_hops:.2f}", f"{p.p95_hops:.0f}",
+        "Ring scaling — greedy hops vs c·log²n",
+        ["nodes", "mean hops", "p95", "hops/log²n", "unreachable",
+         "events", "wall (s)"],
+        [[p.n_nodes, f"{p.mean_hops:.2f}", f"{p.p95_hops:.0f}",
           f"{p.hops_per_log2n_sq:.3f}", p.unreachable, p.events,
-          p.cross_shard, f"{p.wall_s:.0f}"] for p in points])
+          f"{p.wall_s:.0f}"] for p in points])
     c = fit_k(points)
     print(f"\nleast-squares fit: hops ≈ {c:.4f}·log²n "
           f"(k_far=4 predicts O(log²n/4) ⇒ c·k ≈ {4 * c:.2f})")
@@ -344,12 +355,10 @@ def report(points: list[Scale10kPoint]) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
     parser = argparse.ArgumentParser(
-        description="10k-node ring scaling on the sharded kernel")
+        description="10k-node ring scaling: greedy hops vs c·log²n")
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[1000, 2000, 5000, 10000])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--lookahead", type=float, default=0.002)
     parser.add_argument("--settle", type=float, default=45.0)
     parser.add_argument("--sample-pairs", type=int, default=600)
     parser.add_argument("--churn-fraction", type=float, default=0.01)
@@ -358,7 +367,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--audit-budget", type=int, default=200)
     args = parser.parse_args(argv)
     points = run(sizes=tuple(args.sizes), seed=args.seed,
-                 shards=args.shards, lookahead=args.lookahead,
                  settle=args.settle, sample_pairs=args.sample_pairs,
                  churn_fraction=args.churn_fraction,
                  churn_horizon=args.churn_horizon,

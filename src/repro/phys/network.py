@@ -187,16 +187,6 @@ class Internet:
                 trace_id=dgram.trace.trace_id, parent=dgram.trace.parent,
                 dst=str(dgram.dst), size=dgram.size,
                 path=">".join(dgram.path) or "direct")
-        self._schedule_delivery(delay, host, dgram)
-
-    def _schedule_delivery(self, delay: float, host: "Host",
-                           dgram: Datagram) -> None:
-        """Schedule the final delivery event — the kernel seam.  The
-        default plants it on this internet's own simulator; a sharded
-        kernel (:class:`repro.sim.shards.ShardedKernel`) overrides the
-        bound method per instance to route the event onto the shard that
-        owns the destination host, clamping cross-shard delays to the
-        lookahead window."""
         self.sim.schedule(delay, self._deliver, host, dgram)
 
     def _deliver(self, host: "Host", dgram: Datagram) -> None:

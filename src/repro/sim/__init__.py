@@ -17,7 +17,6 @@ _ORIGIN = {
     "Event": "engine",
     "Simulator": "engine",
     "SimulationError": "engine",
-    "ShardedKernel": "shards",
     "Process": "process",
     "Signal": "process",
     "Timeout": "process",

@@ -6,26 +6,15 @@ the repo shares one :class:`Simulator` per experiment, which also owns the
 RNG registry and the tracer so that a single seed makes a whole experiment
 reproducible.
 
-Internally the queue is a hybrid of a binary heap and a bucketed timer
-wheel (a calendar queue).  Events due within the current wheel bucket go
-straight onto the heap; events further out are appended to their bucket in
-O(1) and only merged into the heap when simulation time approaches the
-bucket.  Because a bucket is always merged *before* any event at or after
-its start time can fire, the pop order is exactly the total
-``(time, priority, seq)`` order — the wheel is an optimisation, not a
-semantic change, and ``Simulator(timer_wheel=False)`` produces a
-byte-identical event stream.
-
-Cancellation is O(1): heap entries are tombstoned and compacted lazily
-(the heap is rebuilt once more than half of it is dead), while cancelled
-wheel entries are simply skipped at merge time and never touch the heap at
-all.  A live-event counter makes :meth:`Simulator.pending` O(1).
+The queue is one binary heap of ``(time, priority, seq, Event)`` tuples.
+Cancellation is O(1): the entry is tombstoned where it sits and the heap
+is compacted lazily (rebuilt once more than half of it is dead).  A
+live-event counter makes :meth:`Simulator.pending` O(1).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from time import perf_counter
 from typing import Any, Callable, Iterator, Optional
 
@@ -51,7 +40,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "fired", "_sim", "_in_heap")
+                 "fired", "_sim")
 
     def __init__(self, time: float, priority: int, seq: int,
                  fn: Callable[..., Any], args: tuple):
@@ -63,7 +52,6 @@ class Event:
         self.cancelled = False
         self.fired = False
         self._sim: Optional["Simulator"] = None
-        self._in_heap = False
 
     @property
     def pending(self) -> bool:
@@ -77,7 +65,7 @@ class Event:
         if not self.cancelled and not self.fired:
             self.cancelled = True
             if self._sim is not None:
-                self._sim._note_cancel(self)
+                self._sim._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
@@ -95,16 +83,6 @@ class Simulator:
     trace:
         When true, a :class:`Tracer` records events emitted via
         :meth:`Simulator.trace`.
-    timer_wheel:
-        Route far-future events through the bucketed timer wheel.  Off, the
-        kernel degrades to a plain binary heap with identical semantics
-        (used by the determinism golden tests).  None uses
-        :attr:`default_timer_wheel`, which those tests flip to rerun whole
-        experiments on the plain heap.
-    wheel_granularity:
-        Bucket width in simulated seconds.  Coarse periodic timers (pings,
-        keep-alives, overlord ticks, flow-completion estimates) land whole
-        buckets ahead and so pay O(1) to schedule and O(0) to cancel.
     trace_max_records:
         Per-category cap on retained tracer records (None = unbounded);
         see :class:`~repro.sim.trace.Tracer`.
@@ -114,22 +92,13 @@ class Simulator:
         recorder stay opt-in either way.
     """
 
-    #: process-wide default for the ``timer_wheel`` parameter
-    default_timer_wheel = True
-
     #: rebuild the heap when it holds more dead than live entries (and is
     #: big enough for the rebuild to be worth the copy)
     _COMPACT_MIN = 64
 
     def __init__(self, seed: int = 0, trace: bool = True,
-                 timer_wheel: Optional[bool] = None,
-                 wheel_granularity: float = 1.0,
                  trace_max_records: Optional[int] = None,
                  metrics: bool = True):
-        if wheel_granularity <= 0:
-            raise SimulationError("wheel_granularity must be positive")
-        if timer_wheel is None:
-            timer_wheel = self.default_timer_wheel
         self.now: float = 0.0
         # heap entries are (time, priority, seq, Event): tuple comparison
         # stays in C (seq is unique, so the Event itself is never compared)
@@ -152,12 +121,6 @@ class Simulator:
         #: metrics registry + span collector + flight recorder (see
         #: :mod:`repro.obs`); metrics default on, spans/recorder opt-in
         self.obs = Observability(self, metrics=metrics)
-        # -- hybrid queue state -----------------------------------------
-        self._use_wheel = timer_wheel
-        self._gran = wheel_granularity
-        self._wheel: dict[int, list[Event]] = {}
-        self._bucket_heap: list[int] = []   # min-heap of occupied buckets
-        self._wheel_floor = 0               # buckets <= floor are heap-resident
         self._live = 0                      # non-cancelled events queued
         self._heap_dead = 0                 # tombstones inside self._queue
 
@@ -188,31 +151,19 @@ class Simulator:
         ev._sim = self
         self._seq += 1
         self._live += 1
-        if self._use_wheel and math.isfinite(time):
-            bucket = int(time // self._gran)
-            if bucket > self._wheel_floor:
-                entries = self._wheel.get(bucket)
-                if entries is None:
-                    self._wheel[bucket] = [ev]
-                    heapq.heappush(self._bucket_heap, bucket)
-                else:
-                    entries.append(ev)
-                return ev
-        ev._in_heap = True
         heapq.heappush(self._queue, (time, priority, ev.seq, ev))
         return ev
 
     # ------------------------------------------------------------------
     # queue maintenance
     # ------------------------------------------------------------------
-    def _note_cancel(self, ev: Event) -> None:
+    def _note_cancel(self) -> None:
         """O(1) bookkeeping for a cancellation; compact the heap lazily."""
         self._live -= 1
-        if ev._in_heap:
-            self._heap_dead += 1
-            if (self._heap_dead > self._COMPACT_MIN
-                    and self._heap_dead * 2 > len(self._queue)):
-                self._compact()
+        self._heap_dead += 1
+        if (self._heap_dead > self._COMPACT_MIN
+                and self._heap_dead * 2 > len(self._queue)):
+            self._compact()
 
     def _compact(self) -> None:
         """Drop tombstones and re-heapify (in place: the dispatch loop
@@ -224,33 +175,14 @@ class Simulator:
         self._heap_dead = 0
         self.compactions += 1
 
-    def _head(self) -> float:
-        """Bring the next live event to ``self._queue[0]`` and return its
-        time (``inf`` when nothing is queued).
-
-        Strips cancelled heap heads and merges every wheel bucket that
-        could contain an event at or before the current heap head.  The
-        dispatch loop only comes here when its one look at the head finds
-        one of those things to do.
-        """
+    def _head(self) -> None:
+        """Pop tombstones until ``self._queue`` is empty or its head is
+        live.  The dispatch loop only comes here when its one look at the
+        head finds a tombstone or nothing."""
         queue = self._queue
-        while True:
-            while queue and queue[0][3].cancelled:
-                heapq.heappop(queue)
-                self._heap_dead -= 1
-            head_time = queue[0][0] if queue else math.inf
-            if self._bucket_heap:
-                bucket = self._bucket_heap[0]
-                if bucket * self._gran <= head_time:
-                    heapq.heappop(self._bucket_heap)
-                    self._wheel_floor = bucket
-                    for ev in self._wheel.pop(bucket):
-                        if not ev.cancelled:
-                            ev._in_heap = True
-                            heapq.heappush(
-                                queue, (ev.time, ev.priority, ev.seq, ev))
-                    continue
-            return head_time
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+            self._heap_dead -= 1
 
     # ------------------------------------------------------------------
     # execution
@@ -264,29 +196,31 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` fired.  Returns the final simulation time."""
+        ``max_events`` fired.  Returns the final simulation time.
+
+        The clock never goes back: an ``until`` before ``now`` fires
+        nothing and leaves ``now`` where it is."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
-        queue, buckets, gran = self._queue, self._bucket_heap, self._gran
+        queue = self._queue
         fired = 0
         try:
             while not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                # the one look at the head: a live entry no parked bucket
-                # could precede fires as it is
-                if (not queue or queue[0][3].cancelled
-                        or (buckets and buckets[0] * gran <= queue[0][0])):
+                # the one look at the head: a live entry fires as it is
+                if not queue or queue[0][3].cancelled:
                     self._head()
                     if not queue:
-                        if until is not None:
-                            self.now = max(self.now, until)
+                        if until is not None and until > self.now:
+                            self.now = until
                         break
                 time, _priority, _seq, ev = queue[0]
                 if until is not None and time > until:
-                    self.now = until
+                    if until > self.now:
+                        self.now = until
                     break
                 heapq.heappop(queue)
                 if time < self.now:  # pragma: no cover - defensive
@@ -350,7 +284,3 @@ class Simulator:
         for entry in self._queue:
             if not entry[3].cancelled:
                 yield entry[3]
-        for entries in self._wheel.values():
-            for ev in entries:
-                if not ev.cancelled:
-                    yield ev

@@ -14,8 +14,7 @@ relative to kernel creation (``loop.time() - t0``), which keeps timer
 arithmetic in the same small-positive-float regime the simulator uses.
 
 It is intentionally *not* a subclass of ``Simulator`` — the discrete
-event queue, the timer wheel and ``run()`` make no sense under a wall
-clock.  Anything outside the slice above raises ``AttributeError``
+event queue and ``run()`` make no sense under a wall clock.  Anything outside the slice above raises ``AttributeError``
 loudly rather than silently misbehaving.
 """
 

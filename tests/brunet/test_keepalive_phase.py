@@ -23,16 +23,14 @@ from repro.experiments.scaling_10k import build_warm_overlay
 from repro.phys import Internet, Site
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.shards import ShardedKernel
 
 NODES = 200
 SETTLE = 60.0
 
 
 def _warm_ring(config: BrunetConfig, seed: int = 5):
-    """200 warm-started nodes, all started at t = 0, on one shard — the
-    plain ``Simulator`` behind the kernel facade, no window clamps."""
-    kernel = ShardedKernel(seed=seed, shards=1, trace=False)
+    """200 warm-started nodes, all started at t = 0."""
+    kernel = Simulator(seed=seed, trace=False)
     _internet, nodes = build_warm_overlay(kernel, NODES, config, k_far=4)
     return kernel, nodes
 
@@ -70,7 +68,7 @@ def test_a_ring_started_in_one_instant_pings_each_link_about_once():
     per_link = pings / len(links) / 3
     assert 0.5 <= per_link <= 1.25, per_link
     # one keep-alive timer per node, a kernel event like any other
-    ticks = Counter(ev.fn.__self__ for ev in kernel.shard(0).iter_pending()
+    ticks = Counter(ev.fn.__self__ for ev in kernel.iter_pending()
                     if getattr(ev.fn, "__func__", None)
                     is BrunetNode._ping_tick)
     assert sorted(ticks.values()) == [1] * NODES
@@ -141,7 +139,7 @@ def test_a_crashed_node_is_dropped_within_the_detection_bound():
         victim.stop()
         victim.host.shutdown()
         assert not any(ev.fn == victim._ping_tick
-                       for ev in kernel.shard(0).iter_pending())
+                       for ev in kernel.iter_pending())
         kernel.run(until=crash + bound + in_flight)
         assert [n.name for n in neighbours
                 if n.table.get(victim.addr) is not None] == []

@@ -11,9 +11,9 @@ builds its reference from the same mixin.
 
 One node is driven twice through the same seeded schedule (once with all
 four overlords as shipped, once with all four polling) under
-``Simulator``, on each of its queue layouts (``KERNELS``).  The world
-around it is scripted — leaf link attempts, announces and far CTMs are
-recorded and answered (or not) by the schedule — so nothing but the
+``Simulator``, run to the end in one call or in slices (``SLICES``).  The
+world around it is scripted — leaf link attempts, announces and far CTMs
+are recorded and answered (or not) by the schedule — so nothing but the
 overlords decides what happens.  Compared: the ``(float time, action)``
 sequence, the overlords' state at every stop, and their final state.
 
@@ -51,11 +51,11 @@ LEAF, NEAR, FAR = (ConnectionType.LEAF, ConnectionType.STRUCTURED_NEAR,
                    ConnectionType.STRUCTURED_FAR)
 OVERLORDS = (LeafConnectionOverlord, NearConnectionOverlord,
              FarConnectionOverlord, ShortcutConnectionOverlord)
-#: the kernel's queue layouts, ``(timer_wheel, wheel_granularity)``: the
-#: plain heap, and the calendar wheel with 1 s buckets and with 0.3 s
-#: ones, which do not divide the 5 s grid, so armed ticks are merged out
-#: of buckets that straddle grid instants
-KERNELS = [(False, 1.0), (True, 1.0), (True, 0.3)]
+#: how a schedule is run to its end, ``(sliced, width)``: one
+#: ``run(until=end)``, or back-to-back ``run(until=)`` calls every 1 s or
+#: every 0.3 s — which does not divide the 5 s grid, so slice ends
+#: straddle grid instants.  Where ``run`` returns must not move a tick
+SLICES = [(False, 1.0), (True, 1.0), (True, 0.3)]
 ME = BrunetAddress(1 << 159)
 _REAL_TICK = {cls: cls.tick for cls in OVERLORDS}
 
@@ -222,15 +222,23 @@ def _state(node: BrunetNode) -> tuple:
                    for c in node.table.all()))
 
 
+def run_to(sim: Simulator, end: float, sliced: bool, width: float) -> None:
+    """Run ``sim`` to ``end`` in one call, or in ``width``-second slices."""
+    if sliced:
+        while sim.now < end:
+            sim.run(until=min(sim.now + width, end))
+    else:
+        sim.run(until=end)
+
+
 def play(schedule: Schedule, reference: bool, monkeypatch, *,
-         wheel: bool = True, granularity: float = 1.0):
+         sliced: bool = False, width: float = 1.0):
     """Drive one node through ``schedule``; returns (log, final state,
     ticks run per overlord class)."""
     for cls in OVERLORDS:
         monkeypatch.setattr(overlords, cls.__name__,
                             periodic(cls) if reference else cls)
-    sim = Simulator(seed=7, trace=False, timer_wheel=wheel,
-                    wheel_granularity=granularity)
+    sim = Simulator(seed=7, trace=False)
     host = Site(Internet(sim), "pub").add_host("h")
     # keep-alives off: this node's peers are table entries, not nodes
     config = BrunetConfig(far_count=schedule.far_count,
@@ -359,15 +367,15 @@ def play(schedule: Schedule, reference: bool, monkeypatch, *,
         fn = {"join": join, "die": die, "stop": stop, "start": start,
               "rebootstrap": rebootstrap}[op]
         sim.schedule_at(grid(t[1]) if isinstance(t, tuple) else t, fn, *args)
-    sim.run(until=schedule.end)
+    run_to(sim, schedule.end, sliced, width)
     assert all(type(o).__name__.startswith("Periodic") == reference
                for o in node.overlords)
     return log, _state(node), ticks
 
 
-def both(schedule: Schedule, monkeypatch, **kernel):
-    lazy = play(schedule, False, monkeypatch, **kernel)
-    reference = play(schedule, True, monkeypatch, **kernel)
+def both(schedule: Schedule, monkeypatch, **slicing):
+    lazy = play(schedule, False, monkeypatch, **slicing)
+    reference = play(schedule, True, monkeypatch, **slicing)
     return lazy, reference
 
 
@@ -379,13 +387,13 @@ def _actions(log: list[tuple]) -> list[str]:
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("wheel,granularity", KERNELS)
+@pytest.mark.parametrize("sliced,width", SLICES)
 @pytest.mark.parametrize("seed", range(4))
-def test_structured_schedule_matches_pollers(monkeypatch, seed, wheel,
-                                             granularity):
+def test_structured_schedule_matches_pollers(monkeypatch, seed, sliced,
+                                             width):
     schedule = structured_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, wheel=wheel, granularity=granularity)
+        schedule, monkeypatch, sliced=sliced, width=width)
     assert log == ref_log
     assert state == ref_state
     # the schedule really exercised what it was written for ...
@@ -406,13 +414,12 @@ def test_structured_schedule_matches_pollers(monkeypatch, seed, wheel,
         "NearConnectionOverlord"]
 
 
-@pytest.mark.parametrize("wheel,granularity", KERNELS)
+@pytest.mark.parametrize("sliced,width", SLICES)
 @pytest.mark.parametrize("seed", range(8))
-def test_random_schedule_matches_pollers(monkeypatch, seed, wheel,
-                                         granularity):
+def test_random_schedule_matches_pollers(monkeypatch, seed, sliced, width):
     schedule = soup_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, wheel=wheel, granularity=granularity)
+        schedule, monkeypatch, sliced=sliced, width=width)
     assert log == ref_log
     assert state == ref_state
     assert {"link", "announce"} <= set(_actions(ref_log))

@@ -10,11 +10,11 @@ only in the tests, as ``test_overlord_demand_equivalence``'s
 *every* grid instant, for ever.
 
 One node is driven twice through the same seeded schedule (once per
-overlord class) under ``Simulator``, on each of its queue layouts;
-``connect_to`` / ``drop_connection`` are recorded and link outcomes are
-scripted, so nothing but the overlord decides what happens.  Compared:
-the ``(float time, dest, action)`` sequence, the overlord's state at
-every stop, and its final state.
+overlord class) under ``Simulator``, run to the end in one call or in
+slices; ``connect_to`` / ``drop_connection`` are recorded and link
+outcomes are scripted, so nothing but the overlord decides what happens.
+Compared: the ``(float time, dest, action)`` sequence, the overlord's
+state at every stop, and its final state.
 
 Arrival times are drawn from a continuous distribution, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
@@ -38,7 +38,11 @@ from repro.brunet.overlords import ShortcutConnectionOverlord
 from repro.phys import Internet, Site
 from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
-from tests.brunet.test_overlord_demand_equivalence import KERNELS, periodic
+from tests.brunet.test_overlord_demand_equivalence import (
+    SLICES,
+    periodic,
+    run_to,
+)
 
 SHORTCUT_MAX = 2
 
@@ -139,13 +143,12 @@ def _state(overlord: ShortcutConnectionOverlord) -> tuple:
 
 
 def play(schedule: Schedule, overlord_cls, monkeypatch, *,
-         idle_drop: float, wheel: bool = True, granularity: float = 1.0):
+         idle_drop: float, sliced: bool = False, width: float = 1.0):
     """Drive one node through ``schedule``; returns (log, final state,
     ticks run)."""
     monkeypatch.setattr(overlords, "ShortcutConnectionOverlord",
                         overlord_cls)
-    sim = Simulator(seed=7, trace=False, timer_wheel=wheel,
-                    wheel_granularity=granularity)
+    sim = Simulator(seed=7, trace=False)
     host = Site(Internet(sim), "pub").add_host("h")
     # keep-alives off: this node's peers are table entries, not nodes
     config = BrunetConfig(shortcut_max=SHORTCUT_MAX,
@@ -196,7 +199,7 @@ def play(schedule: Schedule, overlord_cls, monkeypatch, *,
         fn = {"traffic": node.inspect_traffic, "inbound": land, "die": die,
               "stop": stop, "start": lambda: node.start([])}[op]
         sim.schedule_at(t, fn, *args)
-    sim.run(until=schedule.end)
+    run_to(sim, schedule.end, sliced, width)
     assert type(node.shortcut_overlord) is overlord_cls
     return log, _state(node.shortcut_overlord), ticks[0]
 
@@ -215,15 +218,15 @@ def _actions(log: list[tuple]) -> set[str]:
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("wheel,granularity", KERNELS)
+@pytest.mark.parametrize("sliced,width", SLICES)
 @pytest.mark.parametrize("idle_drop", [0.0, 45.0])
 @pytest.mark.parametrize("seed", range(4))
 def test_structured_schedule_matches_poller(monkeypatch, seed, idle_drop,
-                                            wheel, granularity):
+                                            sliced, width):
     schedule = structured_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, idle_drop=idle_drop, wheel=wheel,
-        granularity=granularity)
+        schedule, monkeypatch, idle_drop=idle_drop, sliced=sliced,
+        width=width)
     assert log == ref_log
     assert state == ref_state
     # the schedule really exercised what it was written for ...
@@ -240,15 +243,15 @@ def test_structured_schedule_matches_poller(monkeypatch, seed, idle_drop,
     assert ticks < 0.6 * ref_ticks
 
 
-@pytest.mark.parametrize("wheel,granularity", KERNELS)
+@pytest.mark.parametrize("sliced,width", SLICES)
 @pytest.mark.parametrize("idle_drop", [0.0, 45.0])
 @pytest.mark.parametrize("seed", range(6))
-def test_random_schedule_matches_poller(monkeypatch, seed, idle_drop, wheel,
-                                        granularity):
+def test_random_schedule_matches_poller(monkeypatch, seed, idle_drop, sliced,
+                                        width):
     schedule = soup_schedule(seed)
     (log, state, ticks), (ref_log, ref_state, ref_ticks) = both(
-        schedule, monkeypatch, idle_drop=idle_drop, wheel=wheel,
-        granularity=granularity)
+        schedule, monkeypatch, idle_drop=idle_drop, sliced=sliced,
+        width=width)
     assert log == ref_log
     assert state == ref_state
     assert "connect" in _actions(ref_log)

@@ -202,9 +202,8 @@ def test_profiling_is_read_only_byte_identical_bundle(tmp_path):
 
 
 def test_compaction_counter_increments():
-    # timer_wheel off keeps every event heap-resident, so cancellations
-    # build tombstones until the lazy sweep fires
-    sim = Simulator(seed=0, timer_wheel=False)
+    # cancellations build tombstones until the lazy sweep fires
+    sim = Simulator(seed=0)
     handles = [sim.schedule(1.0 + i, lambda: None) for i in range(256)]
     for h in handles:
         h.cancel()

@@ -4,21 +4,18 @@ A simulated datagram is one send, one kernel event, one delivery, and
 between the node's ``send_direct`` and the receiving node's
 ``_on_datagram`` it crosses a fixed set of frames: ``SimTransport.send``
 → ``Internet.send`` → ``_resolve_and_schedule`` → ``LatencyModel.sample``
-→ ``_schedule_delivery`` → ``Simulator.schedule`` → the dispatch loop in
-``Simulator.run`` → ``Internet._deliver`` → the bound handler.  The
-counts below (``sys.setprofile``, Python-level calls only) are
-deterministic, so they can be pinned where a timing on a shared host
-cannot.
+→ ``Simulator.schedule`` → the dispatch loop in ``Simulator.run`` →
+``Internet._deliver`` → the bound handler.  The counts below
+(``sys.setprofile``, Python-level calls only) are deterministic, so they
+can be pinned where a timing on a shared host cannot.
 
 What would lose the gain while every behavioural test stays green:
 
 * the dispatch loop's one look at the queue head stops taking the
-  in-place branch (a live head no parked wheel bucket can precede) and
-  falls back to ``Simulator._head()`` for every event — or somebody
-  reintroduces a peek-then-step pair;
-* ``ShardedKernel.run`` enters shards whose head lies beyond the round's
-  barrier again (eight ``Simulator.run`` entries per 2 ms round on
-  ``sim_ring_3k``, most of them to fire nothing);
+  in-place branch (a live head) and falls back to ``Simulator._head()``
+  for every event — or somebody reintroduces a peek-then-step pair;
+* a delivery seam comes back between ``_resolve_and_schedule`` and
+  ``Simulator.schedule``;
 * ``SimTransport.send`` in reference mode goes back through
   ``UdpSocket.send``, ``Internet._deliver`` back through per-host and
   per-socket ``deliver`` methods, or ``LatencyModel.sample`` through its
@@ -26,10 +23,11 @@ What would lose the gain while every behavioural test stays green:
 * ``BrunetNode._on_datagram`` walks its ``isinstance`` ladder before it
   recognises a keep-alive.
 
-In this file's own harness the parent of the change that straightened
-the path made 59 calls for the keep-alive exchange (36 now), 29 for the
-transit hop (21), 115 for the echo (90) and 3.73 ``_head`` calls per
-fired event (0.86).
+In this file's own harness the path before it was straightened made 59
+calls for the keep-alive exchange, 29 for the transit hop, 115 for the
+echo and 3.73 ``_head`` calls per fired event; with the ring on a
+sharded kernel and a delivery seam in ``Internet`` it made 36, 21, 90
+and 0.86.
 """
 
 from repro.brunet.config import BrunetConfig
@@ -42,21 +40,21 @@ from repro.ipop.mapping import addr_for_ip
 from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
 from repro.sim import Simulator
-from repro.sim.shards import ShardedKernel
 
 from tests.conftest import count_calls
 from tests.transport.test_cut_through_chain import _chain_ips
 
 #: send request → deliver → send reply → deliver, as measured
-KEEPALIVE_MEASURED = 36
-KEEPALIVE_BUDGET = 40
+KEEPALIVE_MEASURED = 34
+KEEPALIVE_BUDGET = 38
 #: B's share of one A → B → C routed packet (deliver, route, resend)
-TRANSIT_MEASURED = 21
+TRANSIT_MEASURED = 20
 #: one zero-hop ``Pinger`` echo: timer → request → reply → handler
-ECHO_MEASURED = 90
-#: ``Simulator._head`` calls per fired event on the sharded ring (0.86
-#: measured; a peek-then-step loop adds two per event)
-HEAD_PER_EVENT = 1.5
+ECHO_MEASURED = 87
+#: ``Simulator._head`` calls per fired event on the warm ring (0 measured:
+#: no tombstone reaches the head in the window; a peek-then-step loop
+#: adds two per event)
+HEAD_PER_EVENT = 0.1
 
 
 def _pin(measured: int) -> int:
@@ -134,13 +132,11 @@ def test_zero_hop_pinger_echo_stays_inside_its_call_budget():
         f"{calls} calls per zero-hop echo, budget {_pin(ECHO_MEASURED)}")
 
 
-def test_sharded_ring_inspects_the_queue_head_about_once_per_event(
-        monkeypatch):
-    """8 shards, 200 warm-started nodes, 1000 routed probes per simulated
-    second (a 2 ms round then fires about eight events): the kernel peeks
-    at every shard once a round — those eight calls are in the count —
-    the dispatch loop fires in place, and nothing else calls ``_head``."""
-    kernel = ShardedKernel(seed=5, shards=8, lookahead=0.002, trace=False)
+def test_ring_inspects_the_queue_head_about_once_per_event(monkeypatch):
+    """200 warm-started nodes on one ``Simulator``, 1000 routed probes per
+    simulated second: the dispatch loop fires a live head in place and
+    calls ``_head`` only for a tombstone or an empty queue."""
+    kernel = Simulator(seed=5, trace=False)
     _internet, nodes = build_warm_overlay(
         kernel, 200, BrunetConfig(), k_far=4)
     kernel.run(until=10.0)
@@ -161,8 +157,8 @@ def test_sharded_ring_inspects_the_queue_head_about_once_per_event(
         for j in range(1000):
             src, dst = nodes[(7 * j + second) % 200], nodes[(13 * j + 5) % 200]
             if src is not dst:
-                kernel.shard(kernel.shard_index(int(src.addr))).schedule_at(
-                    kernel.now + j / 1000, src.send_routed, dst.addr, "p", 64)
+                kernel.schedule_at(kernel.now + j / 1000, src.send_routed,
+                                   dst.addr, "p", 64)
         kernel.run(until=kernel.now + 1.0)
     events = kernel.events_processed - events
     assert len(got) > 2500 and events > 12000

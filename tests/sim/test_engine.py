@@ -60,6 +60,24 @@ def test_run_until_with_empty_queue_advances_clock():
     assert sim.now == 7.5
 
 
+def test_run_until_in_the_past_never_rewinds_the_clock():
+    """With an event pending, ``run(until=2.0)`` after ``run(until=5.0)``
+    used to set ``now`` back to 2.0, and ``schedule_at(3.0)`` was then
+    accepted although the clock had already reached 5.0."""
+    sim = Simulator()
+    hits = []
+    sim.schedule(10.0, hits.append, 10.0)
+    sim.run(until=5.0)
+    assert sim.run(until=2.0) == 5.0
+    assert sim.now == 5.0 and hits == [] and sim.pending() == 1
+    with pytest.raises(SimulationError):
+        sim.schedule_at(3.0, hits.append, 3.0)
+    sim.run(until=1.0, max_events=1)
+    assert sim.now == 5.0
+    sim.run()
+    assert hits == [10.0] and sim.now == 10.0
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -80,19 +98,27 @@ def test_nan_delay_rejected():
         sim.schedule(float("nan"), lambda: None)
 
 
-@pytest.mark.parametrize("timer_wheel", [True, False])
-def test_nan_time_rejected_by_schedule_at(timer_wheel):
+@pytest.mark.parametrize("from_handler", [True, False])
+def test_nan_time_rejected_by_schedule_at(from_handler):
     """``schedule_at(nan)`` used to be queued: a NaN key compares false
     against everything, so it sat wherever the heap put it — events at
     1.0, NaN, 0.5 fired NaN, 0.5, 1.0 — and its handler ran with ``now``
-    set to NaN.  Both entry points now refuse it in ``_enqueue``."""
-    sim = Simulator(timer_wheel=timer_wheel)
+    set to NaN.  Both entry points now refuse it in ``_enqueue``, from
+    set-up code and from a running handler alike."""
+    sim = Simulator()
     order = []
+
+    def attempt():
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: order.append(sim.now))
+
     sim.schedule_at(1.0, order.append, 1.0)
-    with pytest.raises(SimulationError):
-        sim.schedule_at(float("nan"), lambda: order.append(sim.now))
+    if from_handler:
+        sim.schedule_at(0.25, attempt)
+    else:
+        attempt()
     sim.schedule_at(0.5, order.append, 0.5)
-    assert sim.pending() == 2
+    assert sim.pending() == 2 + from_handler
     sim.run()
     assert order == [0.5, 1.0] and sim.now == 1.0
 

@@ -1,7 +1,8 @@
-"""Timer-wheel kernel: byte-identical semantics vs the plain heap.
+"""Event queue: one binary heap, lazy tombstones, an O(1) live counter.
 
-The wheel is an optimisation only — every test here asserts the hybrid
-queue produces exactly the event stream of the pure binary heap.
+The reference is the total order itself: whatever is scheduled, cancelled
+or spawned from handlers, the events that fire are exactly the ones never
+cancelled, in ``sorted()`` order of their ``(time, priority, seq)`` keys.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -9,52 +10,61 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import Simulator
 
 
-def _run_workload(timer_wheel: bool, spec) -> list:
-    """spec: list of (delay, priority, cancel) — scheduled up front, some
-    events also reschedule children (mixing wheel and heap residency)."""
-    sim = Simulator(seed=0, trace=False, timer_wheel=timer_wheel)
-    fired: list = []
-    events = []
+def _run_workload(spec):
+    """spec: list of (delay, priority, cancel) — scheduled up front; some
+    handlers also schedule children, some of which they cancel at once.
+    Returns (fired keys in firing order, every handle ever issued)."""
+    sim = Simulator(seed=0, trace=False)
+    handles = []
+    fired = []
 
-    def fire(tag):
-        fired.append((sim.now, tag))
-        # periodic-timer shape: far-future child that may be cancelled
-        if tag % 3 == 0:
-            child = sim.schedule(7.5, fire, tag + 1000)
-            if tag % 6 == 0:
-                child.cancel()
+    def fire(index):
+        ev = handles[index]
+        assert sim.now == ev.time
+        fired.append((ev.time, ev.priority, ev.seq))
+        # periodic-timer shape: a far-future child that may be cancelled
+        if index % 3 == 0:
+            handles.append(sim.schedule(7.5, fire, len(handles),
+                                        priority=index % 3 - 1))
+            if index % 6 == 0:
+                handles[-1].cancel()
 
-    for i, (delay, priority, cancel) in enumerate(spec):
-        events.append((sim.schedule(delay, fire, i, priority=priority),
-                       cancel))
-    for ev, cancel in events:
+    for i, (delay, priority, _cancel) in enumerate(spec):
+        handles.append(sim.schedule(delay, fire, i, priority=priority))
+    for ev, (_delay, _priority, cancel) in zip(handles, spec):
         if cancel:
             ev.cancel()
     sim.run(until=100.0)
     sim.run()
-    return fired
+    return fired, handles
+
+
+#: delays on a 0.25 s grid, so same-instant ties (broken by priority,
+#: then seq) are common; children land 7.5 s out, on the same grid
+_delay = st.integers(0, 160).map(lambda q: q * 0.25)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 40.0, allow_nan=False),
-                          st.integers(-2, 2), st.booleans()),
+@given(st.lists(st.tuples(_delay, st.integers(-2, 2), st.booleans()),
                 min_size=1, max_size=50))
-def test_wheel_and_heap_fire_identically(spec):
-    assert _run_workload(True, spec) == _run_workload(False, spec)
+def test_firing_order_is_sorted_surviving_keys(spec):
+    fired, handles = _run_workload(spec)
+    assert fired == sorted((ev.time, ev.priority, ev.seq)
+                           for ev in handles if not ev.cancelled)
+    assert all(ev.fired != ev.cancelled for ev in handles)
 
 
-def test_wheel_events_keep_global_fifo_order():
-    """Events landing in the same wheel bucket fire in seq order even when
-    interleaved with heap-resident events at the same times."""
-    for wheel in (True, False):
-        sim = Simulator(timer_wheel=wheel)
-        order = []
-        sim.schedule(5.0, order.append, "a")       # wheel bucket 5
-        sim.schedule(5.0, order.append, "b")       # same bucket, later seq
-        sim.schedule(5.0, order.append, "hi", priority=-1)
-        sim.schedule(0.2, lambda: sim.schedule(4.8, order.append, "c"))
-        sim.run()
-        assert order == ["hi", "a", "b", "c"], f"timer_wheel={wheel}"
+def test_same_instant_events_fire_by_priority_then_fifo():
+    """Events at one instant fire by priority, then in scheduling order,
+    including one scheduled later from a handler."""
+    sim = Simulator()
+    order = []
+    sim.schedule(5.0, order.append, "a")
+    sim.schedule(5.0, order.append, "b")                # same time, later seq
+    sim.schedule(5.0, order.append, "hi", priority=-1)
+    sim.schedule(0.2, lambda: sim.schedule(4.8, order.append, "c"))
+    sim.run()
+    assert order == ["hi", "a", "b", "c"]
 
 
 def test_pending_counter_matches_brute_force():
@@ -78,7 +88,7 @@ def test_pending_counter_matches_brute_force():
 def test_lazy_compaction_keeps_heap_small():
     """Cancelling most of a large heap triggers a rebuild that sheds the
     tombstones without losing or reordering the survivors."""
-    sim = Simulator(trace=False, timer_wheel=False)  # all events heap-resident
+    sim = Simulator(trace=False)
     keep, cancelled = [], []
     for i in range(2000):
         ev = sim.schedule(float(i) * 0.01, (keep if i % 10 == 0
@@ -91,7 +101,9 @@ def test_lazy_compaction_keeps_heap_small():
     assert keep == list(range(0, 2000, 10))
 
 
-def test_cancel_inside_wheel_bucket_never_fires():
+def test_cancelled_far_event_never_fires():
+    """An event cancelled by an earlier one stays in the heap as a
+    tombstone and is skipped when it reaches the head."""
     sim = Simulator(trace=False)
     hits = []
     far = sim.schedule(50.0, hits.append, "far")
@@ -99,21 +111,4 @@ def test_cancel_inside_wheel_bucket_never_fires():
     sim.schedule(51.0, hits.append, "after")
     sim.run()
     assert hits == ["after"]
-
-
-def test_wheel_handles_fractional_granularity():
-    sim = Simulator(trace=False, wheel_granularity=0.25)
-    order = []
-    for d in (0.9, 0.1, 2.6, 2.4, 10.0):
-        sim.schedule(d, order.append, d)
-    sim.run()
-    assert order == sorted(order)
-
-
-def test_default_timer_wheel_class_switch():
-    try:
-        Simulator.default_timer_wheel = False
-        assert not Simulator(trace=False)._use_wheel
-    finally:
-        Simulator.default_timer_wheel = True
-    assert Simulator(trace=False)._use_wheel
+    assert sim.pending() == 0

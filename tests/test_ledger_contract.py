@@ -63,7 +63,9 @@ IMPORTED = {
     "repro.ipop:Pinger": ("run", "close"),
     "repro.experiments.scaling_10k": ("build_warm_overlay", "ShardedKernel",
                                       "BrunetConfig"),
-    "repro.sim.shards:ShardedKernel": ("shard", "shard_index", "profiler"),
+    "repro.experiments.scaling_10k:ShardedKernel": (
+        "shard", "shard_index", "profiler", "rounds", "cross_shard",
+        "shards"),
     "repro.brunet.table:ConnectionTable": ("add", "remove"),
     "repro.brunet.ring:RingIndex": ("from_nodes", "successor"),
     "repro.phys.nat:Nat": ("translate_outbound", "translate_inbound"),
@@ -71,6 +73,12 @@ IMPORTED = {
     "repro.phys:Site": ("add_host",),
     "repro.check:Auditor": ("sweep",),
 }
+
+
+#: the ring kernel as ``sim_ring_3k`` builds it; the harness reads the
+#: attributes above off that instance, not off the class
+RING_KERNEL = "repro.experiments.scaling_10k:ShardedKernel"
+RING_KERNEL_ARGS = dict(seed=0, shards=8, lookahead=0.002, trace=False)
 
 
 def _resolve(path: str):
@@ -95,11 +103,24 @@ def test_every_imported_name_exists_and_is_the_one_the_readme_lists():
     section = _public_names_section()
     for path, attrs in {**IMPORTED, **TRACED}.items():
         owner = _resolve(path)
+        if path == RING_KERNEL:
+            owner = owner(**RING_KERNEL_ARGS)
         for attr in attrs:
             assert hasattr(owner, attr), f"{path}.{attr} is gone"
             assert attr in section, (
                 f"{attr} is not in the ledger README's public-names "
                 f"section: this table and that section have drifted")
+
+
+def test_ring_kernel_is_one_simulator():
+    """The harness's ``ShardedKernel(shards=8, lookahead=0.002)`` is a
+    plain ``Simulator``: one queue, no windows, no cross-shard mail."""
+    from repro.sim import Simulator
+    kernel = _resolve(RING_KERNEL)(**RING_KERNEL_ARGS)
+    assert isinstance(kernel, Simulator)
+    assert kernel.shards == [kernel]
+    assert kernel.shard(kernel.shard_index(1 << 159)) is kernel
+    assert kernel.rounds == kernel.cross_shard == 0
 
 
 def test_tracer_install_and_uninstall_round_trip_every_traced_name():

@@ -3,8 +3,8 @@
 ``repro.phys``, ``repro.sim``, ``repro.ipop`` and ``repro.transport``
 resolve their re-exports on first use (``repro._lazy``), so the modules a
 daemon needs — real sockets, the wall-clock kernel, the node, the tap —
-no longer drag in the NAT model, flows, topology, the sharded kernel or
-the simulated transport: import time and memory a live process pays at
+no longer drag in the NAT model, flows, topology or the
+simulated transport: import time and memory a live process pays at
 every start and never uses.
 """
 
@@ -20,7 +20,7 @@ SIM_ONLY = [
     "repro.phys.flows", "repro.phys.nat", "repro.phys.network",
     "repro.phys.topology", "repro.phys.host", "repro.phys.latency",
     "repro.phys.packet",
-    "repro.sim.shards", "repro.sim.units",
+    "repro.sim.units",
     "repro.ipop.transfer", "repro.ipop.bandwidth", "repro.ipop.icmp",
     "repro.transport.sim",
 ]
