@@ -32,6 +32,7 @@ class BrunetConfig:
 
     # -- keep-alive (§IV-B "ping messages") ------------------------------
     ping_interval: float = 15.0
+    #: a connection with this many consecutive unanswered pings is dropped
     ping_retries: int = 3
     #: accepted and ignored: it selected a batched timer path that no
     #: longer exists (every timer is a kernel event, DESIGN.md §9.1).  It
@@ -39,7 +40,9 @@ class BrunetConfig:
     #: ``batch_timers=True``; the next benchmark revision drops that
     #: argument and this field with it.
     batch_timers: bool = False
-    #: a connection with this many consecutive unanswered pings is dropped
+    #: read by nothing: an unanswered ping is looked at again only on the
+    #: next keep-alive tick.  ROADMAP item 3a either retries a silent
+    #: link's ping after this many seconds or deletes the field.
     ping_timeout: float = 4.0
     #: hard liveness backstop: drop a connection when *nothing* has been
     #: heard from the peer for this long, regardless of ping accounting

@@ -5,7 +5,9 @@ ensures the node has the right number of connections."  Four overlords:
 
 * **Leaf** — bootstrap: keep one direct link to a configured seed node.
 * **Near** — ring membership: announce (CTM-to-self via the leaf target) to
-  find and hold both ring neighbours; re-announce on neighbour loss.
+  find and hold both ring neighbours; re-announce at once on neighbour
+  loss, and otherwise after a wait that doubles (30 s up to 240 s) while
+  the neighbours stay as announced.
 * **Far** — k Kleinberg-distributed long-range links for O(log²n/k) routing.
 * **Shortcut** — the paper's §IV-E contribution: a per-destination score
   queue ``s(i+1) = max(s(i) + a(i) − c, 0)`` driven by traffic inspection;
@@ -14,7 +16,7 @@ ensures the node has the right number of connections."  Four overlords:
 All four are deadline-driven (DESIGN.md §9.4): each holds one timer, for
 the earliest instant at which its ``tick`` could do anything, and none
 while only an event can give it work — a settled node holds one overlord
-timer, the near overlord's re-announce.
+timer, the near overlord's backed-off re-announce.
 """
 
 from __future__ import annotations
@@ -169,15 +171,23 @@ class LeafConnectionOverlord(Overlord):
 class NearConnectionOverlord(Overlord):
     """Finds the node's ring position and repairs it after failures.
 
-    Besides the join-time announce, the overlord re-announces periodically:
-    greedy routing only stays correct if every node is linked to its true
-    ring neighbours, and a node that joined *between* two linked nodes can
-    leave one side unaware (its announce fanned out to a stale neighbour).
-    The periodic CTM-to-self converges the ring under churn.
+    Besides the join-time announce, the overlord re-announces while in the
+    ring: greedy routing only stays correct if every node is linked to its
+    true ring neighbours, and a node that joined *between* two linked nodes
+    can leave one side unaware (its announce fanned out to a stale
+    neighbour).  The re-announce backs off Trickle-style: each announce
+    that finds the ring neighbours as the previous one left them doubles
+    the wait (``REANNOUNCE_INTERVAL`` up to ``REANNOUNCE_MAX``), and a
+    neighbour set that differs from the announced one — or a lost near
+    link, even if the same peer links again — waits the base interval.
     """
 
     ANNOUNCE_RETRY = 10.0
     REANNOUNCE_INTERVAL = 30.0
+    REANNOUNCE_MAX = 240.0
+    #: the rate limit: an announce this soon after the last is refused
+    #: (a join or repair announce so refused stays owed)
+    MIN_GAP = 1.0
 
     def __init__(self, node: "BrunetNode"):
         super().__init__(node)
@@ -186,6 +196,13 @@ class NearConnectionOverlord(Overlord):
             "overlord.announces", node=node.name)
         #: ``table.version`` at the end of the last relabel pass
         self._relabeled_version = -1
+        #: ring neighbours as of the last relabel pass / the last announce
+        self._near: set = set()
+        self._announced_near: Optional[set] = None
+        #: the in-ring re-announce wait while ``_near`` stays as announced
+        self._backoff = self.REANNOUNCE_INTERVAL
+        #: a join or repair announce was asked for and has not run yet
+        self._owed = False
         self._hook(node.on_disconnection, self._on_disconnection)
         self._hook(node.on_connection, self._on_connection)
 
@@ -198,13 +215,23 @@ class NearConnectionOverlord(Overlord):
             self._announce_soon()
 
     def _on_disconnection(self, conn: Connection) -> None:
-        # neighbour died: rediscover current nearest on both sides
+        # neighbour died: rediscover current nearest on both sides, and
+        # back to the base wait even if the same peer links again
         if ConnectionType.STRUCTURED_NEAR in conn.types:
+            self._announced_near = None
             self._announce_soon()
 
     def _announce_soon(self) -> None:
-        self.node.sim.schedule(0.0, self._maybe_announce,
+        """Announce at once — owed until some announce runs, so one the
+        rate limit refuses is delayed to ``MIN_GAP`` after the last."""
+        self._owed = True
+        self.node.sim.schedule(0.0, self._announce_owed,
                                priority=self._order(deferred=True))
+
+    def _announce_owed(self) -> None:
+        if self._owed:
+            self._maybe_announce()
+            self._wake()        # refused: due ``MIN_GAP`` after the last
 
     def _maybe_announce(self) -> None:
         node = self.node
@@ -212,11 +239,26 @@ class NearConnectionOverlord(Overlord):
             return
         if node.leaf_connection() is None and not node.in_ring:
             return  # joining needs a leaf; in-ring repair does not
-        if node.sim.now - self._last_announce < 1.0:
+        if node.sim.now - self._last_announce < self.MIN_GAP:
             return
+        self._owed = False
+        self._backoff = (min(2.0 * self._backoff, self.REANNOUNCE_MAX)
+                         if self._near == self._announced_near
+                         else self.REANNOUNCE_INTERVAL)
+        self._announced_near = self._near
         self._last_announce = node.sim.now
         self._m_announces.inc()
         node.announce()
+
+    def _wait(self) -> float:
+        """Seconds after the last announce that the next one is due."""
+        if self._owed:
+            return self.MIN_GAP
+        if not self.node.in_ring:
+            return self.ANNOUNCE_RETRY
+        if self._near != self._announced_near:
+            return self.REANNOUNCE_INTERVAL
+        return self._backoff
 
     def _due(self) -> Optional[float]:
         node = self.node
@@ -225,20 +267,16 @@ class NearConnectionOverlord(Overlord):
             return node.sim.now
         if not in_ring and node.leaf_connection() is None:
             return None  # the LEAF hook announces the moment one lands
-        wait = self.REANNOUNCE_INTERVAL if in_ring else self.ANNOUNCE_RETRY
         # an ulp early: ``tick`` tests ``now - last >= wait``, a rounded
         # subtraction this sum can overshoot — and an early tick is a no-op
-        return math.nextafter(self._last_announce + wait, -math.inf)
+        return math.nextafter(self._last_announce + self._wait(), -math.inf)
 
     def tick(self) -> None:
         """Announce when not in the ring; relabel/re-announce when in."""
         node = self.node
         if node.in_ring:
             self._relabel_neighbors()
-            if node.sim.now - self._last_announce >= self.REANNOUNCE_INTERVAL:
-                self._maybe_announce()
-            return
-        if node.sim.now - self._last_announce >= self.ANNOUNCE_RETRY:
+        if node.sim.now - self._last_announce >= self._wait():
             self._maybe_announce()
 
     def _relabel_neighbors(self) -> None:
@@ -269,6 +307,7 @@ class NearConnectionOverlord(Overlord):
                                      notify=True)
             else:
                 conn.discard_type(ConnectionType.STRUCTURED_NEAR)
+        self._near = keep
         self._relabeled_version = table.version
 
 

@@ -11,12 +11,13 @@ the interesting cost.  Methodology:
   Kleinberg-sampled far links, resolved to their nearest live node) is
   constructed directly from the sorted address array, exactly the state
   the join protocol converges to.  Every node then *starts for real*, all
-  in the same instant: keep-alives, overlord maintenance and periodic
-  re-announces run the genuine protocol over the constructed state for
-  ``settle`` seconds, so a mis-wired ring would be repaired — or flagged
-  by the audit.  Each node's keep-alive ticks at a phase taken from its
-  address (:func:`~repro.brunet.node.keepalive_phase`), so the ring does
-  not ping in step although it started in step.
+  in the same instant: keep-alives, overlord maintenance and re-announces
+  (at 0 and 30 s, then backing off to every 240 s while a node's ring
+  neighbours hold) run the genuine protocol over the constructed state
+  for ``settle`` seconds, so a mis-wired ring would be repaired — or
+  flagged by the audit.  Each node's keep-alive ticks at a phase taken
+  from its address (:func:`~repro.brunet.node.keepalive_phase`), so the
+  ring does not ping in step although it started in step.
 * **One kernel** — the whole ring runs on one
   :class:`~repro.sim.engine.Simulator` with the timing model of every
   other experiment: each datagram lands after its sampled latency, and

@@ -213,10 +213,15 @@ def soup_schedule(seed: int) -> Schedule:
 # one run
 # ---------------------------------------------------------------------------
 
+def _addrs(peers) -> list | None:
+    return None if peers is None else sorted(map(int, peers))
+
+
 def _state(node: BrunetNode) -> tuple:
     leaf, near, far, shortcut = node.overlords
     return ((leaf._seed_index, leaf._attempting),
-            (near._last_announce, near._relabeled_version),
+            (near._last_announce, near._relabeled_version, near._backoff,
+             near._owed, _addrs(near._near), _addrs(near._announced_near)),
             (list(far._pending), repr(far._rng.bit_generator.state)),
             sorted((int(c.peer_addr), sorted(t.value for t in c.types))
                    for c in node.table.all()))
@@ -401,7 +406,22 @@ def test_structured_schedule_matches_pollers(monkeypatch, seed, sliced,
     links = [e[2] for e in ref_log if e[1] == "link"]
     assert links[:3] == [str(_uri(0)), str(_uri(1)), str(_uri(2))]
     assert str(_uri(3)) in links                 # after rebootstrap
-    assert seen.count("announce") > 25           # joins, repairs, 30 s
+    # the settled re-announce backs off, and a neighbour change resets it:
+    # before the first stop, some wait is twice the base and a later one
+    # is the base again (both within one grid step of the deadline)
+    first_stop = next(t for t, action, *_ in ref_log if action == "stop")
+    announces = [t for t, action, *_ in ref_log
+                 if action == "announce" and t < first_stop]
+    gaps = [b - a for a, b in zip(announces, announces[1:])]
+    base = NearConnectionOverlord.REANNOUNCE_INTERVAL
+    step = BrunetConfig().overlord_interval
+
+    def waited(g: float, wait: float) -> bool:
+        return wait - 1e-9 <= g < wait + step
+
+    doubled = [i for i, g in enumerate(gaps) if waited(g, 2 * base)]
+    assert doubled, gaps
+    assert any(waited(g, base) for g in gaps[doubled[0] + 1:]), gaps
     assert "drop:near-trimmed" in seen
     assert seen.count("far") >= 3 + 2 + 3 + 3 + 3    # incl. two expiries
     assert seen.count("stop") == 2

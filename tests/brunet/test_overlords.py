@@ -224,8 +224,7 @@ class TestDeadlineDriven:
             near = _overlord(node, NearConnectionOverlord)
             assert near.timer_pending
             # ... due at its next re-announce, one grid step at most past it
-            slack = (near._armed_at - near._last_announce
-                     - near.REANNOUNCE_INTERVAL)
+            slack = near._armed_at - near._last_announce - near._wait()
             assert 0.0 <= slack + 1e-9 < node.config.overlord_interval
 
     def test_losing_a_far_peer_rearms_the_far_overlord(self, sim, internet):
@@ -253,7 +252,7 @@ class TestDeadlineDriven:
         sim.run(until=sim.now + 60.0)
         node = nodes[2]
         near = _overlord(node, NearConnectionOverlord)
-        sim.run(until=near._armed_at)       # just re-announced: 30 s off
+        sim.run(until=near._armed_at)       # just re-announced: ≥ 30 s off
         assert near._armed_at - sim.now > 2 * node.config.overlord_interval
         conn = node.table.by_type(ConnectionType.STRUCTURED_FAR)[0]
         conn.add_type(ConnectionType.SHORTCUT)
@@ -267,7 +266,8 @@ class TestDeadlineDriven:
         """``tick`` tests ``now - last >= wait``; the deadline ``_due()``
         states must not lie above any instant that passes that test —
         also where ``last + wait`` does (small ``last``: the subtraction
-        rounds) — and may lie below one that fails it only by ulps."""
+        rounds) — and may lie below one that fails it only by ulps.  For
+        every wait the back-off can reach."""
         import random
         from repro.brunet.overlords import NearConnectionOverlord
         sim = Simulator(seed=9)
@@ -280,22 +280,82 @@ class TestDeadlineDriven:
         from repro.phys.endpoints import Endpoint
         node.table.add(Connection(node.addr.offset(99), Endpoint("9.9.9.9", 1),
                                   ConnectionType.STRUCTURED_NEAR, sim.now))
-        near.tick()                       # relabel pass: only the 30 s left
-        wait = near.REANNOUNCE_INTERVAL
+        near.tick()                       # relabel pass: only the wait left
+        near._announced_near = near._near     # the neighbours announced
         rng = random.Random(11)
-        for _ in range(4000):
-            last = rng.choice((rng.uniform(0.0, 40.0),
-                               rng.uniform(0.0, 5000.0)))
-            near._last_announce = last
-            due = near._due()
-            step = rng.choice((5.0, 0.5, 0.3, 1.0))
-            t = last
-            for _ in range(int(wait / step) + 3):
-                t += step
-                if t - last >= wait:
-                    assert t >= due
-                elif t >= due:
-                    assert wait - (t - last) < 1e-12
+        waits = []
+        wait = near.REANNOUNCE_INTERVAL
+        while wait <= near.REANNOUNCE_MAX:
+            waits.append(wait)
+            wait *= 2
+        assert waits == [30.0, 60.0, 120.0, 240.0]
+        for wait in waits:
+            near._backoff = wait
+            assert near._wait() == wait
+            for _ in range(1000):
+                last = rng.choice((rng.uniform(0.0, wait + 10.0),
+                                   rng.uniform(0.0, 5000.0)))
+                near._last_announce = last
+                due = near._due()
+                step = rng.choice((5.0, 0.5, 0.3, 1.0))
+                t = last
+                for _ in range(int(wait / step) + 3):
+                    t += step
+                    if t - last >= wait:
+                        assert t >= due
+                    elif t >= due:
+                        assert wait - (t - last) < 1e-12
+
+
+class TestRepairAnnounce:
+    def test_rate_limited_repair_announce_is_delayed_not_dropped(self):
+        """Red-first: a near link lost 0.5 s after an announce asks for a
+        repair announce the 1 s rate limit refuses.  It used to be
+        dropped, leaving the node to its next periodic re-announce; it is
+        owed now, and runs on the first grid instant ``MIN_GAP`` after
+        the last announce."""
+        from repro.brunet.overlords import NearConnectionOverlord
+        sim = Simulator(seed=3)
+        nodes, _ = build_overlay(sim, Internet(sim), 8)
+        node = nodes[4]
+        near = _overlord(node, NearConnectionOverlord)
+        while near._last_announce != sim.now:
+            sim.run(until=near._armed_at)       # to the next re-announce
+        sim.run(until=sim.now + 0.5)
+        sent = near._m_announces.value
+        node.drop_connection(node.table.by_type(
+            ConnectionType.STRUCTURED_NEAR)[0], reason="test")
+        sim.run(until=sim.now + node.config.overlord_interval)
+        assert near._m_announces.value == sent + 1
+        assert not near._owed and near._timer is not None
+
+    def test_rate_limited_join_announce_is_owed_too(self):
+        """A leaf link landing 0.5 s after the join announce asks for one
+        more the rate limit refuses: it runs on the first grid instant a
+        second after the last, not ``ANNOUNCE_RETRY`` later — even with
+        no earlier tick left armed to pick it up."""
+        from repro.brunet.connection import Connection
+        from repro.brunet.overlords import NearConnectionOverlord
+        from repro.phys.endpoints import Endpoint
+        sim = Simulator(seed=5)
+        host = Site(Internet(sim), "solo").add_host("h")
+        node = BrunetNode(sim, host, random_address(sim.rng.stream("x")),
+                          BrunetConfig())
+        node.start([])
+        near = _overlord(node, NearConnectionOverlord)
+
+        def leaf(i: int) -> Connection:
+            return Connection(node.addr.offset(1000 + i),
+                              Endpoint(f"150.9.9.{i}", 4000),
+                              ConnectionType.LEAF, sim.now)
+
+        sim.run(until=12.0)                     # grid: 10, 15, 20, 25
+        for i, at in enumerate((15.5, 16.0, 21.0), start=1):
+            node.table.add(leaf(i))             # join announces at 12, 15.5
+            sim.run(until=at)
+            node.table.remove(leaf(i).peer_addr)
+        assert near._m_announces.value == 3
+        assert near._last_announce == 20.0
 
 
 class TestStrandedNode:

@@ -67,8 +67,9 @@ def test_quiescent_overlay_schedules_no_shortcut_ticks(sim, internet):
         assert node.shortcut_overlord._timer is None
         assert not node.shortcut_overlord.timer_pending
     # what is left of the periodic load: keep-alive / 7.5 s + re-announce
-    # / 30 s = 0.17 per node-second (0.73 while leaf, near and far polled
-    # every 5 s; 1.73 with the 1 Hz shortcut poll on top)
+    # / 30 s at most (it backs off to 240 s) = 0.17 per node-second (0.73
+    # while leaf, near and far polled every 5 s; 1.73 with the 1 Hz
+    # shortcut poll on top)
     assert seen["NearConnectionOverlord._fire"] <= NODES * (WINDOW / 30 + 1)
     periodic = sum(v for k, v in seen.items()
                    if k.endswith("Overlord._fire")

@@ -82,8 +82,14 @@ class TestSurvey:
     def test_shortcut_census_counts_pairs(self, bed):
         sim, tb = bed
         from repro.ipop import Pinger
-        pinger = Pinger(tb.vm(3).router)
-        done = pinger.run(tb.vm(18).virtual_ip, count=60, interval=1.0)
+        src = tb.vm(3)
+        # an NWU peer not already linked to it (a far link needs no
+        # shortcut, and which far links a run ends with is up to the seed)
+        dst = next(vm for _, vm in sorted(tb.vms.items())
+                   if vm.host.site.name == "nwu"
+                   and src.router.node.table.get(vm.router.node.addr) is None)
+        pinger = Pinger(src.router)
+        done = pinger.run(dst.virtual_ip, count=60, interval=1.0)
         sim.run(until=sim.now + 70)
         pinger.close()
         census = shortcut_census(tb.deployment)
