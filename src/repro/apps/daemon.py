@@ -93,6 +93,8 @@ class WowDaemon:
         self.stats_port = stats_port
         self.stats_public = stats_public
         self.bundle_out = bundle_out
+        #: ``(ip, port)`` of the stats socket once it is bound
+        self.stats_endpoint: Optional[tuple[str, int]] = None
         self.cache = (PeerCache(peer_cache_path)
                       if peer_cache_path else None)
         self.kernel: Optional[RealtimeKernel] = None
@@ -115,8 +117,8 @@ class WowDaemon:
         """Bind the socket, join the overlay, open the control socket."""
         self.kernel = RealtimeKernel(seed=0)
         if self.stats_port is not None:
-            await self.kernel.serve_stats(port=self.stats_port,
-                                          public=self.stats_public)
+            self.stats_endpoint = await self.kernel.serve_stats(
+                port=self.stats_port, public=self.stats_public)
         self.transport = await UdpTransport.create(
             self.kernel, self.listen[0], self.listen[1], name=self.name)
         self.node = BrunetNode(self.kernel, None, addr_for_ip(self.vip),
@@ -425,6 +427,10 @@ async def amain(args: argparse.Namespace) -> int:
         loop.add_signal_handler(
             sig, daemon.request_shutdown, signal.Signals(sig).name)
     await daemon.start()
+    if daemon.stats_endpoint is not None:
+        ip, port = daemon.stats_endpoint
+        print(f"stats socket on {ip}:{port} — watch with "
+              f"python -m repro.obs.top --connect {ip}:{port}", flush=True)
     print(f"{daemon.name}: up on {daemon.transport.local_endpoint} "
           f"addr={daemon.node.addr.hex()[:12]}… "
           f"control={args.control or '-'}", flush=True)

@@ -8,6 +8,17 @@ cumulative ACKs, a fixed window, retransmission timers with exponential
 back-off, and graceful close.  Segments travel as individual virtual-IP
 packets, so every NAT/overlay behaviour applies to them.
 
+The receiver acks once per receive batch: an in-order DATA segment arms
+one zero-delay ACK timer, and every in-order segment that arrives before
+it fires rides on the same cumulative ACK.  In the simulator the timer
+fires after the current instant's events; live, after the next I/O
+poll, which is when a drained socket has handed over a whole window
+(:mod:`repro.transport.udp`).  No ACK waits on a clock, so no round trip
+grows.  An out-of-order, duplicate or gap-filling segment is acked at
+once (RFC 5681 §4.2), and that ACK covers a pending one.  The FIN takes
+sequence number ``snd_next``, so its ACK (``seq + 1``) cannot be mistaken
+for a late data ACK.
+
 Bulk data still uses :class:`~repro.ipop.transfer.OverlayTransfer` (a fluid
 flow); VTCP is for *control* streams, where per-segment semantics matter.
 """
@@ -69,6 +80,7 @@ class VtcpSocket:
         # receive side
         self.rcv_next = 0
         self._reorder: dict[int, Segment] = {}
+        self._ack_timer = None
         # signals
         self.established = Signal(self.sim, "vtcp.established", latch=True)
         self.closed = Signal(self.sim, "vtcp.closed", latch=True)
@@ -176,9 +188,10 @@ class VtcpSocket:
         self._arm_retx()
 
     def _teardown(self) -> None:
-        if self._retx_timer is not None:
-            self._retx_timer.cancel()
-            self._retx_timer = None
+        for timer in (self._retx_timer, self._ack_timer):
+            if timer is not None:
+                timer.cancel()
+        self._retx_timer = self._ack_timer = None
         self.state = "CLOSED"
         self.closed.fire(self)
 
@@ -230,22 +243,26 @@ class VtcpSocket:
             return
         if seg.flags == "ACK":
             if self.state == "FIN_SENT":
-                self._teardown()
+                # the FIN holds sequence number snd_next: only an ACK past
+                # it acks the FIN; a late data ACK leaves it retransmitting
+                if seg.ack > self.snd_next:
+                    self._teardown()
                 return
             self._on_ack(seg.ack)
             return
         if seg.flags == "FIN":
-            self.rcv_next = max(self.rcv_next, seg.seq)
-            self._transmit(Segment(self.snd_next, self.rcv_next, "ACK"))
+            self.rcv_next = max(self.rcv_next, seg.seq + 1)
+            self._send_ack()
             self._teardown()
             return
 
     def _on_data(self, seg: Segment) -> None:
         if self.state not in ("ESTABLISHED", "SYN_RCVD", "FIN_SENT"):
             return
-        if seg.seq < self.rcv_next:
-            pass  # duplicate
-        else:
+        # in order: acked with the rest of its receive batch; out of
+        # order, duplicate or gap-filling: acked at once
+        batched = seg.seq == self.rcv_next and not self._reorder
+        if seg.seq >= self.rcv_next:
             self._reorder[seg.seq] = seg
             while self.rcv_next in self._reorder:
                 ready = self._reorder.pop(self.rcv_next)
@@ -253,6 +270,16 @@ class VtcpSocket:
                 self.messages_delivered += 1
                 if self.on_message is not None:
                     self.on_message(ready.payload)
+        if not batched:
+            self._send_ack()
+        elif self._ack_timer is None:
+            self._ack_timer = self.sim.schedule(0.0, self._send_ack)
+
+    def _send_ack(self) -> None:
+        """One cumulative ACK; it stands in for a pending batched one."""
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
         self._transmit(Segment(self.snd_next, self.rcv_next, "ACK"))
 
     def _on_ack(self, ack: int) -> None:

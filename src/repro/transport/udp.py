@@ -1,4 +1,4 @@
-"""UdpTransport: real datagrams over asyncio UDP sockets.
+"""UdpTransport: real datagrams over a non-blocking UDP socket.
 
 Every outbound message is framed by :mod:`repro.wire` (version byte, type
 tag, length-prefixed fields) and handed to the OS; every inbound datagram
@@ -11,6 +11,19 @@ frames the node launches as bytes leave through ``send_frame`` too.  A
 frame that fails to decode increments the ``wire.decode_error`` counter
 and is dropped — malformed traffic never raises into the event loop.
 
+The transport owns its socket and registers it with the asyncio loop's
+selector (``add_reader``).  One wake-up drains the receive queue: it
+reads a datagram, hands it over, and asks the kernel (``FIONREAD``)
+whether another is queued, up to :data:`READ_BATCH` datagrams; whatever
+remains is read on the loop's next pass, because the selector is
+level-triggered.  A window of back-to-back segments therefore arrives in
+one callback instead of one loop pass each, and a flooded socket cannot
+starve timers or other sockets.  ``send_frame`` calls ``sendto`` itself:
+a datagram the OS refuses (a full send buffer, ``ENOBUFS``, an ICMP error
+reported on the socket) is dropped and counted on ``wire.socket_error``,
+as is a receive error, which also ends that wake-up.  Socket errors stay
+out of ``wire.decode_error``, which reads as codec health.
+
 The reported receive ``size`` is ``len(frame) + UDP_IP_OVERHEAD`` so that
 byte accounting (``conn.bytes_sent`` etc.) matches what a codec-mode
 :class:`~repro.transport.sim.SimTransport` charges for the same message —
@@ -19,7 +32,10 @@ the measurable half of the sim-vs-live equivalence argument.
 
 from __future__ import annotations
 
-import asyncio
+import socket
+from array import array
+from fcntl import ioctl
+from termios import FIONREAD
 from typing import Any, Optional
 
 from repro.phys.endpoints import Endpoint
@@ -27,22 +43,10 @@ from repro.transport.base import ReceiveHandler, Transport
 from repro.transport.runtime import RealtimeKernel
 from repro.wire import codec
 
-
-class _Protocol(asyncio.DatagramProtocol):
-    """Thin adapter: asyncio callbacks -> UdpTransport methods."""
-
-    def __init__(self, transport_obj: "UdpTransport"):
-        self.owner = transport_obj
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.owner._on_datagram(data, addr)
-
-    def error_received(self, exc: Exception) -> None:
-        # OS-level socket errors (e.g. ICMP port-unreachable from a peer
-        # process that just died — constant background noise in a swarm
-        # under churn) are not codec failures: keep them out of
-        # wire.decode_error, which the inspector reads as codec health
-        self.owner._m_socket_err.inc()
+#: datagrams read in one wake-up at most
+READ_BATCH = 64
+#: receive buffer per ``recvfrom``: the largest UDP payload fits
+MAX_DATAGRAM = 1 << 16
 
 
 class UdpTransport(Transport):
@@ -53,9 +57,14 @@ class UdpTransport(Transport):
     def __init__(self, kernel: RealtimeKernel, name: str = ""):
         self.kernel = kernel
         self.name = name
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._sock: Optional[socket.socket] = None
+        #: the descriptor registered with the loop, while it is
+        self._reader_fd: Optional[int] = None
         self._handler: Optional[ReceiveHandler] = None
         self._endpoint: Optional[Endpoint] = None
+        #: ``FIONREAD`` writes the size of the next queued datagram here
+        #: (a mutable buffer: ``ioctl`` on ``bytes`` costs twice as much)
+        self._next_size = array("i", [0])
         metrics = kernel.obs.metrics
         self._m_decode_err = metrics.counter("wire.decode_error", node=name)
         self._m_socket_err = metrics.counter("wire.socket_error", node=name)
@@ -70,10 +79,18 @@ class UdpTransport(Transport):
                      port: int = 0, name: str = "") -> "UdpTransport":
         """Bind a real UDP socket on ``(ip, port)`` (0 = OS-assigned)."""
         self = cls(kernel, name=name)
-        transport, _ = await kernel.loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=(ip, port))
-        self._transport = transport
-        sockname = transport.get_extra_info("sockname")
+        sock = socket.socket(socket.AF_INET6 if ":" in ip else socket.AF_INET,
+                             socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind((ip, port))
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        self._reader_fd = sock.fileno()
+        kernel.loop.add_reader(self._reader_fd, self._read_ready)
+        sockname = sock.getsockname()
         self._endpoint = Endpoint(sockname[0], sockname[1])
         return self
 
@@ -93,9 +110,12 @@ class UdpTransport(Transport):
 
     def close(self) -> None:
         self._handler = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        sock, self._sock = self._sock, None
+        if self._reader_fd is not None:
+            self.kernel.loop.remove_reader(self._reader_fd)
+            self._reader_fd = None
+        if sock is not None:
+            sock.close()
 
     # ------------------------------------------------------------------
     def send(self, dst: Endpoint, msg: Any, size_hint: int = 0) -> None:
@@ -106,11 +126,36 @@ class UdpTransport(Transport):
         self.send_frame(dst, buf)
 
     def send_frame(self, dst: Endpoint, frame: bytes) -> None:
-        if self._transport is None or self._transport.is_closing():
+        sock = self._sock
+        if sock is None:
             return
         self.sent += 1
         self._m_tx_bytes.inc(len(frame))
-        self._transport.sendto(frame, (dst.ip, dst.port))
+        try:
+            sock.sendto(frame, (dst.ip, dst.port))
+        except OSError:
+            self._m_socket_err.inc()
+
+    def _read_ready(self) -> None:
+        """The loop's reader callback: drain the queue, at most
+        :data:`READ_BATCH` datagrams."""
+        sock = self._sock
+        fd = sock.fileno()
+        next_size = self._next_size
+        for _ in range(READ_BATCH):
+            try:
+                data, addr = sock.recvfrom(MAX_DATAGRAM)
+            except BlockingIOError:
+                return
+            except OSError:
+                self._m_socket_err.inc()
+                return
+            self._on_datagram(data, addr)
+            if self._sock is not sock:
+                return      # the handler closed the transport
+            ioctl(fd, FIONREAD, next_size)
+            if not next_size[0]:
+                return
 
     def _on_datagram(self, data: bytes, addr) -> None:
         if self._handler is None:

@@ -6,7 +6,9 @@ tests only read from them; tests that mutate topology build their own.
 
 from __future__ import annotations
 
+import collections
 import os
+import socket
 import sys
 
 import pytest
@@ -43,29 +45,78 @@ def internet(sim) -> Internet:
 
 
 class StubSocket:
-    """What ``UdpTransport`` needs of an asyncio datagram transport;
-    keeps every datagram as ``(frame, (ip, port))``."""
+    """What ``UdpTransport`` needs of its socket, with no network under
+    it.  ``sendto`` keeps every datagram as ``(frame, (ip, port))`` in
+    ``out``; ``deliver`` queues one for ``recvfrom``.  The queue is a
+    local AF_UNIX datagram pair (made on first use), so ``FIONREAD`` on
+    ``fileno()`` sees what is queued, as on a UDP socket."""
 
     def __init__(self):
         self.out: list[tuple[bytes, tuple]] = []
-
-    def is_closing(self) -> bool:
-        return False
+        self._pair = None
+        self._sources: collections.deque = collections.deque()
 
     def sendto(self, frame: bytes, addr: tuple) -> None:
         self.out.append((frame, addr))
 
+    def deliver(self, frame: bytes, addr: tuple) -> None:
+        if self._pair is None:
+            self._pair = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+            for end in self._pair:
+                end.setblocking(False)      # a full queue raises, not hangs
+            self._pair[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                     1 << 20)
+        self._pair[0].send(frame)
+        self._sources.append(addr)
+
+    def recvfrom(self, size: int) -> tuple[bytes, tuple]:
+        if self._pair is None:
+            raise BlockingIOError
+        frame = self._pair[1].recv(size)
+        return frame, self._sources.popleft()
+
+    def fileno(self) -> int:
+        return -1 if self._pair is None else self._pair[1].fileno()
+
     def close(self) -> None:
-        pass
+        for end in self._pair or ():
+            end.close()
 
 
 def stub_socket(transport, ip: str, port: int) -> StubSocket:
     """Put a live ``UdpTransport`` on a :class:`StubSocket` bound to
     ``(ip, port)``: its own send/receive code, no OS socket."""
     from repro.phys.endpoints import Endpoint
-    socket = transport._transport = StubSocket()
+    stub = transport._sock = StubSocket()
     transport._endpoint = Endpoint(ip, port)
-    return socket
+    return stub
+
+
+def linked_live_pair(loop, ips: tuple[str, str], config=None):
+    """Two started live nodes on stub sockets at 127.0.0.1:4000 and :4001,
+    each holding a near link to the other; returns (nodes, routers,
+    sockets).  Nothing crosses between them unless the test moves it."""
+    from repro.brunet.connection import Connection, ConnectionType
+    from repro.ipop.mapping import addr_for_ip
+    from repro.ipop.router import IpopRouter
+    from repro.transport.runtime import RealtimeKernel
+    from repro.transport.udp import UdpTransport
+    kernel = RealtimeKernel(seed=1, loop=loop)
+    nodes, routers, sockets = [], [], []
+    for i, ip in enumerate(ips):
+        transport = UdpTransport(kernel, name=f"n{i}")
+        sockets.append(stub_socket(transport, "127.0.0.1", 4000 + i))
+        node = BrunetNode(kernel, None, addr_for_ip(ip),
+                          config or BrunetConfig(wire_mode="codec"),
+                          transport=transport, name=f"n{i}")
+        node.start([])
+        nodes.append(node)
+        routers.append(IpopRouter(node, ip))
+    for i, j in ((0, 1), (1, 0)):
+        nodes[i].table.add(Connection(
+            nodes[j].addr, nodes[j].transport.local_endpoint,
+            ConnectionType.STRUCTURED_NEAR, kernel.now))
+    return nodes, routers, sockets
 
 
 def count_calls(fn, *args) -> int:

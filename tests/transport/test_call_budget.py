@@ -16,16 +16,9 @@ The object path makes 41 + 82 + 41 = 164 calls for the same echo.
 
 import asyncio
 
-from repro.brunet.config import BrunetConfig
-from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.node import BrunetNode
 from repro.ipop.ippacket import IcmpEcho
-from repro.ipop.mapping import addr_for_ip
-from repro.ipop.router import IpopRouter
-from repro.transport.runtime import RealtimeKernel
-from repro.transport.udp import UdpTransport
 
-from tests.conftest import count_calls as _calls, stub_socket
+from tests.conftest import count_calls as _calls, linked_live_pair
 
 #: calls per leg as measured when the byte paths landed
 MEASURED = (28, 58, 30)
@@ -35,29 +28,10 @@ BUDGET = sum(MEASURED) * 105 // 100
 IPS = ("10.128.0.2", "10.128.0.3")
 
 
-def _linked_pair(loop):
-    kernel = RealtimeKernel(seed=1, loop=loop)
-    nodes, routers, sockets = [], [], []
-    for i, ip in enumerate(IPS):
-        transport = UdpTransport(kernel, name=f"n{i}")
-        sockets.append(stub_socket(transport, "127.0.0.1", 4000 + i))
-        node = BrunetNode(kernel, None, addr_for_ip(ip),
-                          BrunetConfig(wire_mode="codec"),
-                          transport=transport, name=f"n{i}")
-        node.start([])
-        nodes.append(node)
-        routers.append(IpopRouter(node, ip))
-    for i, j in ((0, 1), (1, 0)):
-        nodes[i].table.add(Connection(
-            nodes[j].addr, nodes[j].transport.local_endpoint,
-            ConnectionType.STRUCTURED_NEAR, kernel.now))
-    return nodes, routers, sockets
-
-
 def test_zero_hop_echo_stays_inside_its_call_budget():
     loop = asyncio.new_event_loop()
     try:
-        nodes, routers, (sock_a, sock_b) = _linked_pair(loop)
+        nodes, routers, (sock_a, sock_b) = linked_live_pair(loop, IPS)
         replies = []
 
         def on_reply(pkt) -> None:

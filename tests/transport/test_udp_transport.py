@@ -1,16 +1,24 @@
-"""Live-socket smoke: real asyncio UDP sockets on localhost.
+"""Live-socket smoke: real UDP sockets on localhost.
 
-The full two-node bootstrap + CTM + linking + tunnelled-ping scenario is
-exercised via the demo's ``run`` coroutine (the same code CI runs as a
-standalone process); plus focused unit checks on UdpTransport framing.
+The full two-node bootstrap + CTM + linking + tunnelled-ping scenario
+runs on two in-process daemons; the focused checks cover UdpTransport
+framing, its socket-error accounting and how one wake-up drains the
+socket (over a stub socket, so the queue is exact).
 """
 
 import asyncio
 
+from repro.apps.daemon import WowDaemon
+from repro.brunet.config import BrunetConfig
 from repro.brunet.messages import PingRequest
 from repro.ipop.mapping import addr_for_ip
 from repro.transport.runtime import RealtimeKernel
-from repro.transport.udp import UdpTransport
+from repro.transport.udp import READ_BATCH, UdpTransport
+from repro.wire import encode
+
+from tests.conftest import stub_socket
+
+PEER = ("127.0.0.1", 5000)
 
 
 def test_udp_transport_roundtrip_real_sockets():
@@ -62,24 +70,146 @@ def test_socket_errors_do_not_pollute_codec_health():
     """Regression: an OS-level socket error (ICMP port-unreachable — a
     churning swarm generates these constantly) was counted into
     ``wire.decode_error``, corrupting the codec-health metric.  It must
-    land in its own ``wire.socket_error`` counter."""
-    from repro.transport.udp import _Protocol
+    land in its own ``wire.socket_error`` counter, on either side of the
+    socket."""
+
+    def refused(*_args):
+        raise ConnectionRefusedError(111, "Connection refused")
 
     async def scenario():
         kernel = RealtimeKernel(seed=0)
-        t = await UdpTransport.create(kernel, "127.0.0.1", 0, name="t")
-        proto = _Protocol(t)
-        proto.error_received(OSError(111, "Connection refused"))
-        proto.error_received(OSError(111, "Connection refused"))
+        t = UdpTransport(kernel, name="t")
+        stub = stub_socket(t, "127.0.0.1", 4000)
+        got = []
+        t.open(lambda msg, src, size: got.append(msg))
+        stub.recvfrom = stub.sendto = refused
+        t._read_ready()
+        t.send(t.local_endpoint, PingRequest(1, addr_for_ip("10.128.0.2")))
         metrics = kernel.obs.metrics
         decode = metrics.counter("wire.decode_error", node="t").value
         sock = metrics.counter("wire.socket_error", node="t").value
         t.close()
-        return decode, sock
+        return decode, sock, got
 
-    decode, sock = asyncio.run(scenario())
+    decode, sock, got = asyncio.run(scenario())
     assert decode == 0
     assert sock == 2
+    assert got == []
+
+
+def test_a_send_the_socket_refuses_is_dropped_and_counted():
+    """A full send buffer (``BlockingIOError``) drops that datagram and
+    counts it; nothing is queued in user space and the next send goes."""
+    blocked = [BlockingIOError(11, "Resource temporarily unavailable")]
+
+    async def scenario():
+        kernel = RealtimeKernel(seed=0)
+        t = UdpTransport(kernel, name="t")
+        stub = stub_socket(t, "127.0.0.1", 4000)
+        sendto = stub.sendto
+
+        def once_blocked(frame, addr):
+            if blocked:
+                raise blocked.pop()
+            sendto(frame, addr)
+
+        stub.sendto = once_blocked
+        ping = PingRequest(1, addr_for_ip("10.128.0.2"))
+        t.send(t.local_endpoint, ping)
+        t.send(t.local_endpoint, ping)
+        errors = kernel.obs.metrics.counter("wire.socket_error",
+                                            node="t").value
+        t.close()
+        return stub.out, errors, t.sent
+
+    out, errors, sent = asyncio.run(scenario())
+    assert errors == 1
+    assert sent == 2
+    assert [frame for frame, _ in out] == [encode(
+        PingRequest(1, addr_for_ip("10.128.0.2")))]
+
+
+def test_one_wakeup_reads_at_most_a_batch_and_keeps_order():
+    """200 queued datagrams are read over several wake-ups of at most
+    ``READ_BATCH`` each, in arrival order; whatever a wake-up leaves is
+    read by the next one."""
+
+    async def scenario():
+        kernel = RealtimeKernel(seed=0)
+        t = UdpTransport(kernel, name="t")
+        stub = stub_socket(t, "127.0.0.1", 4000)
+        got = []
+        t.open(lambda msg, src, size: got.append(msg.token))
+        peer = addr_for_ip("10.128.0.2")
+        for token in range(1, 201):
+            stub.deliver(encode(PingRequest(token, peer)), PEER)
+        per_wakeup = []
+        while len(got) < 200 and len(per_wakeup) < 10:
+            before = len(got)
+            t._read_ready()
+            per_wakeup.append(len(got) - before)
+        t._read_ready()     # an empty queue: nothing, no error
+        t.close()
+        return got, per_wakeup
+
+    got, per_wakeup = asyncio.run(scenario())
+    assert got == list(range(1, 201))
+    assert per_wakeup == [min(READ_BATCH, 200 - done)
+                          for done in range(0, 200, READ_BATCH)]
+    assert len(per_wakeup) > 1
+
+
+def test_a_handler_that_closes_the_transport_ends_the_wakeup():
+    async def scenario():
+        kernel = RealtimeKernel(seed=0)
+        t = UdpTransport(kernel, name="t")
+        stub = stub_socket(t, "127.0.0.1", 4000)
+        got = []
+
+        def handler(msg, src, size):
+            got.append(msg.token)
+            if len(got) == 3:
+                t.close()
+
+        t.open(handler)
+        peer = addr_for_ip("10.128.0.2")
+        for token in range(1, 9):
+            stub.deliver(encode(PingRequest(token, peer)), PEER)
+        t._read_ready()
+        return got
+
+    assert asyncio.run(scenario()) == [1, 2, 3]
+
+
+def test_close_releases_the_socket_and_its_loop_registration():
+    """``close()`` closes the socket and stops the loop watching its
+    descriptor: the next socket, which gets the same descriptor number,
+    is read, not left unwatched behind a stale registration."""
+    ping = PingRequest(3, addr_for_ip("10.128.0.2"))
+
+    async def scenario():
+        kernel = RealtimeKernel(seed=0)
+        first = await UdpTransport.create(kernel, name="a")
+        sock = first._sock
+        fd = sock.fileno()
+        first.close()
+        first.close()
+        second = await UdpTransport.create(kernel, name="b")
+        got = asyncio.get_running_loop().create_future()
+        second.open(lambda msg, src, size: got.done() or got.set_result(msg))
+        probe = await UdpTransport.create(kernel, name="c")
+        probe.send(second.local_endpoint, ping)
+        try:
+            return (sock.fileno(), second._sock.fileno() == fd,
+                    await asyncio.wait_for(got, timeout=5.0))
+        finally:
+            second.close()
+            probe.close()
+
+    closed_fd, reused, msg = asyncio.run(scenario())
+    assert closed_fd == -1
+    assert reused
+    assert msg == ping
 
 
 def test_realtime_kernel_schedule_and_cancel():
@@ -99,7 +229,34 @@ def test_realtime_kernel_schedule_and_cancel():
 
 
 def test_live_two_node_overlay_and_tunnelled_ping():
-    """The CI smoke scenario: unmodified BrunetNode/IpopRouter over real
-    UDP sockets — bootstrap, CTM handshake, linking, virtual-IP ping."""
-    from repro.apps.udp_demo import run
-    assert asyncio.run(run(timeout=60.0, verbose=False)) == 0
+    """The CI smoke scenario, in process: two daemons (unmodified
+    BrunetNode/IpopRouter over real UDP sockets) bootstrap, complete the
+    CTM handshake and linking, and tunnel a virtual-IP ping."""
+    config = BrunetConfig(link_resend_interval=0.5, overlord_interval=0.5,
+                          ping_interval=2.0, wire_mode="codec")
+
+    async def scenario():
+        seed = WowDaemon("10.128.0.2", config=config, name="n0")
+        await seed.start()
+        joiner = WowDaemon("10.128.0.3", config=config, name="n1",
+                           seed_uris=[seed.transport.local_uri])
+        await joiner.start()
+        try:
+            for _ in range(600):
+                if seed.node.in_ring and joiner.node.in_ring:
+                    break
+                await asyncio.sleep(0.05)
+            assert seed.node.in_ring and joiner.node.in_ring
+            there = await joiner.ping(seed.vip, timeout=10.0)
+            back = await seed.ping(joiner.vip, timeout=10.0)
+            errors = sum(d.kernel.obs.metrics.counter(
+                "wire.decode_error", node=d.name).value
+                for d in (seed, joiner))
+            return there, back, errors
+        finally:
+            await joiner.shutdown()
+            await seed.shutdown()
+
+    there, back, errors = asyncio.run(scenario())
+    assert there is not None and back is not None
+    assert errors == 0
