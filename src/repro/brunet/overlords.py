@@ -410,7 +410,7 @@ class ShortcutConnectionOverlord(Overlord):
 
     def observe(self, dest: BrunetAddress, packets: int = 1) -> None:
         """Record outbound IP traffic toward ``dest`` (a(i) arrivals)."""
-        if not self.enabled or dest == self.node.addr:
+        if not self.node.config.shortcuts_enabled or dest == self.node.addr:
             return
         self.arrivals[dest] = self.arrivals.get(dest, 0) + packets
         if self._armed_at is None:

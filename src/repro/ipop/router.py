@@ -32,7 +32,6 @@ class IpopRouter:
     """Virtual NIC + IP-over-P2P encapsulation for one node."""
 
     def __init__(self, node: "BrunetNode", virtual_ip: str):
-        self.node = node
         self.virtual_ip = virtual_ip
         self.addr = addr_for_ip(virtual_ip)
         if node.addr != self.addr:
@@ -52,6 +51,16 @@ class IpopRouter:
                                              node=node.name)
         self._m_decap_bytes = metrics.counter("ipop.decap_bytes",
                                               node=node.name)
+        self._attach(node)
+
+    def _attach(self, node: "BrunetNode") -> None:
+        self.node = node
+        # Header bytes charged on the virtual wire: IP+UDP (28 B) per
+        # packet, except that codec mode charges none on VTCP segments,
+        # whose ``Segment.size`` already holds their TCP/IP header (40 B).
+        # Reference mode keeps the double count for golden determinism.
+        self._tcp_header = (IP_HEADER if node.config.wire_mode == "reference"
+                            else 0)
         node.ip_handler = self._on_encap
 
     # -- guest-facing API -------------------------------------------------
@@ -66,24 +75,12 @@ class IpopRouter:
         """Remove a guest handler (idempotent)."""
         self._handlers.pop((proto, port), None)
 
-    def virtual_header(self, proto: str) -> int:
-        """Header bytes charged on the *virtual* wire for one packet.
-
-        Reference mode charges IP+UDP (28 B) on everything — the
-        historical behaviour, kept for golden determinism.  Codec mode
-        fixes a double count: VTCP segments already include their
-        TCP/IP header bytes in ``Segment.size`` (40 B), so charging an
-        IP+UDP header on top counted the IP header twice.
-        """
-        if self.node.config.wire_mode == "reference":
-            return IP_HEADER
-        return 0 if proto == "tcp" else IP_HEADER
-
     def send_ip(self, dst_ip: str, proto: str, port: int, payload: Any,
                 size: int) -> None:
         """Send one virtual-IP packet (fire and forget, like real IP)."""
         pkt = VirtualIpPacket(self.virtual_ip, dst_ip, proto, port, payload,
-                              size + self.virtual_header(proto))
+                              size + (self._tcp_header if proto == "tcp"
+                                      else IP_HEADER))
         self._transmit(pkt)
 
     def _transmit(self, pkt: VirtualIpPacket) -> None:
@@ -95,8 +92,8 @@ class IpopRouter:
                 memo.clear()
             dest_addr = memo[pkt.dst_ip] = addr_for_ip(pkt.dst_ip)
         self.packets_out += 1
-        self._m_encap_pkts.inc()
-        self._m_encap_bytes.inc(pkt.size)
+        self._m_encap_pkts.value += 1
+        self._m_encap_bytes.value += pkt.size
         ref = None
         spans = node.sim.obs.spans
         if spans.enabled:
@@ -121,8 +118,8 @@ class IpopRouter:
             self.node.stats["ip_misdelivered"] += 1
             return
         self.packets_in += 1
-        self._m_decap_pkts.inc()
-        self._m_decap_bytes.inc(pkt.size)
+        self._m_decap_pkts.value += 1
+        self._m_decap_bytes.value += pkt.size
         if pkt.proto == "icmp":
             self._on_icmp(pkt)
             return
@@ -151,5 +148,4 @@ class IpopRouter:
         """Re-attach the tap to a fresh node instance (same address)."""
         if node.addr != self.addr:
             raise ValueError("re-attach requires the same ring address")
-        self.node = node
-        node.ip_handler = self._on_encap
+        self._attach(node)

@@ -38,6 +38,8 @@ class NullInstrument:
     """Shared no-op stand-in returned by a disabled registry."""
 
     __slots__ = ()
+    #: reads 0 and ignores writes, so ``child.value += n`` works here too
+    value = property(lambda self: 0, lambda self, v: None)
 
     def inc(self, n: float = 1) -> None:
         pass
@@ -56,7 +58,9 @@ NULL = NullInstrument()
 
 
 class Counter:
-    """Monotonically increasing value."""
+    """Monotonically increasing value.  The per-packet sites (node
+    send/forward/deliver, UDP send/receive, IPOP encap/decap) skip
+    :meth:`inc` and write ``child.value += n``: no call."""
 
     kind = "counter"
     __slots__ = ("name", "labels", "value")

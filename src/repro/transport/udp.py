@@ -47,6 +47,8 @@ from repro.wire import codec
 READ_BATCH = 64
 #: receive buffer per ``recvfrom``: the largest UDP payload fits
 MAX_DATAGRAM = 1 << 16
+#: peer ``Endpoint``s a transport keeps; cleared when full (peers pick them)
+ENDPOINT_MEMO_MAX = 1024
 
 
 class UdpTransport(Transport):
@@ -62,6 +64,8 @@ class UdpTransport(Transport):
         self._reader_fd: Optional[int] = None
         self._handler: Optional[ReceiveHandler] = None
         self._endpoint: Optional[Endpoint] = None
+        #: OS source address -> its ``Endpoint``, one per peer
+        self._peers: dict[tuple, Endpoint] = {}
         #: ``FIONREAD`` writes the size of the next queued datagram here
         #: (a mutable buffer: ``ioctl`` on ``bytes`` costs twice as much)
         self._next_size = array("i", [0])
@@ -130,9 +134,9 @@ class UdpTransport(Transport):
         if sock is None:
             return
         self.sent += 1
-        self._m_tx_bytes.inc(len(frame))
+        self._m_tx_bytes.value += len(frame)
         try:
-            sock.sendto(frame, (dst.ip, dst.port))
+            sock.sendto(frame, dst)     # an Endpoint is an (ip, port) tuple
         except OSError:
             self._m_socket_err.inc()
 
@@ -169,9 +173,13 @@ class UdpTransport(Transport):
                 self._m_decode_err.inc()
                 return
         self.received += 1
-        self._m_rx_bytes.inc(len(data))
-        self._handler(msg, Endpoint(addr[0], addr[1]),
-                      len(data) + codec.UDP_IP_OVERHEAD)
+        self._m_rx_bytes.value += len(data)
+        src = self._peers.get(addr)
+        if src is None:
+            if len(self._peers) >= ENDPOINT_MEMO_MAX:
+                self._peers.clear()
+            src = self._peers[addr] = Endpoint(addr[0], addr[1])
+        self._handler(msg, src, len(data) + codec.UDP_IP_OVERHEAD)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<UdpTransport {self.name} {self._endpoint}>"

@@ -21,8 +21,9 @@ Version 2 is built for per-packet speed:
 * every fixed-shape run of fields is one precompiled composite
   :class:`struct.Struct` (``_RHDR``, ``_TOK_ADDR``, ...) packed and
   unpacked in a single call, instead of field-by-field u8/u16 packs;
-* ``encode`` writes into one reusable ``bytearray`` and snapshots it
-  once at the end;
+* ``encode`` appends to one reusable ``bytearray`` and copies it out
+  once at the end; decoders ``unpack_from`` and slice the received
+  ``bytes`` in place (any other buffer is copied to ``bytes`` first);
 * the :class:`RoutedPacket` frame is **header-first**: src/dest/size/
   flags/ttl/hops, then trace ids, then the via list, with the payload
   sub-frame *last*.  One parse of that head (``_routed_head``) serves
@@ -41,8 +42,9 @@ Version 2 is built for per-packet speed:
   flags, malformed) go through :func:`decode_lazy`, which defers the
   payload to a zero-copy :class:`RawBody` slice that ``encode`` splices
   back (:func:`materialize` decodes it at local delivery);
-* repeated *values* (addresses, URIs, short strings) round-trip through
-  five bounded caches of immutable objects.  Nothing is cached per frame
+* repeated *values* (addresses, URIs, short strings, a virtual-IP
+  packet's three header strings) round-trip through seven bounded
+  caches of immutable objects.  Nothing is cached per frame
   or per message: ``encode`` packs and ``decode`` parses on every call,
   so a message mutated between two encodes re-encodes as it now is, and
   two decodes of equal bytes share no mutable state.
@@ -265,6 +267,10 @@ _ADDR_DEC: dict[bytes, BrunetAddress] = {}
 _URI_ENC: dict[Uri, bytes] = {}
 _URI_DEC: dict[bytes, Uri] = {}
 _STR_DEC: dict[bytes, str] = {}
+#: a virtual-IP packet's three strings (src, dst, proto), which repeat
+#: for every packet of a flow: the encoded span (tag included) each way
+_VIP_ENC: dict[tuple, bytes] = {}
+_VIP_DEC: dict[bytes, tuple] = {}
 
 
 def _remember(cache: dict, key: Any, value: Any) -> None:
@@ -518,10 +524,15 @@ def _e_routed(out: bytearray, m: RoutedPacket) -> None:
 
 
 def _e_virtual_ip(out: bytearray, m: VirtualIpPacket) -> None:
-    out.append(T_VIRTUAL_IP)
-    _ps(out, m.src_ip)
-    _ps(out, m.dst_ip)
-    _ps(out, m.proto)
+    key = (m.src_ip, m.dst_ip, m.proto)
+    head = _VIP_ENC.get(key)
+    if head is None:
+        head = bytearray((T_VIRTUAL_IP,))
+        for s in key:
+            _ps(head, s)
+        if len(head) <= _SPAN_MAX:
+            _remember(_VIP_ENC, key, bytes(head))
+    out += head
     out += _VIP_TAIL.pack(m.port, m.size)
     _e_any(out, m.payload)
 
@@ -761,9 +772,23 @@ def _d_routed(buf: bytes, pos: int, n: int):
 
 
 def _d_virtual_ip(buf: bytes, pos: int, n: int):
-    src_ip, pos = _d_str(buf, pos, n)
-    dst_ip, pos = _d_str(buf, pos, n)
-    proto, pos = _d_str(buf, pos, n)
+    end = pos                   # past the three u16-prefixed strings
+    for _ in range(3):
+        if end + 2 > n:
+            raise _trunc(end + 2 - pos, pos, n)
+        end += 2 + ((buf[end] << 8) | buf[end + 1])
+    if end > n:
+        raise _trunc(end - pos, pos, n)
+    span = buf[pos:end]
+    head = _VIP_DEC.get(span)
+    if head is None:
+        src_ip, pos = _d_str(buf, pos, n)
+        dst_ip, pos = _d_str(buf, pos, n)
+        head = (src_ip, dst_ip, _d_str(buf, pos, n)[0])
+        if len(span) <= _SPAN_MAX:
+            _remember(_VIP_DEC, span, head)
+    src_ip, dst_ip, proto = head
+    pos = end
     if pos + 8 > n:
         raise _trunc(8, pos, n)
     port, size = _VIP_TAIL.unpack_from(buf, pos)
@@ -843,10 +868,6 @@ def _d_none(buf: bytes, pos: int, n: int):
     return None, pos
 
 
-def _d_top_str(buf: bytes, pos: int, n: int):
-    return _d_str(buf, pos, n)
-
-
 def _d_bytes(buf: bytes, pos: int, n: int):
     if pos + 4 > n:
         raise _trunc(4, pos, n)
@@ -881,7 +902,7 @@ for _tag, _fn in {
     T_VIRTUAL_IP: _d_virtual_ip,
     T_ICMP_ECHO: _d_icmp_echo,
     T_NONE: _d_none,
-    T_STR: _d_top_str,
+    T_STR: _d_str,
     T_BYTES: _d_bytes,
     T_OPAQUE: _d_opaque,
     T_VTCP_SEGMENT: _d_segment,

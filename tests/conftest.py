@@ -92,11 +92,10 @@ def stub_socket(transport, ip: str, port: int) -> StubSocket:
     return stub
 
 
-def linked_live_pair(loop, ips: tuple[str, str], config=None):
-    """Two started live nodes on stub sockets at 127.0.0.1:4000 and :4001,
-    each holding a near link to the other; returns (nodes, routers,
+def live_stub_nodes(loop, ips, config=None):
+    """One started live node per virtual IP, on stub sockets at
+    127.0.0.1:4000, :4001, ... and with no links; returns (nodes, routers,
     sockets).  Nothing crosses between them unless the test moves it."""
-    from repro.brunet.connection import Connection, ConnectionType
     from repro.ipop.mapping import addr_for_ip
     from repro.ipop.router import IpopRouter
     from repro.transport.runtime import RealtimeKernel
@@ -112,29 +111,42 @@ def linked_live_pair(loop, ips: tuple[str, str], config=None):
         node.start([])
         nodes.append(node)
         routers.append(IpopRouter(node, ip))
-    for i, j in ((0, 1), (1, 0)):
-        nodes[i].table.add(Connection(
-            nodes[j].addr, nodes[j].transport.local_endpoint,
-            ConnectionType.STRUCTURED_NEAR, kernel.now))
     return nodes, routers, sockets
 
 
-def count_calls(fn, *args) -> int:
-    """Python-level ``call`` events while ``fn(*args)`` runs (C functions
-    are not counted).  Deterministic, so the call-budget tests pin it."""
-    count = 0
+def linked_live_pair(loop, ips: tuple[str, str], config=None):
+    """:func:`live_stub_nodes` for two nodes, each holding a near link to
+    the other."""
+    from repro.brunet.connection import Connection, ConnectionType
+    nodes, routers, sockets = live_stub_nodes(loop, ips, config)
+    for i, j in ((0, 1), (1, 0)):
+        nodes[i].table.add(Connection(
+            nodes[j].addr, nodes[j].transport.local_endpoint,
+            ConnectionType.STRUCTURED_NEAR, nodes[i].sim.now))
+    return nodes, routers, sockets
 
-    def profile(_frame, event, _arg):
-        nonlocal count
+
+def calls_by_name(fn, *args) -> collections.Counter:
+    """Python-level ``call`` events while ``fn(*args)`` runs, by function
+    name (C functions are not counted)."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, _arg):
         if event == "call":
-            count += 1
+            calls[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
-    return count
+    return calls
+
+
+def count_calls(fn, *args) -> int:
+    """How many Python-level calls ``fn(*args)`` makes.  Deterministic, so
+    the call-budget tests pin it."""
+    return sum(calls_by_name(fn, *args).values())
 
 
 def build_overlay(sim, internet, n_nodes: int, config=None,

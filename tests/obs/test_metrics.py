@@ -30,6 +30,40 @@ def test_label_order_is_irrelevant():
     assert a is b
 
 
+def test_null_instrument_value_reads_zero_and_ignores_adds():
+    """The byte paths write ``child.value += n``; on a disabled registry
+    the child is ``NULL``, which must take that and stay 0."""
+    c = MetricsRegistry(enabled=False).counter("x")
+    c.value += 5
+    c.value += 2.5
+    assert c.value == 0 and NULL.value == 0
+
+
+def test_codec_chain_forwards_and_delivers_with_metrics_disabled(monkeypatch):
+    """A codec-mode chain A – B – C on ``Simulator(metrics=False)``: B
+    forwards on the byte path, both ends deliver, every per-packet
+    counter is ``NULL`` and the registry holds no series."""
+    from repro.ipop.ippacket import IcmpEcho
+    from tests.transport.test_cut_through_chain import CodecCalls, _sim_chain
+
+    sim, ips, nodes, routers = _sim_chain("codec", metrics=False)
+    codec_calls = CodecCalls(monkeypatch)
+    replies = []
+    routers[0].bind("icmp", 0, replies.append)
+    routers[0].send_ip(ips[2], "icmp", 0, IcmpEcho(1, False, sim.now, 56), 64)
+    sim.run(until=sim.now + 5.0)
+    assert [(r.payload.seq, r.payload.is_reply) for r in replies] == [(1, True)]
+    assert codec_calls.total == dict.fromkeys(CodecCalls.NAMES, 0)
+    a, b, c = nodes
+    assert b.stats["forwarded"] == 2 and b.stats["delivered"] == 0
+    assert a.stats["delivered"] == c.stats["delivered"] == 1
+    for node in nodes:
+        assert node._m_sent is node._m_forwarded is node._m_delivered is NULL
+    assert routers[2]._m_decap_pkts is NULL
+    assert sim.obs.metrics.snapshot() == []
+    assert sim.obs.metrics._instruments == {}
+
+
 def test_disabled_registry_hands_out_shared_noop():
     m = MetricsRegistry(enabled=False)
     c = m.counter("x", node="a")

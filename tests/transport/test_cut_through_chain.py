@@ -54,8 +54,8 @@ def _wire_chain(nodes: list[BrunetNode], endpoints: list) -> None:
                                       nodes[i].sim.now))
 
 
-def _sim_chain(mode: str, spans: bool = False):
-    sim = Simulator(seed=5, trace=False)
+def _sim_chain(mode: str, spans: bool = False, metrics: bool = True):
+    sim = Simulator(seed=5, trace=False, metrics=metrics)
     if spans:
         sim.obs.enable_spans()
     site = Site(Internet(sim), "pub")

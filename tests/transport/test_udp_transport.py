@@ -10,13 +10,13 @@ import asyncio
 
 from repro.apps.daemon import WowDaemon
 from repro.brunet.config import BrunetConfig
-from repro.brunet.messages import PingRequest
+from repro.brunet.messages import PingReply, PingRequest
 from repro.ipop.mapping import addr_for_ip
 from repro.transport.runtime import RealtimeKernel
-from repro.transport.udp import READ_BATCH, UdpTransport
-from repro.wire import encode
+from repro.transport.udp import ENDPOINT_MEMO_MAX, READ_BATCH, UdpTransport
+from repro.wire import decode, encode
 
-from tests.conftest import stub_socket
+from tests.conftest import live_stub_nodes, stub_socket
 
 PEER = ("127.0.0.1", 5000)
 
@@ -210,6 +210,41 @@ def test_close_releases_the_socket_and_its_loop_registration():
     assert closed_fd == -1
     assert reused
     assert msg == ping
+
+
+def test_one_endpoint_per_peer_and_a_bounded_memo():
+    """The transport hands its node one ``Endpoint`` per source address,
+    kept in a memo that peers cannot grow past its cap (they choose the
+    source ports), and every reply still goes back to the port its
+    request came from."""
+    loop = asyncio.new_event_loop()
+    try:
+        (node,), _, (stub,) = live_stub_nodes(loop, ["10.128.0.2"])
+        t = node.transport
+        seen = []
+        to_node = t._handler
+
+        def watched(msg, src, size):
+            seen.append(src)
+            to_node(msg, src, size)
+
+        t._handler = watched
+        peer = addr_for_ip("10.128.0.3")
+        ports = range(10_000, 15_000)
+        for token, port in enumerate(ports, 1):
+            t._on_datagram(encode(PingRequest(token, peer)),
+                           ("127.0.0.1", port))
+            assert len(t._peers) <= ENDPOINT_MEMO_MAX
+        assert [addr for _, addr in stub.out] == [("127.0.0.1", port)
+                                                   for port in ports]
+        replies = [decode(frame) for frame, _ in stub.out]
+        assert all(type(r) is PingReply for r in replies)
+        assert [r.token for r in replies] == list(range(1, len(ports) + 1))
+        t._on_datagram(encode(PingRequest(0, peer)), ("127.0.0.1", 14_999))
+        assert seen[-1] is seen[-2]             # the same peer, one Endpoint
+        node.stop()
+    finally:
+        loop.close()
 
 
 def test_realtime_kernel_schedule_and_cancel():

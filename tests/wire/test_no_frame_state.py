@@ -2,10 +2,12 @@
 
 The codec keeps no per-frame or per-message state: ``encode`` packs what
 the message holds *now*, two decodes of equal bytes share nothing
-mutable, and only the five bounded value caches (addresses, URIs, short
-strings) grow with traffic — never past ``_CACHE_MAX`` entries of
-``_SPAN_MAX``-byte keys, whatever a peer sends.
+mutable, and only the seven bounded value caches (addresses, URIs, short
+strings, virtual-IP headers) grow with traffic — never past
+``_CACHE_MAX`` entries of ``_SPAN_MAX``-byte keys, whatever a peer sends.
 """
+
+import pytest
 
 from repro.brunet.address import BrunetAddress
 from repro.brunet.messages import (
@@ -19,13 +21,21 @@ from repro.brunet.messages import (
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.obs.spans import TraceRef
-from repro.wire import codec, decode, decode_lazy, encode, materialize
+from repro.wire import (
+    DecodeError,
+    codec,
+    decode,
+    decode_lazy,
+    encode,
+    materialize,
+)
 
 A = BrunetAddress(0x1234 << 100)
 B = BrunetAddress(0x9876 << 90)
 C = BrunetAddress(0x5555 << 80)
 
-VALUE_CACHES = ("_ADDR_ENC", "_ADDR_DEC", "_URI_ENC", "_URI_DEC", "_STR_DEC")
+VALUE_CACHES = ("_ADDR_ENC", "_ADDR_DEC", "_URI_ENC", "_URI_DEC", "_STR_DEC",
+                "_VIP_ENC", "_VIP_DEC")
 
 
 def _echo(seq: int, trace=None) -> RoutedPacket:
@@ -155,3 +165,52 @@ def test_oversized_uris_decode_but_are_never_cached():
                                 True)))
     assert 0 < len(codec._URI_DEC) <= codec._CACHE_MAX
     assert _key_bytes(codec._URI_DEC) <= codec._CACHE_MAX * codec._SPAN_MAX
+
+
+def _clear_value_caches() -> None:
+    for name in VALUE_CACHES:
+        getattr(codec, name).clear()
+
+
+def _vip(src_ip: str, proto: str = "icmp") -> VirtualIpPacket:
+    return VirtualIpPacket(src_ip, "10.128.0.3", proto, 7,
+                           IcmpEcho(1, False, 1.5, 56), 84)
+
+
+def test_virtual_ip_header_caches_stay_bounded():
+    _clear_value_caches()
+    for i in range(10_000):
+        m = _vip(f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}")
+        assert decode(encode(m)) == m
+    for cache in (codec._VIP_ENC, codec._VIP_DEC):
+        assert 0 < len(cache) <= codec._CACHE_MAX
+    assert _key_bytes(codec._VIP_DEC) <= codec._CACHE_MAX * codec._SPAN_MAX
+
+
+def test_a_virtual_ip_header_past_the_span_cap_is_not_cached():
+    _clear_value_caches()
+    m = _vip("10.128.0.2", proto="p" * codec._SPAN_MAX)
+    buf = encode(m)
+    assert decode(buf) == m
+    assert codec._VIP_ENC == {} and codec._VIP_DEC == {}
+
+
+def test_malformed_utf8_in_a_virtual_ip_header_caches_nothing():
+    good = encode(_vip("10.128.0.2"))
+    bad = good.replace(b"10.128.0.2", b"\xff0.128.0.2")
+    assert len(bad) == len(good)
+    _clear_value_caches()
+    with pytest.raises(DecodeError, match="UTF-8"):
+        decode(bad)
+    assert all(not getattr(codec, name) for name in VALUE_CACHES)
+
+
+def test_two_virtual_ip_decodes_share_no_mutable_object():
+    buf = encode(_vip("10.128.0.2"))
+    x, y = decode(buf), decode(bytes(buf))      # the second hits the cache
+    assert x == y
+    assert x is not y and x.__dict__ is not y.__dict__
+    assert x.payload is not y.payload
+    x.src_ip, x.proto, x.payload.seq = "10.0.0.9", "udp", 99
+    assert (y.src_ip, y.proto, y.payload.seq) == ("10.128.0.2", "icmp", 1)
+    assert decode(buf) == y
