@@ -3,12 +3,9 @@
 Each table/figure benchmark runs its (scaled-down) experiment exactly once
 under pytest-benchmark timing and asserts the paper's qualitative shape on
 the result, so ``pytest benchmarks/ --benchmark-only`` both times the
-harness and regenerates every result.  Microbenchmarks
-(``test_bench_micro.py``) time the hot substrate operations with normal
-multi-round statistics.
+harness and regenerates every result.  Per-layer costs are measured by
+the ledger (``python -m benchmarks.ledger``), not here.
 """
-
-import pytest
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -57,9 +57,9 @@ class Observability:
     __slots__ = ("sim", "metrics", "spans", "recorder", "auditor",
                  "profiler", "rollup")
 
-    def __init__(self, sim: "Simulator", metrics: bool = True):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.metrics = MetricsRegistry(enabled=metrics)
+        self.metrics = MetricsRegistry()
         self.spans = SpanCollector(enabled=False)
         self.recorder: Optional[FlightRecorder] = None
         # invariant auditor (repro.check); registers itself when created
@@ -68,8 +68,7 @@ class Observability:
         self.profiler: Optional[KernelProfiler] = None
         #: address-ring sector rollup (see :meth:`enable_rollup`)
         self.rollup: Optional[SectorRollup] = None
-        if metrics:
-            self.metrics.add_collector(self._collect_sim)
+        self.metrics.add_collector(self._collect_sim)
 
     def _collect_sim(self, m: MetricsRegistry) -> None:
         m.gauge("sim.events_processed").set(self.sim.events_processed)

@@ -12,8 +12,6 @@ Cheap-by-construction rules:
 
 * child instruments are resolved **once** (usually in a constructor) and
   cached on the instrumented object — no per-event dict hashing;
-* a disabled registry returns a shared no-op instrument, so call sites
-  never need their own ``if``;
 * anything that is already counted elsewhere (``node.stats``,
   ``Internet.drops``, live NAT mappings) is pulled in lazily at export
   time through *collector callbacks* and callback gauges — zero hot-path
@@ -32,29 +30,6 @@ import math
 from typing import Any, Callable, Iterable, Optional
 
 LabelItems = tuple[tuple[str, str], ...]
-
-
-class NullInstrument:
-    """Shared no-op stand-in returned by a disabled registry."""
-
-    __slots__ = ()
-    #: reads 0 and ignores writes, so ``child.value += n`` works here too
-    value = property(lambda self: 0, lambda self, v: None)
-
-    def inc(self, n: float = 1) -> None:
-        pass
-
-    def dec(self, n: float = 1) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-
-NULL = NullInstrument()
 
 
 class Counter:
@@ -182,9 +157,6 @@ class Histogram:
 class MetricsRegistry:
     """Factory and store for labeled instruments.
 
-    ``enabled=False`` turns every factory into a no-op-instrument source,
-    letting a whole simulation opt out without touching call sites.
-
     ``node_series`` (default True) keeps one child per ``node=`` label.
     Flip it to False *before nodes are constructed* and every per-node
     series collapses onto a single aggregate child — export and dashboard
@@ -192,8 +164,7 @@ class MetricsRegistry:
     Per-node ``gauge_fn`` registrations sum (see :class:`CallbackGauge`).
     """
 
-    def __init__(self, enabled: bool = True, node_series: bool = True):
-        self.enabled = enabled
+    def __init__(self, node_series: bool = True):
         self.node_series = node_series
         self._instruments: dict[tuple[str, str, LabelItems], Any] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
@@ -212,20 +183,14 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: str) -> Counter:
         """The counter child for ``(name, labels)`` (created on demand)."""
-        if not self.enabled:
-            return NULL  # type: ignore[return-value]
         return self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """The gauge child for ``(name, labels)``."""
-        if not self.enabled:
-            return NULL  # type: ignore[return-value]
         return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         """The histogram child for ``(name, labels)``."""
-        if not self.enabled:
-            return NULL  # type: ignore[return-value]
         return self._get(Histogram, name, labels)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
@@ -234,8 +199,6 @@ class MetricsRegistry:
         Registering the same ``(name, labels)`` again *adds* the callback
         (values sum) — which is how per-node gauges roll up when
         ``node_series`` is off."""
-        if not self.enabled:
-            return
         if not self.node_series and "node" in labels:
             labels = {k: v for k, v in labels.items() if k != "node"}
         items: LabelItems = tuple(sorted(labels.items()))
@@ -250,8 +213,7 @@ class MetricsRegistry:
                       fn: Callable[["MetricsRegistry"], None]) -> None:
         """Register a callback that fills in metrics right before export
         (for state already counted elsewhere — zero hot-path cost)."""
-        if self.enabled:
-            self._collectors.append(fn)
+        self._collectors.append(fn)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> list[dict]:

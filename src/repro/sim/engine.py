@@ -86,10 +86,6 @@ class Simulator:
     trace_max_records:
         Per-category cap on retained tracer records (None = unbounded);
         see :class:`~repro.sim.trace.Tracer`.
-    metrics:
-        When true (default) the simulator's :class:`~repro.obs.hub.
-        Observability` hub records metrics; span tracing and the flight
-        recorder stay opt-in either way.
     """
 
     #: rebuild the heap when it holds more dead than live entries (and is
@@ -97,8 +93,7 @@ class Simulator:
     _COMPACT_MIN = 64
 
     def __init__(self, seed: int = 0, trace: bool = True,
-                 trace_max_records: Optional[int] = None,
-                 metrics: bool = True):
+                 trace_max_records: Optional[int] = None):
         self.now: float = 0.0
         # heap entries are (time, priority, seq, Event): tuple comparison
         # stays in C (seq is unique, so the Event itself is never compared)
@@ -119,8 +114,8 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.tracer = Tracer(enabled=trace, max_records=trace_max_records)
         #: metrics registry + span collector + flight recorder (see
-        #: :mod:`repro.obs`); metrics default on, spans/recorder opt-in
-        self.obs = Observability(self, metrics=metrics)
+        #: :mod:`repro.obs`); metrics always on, spans/recorder opt-in
+        self.obs = Observability(self)
         self._live = 0                      # non-cancelled events queued
         self._heap_dead = 0                 # tombstones inside self._queue
 

@@ -68,7 +68,7 @@ class RealtimeKernel:
         self._t0 = self.loop.time()
         self.rng = RngRegistry(seed)
         self.tracer = Tracer(enabled=False)
-        self.obs = Observability(self, metrics=True)
+        self.obs = Observability(self)
         self.events_processed = 0
         #: mirrors ``Simulator.executing``; subsystems use it to coalesce
         #: work until the end of the current callback

@@ -28,7 +28,7 @@ Version 2 is built for per-packet speed:
   flags/ttl/hops, then trace ids, then the via list, with the payload
   sub-frame *last*.  One parse of that head (``_routed_head``) serves
   the two readers that stop before the via list: :func:`peek_header`
-  (tooling and the perf gate) and :func:`transit_view`, which a node
+  (tooling and the ledger's wire drill) and :func:`transit_view`, which a node
   calls on every routed frame it receives.  Plain transit traffic is
   forwarded with :func:`patch_forward`, which splices ``hops + 1``,
   ``via_count + 1`` and the node's own address into the received bytes,

@@ -12,6 +12,7 @@ from repro.obs.prof import (
     categorize,
 )
 from repro.sim.engine import Simulator
+from tests.conftest import calls_by_name
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,35 @@ def test_timing_stride_samples_and_scales():
     s = prof.summary()
     assert s["events"] == 8
     assert s["handlers"][0]["calls"] == 8
+
+
+def _churn_mix_calls(profile: bool):
+    """Events and Python calls of 300 simulated s on a 10-node overlay."""
+    from repro.brunet.config import BrunetConfig
+    from repro.experiments.churn_recovery import _build_overlay
+
+    sim = Simulator(seed=0, trace=False)
+    if profile:
+        sim.obs.enable_profiler()
+    _build_overlay(sim, 10, BrunetConfig())
+    ev0 = sim.events_processed
+    calls = calls_by_name(sim.run, sim.now + 300.0)
+    return sim.events_processed - ev0, calls
+
+
+def test_profiler_costs_one_account_call_per_stride_events():
+    """Counted, not timed: at the default stride of 4 the profiler adds one
+    ``account`` call per four events and otherwise only first-sighting
+    bookkeeping, so timing every event or a helper call per sample fails
+    on any host.  Measured: 1 829 events, +457 ``account``, +10
+    ``_node_slow``, +2 ``add``."""
+    events_off, off = _churn_mix_calls(profile=False)
+    events_on, on = _churn_mix_calls(profile=True)
+    assert events_on == events_off > 1000
+    gained = on - off
+    assert abs(gained.pop("account") - events_on // 4) <= 1
+    assert all(n <= 16 for n in gained.values()), gained
+    assert sum(gained.values()) <= 32, gained
 
 
 # ---------------------------------------------------------------------------
