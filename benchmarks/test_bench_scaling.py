@@ -6,12 +6,13 @@ normalised hops/log²n ratio must stay roughly flat.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import scaling
+from repro.experiments import scaling_10k
 
 
 def test_scaling_sweep(benchmark):
-    points = run_once(benchmark, scaling.run, sizes=(32, 64, 128), seed=2)
-    scaling.report(points)
+    points = run_once(benchmark, scaling_10k.run, sizes=(32, 64, 128),
+                      seed=2, churn_fraction=0.0)
+    scaling_10k.report(points)
     by_n = {p.n_nodes: p for p in points}
     # every pair routable at every size
     assert all(p.unreachable == 0 for p in points)

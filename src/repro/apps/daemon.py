@@ -61,7 +61,8 @@ DAEMON_CONFIG = BrunetConfig(
     wire_mode="codec",
 )
 
-#: control-protocol line cap (one JSON request per line)
+#: control-protocol line cap (one JSON request per line): the control
+#: server's stream limit, so a longer line fails ``readline()`` itself
 MAX_CTL_LINE = 1 << 16
 
 
@@ -80,8 +81,6 @@ class WowDaemon:
                  cache_interval: float = 5.0,
                  config: Optional[BrunetConfig] = None,
                  name: str = "",
-                 stats_port: Optional[int] = None,
-                 stats_public: bool = False,
                  bundle_out: Optional[str] = None):
         self.vip = vip
         self.listen = listen
@@ -90,11 +89,7 @@ class WowDaemon:
         self.cache_interval = cache_interval
         self.config = config or DAEMON_CONFIG
         self.name = name or f"wow.{vip}"
-        self.stats_port = stats_port
-        self.stats_public = stats_public
         self.bundle_out = bundle_out
-        #: ``(ip, port)`` of the stats socket once it is bound
-        self.stats_endpoint: Optional[tuple[str, int]] = None
         self.cache = (PeerCache(peer_cache_path)
                       if peer_cache_path else None)
         self.kernel: Optional[RealtimeKernel] = None
@@ -116,9 +111,6 @@ class WowDaemon:
     async def start(self) -> None:
         """Bind the socket, join the overlay, open the control socket."""
         self.kernel = RealtimeKernel(seed=0)
-        if self.stats_port is not None:
-            self.stats_endpoint = await self.kernel.serve_stats(
-                port=self.stats_port, public=self.stats_public)
         self.transport = await UdpTransport.create(
             self.kernel, self.listen[0], self.listen[1], name=self.name)
         self.node = BrunetNode(self.kernel, None, addr_for_ip(self.vip),
@@ -137,7 +129,8 @@ class WowDaemon:
             if os.path.exists(self.control_path):
                 os.unlink(self.control_path)
             self._ctl_server = await asyncio.start_unix_server(
-                self._handle_ctl, path=self.control_path)
+                self._handle_ctl, path=self.control_path,
+                limit=MAX_CTL_LINE)
         if self.cache is not None:
             self._cache_task = asyncio.ensure_future(self._cache_loop())
 
@@ -185,8 +178,6 @@ class WowDaemon:
             self.transport.close()
         if self.bundle_out and self.kernel is not None:
             self.kernel.obs.export(self.bundle_out, seed=0)
-        if self.kernel is not None:
-            self.kernel.close_stats()
         self._finished.set()
 
     # ------------------------------------------------------------------
@@ -343,8 +334,16 @@ class WowDaemon:
         self._ctl_tasks.add(asyncio.current_task())
         try:
             while True:
-                line = await reader.readline()
-                if not line or len(line) > MAX_CTL_LINE:
+                try:
+                    line = await reader.readline()
+                except ValueError:  # no newline within MAX_CTL_LINE
+                    writer.write(json.dumps({
+                        "ok": False,
+                        "error": f"request line over {MAX_CTL_LINE} bytes",
+                    }).encode() + b"\n")
+                    await writer.drain()
+                    break
+                if not line:
                     break
                 try:
                     req = json.loads(line)
@@ -393,11 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds between peer-cache writes")
     parser.add_argument("--name", default="",
                         help="node name in logs/metrics (default wow.VIP)")
-    parser.add_argument("--stats-port", type=int, default=None,
-                        help="UDP stats socket for obs.top (0=ephemeral)")
-    parser.add_argument("--stats-public", action="store_true",
-                        help="answer stats queries from non-loopback "
-                             "sources too")
     parser.add_argument("--bundle-out", metavar="DIR",
                         help="export the observability bundle here on "
                              "shutdown (audit with repro.check.posthoc)")
@@ -418,8 +412,6 @@ async def amain(args: argparse.Namespace) -> int:
         config=(BrunetConfig(wire_mode="codec") if args.paper_timers
                 else DAEMON_CONFIG),
         name=args.name,
-        stats_port=args.stats_port,
-        stats_public=args.stats_public,
         bundle_out=args.bundle_out,
     )
     loop = asyncio.get_running_loop()
@@ -427,10 +419,6 @@ async def amain(args: argparse.Namespace) -> int:
         loop.add_signal_handler(
             sig, daemon.request_shutdown, signal.Signals(sig).name)
     await daemon.start()
-    if daemon.stats_endpoint is not None:
-        ip, port = daemon.stats_endpoint
-        print(f"stats socket on {ip}:{port} — watch with "
-              f"python -m repro.obs.top --connect {ip}:{port}", flush=True)
     print(f"{daemon.name}: up on {daemon.transport.local_endpoint} "
           f"addr={daemon.node.addr.hex()[:12]}… "
           f"control={args.control or '-'}", flush=True)

@@ -1,15 +1,15 @@
 """Overlay-wide diagnostics.
 
-Deployment-level surveys used by experiments, tests, and the examples:
-connection census, greedy hop-count distribution, RTT estimates per route,
-and a printable ring summary.
+The one copy of each overlay survey the experiments, tests and examples
+use: ring consistency, greedy hop-count samples, the routable fraction,
+the connection census and a printable ring summary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -17,7 +17,54 @@ from repro.brunet.connection import ConnectionType
 from repro.brunet.routing import overlay_hop_count
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.brunet.node import BrunetNode
     from repro.core.wow import Deployment
+
+Pair = tuple["BrunetNode", "BrunetNode"]
+
+
+def ring_consistent(nodes: list["BrunetNode"]) -> bool:
+    """Every node is connected to its true ring successor among ``nodes``
+    (any order; vacuously true below two nodes)."""
+    if len(nodes) < 2:
+        return True
+    ordered = sorted(nodes, key=lambda n: int(n.addr))
+    return all(a.table.get(b.addr) is not None
+               for a, b in zip(ordered, ordered[1:] + ordered[:1]))
+
+
+def sampled_pairs(nodes: list["BrunetNode"], count: int,
+                  rng: np.random.Generator) -> Iterator[Pair]:
+    """``count`` ordered pairs of distinct nodes, one ``rng.choice`` each."""
+    for _ in range(count):
+        a, b = rng.choice(len(nodes), size=2, replace=False)
+        yield nodes[int(a)], nodes[int(b)]
+
+
+def hop_sample(pairs: Iterable[Pair],
+               resolve: Callable) -> tuple[list[int], int]:
+    """Greedy hop count of each pair: (hops of the routable pairs, number
+    of unreachable pairs).  ``resolve`` maps an address to its node."""
+    hops: list[int] = []
+    unreachable = 0
+    for src, dst in pairs:
+        h = overlay_hop_count(src, dst.addr, resolve)
+        if h is None:
+            unreachable += 1
+        else:
+            hops.append(h)
+    return hops, unreachable
+
+
+def routable_fraction(nodes: list["BrunetNode"],
+                      pairs: Optional[Iterable[Pair]] = None) -> float:
+    """Fraction of ``pairs`` (default: every ordered pair) that greedy
+    routing delivers through ``nodes`` alone; 1.0 when there are none."""
+    if pairs is None:
+        pairs = ((a, b) for a in nodes for b in nodes if a is not b)
+    hops, unreachable = hop_sample(pairs, {n.addr: n for n in nodes}.get)
+    total = len(hops) + unreachable
+    return len(hops) / total if total else 1.0
 
 
 @dataclass
@@ -69,11 +116,12 @@ def survey(deployment: "Deployment", sample_sources: int = 12,
     every sampled source is routed to *every* destination — exact, but
     O(sources·n); pass ``sample_dests`` to stride-sample destinations
     too, keeping a 10k-node census O(sources·dests) and deterministic
-    (same stride pattern every call, no RNG).
+    (same stride pattern every call, no RNG).  Strides round up, so at
+    most ``sample_sources`` sources and ``sample_dests`` destinations.
     """
     nodes = deployment.ring_nodes()
     out = OverlaySurvey(n_nodes=len(nodes),
-                        ring_consistent=deployment.ring_consistent())
+                        ring_consistent=ring_consistent(nodes))
     degrees = []
     for node in nodes:
         conns = node.table.all()
@@ -85,19 +133,13 @@ def survey(deployment: "Deployment", sample_sources: int = 12,
         out.degree_mean = float(np.mean(degrees))
         out.degree_max = int(max(degrees))
     if include_routes and len(nodes) > 1:
-        sources = nodes[:: max(1, len(nodes) // sample_sources)]
+        sources = nodes[:: -(-len(nodes) // sample_sources)]
         dests = nodes
         if sample_dests is not None:
-            dests = nodes[:: max(1, len(nodes) // sample_dests)]
-        for src in sources:
-            for dst in dests:
-                if src is dst:
-                    continue
-                hops = overlay_hop_count(src, dst.addr, deployment.resolve)
-                if hops is None:
-                    out.unreachable_pairs += 1
-                else:
-                    out.hop_counts.append(hops)
+            dests = nodes[:: -(-len(nodes) // sample_dests)]
+        out.hop_counts, out.unreachable_pairs = hop_sample(
+            ((s, d) for s in sources for d in dests if s is not d),
+            deployment.resolve)
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.brunet import stats
 from repro.brunet.address import BrunetAddress, random_address
 from repro.brunet.config import BrunetConfig
 from repro.brunet.node import BrunetNode
@@ -209,11 +210,4 @@ class Deployment:
 
     def ring_consistent(self) -> bool:
         """Every live node is connected to its true ring successor."""
-        nodes = self.ring_index.items
-        if len(nodes) < 2:
-            return True
-        for i, node in enumerate(nodes):
-            succ = nodes[(i + 1) % len(nodes)]
-            if node.table.get(succ.addr) is None:
-                return False
-        return True
+        return stats.ring_consistent(self.ring_index.items)

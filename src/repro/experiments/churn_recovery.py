@@ -27,6 +27,7 @@ from typing import Optional
 from repro.brunet.config import BrunetConfig
 from repro.brunet.node import BrunetNode
 from repro.brunet.routing import trace_route
+from repro.brunet.stats import ring_consistent, routable_fraction
 from repro.brunet.uri import Uri
 from repro.experiments.common import print_table
 from repro.experiments.plotting import ascii_plot, export_series_csv
@@ -92,26 +93,6 @@ def _build_overlay(sim: Simulator, n_nodes: int,
         nodes.append(node)
         sim.run(until=sim.now + 3.0)  # staggered joins
     return internet, nodes, routers
-
-
-def _ring_consistent(live: list[BrunetNode]) -> bool:
-    ordered = sorted(live, key=lambda n: int(n.addr))
-    return all(
-        ordered[i].table.get(ordered[(i + 1) % len(ordered)].addr) is not None
-        for i in range(len(ordered)))
-
-
-def _routable_fraction(live: list[BrunetNode]) -> float:
-    registry = {n.addr: n for n in live}
-    total = ok = 0
-    for a in live:
-        for b in live:
-            if a is b:
-                continue
-            total += 1
-            if trace_route(a, b.addr, registry.get) is not None:
-                ok += 1
-    return ok / total if total else 1.0
 
 
 def _probe_multi_hop(sim: Simulator, nodes: list[BrunetNode],
@@ -181,7 +162,7 @@ def run(seed: int = 0, n_nodes: int = 20, kill_fraction: float = 0.25,
     deadline = sim.now + settle
     while sim.now < deadline:
         live = [n for n in nodes if n.active]
-        if _ring_consistent(live) and _routable_fraction(live) == 1.0:
+        if ring_consistent(live) and routable_fraction(live) == 1.0:
             break
         sim.run(until=sim.now + 10.0)
     if obs_dir is not None:
@@ -205,8 +186,8 @@ def run(seed: int = 0, n_nodes: int = 20, kill_fraction: float = 0.25,
     while sim.now - t_kill < horizon:
         sim.run(until=sim.now + sample_every)
         elapsed = sim.now - t_kill
-        ring_ok = _ring_consistent(survivors)
-        frac = _routable_fraction(survivors)
+        ring_ok = ring_consistent(survivors)
+        frac = routable_fraction(survivors)
         series.append((elapsed, frac, ring_ok))
         if ring_ok and recovery_ring is None:
             recovery_ring = elapsed

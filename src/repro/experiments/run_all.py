@@ -40,7 +40,7 @@ EXPERIMENTS = {
     "table3": "fastDNAml-PVM times and speedups",
     "joincdf": "join latency CDF (300-trial claim)",
     "churn": "self-repair time after killing 25% of the overlay (§V-E)",
-    "scaling10k": "hop count vs c·log²n up to 10k nodes (+churn slice)",
+    "scaling10k": "hop count vs c·log²n up to 10k nodes (+joins, churn)",
 }
 
 

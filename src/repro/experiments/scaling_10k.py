@@ -1,11 +1,10 @@
-"""10k-node ring scaling on one event kernel.
+"""Ring scaling on one event kernel, up to 10k nodes.
 
 The paper's scalability argument (§I, §IV-A) is asymptotic: greedy routing
-over k Kleinberg far links costs O((1/k)·log²n) expected hops.  The
-existing :mod:`repro.experiments.scaling` sweep verifies the shape up to a
-few hundred nodes through the full join protocol; this experiment takes
-the simulator to 10,000 nodes, where joining one-at-a-time is no longer
-the interesting cost.  Methodology:
+over k Kleinberg far links costs O((1/k)·log²n) expected hops.  This is
+the repository's one scaling experiment; it grows the overlay from a few
+dozen to 10,000 nodes, where joining every node one at a time through the
+protocol is no longer the interesting cost.  Methodology:
 
 * **Warm-started formation** — the structured ring (near neighbours plus k
   Kleinberg-sampled far links, resolved to their nearest live node) is
@@ -23,9 +22,10 @@ the interesting cost.  Methodology:
   other experiment: each datagram lands after its sampled latency, and
   there is one kernel event per keep-alive and per armed overlord tick.
 * **Measurement** — mean greedy hop count over sampled pairs at each n,
-  a least-squares fit of ``hops = c·log²n``, an optional churn slice
-  (crash a fraction, time ring recovery), and a budgeted post-hoc
-  :mod:`repro.check` audit.
+  a least-squares fit of ``hops = c·log²n``, the join time of
+  :data:`JOINERS` fresh nodes joining the settled ring through the real
+  protocol, an optional churn slice (crash a fraction of the built ring,
+  time ring recovery), and a budgeted post-hoc :mod:`repro.check` audit.
 
 Run ``python -m repro.experiments.scaling_10k --help`` for the CLI; CI
 runs the 1k-point smoke (see .github/workflows/ci.yml).
@@ -49,7 +49,13 @@ from repro.brunet.address import (
     random_address,
 )
 from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.routing import overlay_hop_count, trace_route
+from repro.brunet.stats import (
+    hop_sample,
+    ring_consistent,
+    routable_fraction,
+    sampled_pairs,
+)
+from repro.brunet.uri import Uri
 from repro.check import invariants
 from repro.experiments.common import print_table
 from repro.phys import Endpoint, Internet, Site
@@ -60,6 +66,11 @@ from repro.sim.engine import Simulator
 #: because one site's /24 holds at most ~250 hosts
 MIN_SITES = 4
 SITE_CAPACITY = 250
+#: fresh nodes that join the settled ring one second apart, each timed
+#: from ``start()`` to its first structured-near link
+JOINERS = 8
+#: simulated seconds the joiners get before the stragglers are given up
+JOIN_HORIZON = 60.0
 
 
 class ShardedKernel(Simulator):
@@ -111,6 +122,9 @@ class Scale10kPoint:
     mean_hops: float
     p95_hops: float
     unreachable: int
+    #: mean seconds a fresh node takes to join the settled ring (NaN if
+    #: none of the :data:`JOINERS` made it within :data:`JOIN_HORIZON`)
+    mean_join_s: float
     sample_pairs: int
     events: int
     wall_s: float
@@ -193,51 +207,42 @@ def build_warm_overlay(kernel: Simulator, n: int, config: BrunetConfig,
 # ---------------------------------------------------------------------------
 # measurement helpers
 # ---------------------------------------------------------------------------
-def _sample_hops(nodes: list[BrunetNode], sample_pairs: int,
-                 rng: np.random.Generator) -> tuple[list[int], int]:
-    live = [n for n in nodes if n.active]
-    registry = {n.addr: n for n in live}
-    hops: list[int] = []
-    unreachable = 0
-    for _ in range(sample_pairs):
-        a, b = rng.choice(len(live), size=2, replace=False)
-        h = overlay_hop_count(live[int(a)], live[int(b)].addr, registry.get)
-        if h is None:
-            unreachable += 1
-        else:
-            hops.append(h)
-    return hops, unreachable
-
-
-def _ring_consistent(live: list[BrunetNode]) -> bool:
-    ordered = sorted(live, key=lambda n: int(n.addr))
-    return all(
-        ordered[i].table.get(ordered[(i + 1) % len(ordered)].addr) is not None
-        for i in range(len(ordered)))
-
-
-def _routable_fraction(live: list[BrunetNode], sample_pairs: int,
-                       rng: np.random.Generator) -> float:
-    registry = {n.addr: n for n in live}
-    ok = total = 0
-    for _ in range(sample_pairs):
-        a, b = rng.choice(len(live), size=2, replace=False)
-        total += 1
-        if trace_route(live[int(a)], live[int(b)].addr,
-                       registry.get) is not None:
-            ok += 1
-    return ok / total if total else 1.0
-
-
 def _crash(node: BrunetNode) -> None:
     """True crash: no close-notify, the host stops answering entirely."""
     node.stop()
     node.host.shutdown()
 
 
+def _time_joins(kernel: Simulator, internet: Internet,
+                via: BrunetNode, config: BrunetConfig
+                ) -> tuple[list[BrunetNode], float]:
+    """Start :data:`JOINERS` fresh nodes one second apart, bootstrapping
+    off ``via``; returns (the joiners, their mean join time)."""
+    site = Site(internet, "join")
+    jrng = kernel.rng.stream("scaling10k.joiners")
+    bootstrap = [Uri.udp(via.host.ip, via.port)]
+    joiners: list[BrunetNode] = []
+    for i in range(JOINERS):
+        node = BrunetNode(kernel, site.add_host(f"j{i}"),
+                          random_address(jrng), config, name=f"j{i}")
+        node.start(list(bootstrap))
+        joiners.append(node)
+        kernel.run(until=kernel.now + 1.0)
+    deadline = kernel.now + JOIN_HORIZON
+    while (kernel.now < deadline
+           and any(n.joined_at is None for n in joiners)):
+        kernel.run(until=kernel.now + 1.0)
+    times = [n.joined_at - n.started_at for n in joiners
+             if n.joined_at is not None]
+    return joiners, float(np.mean(times)) if times else float("nan")
+
+
 def _churn_slice(kernel: Simulator, nodes: list[BrunetNode],
-                 kill_fraction: float, horizon: float,
-                 sample_every: float, sample_pairs: int) -> ChurnSlice:
+                 joiners: list[BrunetNode], kill_fraction: float,
+                 horizon: float, sample_every: float,
+                 sample_pairs: int) -> ChurnSlice:
+    """Crash ``kill_fraction`` of ``nodes`` (the built ring); the
+    ``joiners`` are never victims but do count among the survivors."""
     n = len(nodes)
     n_killed = max(1, round(n * kill_fraction))
     vrng = kernel.rng.stream("scaling10k.victims")
@@ -247,7 +252,8 @@ def _churn_slice(kernel: Simulator, nodes: list[BrunetNode],
     t_kill = kernel.now + 1.0
     for i in victims:
         kernel.schedule_at(t_kill, _crash, nodes[i])
-    survivors = [nodes[i] for i in range(n) if i not in victim_set]
+    survivors = ([nodes[i] for i in range(n) if i not in victim_set]
+                 + joiners)
     kernel.run(until=t_kill)
     prng = kernel.rng.stream("scaling10k.recovery")
     recovery_ring: Optional[float] = None
@@ -255,9 +261,10 @@ def _churn_slice(kernel: Simulator, nodes: list[BrunetNode],
     while kernel.now - t_kill < horizon:
         kernel.run(until=kernel.now + sample_every)
         elapsed = kernel.now - t_kill
-        if recovery_ring is None and _ring_consistent(survivors):
+        if recovery_ring is None and ring_consistent(survivors):
             recovery_ring = elapsed
-        frac = _routable_fraction(survivors, sample_pairs, prng)
+        frac = routable_fraction(
+            survivors, sampled_pairs(survivors, sample_pairs, prng))
         if recovery_ring is not None and frac == 1.0:
             break
     return ChurnSlice(n_killed=n_killed, recovery_ring=recovery_ring,
@@ -280,20 +287,28 @@ def measure_point(n: int, seed: int = 0, settle: float = 45.0,
     # aggregate metrics + O(sectors) ring rollup above the node-series
     # threshold; a 10k-node bundle must not carry 10k label series
     kernel.obs.scale_to(n, nodes_fn=lambda: [x for x in nodes if x.active])
-    _internet, built = build_warm_overlay(kernel, n, BrunetConfig(),
-                                          k_far=k_far)
+    config = BrunetConfig()
+    internet, built = build_warm_overlay(kernel, n, config, k_far=k_far)
     nodes.extend(built)
     kernel.run(until=settle)
 
+    live = [x for x in nodes if x.active]
     hrng = kernel.rng.stream("scaling10k.pairs")
-    hops, unreachable = _sample_hops(nodes, sample_pairs, hrng)
+    hops, unreachable = hop_sample(sampled_pairs(live, sample_pairs, hrng),
+                                   {x.addr: x for x in live}.get)
+    joiners, mean_join_s = _time_joins(kernel, internet, built[0], config)
+    nodes.extend(joiners)
     churn = None
     if churn_fraction > 0.0:
-        churn = _churn_slice(kernel, nodes, churn_fraction, churn_horizon,
-                             sample_every=10.0,
+        churn = _churn_slice(kernel, built, joiners, churn_fraction,
+                             churn_horizon, sample_every=10.0,
                              sample_pairs=max(100, sample_pairs // 4))
     violations: list = []
     if audit:
+        # the ring and label invariants hold at quiescence (they are
+        # ``gated``): give the near overlords two periods to relabel
+        # around the last join or repair before the one-shot sweep
+        kernel.run(until=kernel.now + 2 * config.overlord_interval)
         live = [x for x in nodes if x.active]
         now = kernel.now
         violations = (invariants.check_ring(live, now, budget=audit_budget)
@@ -306,7 +321,8 @@ def measure_point(n: int, seed: int = 0, settle: float = 45.0,
     return Scale10kPoint(
         n_nodes=n, mean_hops=float(np.mean(hops)) if hops else float("nan"),
         p95_hops=float(np.percentile(hops, 95)) if hops else float("nan"),
-        unreachable=unreachable, sample_pairs=sample_pairs,
+        unreachable=unreachable, mean_join_s=mean_join_s,
+        sample_pairs=sample_pairs,
         events=kernel.events_processed, wall_s=time.perf_counter() - wall0,
         churn=churn, violations=violations)
 
@@ -328,10 +344,11 @@ def report(points: list[Scale10kPoint]) -> None:
     print_table(
         "Ring scaling — greedy hops vs c·log²n",
         ["nodes", "mean hops", "p95", "hops/log²n", "unreachable",
-         "events", "wall (s)"],
+         "mean join (s)", "events", "wall (s)"],
         [[p.n_nodes, f"{p.mean_hops:.2f}", f"{p.p95_hops:.0f}",
-          f"{p.hops_per_log2n_sq:.3f}", p.unreachable, p.events,
-          f"{p.wall_s:.0f}"] for p in points])
+          f"{p.hops_per_log2n_sq:.3f}", p.unreachable,
+          f"{p.mean_join_s:.1f}", p.events, f"{p.wall_s:.0f}"]
+         for p in points])
     c = fit_k(points)
     print(f"\nleast-squares fit: hops ≈ {c:.4f}·log²n "
           f"(k_far=4 predicts O(log²n/4) ⇒ c·k ≈ {4 * c:.2f})")

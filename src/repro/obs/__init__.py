@@ -19,8 +19,7 @@ Three cooperating pieces, owned per-simulation by
 connection census, slowest routes, and per-trace span trees from a run's
 export (see :mod:`repro.obs.inspect`); ``python -m repro.obs.top``
 attaches a live refreshing dashboard to a running overlay — in-process
-or over a :meth:`~repro.transport.runtime.RealtimeKernel.serve_stats`
-UDP socket (see :mod:`repro.obs.top`).
+or over a daemon's unix control socket (see :mod:`repro.obs.top`).
 """
 
 from repro.obs.hub import Observability

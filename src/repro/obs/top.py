@@ -8,11 +8,11 @@ Two attach modes:
   :meth:`Top.render` between simulation slices; ``python -m
   repro.obs.top --sim churn`` does exactly that against an inline churn
   overlay, repainting as simulated time advances;
-* **stats socket** — ``python -m repro.obs.top --connect IP:PORT`` polls
-  the UDP stats socket exposed by
-  :meth:`~repro.transport.runtime.RealtimeKernel.serve_stats` (see
-  ``python -m repro.apps.daemon --stats-port``), so a long-running
-  live-UDP daemon can be watched from another process.
+* **control socket** — ``python -m repro.obs.top --connect PATH`` polls
+  the ``stats`` command of a daemon's unix control socket (``python -m
+  repro.apps.daemon --control PATH``), the same surface ``wowctl``
+  reads, so a long-running live-UDP daemon can be watched from another
+  process.
 
 The dashboard shows event rate, kernel health (backlog / tombstones /
 compactions), route + IPOP traffic rates, wire decode errors, profiler
@@ -29,8 +29,6 @@ is read-only: attaching a dashboard never changes a run's trajectory.
 from __future__ import annotations
 
 import argparse
-import json
-import socket
 import sys
 import time
 from typing import Any, Optional
@@ -42,7 +40,7 @@ _NODE_EXTRA = ("wire.decode_error",)
 
 
 # ---------------------------------------------------------------------------
-# snapshot building (shared by in-process mode and the stats socket)
+# snapshot building (shared by in-process mode and the daemon's ``stats``)
 # ---------------------------------------------------------------------------
 
 def build_stats(kernel: Any, top_nodes: int = 8) -> dict:
@@ -231,21 +229,6 @@ class Top:
 
 
 # ---------------------------------------------------------------------------
-# stats-socket client
-# ---------------------------------------------------------------------------
-
-def fetch_stats(addr: tuple[str, int], timeout: float = 2.0) -> dict:
-    """Poll one snapshot from a :meth:`RealtimeKernel.serve_stats`
-    socket (blocking; raises ``socket.timeout`` when the daemon is
-    gone)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
-        sock.sendto(b"stats", addr)
-        data, _ = sock.recvfrom(1 << 16)
-    return json.loads(data.decode())
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -259,17 +242,16 @@ def _paint(frame: str, plain: bool, out) -> None:
 
 
 def _watch_socket(args, out) -> int:
-    host, _, port = args.connect.rpartition(":")
-    addr = (host or "127.0.0.1", int(port))
+    from repro.apps.wowctl import ControlError, control_call
+
     prev: Optional[dict] = None
     prev_wall: Optional[float] = None
     frames = 0
     while args.frames is None or frames < args.frames:
         try:
-            cur = fetch_stats(addr, timeout=args.timeout)
-        except (socket.timeout, OSError) as exc:
-            print(f"stats socket {addr[0]}:{addr[1]}: {exc}",
-                  file=sys.stderr)
+            cur = control_call(args.connect, "stats", timeout=args.timeout)
+        except (ControlError, ValueError) as exc:
+            print(f"control socket {exc}", file=sys.stderr)
             return 1
         wall = time.perf_counter()
         wall_dt = wall - prev_wall if prev_wall is not None else None
@@ -310,11 +292,11 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.top",
         description="Live dashboard for a running overlay (in-process "
-                    "sim demo or a RealtimeKernel stats socket).")
+                    "sim demo or a daemon's control socket).")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--connect", metavar="IP:PORT",
-                      help="poll a RealtimeKernel stats socket "
-                           "(see repro.apps.daemon --stats-port)")
+    mode.add_argument("--connect", metavar="PATH",
+                      help="poll a daemon's unix control socket "
+                           "(repro.apps.daemon --control PATH)")
     mode.add_argument("--sim", choices=["churn"],
                       help="run an inline simulated overlay and watch it")
     parser.add_argument("--interval", type=float, default=1.0,
@@ -323,7 +305,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
                         help="stop after N frames (default: forever; "
                              "sim mode defaults to 20)")
     parser.add_argument("--timeout", type=float, default=2.0,
-                        help="stats-socket poll timeout")
+                        help="control-socket poll timeout")
     parser.add_argument("--width", type=int, default=78)
     parser.add_argument("--plain", action="store_true",
                         help="append frames instead of clearing the "

@@ -24,7 +24,6 @@ _ORIGIN = {
     "AllOf": "process",
     "RngRegistry": "rng",
     "Tracer": "trace",
-    "TimeSeries": "trace",
 }
 
 __all__ = list(_ORIGIN)

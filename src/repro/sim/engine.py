@@ -83,17 +83,13 @@ class Simulator:
     trace:
         When true, a :class:`Tracer` records events emitted via
         :meth:`Simulator.trace`.
-    trace_max_records:
-        Per-category cap on retained tracer records (None = unbounded);
-        see :class:`~repro.sim.trace.Tracer`.
     """
 
     #: rebuild the heap when it holds more dead than live entries (and is
     #: big enough for the rebuild to be worth the copy)
     _COMPACT_MIN = 64
 
-    def __init__(self, seed: int = 0, trace: bool = True,
-                 trace_max_records: Optional[int] = None):
+    def __init__(self, seed: int = 0, trace: bool = True):
         self.now: float = 0.0
         # heap entries are (time, priority, seq, Event): tuple comparison
         # stays in C (seq is unique, so the Event itself is never compared)
@@ -112,7 +108,7 @@ class Simulator:
         #: lazy-compaction sweeps performed so far (kernel-health signal)
         self.compactions = 0
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace, max_records=trace_max_records)
+        self.tracer = Tracer(enabled=trace)
         #: metrics registry + span collector + flight recorder (see
         #: :mod:`repro.obs`); metrics always on, spans/recorder opt-in
         self.obs = Observability(self)

@@ -1,88 +1,24 @@
-"""Tracing and time-series collection.
+"""Structured event tracing.
 
 Experiments record structured events (``tracer.record(t, "icmp.reply",
 {...})``) and post-process them into the series the paper plots.
-:class:`TimeSeries` is a light append-only (t, value) container with the
-summary statistics used across EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Optional
-
-import numpy as np
-
-
-class TimeSeries:
-    """Append-only series of (time, value) samples."""
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def add(self, t: float, v: float) -> None:
-        """Append one (time, value) sample."""
-        self.times.append(t)
-        self.values.append(v)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The samples as (times, values) numpy arrays."""
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
-    # -- summary statistics -------------------------------------------
-    def mean(self) -> float:
-        """Mean of the values (NaN when empty)."""
-        return float(np.mean(self.values)) if self.values else float("nan")
-
-    def std(self) -> float:
-        """Population standard deviation of the values."""
-        return float(np.std(self.values)) if self.values else float("nan")
-
-    def percentile(self, q: float) -> float:
-        """q-th percentile of the values (NaN when empty)."""
-        return float(np.percentile(self.values, q)) if self.values else float("nan")
-
-    def window(self, t0: float, t1: float) -> "TimeSeries":
-        """Sub-series with t0 <= t < t1.
-
-        Times are appended in nondecreasing order everywhere in the repo,
-        so the window is found by bisection and sliced — O(log n + k)
-        instead of a full scan per call."""
-        out = TimeSeries(f"{self.name}[{t0},{t1})")
-        i0 = bisect_left(self.times, t0)
-        i1 = bisect_left(self.times, t1, i0)
-        out.times = self.times[i0:i1]
-        out.values = self.values[i0:i1]
-        return out
+from typing import Iterable, Optional
 
 
 class Tracer:
     """Stores trace records grouped by category.
 
     A record is ``(time, dict)``.  Disable tracing for large sweeps by
-    constructing with ``enabled=False``; ``record`` then becomes a no-op.
-
-    ``max_records`` bounds the retained records *per category* (oldest
-    evicted first) so long sweeps cannot grow memory without bound —
-    :attr:`counters` stay exact regardless of eviction.  Eviction is
-    amortized: a category's list may transiently hold up to twice the cap
-    and is trimmed in bulk; :meth:`get` always returns at most the cap.
+    constructing with ``enabled=False``; ``record`` then only counts.
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_records: Optional[int] = None):
-        if max_records is not None and max_records <= 0:
-            raise ValueError("max_records must be positive or None")
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.max_records = max_records
         self.records: dict[str, list[tuple[float, dict]]] = defaultdict(list)
         self.counters: Counter = Counter()
 
@@ -90,51 +26,11 @@ class Tracer:
         """Count (and, when enabled, store) one event record."""
         self.counters[category] += 1
         if self.enabled:
-            records = self.records[category]
-            records.append((t, data or {}))
-            cap = self.max_records
-            if cap is not None and len(records) > 2 * cap:
-                del records[:len(records) - cap]
-
-    def count(self, category: str) -> int:
-        """How many records of ``category`` were ever recorded."""
-        return self.counters[category]
+            self.records[category].append((t, data or {}))
 
     def get(self, category: str) -> list[tuple[float, dict]]:
-        """Stored (time, data) records of ``category`` (the newest
-        ``max_records`` of them when a cap is set)."""
-        records = self.records.get(category, [])
-        cap = self.max_records
-        if cap is not None and len(records) > cap:
-            return records[-cap:]
-        return records
-
-    def series(self, category: str, key: str,
-               where: Optional[Callable[[dict], bool]] = None) -> TimeSeries:
-        """Extract a :class:`TimeSeries` of ``data[key]`` from a category."""
-        ts = TimeSeries(f"{category}.{key}")
-        for t, data in self.get(category):
-            if key in data and (where is None or where(data)):
-                ts.add(t, float(data[key]))
-        return ts
-
-    def categories(self) -> list[str]:
-        """All categories seen so far, sorted."""
-        return sorted(self.counters)
-
-    def clear(self) -> None:
-        """Forget all records and counters."""
-        self.records.clear()
-        self.counters.clear()
-
-
-def cdf(samples: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted samples, cumulative fractions)."""
-    xs = np.sort(np.asarray(list(samples), dtype=float))
-    if xs.size == 0:
-        return xs, xs
-    fr = np.arange(1, xs.size + 1, dtype=float) / xs.size
-    return xs, fr
+        """Stored (time, data) records of ``category``."""
+        return self.records.get(category, [])
 
 
 def fraction_below(samples: Iterable[float], threshold: float) -> float:

@@ -158,3 +158,31 @@ def test_cache_file_written_on_timer(tmp_path):
         await a.shutdown("test")
 
     asyncio.run(scenario())
+
+
+def test_oversized_control_line_gets_an_error_reply(tmp_path, caplog):
+    """A request line past the stream limit must not escape the handler
+    as an unhandled ``ValueError`` (a logged traceback and no reply): it
+    gets ``{"ok": false}``, the connection closes, the daemon answers on."""
+    sock = str(tmp_path / "d.sock")
+
+    async def scenario():
+        d = WowDaemon("10.128.0.2", config=FAST, name="d",
+                      control_path=sock)
+        await d.start()
+        reader, writer = await asyncio.open_unix_connection(sock)
+        writer.write(b"x" * (128 * 1024))
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.readline(), 5.0)
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed
+        writer.close()
+        status = await _ctl(sock, "status")
+        await d.shutdown("test")
+        return reply, status
+
+    with caplog.at_level("ERROR"):
+        reply, status = asyncio.run(scenario())
+    decoded = json.loads(reply)
+    assert decoded["ok"] is False and "line" in decoded["error"]
+    assert status["ok"] and status["vip"] == "10.128.0.2"
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]

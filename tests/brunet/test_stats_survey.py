@@ -82,3 +82,15 @@ def test_hop_percentiles_direct():
                         hop_counts=[1, 1, 2, 3])
     assert out.hop_mean == pytest.approx(1.75)
     assert out.hop_p95 == pytest.approx(2.85)
+
+
+def test_survey_strides_round_up_to_at_most_k_sources_and_dests():
+    """n = 23 with 12 sources: a floored stride of 1 routed from all 23
+    nodes; the ceiling stride of 2 routes from 12."""
+    sim, dep = _deployment_with_routers(23)
+    out = survey(dep, sample_sources=12)
+    assert out.unreachable_pairs == 0
+    assert len(out.hop_counts) == 12 * 23 - 12
+    # destinations 0, 5, 10, 15, 20; sources 0, 10 and 20 skip themselves
+    out = survey(dep, sample_sources=12, sample_dests=5)
+    assert len(out.hop_counts) + out.unreachable_pairs == 12 * 5 - 3

@@ -1,4 +1,4 @@
-"""obs.top dashboard: snapshot building, rendering, stats socket, CLI."""
+"""obs.top dashboard: snapshot building, rendering, control socket, CLI."""
 
 import asyncio
 import concurrent.futures
@@ -102,32 +102,32 @@ def test_top_render_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# stats socket (RealtimeKernel)
+# a live daemon's control socket
 # ---------------------------------------------------------------------------
 
-def test_stats_socket_round_trip():
-    async def scenario():
-        from repro.transport.runtime import RealtimeKernel
+def test_connect_renders_frames_from_a_live_daemon(tmp_path):
+    from repro.apps.daemon import WowDaemon
 
-        kernel = RealtimeKernel(seed=5)
-        kernel.obs.enable_profiler()
-        ip, port = await kernel.serve_stats()
-        assert port != 0
-        kernel.schedule(0.0, lambda: None)
+    sock = str(tmp_path / "d.sock")
+    out = io.StringIO()
+
+    async def scenario():
+        daemon = WowDaemon("10.128.0.2", name="d", control_path=sock)
+        await daemon.start()
+        daemon.kernel.schedule(0.0, lambda: None)
         await asyncio.sleep(0.05)
         loop = asyncio.get_running_loop()
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            stats = await loop.run_in_executor(
-                pool, top.fetch_stats, (ip, port))
-        kernel.close_stats()
-        kernel.close_stats()  # idempotent
-        return stats, kernel.events_processed
+            rc = await loop.run_in_executor(pool, top.main, [
+                "--connect", sock, "--frames", "2", "--interval", "0",
+                "--plain"], out)
+        await daemon.shutdown("test")
+        return rc
 
-    stats, events = asyncio.run(scenario())
-    assert stats["events"] == events
-    assert "sums" in stats
-    # a frame renders from socket data alone
-    assert "wow obs.top" in top.render_stats(stats)
+    assert asyncio.run(scenario()) == 0
+    text = out.getvalue()
+    assert text.count("wow obs.top") == 2
+    assert "routes" in text and "wire" in text
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,6 @@ def test_cli_sim_mode_renders_frames():
 
 def test_cli_connect_unreachable_fails_cleanly():
     out = io.StringIO()
-    rc = top.main(["--connect", "127.0.0.1:1", "--frames", "1",
+    rc = top.main(["--connect", "/nonexistent/wow.sock", "--frames", "1",
                    "--timeout", "0.2", "--plain"], out=out)
     assert rc == 1

@@ -1,12 +1,8 @@
-"""Tracer and TimeSeries."""
+"""Tracer and fraction_below."""
 
-import math
-import time
-
-import numpy as np
 import pytest
 
-from repro.sim.trace import TimeSeries, Tracer, cdf, fraction_below
+from repro.sim.trace import Tracer, fraction_below
 
 
 def test_tracer_records_and_counts():
@@ -14,129 +10,20 @@ def test_tracer_records_and_counts():
     tr.record(1.0, "evt", {"x": 1})
     tr.record(2.0, "evt", {"x": 2})
     tr.record(3.0, "other")
-    assert tr.count("evt") == 2
+    assert tr.counters["evt"] == 2
     assert tr.get("evt")[1] == (2.0, {"x": 2})
-    assert tr.categories() == ["evt", "other"]
+    assert tr.get("other") == [(3.0, {})]
+    assert sorted(tr.records) == ["evt", "other"]
 
 
 def test_disabled_tracer_counts_but_does_not_store():
     tr = Tracer(enabled=False)
     tr.record(1.0, "evt", {"x": 1})
-    assert tr.count("evt") == 1
+    assert tr.counters["evt"] == 1
     assert tr.get("evt") == []
-
-
-def test_series_extraction_with_filter():
-    tr = Tracer()
-    for i in range(5):
-        tr.record(float(i), "m", {"v": i, "keep": i % 2 == 0})
-    ts = tr.series("m", "v", where=lambda d: d["keep"])
-    assert list(ts.values) == [0.0, 2.0, 4.0]
-
-
-def test_timeseries_statistics():
-    ts = TimeSeries("t")
-    for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-        ts.add(float(i), v)
-    assert ts.mean() == pytest.approx(2.5)
-    assert ts.std() == pytest.approx(np.std([1, 2, 3, 4]))
-    assert ts.percentile(50) == pytest.approx(2.5)
-    assert len(ts) == 4
-
-
-def test_timeseries_empty_stats_are_nan():
-    ts = TimeSeries()
-    assert math.isnan(ts.mean())
-    assert math.isnan(ts.std())
-
-
-def test_timeseries_window():
-    ts = TimeSeries()
-    for i in range(10):
-        ts.add(float(i), float(i))
-    w = ts.window(2.0, 5.0)
-    assert list(w.times) == [2.0, 3.0, 4.0]
-
-
-def test_cdf_shape():
-    xs, fr = cdf([3.0, 1.0, 2.0])
-    assert list(xs) == [1.0, 2.0, 3.0]
-    assert fr[-1] == pytest.approx(1.0)
-    assert fr[0] == pytest.approx(1 / 3)
-
-
-def test_cdf_empty():
-    xs, fr = cdf([])
-    assert xs.size == 0 and fr.size == 0
 
 
 def test_fraction_below():
     assert fraction_below([1, 2, 3, 4], 3) == pytest.approx(0.5)
     assert fraction_below([], 3) == 1.0
     assert fraction_below([float("inf")], 1e9) == 0.0
-
-
-def test_tracer_clear():
-    tr = Tracer()
-    tr.record(0.0, "a")
-    tr.clear()
-    assert tr.count("a") == 0
-    assert tr.get("a") == []
-
-
-def test_tracer_max_records_keeps_newest_and_exact_counts():
-    tr = Tracer(max_records=10)
-    for i in range(35):
-        tr.record(float(i), "evt", {"i": i})
-    tr.record(0.0, "other")
-    # counters stay exact even though storage is capped
-    assert tr.count("evt") == 35
-    got = tr.get("evt")
-    assert len(got) == 10
-    assert [d["i"] for _t, d in got] == list(range(25, 35))
-    # other categories keep their own (uncapped-within-cap) records
-    assert len(tr.get("other")) == 1
-
-
-def test_tracer_max_records_under_cap_is_untouched():
-    tr = Tracer(max_records=100)
-    for i in range(5):
-        tr.record(float(i), "evt", {"i": i})
-    assert [d["i"] for _t, d in tr.get("evt")] == [0, 1, 2, 3, 4]
-
-
-def test_tracer_max_records_validation():
-    with pytest.raises(ValueError):
-        Tracer(max_records=0)
-    with pytest.raises(ValueError):
-        Tracer(max_records=-5)
-
-
-def test_timeseries_window_bisect_regression():
-    """Windowing a 100k-sample series must be fast (bisect, not a scan)
-    and byte-identical to the naive linear-scan implementation."""
-    n = 100_000
-    ts = TimeSeries("big")
-    for i in range(n):
-        ts.add(i * 0.001, float(i % 97))
-
-    def naive(t0, t1):
-        pairs = [(t, v) for t, v in zip(ts.times, ts.values)
-                 if t0 <= t < t1]
-        return [t for t, _ in pairs], [v for _, v in pairs]
-
-    windows = [(0.0, 0.05), (12.3, 12.4), (50.0, 51.0),
-               (99.9, 1e9), (120.0, 130.0), (-5.0, 0.0)]
-    for t0, t1 in windows:
-        w = ts.window(t0, t1)
-        nt, nv = naive(t0, t1)
-        assert list(w.times) == nt
-        assert list(w.values) == nv
-
-    wall = time.perf_counter()
-    for i in range(1000):
-        ts.window(float(i % 90), float(i % 90) + 0.5)
-    wall = time.perf_counter() - wall
-    # a linear scan would take O(n) per call (~tens of seconds for 1000
-    # calls); bisect + slice of ~500 elements stays well under a second
-    assert wall < 2.0, f"window() too slow: {wall:.2f}s for 1000 calls"
