@@ -1,15 +1,16 @@
-"""Unit-level checks of the scaling-sweep experiment."""
+"""Unit-level checks of the scaling experiment's §IV-A claim on a small
+ring: every pair routes, hops stay near c·log²n, fresh nodes join fast."""
 
 import math
 
 import pytest
 
-from repro.experiments import scaling
+from repro.experiments import scaling_10k
 
 
 @pytest.fixture(scope="module")
 def point():
-    return scaling.measure(24, seed=9, sample_pairs=120)
+    return scaling_10k.measure_point(24, seed=9, sample_pairs=120)
 
 
 def test_all_pairs_routable(point):
@@ -31,28 +32,8 @@ def test_normalisation_math(point):
 
 
 def test_report_renders(capsys, point):
-    scaling.report([point])
+    scaling_10k.report([point])
     out = capsys.readouterr().out
-    assert "Overlay scaling sweep" in out
+    assert "Ring scaling" in out
     assert "24" in out
-
-
-def test_measure_allocates_hosts_past_one_slash_24(monkeypatch):
-    """Regression: ``run()``'s own default sizes end at 256 nodes, and
-    ``measure`` put every host in one public /24, dying at host 252 with
-    ``ValueError: subnet 150.1.0. exhausted``.  Only allocation is under
-    test, so the kernel never runs an event here."""
-    created = []
-
-    class _AllocationOnly(scaling.Simulator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-        def run(self, until=None, max_events=None):
-            return self.now
-
-    monkeypatch.setattr(scaling, "Simulator", _AllocationOnly)
-    point = scaling.measure(300, seed=0, sample_pairs=4)
-    assert point.n_nodes == 300
-    assert created[0].events_processed == 0
+    assert "mean join (s)" in out

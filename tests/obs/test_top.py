@@ -105,6 +105,34 @@ def test_top_render_is_read_only():
 # a live daemon's control socket
 # ---------------------------------------------------------------------------
 
+def test_stats_socket_round_trip(tmp_path):
+    from repro.apps.daemon import WowDaemon
+    from repro.apps.wowctl import control_call
+
+    sock = str(tmp_path / "d.sock")
+
+    async def scenario():
+        daemon = WowDaemon("10.128.0.2", name="d", control_path=sock)
+        await daemon.start()
+        daemon.kernel.obs.enable_profiler()
+        daemon.kernel.schedule(0.0, lambda: None)
+        await asyncio.sleep(0.05)
+        loop = asyncio.get_running_loop()
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            stats = await loop.run_in_executor(
+                pool, control_call, sock, "stats")
+        events = daemon.kernel.events_processed
+        await daemon.shutdown("test")
+        return stats, events
+
+    stats, events = asyncio.run(scenario())
+    assert stats.pop("ok") is True
+    assert 0 < stats["events"] <= events
+    assert "sums" in stats
+    # a frame renders from socket data alone
+    assert "wow obs.top" in top.render_stats(stats)
+
+
 def test_connect_renders_frames_from_a_live_daemon(tmp_path):
     from repro.apps.daemon import WowDaemon
 

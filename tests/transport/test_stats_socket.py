@@ -1,96 +1,37 @@
-"""Hardening tests for the RealtimeKernel UDP stats socket.
+"""End-to-end read of a daemon's stats channel, its unix control socket,
+from a separate process: the daemon runs as ``python -m
+repro.apps.daemon`` and a local client asks it for ``stats``."""
 
-The stats socket answers an arbitrary inbound datagram with a JSON
-snapshot, which makes it (a) a crash risk if a datagram races the
-``connection_made`` callback, (b) an information leak if it answers
-non-loopback sources by default, and (c) a UDP amplification primitive
-if the reply is unbounded.  These tests pin all three guards.
-"""
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-import asyncio
-import json
-
-from repro.transport.runtime import RealtimeKernel, _StatsProtocol
-
-
-class _FakeTransport:
-    """Captures sendto calls without a real socket."""
-
-    def __init__(self):
-        self.sent: list[tuple[bytes, tuple]] = []
-
-    def sendto(self, data: bytes, addr) -> None:
-        self.sent.append((data, addr))
+import repro
+from repro.apps.wowctl import control_call
 
 
-def _protocol(kernel, **kwargs) -> _StatsProtocol:
-    proto = _StatsProtocol(kernel, **kwargs)
-    transport = _FakeTransport()
-    proto.connection_made(transport)
-    return proto
-
-
-def test_datagram_before_connection_made_is_dropped():
-    """A datagram arriving before ``connection_made`` must not raise
-    AttributeError on the uninitialized transport attribute."""
-    async def scenario():
-        kernel = RealtimeKernel(seed=0)
-        proto = _StatsProtocol(kernel)
-        proto.datagram_received(b"stats", ("127.0.0.1", 5000))  # no crash
-
-    asyncio.run(scenario())
-
-
-def test_non_loopback_source_is_ignored_by_default():
-    async def scenario():
-        kernel = RealtimeKernel(seed=0)
-        proto = _protocol(kernel)
-        proto.datagram_received(b"stats", ("10.1.2.3", 5000))
-        assert proto.transport.sent == []
-        proto.datagram_received(b"stats", ("127.0.0.1", 5000))
-        assert len(proto.transport.sent) == 1
-
-    asyncio.run(scenario())
-
-
-def test_public_flag_opens_the_socket_up():
-    async def scenario():
-        kernel = RealtimeKernel(seed=0)
-        proto = _protocol(kernel, public=True)
-        proto.datagram_received(b"stats", ("10.1.2.3", 5000))
-        assert len(proto.transport.sent) == 1
-
-    asyncio.run(scenario())
-
-
-def test_reply_payload_is_capped():
-    async def scenario():
-        kernel = RealtimeKernel(seed=0)
-        # inflate the snapshot with many per-node series
-        for i in range(500):
-            kernel.obs.metrics.counter("brunet.route.sent",
-                                       node=f"padnode-{i:04d}").inc()
-        cap = 512
-        proto = _protocol(kernel, max_bytes=cap)
-        proto.datagram_received(b"stats", ("127.0.0.1", 5000))
-        (data, _addr), = proto.transport.sent
-        assert len(data) <= cap
-        json.loads(data.decode())  # still a valid snapshot
-
-    asyncio.run(scenario())
-
-
-def test_serve_stats_end_to_end_still_answers_loopback():
-    from repro.obs.top import fetch_stats
-
-    async def scenario():
-        kernel = RealtimeKernel(seed=0)
-        ip, port = await kernel.serve_stats()
-        loop = asyncio.get_running_loop()
-        snap = await loop.run_in_executor(
-            None, lambda: fetch_stats((ip, port), timeout=5.0))
-        kernel.close_stats()
-        return snap
-
-    snap = asyncio.run(scenario())
-    assert "t" in snap and "events" in snap
+def test_serve_stats_end_to_end_still_answers_loopback(tmp_path):
+    sock = tmp_path / "d.sock"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.apps.daemon", "--vip", "10.128.0.2",
+         "--control", str(sock)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 20.0
+        while not sock.exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "control socket never appeared"
+            time.sleep(0.05)
+        snap = control_call(str(sock), "stats", timeout=5.0)
+        assert "t" in snap and "events" in snap
+        control_call(str(sock), "shutdown", timeout=5.0)
+        assert proc.wait(timeout=20.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
