@@ -15,6 +15,10 @@ tunnelled IP packet that has arrived (``wire.deliver_view`` →
 :meth:`route` / :meth:`send_over` / :meth:`_deliver`, the path every
 packet takes on a transport that carries objects.  Each byte path does
 the object path's bookkeeping to the counter (DESIGN.md §14.4).
+Keep-alives are one protocol in two framings: on such a transport they
+leave as ``wire.ping_frame`` / ``wire.ping_reply_frame`` bytes and are
+read with ``wire.ping_view`` / ``wire.ping_reply_view``; the handlers
+work on the fields either way.
 """
 
 from __future__ import annotations
@@ -531,16 +535,29 @@ class BrunetNode:
         if not self.active:
             return
         if type(payload) is bytes:
-            # a codec transport hands routed frames over undecoded
-            view = wire.transit_view(payload, self._addr_bytes)
-            if view is not None:
-                if self._cut_through(payload, view):
+            # a codec transport hands routed and keep-alive frames over
+            # undecoded; a view that declines one leaves it to decode_lazy
+            tag = payload[1] if len(payload) > 1 else None
+            if tag == codec.T_PING_REQUEST:
+                ping = wire.ping_view(payload)
+                if ping is not None:
+                    self._handle_ping_request(*ping, src)
                     return
-            elif self.ip_handler is not None:
-                arrived = wire.deliver_view(payload, self._addr_bytes)
-                if arrived is not None:
-                    self._deliver_ip(*arrived)
+            elif tag == codec.T_PING_REPLY:
+                pong = wire.ping_reply_view(payload)
+                if pong is not None:
+                    self._handle_ping_reply(*pong, src)
                     return
+            else:
+                view = wire.transit_view(payload, self._addr_bytes)
+                if view is not None:
+                    if self._cut_through(payload, view):
+                        return
+                elif self.ip_handler is not None:
+                    arrived = wire.deliver_view(payload, self._addr_bytes)
+                    if arrived is not None:
+                        self._deliver_ip(*arrived)
+                        return
             try:
                 payload = wire.decode_lazy(payload)
             except wire.DecodeError:
@@ -548,9 +565,11 @@ class BrunetNode:
                 return
         kind = type(payload)        # keep-alives first: most datagrams
         if kind is PingRequest:
-            self._handle_ping_request(payload, src)
+            self._handle_ping_request(payload.token, payload.sender_addr,
+                                      src)
         elif kind is PingReply:
-            self._handle_ping_reply(payload, src)
+            self._handle_ping_reply(payload.token, payload.sender_addr,
+                                    payload.observed_uri, payload.known, src)
         elif isinstance(payload, RoutedPacket):
             if payload.via:
                 conn = self.table.get(payload.via[-1])
@@ -631,28 +650,43 @@ class BrunetNode:
                 self.drop_connection(conn, reason="liveness-timeout")
                 continue
             if now - conn.last_heard >= cfg.ping_interval:
-                req = PingRequest(self.next_token(), self.addr)
+                token = self.next_token()
                 conn.unanswered_pings += 1
-                self.send_direct(conn.remote_endpoint, req, cfg.size_ping)
+                if self.transport.carries_frames:
+                    self.transport.send_frame(
+                        conn.remote_endpoint,
+                        wire.ping_frame(token, self._addr_bytes))
+                else:
+                    self.send_direct(conn.remote_endpoint,
+                                     PingRequest(token, self.addr),
+                                     cfg.size_ping)
         self._ping_timer = self.sim.schedule(cfg.ping_interval / 2,
                                              self._ping_tick)
 
-    def _handle_ping_request(self, msg: PingRequest, src: Endpoint) -> None:
-        conn = self.table.get(msg.sender_addr)
+    def _handle_ping_request(self, token: int, sender: BrunetAddress,
+                             src: Endpoint) -> None:
+        conn = self.table.get(sender)
         if conn is not None:
             conn.heard_from(self.sim.now)
             conn.remote_endpoint = src  # tracks NAT re-mappings (§V-E)
-        reply = PingReply(msg.token, self.addr, Uri("udp", src),
-                          known=conn is not None)
-        self.send_direct(src, reply, self.config.size_ping)
+        known = conn is not None
+        if self.transport.carries_frames:
+            self.transport.send_frame(src, wire.ping_reply_frame(
+                token, self._addr_bytes, src, known))
+        else:
+            self.send_direct(src, PingReply(token, self.addr,
+                                            Uri("udp", src), known=known),
+                             self.config.size_ping)
 
-    def _handle_ping_reply(self, msg: PingReply, src: Endpoint) -> None:
-        if self.uris.learn(msg.observed_uri):
-            self.trace("uri.learned", uri=str(msg.observed_uri))
-        conn = self.table.get(msg.sender_addr)
+    def _handle_ping_reply(self, token: int, sender: BrunetAddress,
+                           observed_uri: Uri, known: bool,
+                           src: Endpoint) -> None:
+        if self.uris.learn(observed_uri):
+            self.trace("uri.learned", uri=str(observed_uri))
+        conn = self.table.get(sender)
         if conn is None:
             return
-        if not msg.known:
+        if not known:
             # the peer answers but holds no state for us: it restarted (or
             # its close-notify was lost).  Drop the zombie link so the
             # overlords' on_disconnection repair hooks re-establish it.

@@ -11,25 +11,30 @@ where ``message`` is a decoded protocol object (transports running the
 wire codec decode before dispatch — a frame that fails to decode is
 counted on the ``wire.decode_error`` metric and dropped, mirroring how a
 real daemon must treat garbage datagrams) — with one exception: a
-codec transport hands a *routed* frame (tag ``T_ROUTED``) to the handler
-as the received ``bytes``, undecoded, after counting it as received.
-The node then forwards it as bytes (:func:`repro.wire.transit_view` +
+codec transport hands a *routed* frame (tag ``T_ROUTED``) or a
+*keep-alive* frame (``T_PING_REQUEST``, ``T_PING_REPLY``; together
+:data:`repro.wire.codec.BYTE_PATH_TAGS`) to the handler as the received
+``bytes``, undecoded, after counting it as received.  The node then
+forwards a routed frame as bytes (:func:`repro.wire.transit_view` +
 :func:`repro.wire.patch_forward` + :meth:`Transport.send_frame`: a
 transit hop builds no message object), takes a tunnelled IP packet out
-of it in one pass (:func:`repro.wire.deliver_view`), or decodes it itself
-with :func:`repro.wire.decode_lazy`, counting a failure on the same
-``wire.decode_error`` series.  A handler that is not a ``BrunetNode``
-must therefore accept ``bytes`` for routed frames.
+of it in one pass (:func:`repro.wire.deliver_view`), reads a keep-alive
+with :func:`repro.wire.ping_view` / :func:`repro.wire.ping_reply_view`,
+or decodes the frame itself with :func:`repro.wire.decode_lazy`,
+counting a failure on the same ``wire.decode_error`` series.  A handler
+that is not a ``BrunetNode`` must therefore accept ``bytes`` for those
+frames.
 
 A transport that works this way says so with
 :attr:`Transport.carries_frames`; the node reads that attribute — not the
-config — to decide whether it may also *launch* a packet as bytes
-(:func:`repro.wire.encode_origin` + :meth:`Transport.send_frame`).  What
-such a transport must offer: ``send`` encodes with
-:func:`repro.wire.encode` and counts OPAQUE fallbacks on
-``wire.opaque_frames``; ``send_frame`` counts and charges a frame
-exactly as ``send`` does for the same bytes; routed frames arrive at the
-handler as ``bytes``.
+config — to decide whether it may also *launch* a packet or a
+keep-alive as bytes (:func:`repro.wire.encode_origin`,
+:func:`repro.wire.ping_frame`, :func:`repro.wire.ping_reply_frame` +
+:meth:`Transport.send_frame`).  What such a transport must offer:
+``send`` encodes with :func:`repro.wire.encode` and counts OPAQUE
+fallbacks on ``wire.opaque_frames``; ``send_frame`` counts and charges a
+frame exactly as ``send`` does for the same bytes; routed and keep-alive
+frames arrive at the handler as ``bytes``.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ class Transport(abc.ABC):
     """One node's datagram endpoint (sim-backed or socket-backed)."""
 
     #: True when messages cross this transport as :mod:`repro.wire`
-    #: frames: routed frames reach the handler as ``bytes`` and
-    #: :meth:`send_frame` is live, so the node may launch and forward
-    #: packets as bytes.  False: objects travel by reference.
+    #: frames: routed and keep-alive frames reach the handler as
+    #: ``bytes`` and :meth:`send_frame` is live, so the node may launch
+    #: and forward packets, and send keep-alives, as bytes.  False:
+    #: objects travel by reference.
     carries_frames = False
 
     @property
@@ -79,7 +85,7 @@ class Transport(abc.ABC):
     def send_frame(self, dst: Endpoint, frame: bytes) -> None:
         """Fire-and-forget one already-encoded frame (a routed frame the
         node launched with ``encode_origin`` or forwards as received
-        bytes).  Counts and charges exactly what :meth:`send` does for
+        bytes, a keep-alive).  Counts and charges exactly what :meth:`send` does for
         the same bytes."""
 
     @abc.abstractmethod

@@ -13,9 +13,10 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
     Full serialization: the datagram carries encoded bytes and is charged
     ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
     decodes (or counts ``wire.decode_error`` and drops) — except an
-    untraced routed frame, which goes to the node as bytes, exactly as
-    :class:`~repro.transport.udp.UdpTransport` delivers it, so origins
-    launch and transit hops patch and resend through
+    untraced routed or keep-alive frame, which goes to the node as bytes,
+    exactly as :class:`~repro.transport.udp.UdpTransport` delivers it, so
+    origins launch, transit hops patch and resend, and keep-alives are
+    built and read as fixed-layout frames through
     :meth:`SimTransport.send_frame` (``carries_frames`` is True in this
     mode only).  The simulator then exercises the exact byte paths the
     UDP transport uses.
@@ -102,21 +103,29 @@ class SimTransport(Transport):
         buf = codec.encode(msg)
         if codec.opaque_frames != before:
             self._m_opaque.inc(codec.opaque_frames - before)
-        self._m_tx_bytes.inc(len(buf))
-        sock.send(dst, buf, size=len(buf), header=codec.UDP_IP_OVERHEAD,
-                  trace=getattr(msg, "trace", None))
+        sock.sent += 1
+        self._m_tx_bytes.value += len(buf)
+        dgram = Datagram(sock.endpoint, dst, buf, size=len(buf),
+                         header=codec.UDP_IP_OVERHEAD)
+        dgram.trace = getattr(msg, "trace", None)
+        host = self.host
+        host.internet.send(host, dgram)
 
     def send_frame(self, dst: Endpoint, frame: bytes) -> None:
         sock = self.sock
         if sock is None or sock.closed:
             return
-        self._m_tx_bytes.inc(len(frame))
-        sock.send(dst, frame, size=len(frame), header=codec.UDP_IP_OVERHEAD)
+        sock.sent += 1
+        self._m_tx_bytes.value += len(frame)
+        host = self.host
+        host.internet.send(host, Datagram(sock.endpoint, dst, frame,
+                                          size=len(frame),
+                                          header=codec.UDP_IP_OVERHEAD))
 
     # ------------------------------------------------------------------
     def _on_codec_dgram(self, dgram: "Datagram") -> None:
-        """Codec-mode delivery.  An untraced routed frame goes to the
-        node as bytes (the byte paths, see
+        """Codec-mode delivery.  An untraced routed or keep-alive frame
+        goes to the node as bytes (the byte paths, see
         :mod:`repro.transport.base`).  Everything else is decoded here
         (payloads of routed frames stay as zero-copy
         :class:`~repro.wire.RawBody` slices until local delivery), gets
@@ -125,8 +134,8 @@ class SimTransport(Transport):
         simulation event loop."""
         buf = dgram.payload
         if (dgram.trace is None and type(buf) is bytes and len(buf) > 1
-                and buf[1] == codec.T_ROUTED):
-            self._m_rx_bytes.inc(len(buf))
+                and buf[1] in codec.BYTE_PATH_TAGS):
+            self._m_rx_bytes.value += len(buf)
             self._handler(buf, dgram.src, dgram.size)
             return
         try:
@@ -144,7 +153,7 @@ class SimTransport(Transport):
                 spans.end_trace(dgram.trace.trace_id, self.sim.now,
                                 decode_error=True)
             return
-        self._m_rx_bytes.inc(len(buf))
+        self._m_rx_bytes.value += len(buf)
         if dgram.trace is not None and getattr(msg, "trace", None) is not None:
             # the transit span re-parented the sender's ref at delivery;
             # adopt its ids so the receiver's hop chain nests under the

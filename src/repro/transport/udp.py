@@ -3,13 +3,15 @@
 Every outbound message is framed by :mod:`repro.wire` (version byte, type
 tag, length-prefixed fields) and handed to the OS; every inbound datagram
 is decoded back into the protocol object the node layer expects — except
-a routed frame, which goes to the node as received bytes so that a
-transit hop can patch and resend it through :meth:`UdpTransport.send_frame`
-without a decode or an encode, and a destination can take a tunnelled
-IP packet out of it in one pass (the node decodes the rest itself);
-frames the node launches as bytes leave through ``send_frame`` too.  A
-frame that fails to decode increments the ``wire.decode_error`` counter
-and is dropped — malformed traffic never raises into the event loop.
+a routed or keep-alive frame, which goes to the node as received bytes:
+a transit hop patches and resends a routed frame through
+:meth:`UdpTransport.send_frame` without a decode or an encode, a
+destination takes a tunnelled IP packet out of it in one pass, and a
+keep-alive is read and answered as fixed-layout bytes (the node decodes
+the rest itself); frames the node launches as bytes leave through
+``send_frame`` too.  A frame that fails to decode increments the
+``wire.decode_error`` counter and is dropped — malformed traffic never
+raises into the event loop.
 
 The transport owns its socket and registers it with the asyncio loop's
 selector (``add_reader``).  One wake-up drains the receive queue: it
@@ -164,8 +166,8 @@ class UdpTransport(Transport):
     def _on_datagram(self, data: bytes, addr) -> None:
         if self._handler is None:
             return
-        if len(data) > 1 and data[1] == codec.T_ROUTED:
-            msg = data     # the node forwards it as bytes or decodes it
+        if len(data) > 1 and data[1] in codec.BYTE_PATH_TAGS:
+            msg = data     # the node reads it as bytes or decodes it
         else:
             try:
                 msg = codec.decode_lazy(data)

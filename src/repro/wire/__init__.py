@@ -12,9 +12,15 @@ length-prefixed fields) for every protocol message, so that
 * byte accounting can charge the real ``len(encode(msg))`` instead of
   paper constants — see ``BrunetConfig.wire_mode``.
 
-Decode failures raise the typed :class:`DecodeError`; transports count
-them (``wire.decode_error``) and drop the datagram instead of letting the
-exception escape the event loop.
+Keep-alives and routed packets also have fixed-layout byte paths
+(``ping_frame`` / ``ping_view``, ``encode_origin`` / ``transit_view`` /
+``deliver_view``) that a transport carrying frames uses without building
+a message object.
+
+Decode failures raise the typed :class:`DecodeError`; transports, and the
+node for the frames it takes as bytes, count them (``wire.decode_error``)
+and drop the datagram instead of letting the exception escape the event
+loop.
 """
 
 from repro.wire.codec import (
@@ -32,6 +38,10 @@ from repro.wire.codec import (
     materialize,
     patch_forward,
     peek_header,
+    ping_frame,
+    ping_reply_frame,
+    ping_reply_view,
+    ping_view,
     transit_view,
 )
 from repro.wire.sizing import encap_overhead
@@ -51,6 +61,10 @@ __all__ = [
     "materialize",
     "patch_forward",
     "peek_header",
+    "ping_frame",
+    "ping_reply_frame",
+    "ping_reply_view",
+    "ping_view",
     "transit_view",
     "encap_overhead",
 ]

@@ -42,6 +42,11 @@ Version 2 is built for per-packet speed:
   flags, malformed) go through :func:`decode_lazy`, which defers the
   payload to a zero-copy :class:`RawBody` slice that ``encode`` splices
   back (:func:`materialize` decodes it at local delivery);
+* keep-alives, most of the control traffic, have fixed-layout byte
+  paths too: :func:`ping_frame` / :func:`ping_reply_frame` build a
+  ``PingRequest`` / ``PingReply`` frame with one struct pack (the reply
+  adds its observed URI's cached span and the ``known`` byte), and
+  :func:`ping_view` / :func:`ping_reply_view` read one in a single call;
 * repeated *values* (addresses, URIs, short strings, a virtual-IP
   packet's three header strings) round-trip through seven bounded
   caches of immutable objects.  Nothing is cached per frame
@@ -59,8 +64,9 @@ inside one trust domain (do not decode frames from untrusted networks).
 
 Every decode failure — truncation, bad version, unknown tag, malformed
 UTF-8/pickle, a ``conn_type`` that names no ``ConnectionType``, trailing
-garbage — raises :class:`DecodeError` and nothing else (the header
-views return None instead, and the caller's ``decode_lazy`` raises it).
+garbage — raises :class:`DecodeError` and nothing else (the header and
+keep-alive views return None instead, and the caller's ``decode_lazy``
+raises it).
 The lazy path defers *body* validation to :func:`materialize`
 (a transit router does not validate payloads it merely forwards); the
 node layer counts a late body failure exactly like a transport decode
@@ -133,6 +139,11 @@ T_DHT_GET = 20
 T_DHT_REPLY = 21
 T_VTCP_DATAGRAM = 22
 
+#: the frames a transport that carries frames hands to its node as the
+#: received bytes: routed packets and keep-alives, which the node reads
+#: through its byte paths (everything else arrives decoded)
+BYTE_PATH_TAGS = (T_ROUTED, T_PING_REQUEST, T_PING_REPLY)
+
 #: OPAQUE-pickle fallback frames encoded since process start; transports
 #: snapshot this around ``encode`` to feed the ``wire.opaque_frames``
 #: metric without the codec depending on the metrics registry.
@@ -163,6 +174,9 @@ _DHT_GET = Struct(">BQ20s")             # tag, rid, reply_to
 _DHT_REP = Struct(">BQB")               # tag, rid, found
 _VDG = Struct(">BH")                    # tag, source port (segment follows)
 _FWD_PATCH = Struct(">HBH")             # hops, trace presence, via count
+# a whole keep-alive head: version, tag, token, sender.  A PingRequest
+# frame is exactly this; a PingReply frame adds its URI and known byte.
+_PING = Struct(">BBQ20s")
 # a whole frame up to its payload as the origin sends it: version, _RHDR,
 # no trace, a via list of one
 _ORIGIN = Struct(">B" + _RHDR.format[1:] + "BH20s")
@@ -934,16 +948,17 @@ _enc_buf_busy = False
 def encode(msg: Any) -> bytes:
     """Serialize one protocol message into a versioned frame."""
     global _enc_buf_busy
+    enc = _ENCODERS.get(type(msg), _e_any)
     if _enc_buf_busy:          # reentrant encode: fall back to a fresh buffer
         out = bytearray(_VERSION_BYTE)
-        _e_any(out, msg)
+        enc(out, msg)
         return bytes(out)
     _enc_buf_busy = True
     try:
         out = _ENC_BUF
         del out[:]
         out += _VERSION_BYTE
-        _e_any(out, msg)
+        enc(out, msg)
         return bytes(out)
     finally:
         _enc_buf_busy = False
@@ -960,6 +975,70 @@ def encode_origin(src: bytes, dest: bytes, size: int, ttl: int,
                                  1, 0, _APPROACH_NONE, ttl, 1, 0, 1, src))
     _e_any(out, payload)
     return bytes(out)
+
+
+def ping_frame(token: int, sender: bytes) -> bytes:
+    """Exactly ``encode(PingRequest(token, addr))`` for the node whose
+    :func:`address_bytes` are ``sender``: one struct pack."""
+    return _PING.pack(WIRE_VERSION, T_PING_REQUEST, token, sender)
+
+
+def ping_reply_frame(token: int, sender: bytes, observed: Endpoint,
+                     known: bool) -> bytes:
+    """Exactly ``encode(PingReply(token, addr, Uri("udp", observed),
+    known))`` for the node whose :func:`address_bytes` are ``sender``:
+    one struct pack, the observed URI's span from the URI cache and the
+    ``known`` byte."""
+    # a Uri is a (transport, endpoint) tuple, so the bare pair finds its
+    # cached span without building one
+    span = _URI_ENC.get(("udp", observed))
+    if span is None:
+        span = bytearray()
+        _pu(span, Uri("udp", observed))
+    return b"".join((_PING.pack(WIRE_VERSION, T_PING_REPLY, token, sender),
+                     span, b"\x01" if known else b"\x00"))
+
+
+def ping_view(buf: bytes) -> Optional[tuple]:
+    """``(token, sender_addr)`` of a ``PingRequest`` frame, or None when
+    ``buf`` is not exactly one of this wire version — the caller then
+    takes :func:`decode_lazy`, which reports what is wrong with it."""
+    if len(buf) != _PING.size:
+        return None
+    version, tag, token, raw = _PING.unpack(buf)
+    if version != WIRE_VERSION or tag != T_PING_REQUEST:
+        return None
+    a = _ADDR_DEC.get(raw)
+    if a is None:
+        a = _da(raw)
+    return token, a
+
+
+def ping_reply_view(buf: bytes) -> Optional[tuple]:
+    """``(token, sender_addr, observed_uri, known)`` of a ``PingReply``
+    frame, or None when ``buf`` is not one of this wire version that
+    :func:`decode` accepts.  A repeated observed URI is one cache lookup
+    on the bytes between the head and the ``known`` byte; anything else
+    gets :func:`decode`'s full URI parse and must end one byte before
+    the frame does."""
+    n = len(buf)
+    if n <= _PING.size:
+        return None
+    version, tag, token, raw = _PING.unpack_from(buf)
+    if version != WIRE_VERSION or tag != T_PING_REPLY:
+        return None
+    observed = _URI_DEC.get(buf[_PING.size:-1])
+    if observed is None:
+        try:
+            observed, end = _d_uri(buf, _PING.size, n)
+        except _MALFORMED:
+            return None
+        if end != n - 1:
+            return None
+    a = _ADDR_DEC.get(raw)
+    if a is None:
+        a = _da(raw)
+    return token, a, observed, buf[-1] != 0
 
 
 def _coerce(buf: Any) -> bytes:
@@ -999,8 +1078,21 @@ def decode(buf: Any) -> Any:
     bytes)."""
     if type(buf) is not bytes:
         buf = _coerce(buf)
-    _check_version(buf)
-    return _parse(buf, 1)
+    n = len(buf)
+    if n < 2 or buf[0] != WIRE_VERSION:
+        _check_version(buf)             # raises: say which
+    fn = _DECODERS[buf[1]]
+    if fn is None:
+        raise DecodeError(f"unknown type tag {buf[1]}")
+    try:
+        msg, pos = fn(buf, 2, n)
+    except DecodeError:
+        raise
+    except _MALFORMED as exc:
+        raise DecodeError(f"malformed frame: {exc}") from None
+    if pos != n:
+        raise DecodeError(f"{n - pos} trailing bytes after message")
+    return msg
 
 
 def decode_lazy(buf: Any) -> Any:
@@ -1014,10 +1106,9 @@ def decode_lazy(buf: Any) -> Any:
     """
     if type(buf) is not bytes:
         buf = _coerce(buf)
-    _check_version(buf)
-    if buf[1] != T_ROUTED:
-        return decode(buf)
     n = len(buf)
+    if n < 2 or buf[0] != WIRE_VERSION or buf[1] != T_ROUTED:
+        return decode(buf)
     try:
         m, pos = _d_routed_env(buf, 2, n)
     except DecodeError:

@@ -30,7 +30,19 @@ def test_zombie_connections_resolved_via_known_flag(sim, internet):
     stale one-way link well before any ping ever times out — either the
     holder drops it (peer-forgot) or the restarted node has re-linked,
     making the link two-way again."""
-    nodes, _ = build_overlay(sim, internet, 6)
+    _zombie_scenario(sim, internet, BrunetConfig())
+
+
+def test_zombie_connections_resolved_via_known_flag_in_codec_mode(sim,
+                                                                  internet):
+    """The same, with keep-alives crossing as ``wire.ping_frame`` /
+    ``ping_reply_frame`` bytes: the ``known`` byte must reach the
+    handler."""
+    _zombie_scenario(sim, internet, BrunetConfig(wire_mode="codec"))
+
+
+def _zombie_scenario(sim, internet, config):
+    nodes, _ = build_overlay(sim, internet, 6, config=config)
     _a, b = _conn_pair(nodes)
     holders = [n for n in nodes if n is not b and n.table.get(b.addr)]
     assert holders

@@ -21,7 +21,11 @@ What would lose the gain while every behavioural test stays green:
   per-socket ``deliver`` methods, or ``LatencyModel.sample`` through its
   accessors, a frame or two each per datagram;
 * ``BrunetNode._on_datagram`` walks its ``isinstance`` ladder before it
-  recognises a keep-alive.
+  recognises a keep-alive;
+* in codec mode, a keep-alive crosses ``encode`` / ``decode_lazy`` as a
+  message object again instead of the fixed-layout byte path, or
+  ``SimTransport`` sends through ``UdpSocket.send`` and counts with
+  ``.inc()``.
 
 In this file's own harness the path before it was straightened made 59
 calls for the keep-alive exchange, 29 for the transit hop, 115 for the
@@ -29,6 +33,10 @@ echo and 3.73 ``_head`` calls per fired event; with the ring on a
 sharded kernel and a delivery seam in ``Internet`` it made 36, 21, 90
 and 0.86.
 """
+
+import collections
+
+import pytest
 
 from repro.brunet.config import BrunetConfig
 from repro.brunet.connection import Connection, ConnectionType
@@ -41,12 +49,16 @@ from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
 from repro.sim import Simulator
 
-from tests.conftest import count_calls
+from tests.conftest import calls_by_name, count_calls
 from tests.transport.test_cut_through_chain import _chain_ips
 
 #: send request → deliver → send reply → deliver, as measured
 KEEPALIVE_MEASURED = 34
 KEEPALIVE_BUDGET = 38
+#: a whole tick-driven keep-alive exchange (tick → request → reply), as
+#: measured per wire mode: codec frames are built and read as fixed
+#: layouts (75 when they crossed ``encode`` / ``decode_lazy`` as objects)
+TICK_EXCHANGE_MEASURED = {"reference": 41, "codec": 42}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
 TRANSIT_MEASURED = 20
 #: one zero-hop ``Pinger`` echo: timer → request → reply → handler
@@ -61,19 +73,21 @@ def _pin(measured: int) -> int:
     return measured * 105 // 100
 
 
-def _linked_nodes(ips):
-    """Public nodes on a plain ``Simulator`` in reference mode, linked in
-    a chain by fixed tables, overlords off and keep-alive ticks out of
-    the way: wherever a node's address phase puts its first tick, it
-    would land inside a counted window.  The ticks are pushed out rather
-    than cancelled, so a live event stays queued and the kernel does not
-    pay a ``_head`` call for an empty queue at the end of every run."""
+def _linked_nodes(ips, **config):
+    """Public nodes on a plain ``Simulator`` (reference mode unless
+    ``config`` says otherwise), linked in a chain by fixed tables,
+    overlords off and keep-alive ticks out of the way: wherever a node's
+    address phase puts its first tick, it would land inside a counted
+    window.  The ticks are pushed out rather than cancelled, so a live
+    event stays queued and the kernel does not pay a ``_head`` call for
+    an empty queue at the end of every run."""
     sim = Simulator(seed=5, trace=False)
     site = Site(Internet(sim), "pub")
     nodes = []
     for i, ip in enumerate(ips):
         node = BrunetNode(sim, site.add_host(f"n{i}"), addr_for_ip(ip),
-                          BrunetConfig(ping_interval=1e9), name=f"n{i}")
+                          BrunetConfig(ping_interval=1e9, **config),
+                          name=f"n{i}")
         node.start([])
         for overlord in node.overlords:
             overlord.stop()
@@ -100,6 +114,32 @@ def test_keepalive_exchange_stays_inside_its_call_budget():
     assert calls <= KEEPALIVE_BUDGET, (
         f"{calls} calls per keep-alive exchange, budget {KEEPALIVE_BUDGET} "
         f"(measured {KEEPALIVE_MEASURED}): which frame came back?")
+
+
+@pytest.mark.parametrize("wire_mode", sorted(TICK_EXCHANGE_MEASURED))
+def test_tick_driven_keepalive_exchange_stays_inside_its_call_budget(
+        wire_mode):
+    """One ``_ping_tick`` on A with its link silent, then the run that
+    carries the request to B and the reply back.  In codec mode the
+    frames are ``wire.ping_frame`` / ``ping_reply_frame`` bytes read by
+    ``ping_view`` / ``ping_reply_view``; the liveness backstop is off so
+    that a link silent for a whole ``ping_interval`` is pinged, not
+    dropped."""
+    sim, (a, b) = _linked_nodes(("10.128.0.2", "10.128.0.3"),
+                                wire_mode=wire_mode, liveness_timeout=0)
+    conn = a.table.get(b.addr)
+    calls = collections.Counter()
+    for _ in range(3):                  # first pass warms, last one counts
+        conn.last_heard = sim.now - a.config.ping_interval
+        calls = calls_by_name(a._ping_tick)
+        assert conn.unanswered_pings == 1
+        calls += calls_by_name(sim.run, sim.now + 0.5)
+        assert conn.unanswered_pings == 0 and conn.last_heard > 0
+    budget = _pin(TICK_EXCHANGE_MEASURED[wire_mode])
+    total = sum(calls.values())
+    assert total <= budget, (
+        f"{total} calls per {wire_mode} keep-alive exchange, budget "
+        f"{budget}: most frequent {calls.most_common(8)}")
 
 
 def test_transit_hop_stays_inside_its_call_budget():

@@ -145,7 +145,7 @@ def test_tracer_install_and_uninstall_round_trip_every_traced_name():
 
 
 @pytest.mark.parametrize("workload", ["sim_join_reference",
-                                      "live_ping_direct"])
+                                      "sim_join_codec", "live_ping_direct"])
 def test_contract_command_runs_traced(workload):
     """The contract command, one simulated/wall second, shims installed.
     Seed 0: a traced ``sim_join_*`` run plays only the first join trial

@@ -2,7 +2,10 @@
 
 2 000 frames, each a real protocol message (the round-trip generators
 of ``tests/wire/test_codec_roundtrip.py``) truncated at a random offset
-or with one byte changed, go to one of two linked live nodes.  The run
+or with one byte changed, go to one of two linked live nodes, shuffled
+with the structure-aware keep-alive mutants of
+``tests/wire/test_keepalive_frames.py`` (which the node, not the
+transport, reads and rejects).  The run
 is seeded, and the sender waits for each batch to be read before the
 next, so nothing is lost to a full receive buffer and every count is
 exact.  Afterwards:
@@ -41,6 +44,7 @@ from repro.transport.udp import UdpTransport
 from repro.wire import DecodeError, codec
 
 from tests.wire.test_codec_roundtrip import _sample_messages
+from tests.wire.test_keepalive_frames import _keepalive_mutants
 
 FRAMES = 2000
 BATCH = 32
@@ -70,6 +74,8 @@ def _hostile_frames(seed: int = 29) -> list[bytes]:
             at = rng.randrange(len(buf))
             changed = (buf[at] + rng.randrange(1, 256)) % 256
             frames.append(buf[:at] + bytes([changed]) + buf[at + 1:])
+    frames += _keepalive_mutants(seed)
+    rng.shuffle(frames)
     return frames
 
 
@@ -142,10 +148,10 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
 
             target._on_datagram = counted
             to = (target.local_endpoint.ip, target.local_endpoint.port)
-            for start in range(0, FRAMES, BATCH):
+            for start in range(0, len(frames), BATCH):
                 for frame in frames[start:start + BATCH]:
                     hostile.sendto(frame, to)
-                sent = min(start + BATCH, FRAMES)
+                sent = min(start + BATCH, len(frames))
                 async with asyncio.timeout(5.0):
                     while read < sent:
                         await asyncio.sleep(0)
@@ -172,11 +178,11 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             assert _open_fds() == fds
 
     read, errors, body_drops, replies = asyncio.run(scenario())
-    assert read == FRAMES
+    assert read == len(frames) > FRAMES
     assert unhandled == [], unhandled
     header_bad = sum(map(_header_malformed, frames))
     bad = sum(map(_malformed, frames))
-    assert 0 < header_bad < bad < FRAMES
+    assert 0 < header_bad < bad < len(frames)
     assert errors - body_drops == header_bad
     assert body_drops <= bad - header_bad
     assert [r.payload.seq for r in replies] == [1]

@@ -11,8 +11,10 @@ from repro.brunet import BrunetConfig, BrunetNode, random_address
 from repro.brunet.messages import (
     CtmReply,
     CtmRequest,
+    LinkError,
     LinkReply,
     LinkRequest,
+    PingReply,
     PingRequest,
     RoutedPacket,
 )
@@ -140,14 +142,79 @@ def test_codec_mode_counts_decode_errors_and_drops():
     sender = host.bind_udp(6000, lambda *a: None)
     ep = t.local_endpoint
     sender.send(ep, b"\xde\xad\xbe\xef", size=4)          # garbage frame
-    sender.send(ep, encode(PingRequest(1, addr_for_ip("10.128.0.2")))[:-2],
+    sender.send(ep, encode(LinkError(1, addr_for_ip("10.128.0.2"),
+                                     "busy"))[:-2],
                 size=10)                                   # truncated frame
-    sender.send(ep, encode(PingRequest(2, addr_for_ip("10.128.0.2"))),
+    sender.send(ep, encode(LinkError(2, addr_for_ip("10.128.0.2"), "busy")),
                 size=10)                                   # valid frame
     sim.run()
     errs = sim.obs.metrics.counter("wire.decode_error", node="b").value
     assert errs == 2
     assert [m.token for m in delivered] == [2]
+
+
+def test_codec_mode_hands_keepalive_frames_over_as_bytes():
+    """A keep-alive frame reaches the handler as the bytes that crossed
+    the wire, the way a routed frame does; the node reads it itself."""
+    sim = Simulator(seed=1, trace=False)
+    site = Site(Internet(sim), "pub")
+    delivered = []
+    t = SimTransport(sim, site.add_host("b"), 7000, wire_mode="codec",
+                     name="b")
+    t.open(lambda msg, src, size: delivered.append((msg, size)))
+    sender = SimTransport(sim, site.add_host("a"), 6000, wire_mode="codec",
+                          name="a")
+    sender.open(lambda *a: None)
+    peer = addr_for_ip("10.128.0.2")
+    frames = [encode(PingRequest(1, peer)),
+              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), False))]
+    for frame in frames:
+        sender.send_frame(t.local_endpoint, frame)
+    sim.run()
+    assert sorted(msg for msg, _ in delivered) == sorted(frames)
+    assert all(type(msg) is bytes and size == len(msg) + UDP_IP_OVERHEAD
+               for msg, size in delivered)
+    metrics = sim.obs.metrics
+    assert metrics.counter("wire.rx_bytes", node="b").value == sum(
+        map(len, frames))
+    # send_frame counts and charges a frame exactly as send does
+    assert metrics.counter("wire.tx_bytes", node="a").value == sum(
+        map(len, frames))
+    assert sender.sock.sent == 2
+    sender.send(t.local_endpoint, LinkError(3, peer, "busy"))
+    assert sender.sock.sent == 3
+    assert metrics.counter("wire.tx_bytes", node="a").value == sum(
+        map(len, frames)) + len(encode(LinkError(3, peer, "busy")))
+
+
+def test_a_malformed_keepalive_is_counted_by_the_node_and_not_answered():
+    """The node twin of the transport's decode-error test: keep-alive
+    frames cross as bytes, so a truncated one or one with a trailing
+    byte fails the node's own view and decode, once each, on the same
+    ``wire.decode_error`` series, and gets no reply."""
+    sim = Simulator(seed=1, trace=False)
+    site = Site(Internet(sim), "pub")
+    node = BrunetNode(sim, site.add_host("a"), addr_for_ip("10.128.0.2"),
+                      BrunetConfig(wire_mode="codec"), name="a")
+    node.start([])
+    replies = []
+    sender = site.add_host("b").bind_udp(
+        6000, lambda payload, src, size: replies.append(payload))
+    peer = addr_for_ip("10.128.0.3")
+    ping = encode(PingRequest(1, peer))
+    pong = encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), True))
+    metrics = sim.obs.metrics
+    for bad in (ping[:-1], ping + b"\x00", pong[:-1], pong + b"\x00"):
+        errs = metrics.counter("wire.decode_error", node="a").value
+        sender.send(node.transport.local_endpoint, bad, size=len(bad))
+        sim.run(until=sim.now + 1.0)
+        assert metrics.counter("wire.decode_error", node="a").value \
+            == errs + 1
+    assert replies == []
+    sender.send(node.transport.local_endpoint, ping, size=len(ping))
+    sim.run(until=sim.now + 1.0)
+    assert [decode(r) for r in replies] == [
+        PingReply(1, node.addr, Uri.udp(sender.host.ip, 6000), False)]
 
 
 def test_unknown_conn_type_is_counted_and_dropped_not_raised():

@@ -10,11 +10,12 @@ import asyncio
 
 from repro.apps.daemon import WowDaemon
 from repro.brunet.config import BrunetConfig
-from repro.brunet.messages import PingReply, PingRequest
+from repro.brunet.messages import LinkError, PingReply, PingRequest
+from repro.brunet.uri import Uri
 from repro.ipop.mapping import addr_for_ip
 from repro.transport.runtime import RealtimeKernel
 from repro.transport.udp import ENDPOINT_MEMO_MAX, READ_BATCH, UdpTransport
-from repro.wire import decode, encode
+from repro.wire import UDP_IP_OVERHEAD, codec, decode, encode
 
 from tests.conftest import live_stub_nodes, stub_socket
 
@@ -30,7 +31,7 @@ def test_udp_transport_roundtrip_real_sockets():
         b.open(lambda msg, src, size: got.done() or got.set_result(
             (msg, src, size)))
         a.open(lambda *args: None)
-        sent = PingRequest(7, addr_for_ip("10.128.0.2"))
+        sent = LinkError(7, addr_for_ip("10.128.0.2"), "busy")
         a.send(b.local_endpoint, sent, size_hint=96)
         msg, src, size = await asyncio.wait_for(got, timeout=5.0)
         a.close()
@@ -142,7 +143,7 @@ def test_one_wakeup_reads_at_most_a_batch_and_keeps_order():
         t.open(lambda msg, src, size: got.append(msg.token))
         peer = addr_for_ip("10.128.0.2")
         for token in range(1, 201):
-            stub.deliver(encode(PingRequest(token, peer)), PEER)
+            stub.deliver(encode(LinkError(token, peer, "busy")), PEER)
         per_wakeup = []
         while len(got) < 200 and len(per_wakeup) < 10:
             before = len(got)
@@ -174,7 +175,7 @@ def test_a_handler_that_closes_the_transport_ends_the_wakeup():
         t.open(handler)
         peer = addr_for_ip("10.128.0.2")
         for token in range(1, 9):
-            stub.deliver(encode(PingRequest(token, peer)), PEER)
+            stub.deliver(encode(LinkError(token, peer, "busy")), PEER)
         t._read_ready()
         return got
 
@@ -185,7 +186,7 @@ def test_close_releases_the_socket_and_its_loop_registration():
     """``close()`` closes the socket and stops the loop watching its
     descriptor: the next socket, which gets the same descriptor number,
     is read, not left unwatched behind a stale registration."""
-    ping = PingRequest(3, addr_for_ip("10.128.0.2"))
+    ping = LinkError(3, addr_for_ip("10.128.0.2"), "busy")
 
     async def scenario():
         kernel = RealtimeKernel(seed=0)
@@ -210,6 +211,35 @@ def test_close_releases_the_socket_and_its_loop_registration():
     assert closed_fd == -1
     assert reused
     assert msg == ping
+
+
+def test_keepalive_frames_reach_the_handler_as_bytes():
+    """Keep-alives cross as fixed-layout frames: the transport hands them
+    to its node as the received bytes, like routed frames, counted as
+    received."""
+    peer = addr_for_ip("10.128.0.2")
+    frames = [encode(PingRequest(1, peer)),
+              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), True))]
+
+    async def scenario():
+        kernel = RealtimeKernel(seed=0)
+        t = UdpTransport(kernel, name="t")
+        stub = stub_socket(t, "127.0.0.1", 4000)
+        got = []
+        t.open(lambda msg, src, size: got.append((msg, size)))
+        for frame in frames:
+            stub.deliver(frame, PEER)
+        t._read_ready()
+        rx = kernel.obs.metrics.counter("wire.rx_bytes", node="t").value
+        t.close()
+        return got, rx, t.received
+
+    got, rx, received = asyncio.run(scenario())
+    assert [msg for msg, _ in got] == frames
+    assert all(type(msg) is bytes for msg, _ in got)
+    assert [size for _, size in got] == [len(f) + UDP_IP_OVERHEAD
+                                         for f in frames]
+    assert (rx, received) == (sum(map(len, frames)), 2)
 
 
 def test_one_endpoint_per_peer_and_a_bounded_memo():
@@ -240,6 +270,8 @@ def test_one_endpoint_per_peer_and_a_bounded_memo():
         replies = [decode(frame) for frame, _ in stub.out]
         assert all(type(r) is PingReply for r in replies)
         assert [r.token for r in replies] == list(range(1, len(ports) + 1))
+        assert [r.observed_uri.endpoint.port for r in replies] == list(ports)
+        assert len(codec._URI_ENC) <= codec._CACHE_MAX
         t._on_datagram(encode(PingRequest(0, peer)), ("127.0.0.1", 14_999))
         assert seen[-1] is seen[-2]             # the same peer, one Endpoint
         node.stop()
