@@ -8,12 +8,11 @@ Layer map (bottom-up):
   max-min fair bulk flows;
 * :mod:`repro.brunet` — the structured P2P overlay: ring, greedy routing,
   CTM + linking (decentralized NAT hole punching), connection overlords,
-  shortcut score queue, DHT;
+  shortcut score queue;
 * :mod:`repro.ipop` — IP-over-P2P virtual networking: tap, ICMP, virtual
   TCP, overlay-route-aware transfers;
 * :mod:`repro.vm` — VM appliances, guest CPU, WAN live migration;
-* :mod:`repro.middleware` — PBS, NFS, SSH/SCP, PVM, ttcp, Condor-style
-  pool, decentralized discovery, RPC substrate;
+* :mod:`repro.middleware` — PBS, NFS, SSH/SCP, PVM, ttcp, RPC substrate;
 * :mod:`repro.apps` — MEME and fastDNAml (real kernels + cost models);
 * :mod:`repro.core` — deployment orchestration and the paper testbed;
 * :mod:`repro.experiments` — one module per table/figure + run_all CLI.

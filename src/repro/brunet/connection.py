@@ -30,9 +30,13 @@ class ConnectionType(str, enum.Enum):
     @property
     def structured(self) -> bool:
         """Structured connections participate in greedy routing."""
-        return self in (ConnectionType.STRUCTURED_NEAR,
-                        ConnectionType.STRUCTURED_FAR,
-                        ConnectionType.SHORTCUT)
+        return self in ROUTING_TYPES
+
+
+#: the labels that participate in greedy routing
+ROUTING_TYPES = frozenset({ConnectionType.STRUCTURED_NEAR,
+                           ConnectionType.STRUCTURED_FAR,
+                           ConnectionType.SHORTCUT})
 
 
 class Connection:
@@ -64,8 +68,9 @@ class Connection:
 
     @property
     def structured(self) -> bool:
-        """True when any label participates in greedy routing."""
-        return any(t.structured for t in self.types)
+        """True when any label participates in greedy routing (one C-level
+        set operation: no Python call, whatever the hash seed)."""
+        return not ROUTING_TYPES.isdisjoint(self.types)
 
     @property
     def conn_type(self) -> ConnectionType:

@@ -56,8 +56,6 @@ class Deployment:
         self.bootstrap_uris: list[Uri] = []
         self.router_nodes: list[BrunetNode] = []
         self.vms: dict[str, "WowVm"] = {}
-        self._dht_enabled = False
-        self._dht_replication = 1
 
     # ------------------------------------------------------------------
     # topology
@@ -93,9 +91,6 @@ class Deployment:
     def register_node(self, node: BrunetNode) -> None:
         self.nodes_by_addr[node.addr] = node
         self.ring_index.add(node.addr, node)
-        if self._dht_enabled and not hasattr(node, "dht"):
-            from repro.brunet.dht import DhtNode
-            DhtNode(node, replication=self._dht_replication)
 
     def unregister_node(self, node: BrunetNode) -> None:
         if self.nodes_by_addr.get(node.addr) is node:
@@ -167,38 +162,6 @@ class Deployment:
         if start:
             vm.start()
         return vm
-
-    def provision_pool(self, image, site: Site, count: int,
-                       ip_prefix: str = "172.16.8.",
-                       name_prefix: str = "pool",
-                       cpu_speed: float = 1.0,
-                       stagger: float = 2.0) -> list["WowVm"]:
-        """Clone ``image`` into ``count`` VMs at ``site`` — the paper's
-        §III-C appliance workflow ("a VM appliance is configured once, then
-        copied and deployed across many resources").  VMs boot staggered
-        and join the overlay by themselves."""
-        vms = []
-        base = len(self.vms)
-        for i in range(count):
-            vm = self.create_vm(f"{name_prefix}{base + i}",
-                                f"{ip_prefix}{base + i + 2}", site,
-                                cpu_speed=cpu_speed, image=image)
-            self.sim.schedule(i * stagger, vm.start)
-            vms.append(vm)
-        return vms
-
-    # ------------------------------------------------------------------
-    # DHT (decentralized discovery substrate, §VI)
-    # ------------------------------------------------------------------
-    def enable_dht(self, replication: int = 1) -> None:
-        """Attach a DHT service to every current and future overlay node
-        (the whole ring must participate for key ownership to work)."""
-        from repro.brunet.dht import DhtNode
-        self._dht_enabled = True
-        self._dht_replication = replication
-        for node in self.nodes_by_addr.values():
-            if not hasattr(node, "dht"):
-                DhtNode(node, replication=replication)
 
     # ------------------------------------------------------------------
     # diagnostics

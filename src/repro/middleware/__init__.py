@@ -13,17 +13,6 @@ from repro.middleware.ssh import ScpServer, ScpClient
 from repro.middleware.ttcp import ttcp_measure
 from repro.middleware.pbs import PbsServer, PbsMom, JobSpec, JobRecord
 from repro.middleware.pvm import PvmMaster, PvmWorker, PvmTask
-from repro.middleware.condor import (
-    CondorCollector,
-    CondorJob,
-    CondorSchedD,
-    CondorStartD,
-)
-from repro.middleware.discovery import (
-    ResourceAd,
-    ResourceDiscovery,
-    ResourcePublisher,
-)
 
 __all__ = [
     "RpcClient", "RpcServer", "RpcFailure",
@@ -32,6 +21,4 @@ __all__ = [
     "ttcp_measure",
     "PbsServer", "PbsMom", "JobSpec", "JobRecord",
     "PvmMaster", "PvmWorker", "PvmTask",
-    "CondorCollector", "CondorJob", "CondorSchedD", "CondorStartD",
-    "ResourceAd", "ResourceDiscovery", "ResourcePublisher",
 ]

@@ -39,10 +39,3 @@ class JobRecord:
         if self.start_time is None or self.end_time is None:
             return None
         return self.end_time - self.start_time
-
-    @property
-    def turnaround(self) -> Optional[float]:
-        """Submit-to-completion time."""
-        if self.end_time is None:
-            return None
-        return self.end_time - self.submit_time

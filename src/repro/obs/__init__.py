@@ -25,7 +25,6 @@ or over a daemon's unix control socket (see :mod:`repro.obs.top`).
 from repro.obs.hub import Observability
 from repro.obs.metrics import (
     Counter,
-    DeltaReader,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -41,7 +40,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "DeltaReader",
     "SectorRollup",
     "SpanCollector",
     "Span",

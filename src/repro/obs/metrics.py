@@ -324,42 +324,6 @@ def _prom_num(v: float) -> str:
 # streaming aggregation
 # ---------------------------------------------------------------------------
 
-class DeltaReader:
-    """Incremental snapshot cursor over a :class:`MetricsRegistry`.
-
-    Each :meth:`changed` call returns only the series whose value moved
-    since this reader's previous call — a dashboard polling at 1 Hz
-    serializes the handful of active series, not every series ever
-    created.  Multiple readers keep independent cursors.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self._last: dict[tuple, Any] = {}
-
-    @staticmethod
-    def _signature(inst: Any) -> Any:
-        if inst.kind == "histogram":
-            return (inst.count, inst.total)
-        return inst.value
-
-    def changed(self, run_collectors: bool = True) -> list[dict]:
-        """Rows (snapshot format) for every series that changed."""
-        if run_collectors:
-            for fn in self.registry._collectors:
-                fn(self.registry)
-        rows = []
-        for key, inst in list(self.registry._instruments.items()):
-            sig = self._signature(inst)
-            if self._last.get(key) == sig:
-                continue
-            self._last[key] = sig
-            rows.append({"name": inst.name, "type": inst.kind,
-                         "labels": dict(inst.labels), **inst.row()})
-        rows.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
-        return rows
-
-
 class SectorRollup:
     """Address-ring sector aggregates: O(sectors) series regardless of n.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
-from repro.phys.endpoints import Endpoint
 from repro.phys.latency import LatencyModel
 from repro.phys.packet import Datagram
 
@@ -225,15 +224,3 @@ class Internet:
         # churn/loss and tracing is usually off in big sweeps
         if sim.trace_on:
             sim.trace("net.drop", reason=reason, dst=str(dgram.dst))
-
-    # -- utilities -------------------------------------------------------
-    def host_for_ip(self, ip: str) -> Optional["Host"]:
-        """The host registered at ``ip``, if any."""
-        return self.hosts_by_ip.get(ip)
-
-    def reachable_endpoint(self, host: "Host") -> Endpoint:
-        """The outermost public IP a fully-external peer would see for
-        ``host`` (NAT public IP if NATed).  Port 0 placeholder."""
-        if host.nat_chain:
-            return Endpoint(host.nat_chain[-1].public_ip, 0)
-        return Endpoint(host.ip, 0)

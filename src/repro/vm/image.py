@@ -37,10 +37,5 @@ class VmImage:
     def has_software(self, package: str) -> bool:
         return any(s.startswith(package) for s in self.software)
 
-    def with_software(self, *packages: str) -> "VmImage":
-        """A derived image with extra packages (e.g. Condor, Globus)."""
-        return VmImage(f"{self.name}+{'+'.join(packages)}", self.guest_os,
-                       self.software + tuple(packages), self.disk_size)
-
 
 DEFAULT_IMAGE = VmImage("wow-base")

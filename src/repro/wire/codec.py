@@ -82,7 +82,6 @@ from typing import Any, NamedTuple, Optional
 
 from repro.brunet.address import BrunetAddress
 from repro.brunet.connection import ConnectionType
-from repro.brunet.dht import DhtGet, DhtPut, DhtReply
 from repro.brunet.messages import (
     CloseMessage,
     CtmReply,
@@ -105,7 +104,8 @@ from repro.phys.endpoints import Endpoint
 #: wire format version; bumped on any incompatible layout change.
 #: v2: header-first RoutedPacket (payload last), composite fixed runs,
 #: approach as a 1-byte code, fixed-prefix reordering of IpEncap/Forward/
-#: VirtualIpPacket/Segment, typed frames for vTCP segments and DHT ops.
+#: VirtualIpPacket/Segment, typed frames for vTCP segments.  Retiring a
+#: tag (19-21) changes no surviving frame's bytes, so it needs no bump.
 WIRE_VERSION = 2
 
 #: physical framing charged per datagram in codec-mode accounting:
@@ -134,9 +134,7 @@ T_STR = 15
 T_BYTES = 16
 T_OPAQUE = 17
 T_VTCP_SEGMENT = 18
-T_DHT_PUT = 19
-T_DHT_GET = 20
-T_DHT_REPLY = 21
+# 19-21: retired (a ring DHT's put/get/reply); reserved, decode as unknown
 T_VTCP_DATAGRAM = 22
 
 #: the frames a transport that carries frames hands to its node as the
@@ -169,9 +167,6 @@ _IPENC = Struct(">BI")                  # tag, size (payload follows)
 _FWD = Struct(">B20sI")                 # tag, final_dest, size (inner follows)
 _VIP_TAIL = Struct(">II")               # port, size (after the three strings)
 _SEG = Struct(">BqqI")                  # tag, seq, ack, size (flags+payload follow)
-_DHT_PUT = Struct(">BQd20sHB")          # tag, rid, ttl, reply_to, replicate, primary
-_DHT_GET = Struct(">BQ20s")             # tag, rid, reply_to
-_DHT_REP = Struct(">BQB")               # tag, rid, found
 _VDG = Struct(">BH")                    # tag, source port (segment follows)
 _FWD_PATCH = Struct(">HBH")             # hops, trace presence, via count
 # a whole keep-alive head: version, tag, token, sender.  A PingRequest
@@ -562,27 +557,6 @@ def _e_segment(out: bytearray, m: Segment) -> None:
     _e_any(out, m.payload)
 
 
-def _e_dht_put(out: bytearray, m: DhtPut) -> None:
-    out += _DHT_PUT.pack(T_DHT_PUT, m.rid, m.ttl, _ab(m.reply_to),
-                         m.replicate, 1 if m.primary else 0)
-    _ps(out, m.key)
-    _e_any(out, m.value)
-
-
-def _e_dht_get(out: bytearray, m: DhtGet) -> None:
-    out += _DHT_GET.pack(T_DHT_GET, m.rid, _ab(m.reply_to))
-    _ps(out, m.key)
-
-
-def _e_dht_reply(out: bytearray, m: DhtReply) -> None:
-    out += _DHT_REP.pack(T_DHT_REPLY, m.rid, 1 if m.found else 0)
-    _ps(out, m.key)
-    values = m.values
-    out += _U16.pack(len(values))
-    for v in values:
-        _e_any(out, v)
-
-
 def _e_rawbody(out: bytearray, m: RawBody) -> None:
     out += m.raw
 
@@ -602,9 +576,6 @@ _ENCODERS: dict[type, Any] = {
     VirtualIpPacket: _e_virtual_ip,
     IcmpEcho: _e_icmp_echo,
     Segment: _e_segment,
-    DhtPut: _e_dht_put,
-    DhtGet: _e_dht_get,
-    DhtReply: _e_dht_reply,
     RawBody: _e_rawbody,
 }
 
@@ -831,43 +802,6 @@ def _d_segment(buf: bytes, pos: int, n: int):
     return m, pos
 
 
-def _d_dht_put(buf: bytes, pos: int, n: int):
-    (rid, ttl, raw, replicate,
-     primary) = _DHT_PUT.unpack_from(buf, pos - 1)[1:]
-    key, pos = _d_str(buf, pos + _DHT_PUT.size - 1, n)
-    value, pos = _d_any(buf, pos, n)
-    m = _new(DhtPut)
-    m.__dict__ = {"rid": rid, "key": key, "value": value, "ttl": ttl,
-                  "reply_to": _da(raw), "replicate": replicate,
-                  "primary": primary != 0}
-    return m, pos
-
-
-def _d_dht_get(buf: bytes, pos: int, n: int):
-    rid, raw = _DHT_GET.unpack_from(buf, pos - 1)[1:]
-    key, pos = _d_str(buf, pos + _DHT_GET.size - 1, n)
-    m = _new(DhtGet)
-    m.__dict__ = {"rid": rid, "key": key, "reply_to": _da(raw)}
-    return m, pos
-
-
-def _d_dht_reply(buf: bytes, pos: int, n: int):
-    rid, found = _DHT_REP.unpack_from(buf, pos - 1)[1:]
-    key, pos = _d_str(buf, pos + _DHT_REP.size - 1, n)
-    if pos + 2 > n:
-        raise _trunc(2, pos, n)
-    count = (buf[pos] << 8) | buf[pos + 1]
-    pos += 2
-    values = []
-    for _ in range(count):
-        v, pos = _d_any(buf, pos, n)
-        values.append(v)
-    m = _new(DhtReply)
-    m.__dict__ = {"rid": rid, "key": key, "values": values,
-                  "found": found != 0}
-    return m, pos
-
-
 def _d_vtcp_datagram(buf: bytes, pos: int, n: int):
     if pos + 3 > n:
         raise _trunc(3, pos, n)
@@ -920,9 +854,6 @@ for _tag, _fn in {
     T_BYTES: _d_bytes,
     T_OPAQUE: _d_opaque,
     T_VTCP_SEGMENT: _d_segment,
-    T_DHT_PUT: _d_dht_put,
-    T_DHT_GET: _d_dht_get,
-    T_DHT_REPLY: _d_dht_reply,
     T_VTCP_DATAGRAM: _d_vtcp_datagram,
 }.items():
     _DECODERS[_tag] = _fn

@@ -1,11 +1,15 @@
 """ConnectionTable queries and label-merge semantics."""
 
+import gc
+import itertools
+
 import pytest
 
 from repro.brunet.address import BrunetAddress
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.table import ConnectionTable
 from repro.phys.endpoints import Endpoint
+from tests.conftest import calls_by_name
 
 ME = BrunetAddress(1000)
 
@@ -107,3 +111,26 @@ def test_clear_removes_all(table):
     table.on_removed.append(lambda c: removed.append(c))
     table.clear()
     assert len(table) == 0 and len(removed) == 2
+
+
+#: every non-empty set of labels a link can carry
+LABEL_SETS = [set(c) for n in range(1, len(ConnectionType) + 1)
+              for c in itertools.combinations(ConnectionType, n)]
+
+
+@pytest.mark.parametrize("labels", LABEL_SETS,
+                         ids=lambda ls: "+".join(sorted(t.value for t in ls)))
+def test_structured_is_one_set_operation(labels):
+    """``structured`` answers as the per-label scan did, but in one
+    C-level set operation: its Python call count cannot depend on the
+    hash seed's iteration order."""
+    c = conn(2000, labels)
+    routing = (ConnectionType.STRUCTURED_NEAR, ConnectionType.STRUCTURED_FAR,
+               ConnectionType.SHORTCUT)
+    assert c.structured == any(t in routing for t in labels)
+    gc.disable()    # a collection would run gc.callbacks inside the window
+    try:
+        calls = calls_by_name(lambda: c.structured)
+    finally:
+        gc.enable()
+    assert calls == {"<lambda>": 1, "structured": 1}

@@ -92,21 +92,3 @@ class TestCalibrationConfig:
         assert 0.033 <= rtt <= 0.043
         assert calib.virt_overhead == pytest.approx(0.13)
         assert calib.planetlab_capacity_median < calib.ufl_lan_capacity
-
-
-class TestProvisionPool:
-    def test_pool_clones_image_and_joins(self):
-        from repro.vm.image import VmImage
-        from tests.conftest import make_mini_testbed
-        sim, tb = make_mini_testbed(seed=111)
-        dep = tb.deployment
-        image = VmImage("condor-appliance").with_software("condor-6.8")
-        vms = dep.provision_pool(image, dep.sites["lsu"], count=4)
-        sim.run(until=sim.now + 120)
-        assert len(vms) == 4
-        assert all(vm.node.in_ring for vm in vms)
-        assert all(vm.image.has_software("condor") for vm in vms)
-        assert image.clone_count == 4
-        # distinct virtual IPs on the pool subnet
-        ips = {vm.virtual_ip for vm in vms}
-        assert len(ips) == 4

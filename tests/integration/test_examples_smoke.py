@@ -1,5 +1,7 @@
-"""Every example script must run end to end (reduced arguments)."""
+"""Every example script must run end to end (reduced arguments), and
+``examples/README.md`` lists exactly the scripts there are."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,16 @@ def run_example(name: str, *args: str, timeout: float = 420.0) -> str:
         capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
+
+
+def test_readme_table_and_smoke_tests_cover_exactly_the_scripts():
+    readme = (EXAMPLES / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+\.py)", readme, re.M)
+    scripts = sorted(p.name for p in EXAMPLES.glob("*.py"))
+    assert sorted(listed) == scripts
+    smoked = re.findall(r'run_example\("(\w+\.py)"',
+                        Path(__file__).read_text())
+    assert sorted(set(smoked)) == scripts
 
 
 def test_quickstart():
@@ -39,12 +51,6 @@ def test_live_migration():
     out = run_example("live_migration.py")
     assert "zero application" in out
     assert "rate after migration" in out
-
-
-def test_decentralized_grid():
-    out = run_example("decentralized_grid.py")
-    assert "decentralized discovery" in out
-    assert "matched and run" in out
 
 
 @pytest.mark.slow

@@ -1,9 +1,9 @@
-"""Streaming aggregation: sector rollups, delta reader, aggregate mode."""
+"""Streaming aggregation: sector rollups and aggregate mode."""
 
 import pytest
 
 from repro.brunet.address import ADDRESS_BITS
-from repro.obs.metrics import DeltaReader, MetricsRegistry, SectorRollup
+from repro.obs.metrics import MetricsRegistry, SectorRollup
 from repro.sim.engine import Simulator
 
 
@@ -124,51 +124,3 @@ def test_node_series_on_keeps_per_node_children():
     rows = m.snapshot()
     assert [r["value"] for r in rows] == [2, 5]
 
-
-# ---------------------------------------------------------------------------
-# DeltaReader
-# ---------------------------------------------------------------------------
-
-def test_delta_reader_returns_only_changes():
-    m = MetricsRegistry()
-    c = m.counter("x", node="a")
-    g = m.gauge("y")
-    h = m.histogram("z")
-    c.inc()
-    g.set(5)
-    h.observe(1.0)
-    reader = DeltaReader(m)
-    first = reader.changed()
-    assert {r["name"] for r in first} == {"x", "y", "z"}
-    # nothing moved → empty delta
-    assert reader.changed() == []
-    c.inc()
-    delta = reader.changed()
-    assert [r["name"] for r in delta] == ["x"]
-    assert delta[0]["value"] == 2
-    # histogram change is detected via (count, total)
-    h.observe(1.0)
-    assert [r["name"] for r in reader.changed()] == ["z"]
-
-
-def test_delta_readers_have_independent_cursors():
-    m = MetricsRegistry()
-    c = m.counter("x")
-    c.inc()
-    r1, r2 = DeltaReader(m), DeltaReader(m)
-    assert len(r1.changed()) == 1
-    c.inc()
-    # r2 never read: sees the series once, with the latest value
-    rows = r2.changed()
-    assert len(rows) == 1 and rows[0]["value"] == 2
-    assert len(r1.changed()) == 1
-
-
-def test_delta_reader_skips_collectors_when_asked():
-    m = MetricsRegistry()
-    calls = []
-    m.add_collector(lambda reg: calls.append(1))
-    DeltaReader(m).changed(run_collectors=False)
-    assert calls == []
-    DeltaReader(m).changed()
-    assert calls == [1]

@@ -24,7 +24,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "docs/TUTORIAL.md", "DESIGN.md", "EXPERIMENTS.md",
-        ".claude/skills/verify/SKILL.md")
+        "examples/README.md", ".claude/skills/verify/SKILL.md")
 #: console scripts ``pyproject.toml`` installs -> the module they run
 SCRIPTS = {"wow-experiments": "repro.experiments.run_all"}
 COMMAND = re.compile(r"python3? (-m [\w.]+|[\w./-]+\.py\b)|(wow-experiments)")

@@ -5,7 +5,8 @@ of ``tests/wire/test_codec_roundtrip.py``) truncated at a random offset
 or with one byte changed, go to one of two linked live nodes, shuffled
 with the structure-aware keep-alive mutants of
 ``tests/wire/test_keepalive_frames.py`` (which the node, not the
-transport, reads and rejects).  The run
+transport, reads and rejects) and with frames that use the reserved type
+tags 19-21, bare and as a routed packet's body.  The run
 is seeded, and the sender waits for each batch to be read before the
 next, so nothing is lost to a full receive buffer and every count is
 exact.  Afterwards:
@@ -17,6 +18,8 @@ exact.  Afterwards:
   (``wire.body_decode_drop``) — never a frame that decodes in full; a
   frame one node forwards as bytes is counted by the node that decodes
   it;
+* the reserved tags fail as unknown tags: bare at the header-level
+  decode, as a routed body at delivery;
 * a tunnelled ping still makes the round trip;
 * after ``close()`` the process holds the descriptors it held before.
 
@@ -43,7 +46,7 @@ from repro.transport.runtime import RealtimeKernel
 from repro.transport.udp import UdpTransport
 from repro.wire import DecodeError, codec
 
-from tests.wire.test_codec_roundtrip import _sample_messages
+from tests.wire.test_codec_roundtrip import _sample_messages, reserved_frames
 from tests.wire.test_keepalive_frames import _keepalive_mutants
 
 FRAMES = 2000
@@ -51,6 +54,9 @@ BATCH = 32
 IPS = ("10.128.0.2", "10.128.0.3")
 CONFIG = BrunetConfig(link_resend_interval=0.2, overlord_interval=0.2,
                       ping_interval=2.0, wire_mode="codec")
+#: reserved-tag frames, bare and routed to the node under attack
+RESERVED_TOP, RESERVED_ROUTED = reserved_frames(addr_for_ip(IPS[0]),
+                                                addr_for_ip(IPS[1]))
 
 
 def _open_fds() -> int:
@@ -75,6 +81,7 @@ def _hostile_frames(seed: int = 29) -> list[bytes]:
             changed = (buf[at] + rng.randrange(1, 256)) % 256
             frames.append(buf[:at] + bytes([changed]) + buf[at + 1:])
     frames += _keepalive_mutants(seed)
+    frames += RESERVED_TOP + RESERVED_ROUTED
     rng.shuffle(frames)
     return frames
 
@@ -185,5 +192,9 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
     assert 0 < header_bad < bad < len(frames)
     assert errors - body_drops == header_bad
     assert body_drops <= bad - header_bad
+    assert all(map(_header_malformed, RESERVED_TOP))
+    assert not any(map(_header_malformed, RESERVED_ROUTED))
+    assert all(map(_malformed, RESERVED_ROUTED))
+    assert body_drops >= len(RESERVED_ROUTED)
     assert [r.payload.seq for r in replies] == [1]
     assert replies[0].payload.is_reply

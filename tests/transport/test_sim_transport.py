@@ -27,6 +27,8 @@ from repro.sim import Simulator
 from repro.transport.sim import SimTransport
 from repro.wire import UDP_IP_OVERHEAD, decode, encode
 
+from tests.wire.test_codec_roundtrip import reserved_frames
+
 
 def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
     sim = Simulator(seed=seed, trace=True)
@@ -294,3 +296,25 @@ def test_node_restart_reuses_transport_and_keeps_port():
     sim.run(until=sim.now + 30.0)
     assert node.port == port
     assert node.in_ring
+
+
+def test_reserved_tags_are_counted_once_each():
+    """A frame with a reserved type tag fails in the transport's decode;
+    as a routed body it fails at local delivery.  Each counts once."""
+    sim = Simulator(seed=1, trace=False)
+    site = Site(Internet(sim), "pub")
+    me, peer = addr_for_ip("10.128.0.2"), addr_for_ip("10.128.0.3")
+    node = BrunetNode(sim, site.add_host("a"), me,
+                      BrunetConfig(wire_mode="codec"), name="a")
+    node.start([])
+    sender = site.add_host("b").bind_udp(6000, lambda *a: None)
+    bare, routed = reserved_frames(peer, me)
+    for frame in bare + routed:
+        sender.send(node.transport.local_endpoint, frame, size=len(frame))
+    sim.run(until=1.0)
+    metrics = sim.obs.metrics
+    assert metrics.counter("wire.decode_error", node="a").value \
+        == len(bare) + len(routed)
+    assert metrics.counter("wire.body_decode_drop", node="a").value \
+        == node.stats["body_decode_drop"] == len(routed)
+    assert node.stats["delivered"] == 0

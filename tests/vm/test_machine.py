@@ -19,12 +19,6 @@ class TestImage:
         img.clone("n1").clone("n2")
         assert img.clone_count == 2
 
-    def test_with_software_derives_new_image(self):
-        derived = DEFAULT_IMAGE.with_software("condor-6.8")
-        assert derived.has_software("condor")
-        assert not DEFAULT_IMAGE.has_software("condor")
-        assert derived.name.startswith(DEFAULT_IMAGE.name)
-
     def test_base_has_ipop(self):
         assert DEFAULT_IMAGE.has_software("ipop")
 

@@ -6,6 +6,7 @@ typed :class:`~repro.wire.DecodeError` and nothing else.
 """
 
 import random
+from struct import Struct
 
 import pytest
 
@@ -137,6 +138,28 @@ def _sample_messages(seed: int = 0, per_type: int = 25) -> list:
     return [gen(rng) for gen in GENERATORS.values() for _ in range(per_type)]
 
 
+#: tags 19-21 once carried a ring DHT's put / get / reply frames; they are
+#: reserved, and each body is in the layout it had, so a decoder that
+#: still knew the tag would accept it
+_KEY = b"\x00\x03cpu"
+RESERVED_BODIES = {
+    19: Struct(">BQd20sHB").pack(19, 1, 60.0, bytes(20), 0, 1) + _KEY
+    + bytes((codec.T_NONE,)),
+    20: Struct(">BQ20s").pack(20, 2, bytes(20)) + _KEY,
+    21: Struct(">BQB").pack(21, 3, 0) + _KEY + b"\x00\x00",
+}
+
+
+def reserved_frames(src, dest) -> tuple[list[bytes], list[bytes]]:
+    """The reserved-tag bodies as bare frames, and as the payloads of
+    routed packets from ``src`` to ``dest``."""
+    envelope = encode(RoutedPacket(src=src, dest=dest, payload=None,
+                                   size=80, exact=True))
+    assert envelope[-1] == codec.T_NONE     # the payload sub-frame is last
+    return ([bytes((WIRE_VERSION,)) + b for b in RESERVED_BODIES.values()],
+            [envelope[:-1] + b for b in RESERVED_BODIES.values()])
+
+
 # ---------------------------------------------------------------------------
 # round-trip properties
 # ---------------------------------------------------------------------------
@@ -195,6 +218,16 @@ def test_bad_version_byte():
 def test_unknown_type_tag():
     with pytest.raises(DecodeError, match="tag"):
         decode(bytes([WIRE_VERSION, 250]))
+    # a reserved tag is unknown too: bare, and as a routed body, whose
+    # envelope still parses
+    bare, routed = reserved_frames(BrunetAddress(1), BrunetAddress(2))
+    for tag, frame, pkt in zip(RESERVED_BODIES, bare, routed):
+        for reader in (decode, codec.decode_lazy):
+            with pytest.raises(DecodeError, match=f"unknown type tag {tag}"):
+                reader(frame)
+        lazy = codec.decode_lazy(pkt)
+        with pytest.raises(DecodeError, match=f"unknown type tag {tag}"):
+            codec.materialize(lazy.payload)
 
 
 def test_trailing_garbage_rejected():
