@@ -35,7 +35,7 @@ class BrunetConfig:
     #: a connection with this many consecutive unanswered pings is dropped
     ping_retries: int = 3
     #: accepted and ignored: it selected a batched timer path that no
-    #: longer exists (every timer is a kernel event, DESIGN.md §9.1).  It
+    #: longer exists (every timer is a kernel event, DESIGN.md §1.1).  It
     #: stays only because the frozen benchmark harness passes
     #: ``batch_timers=True``; the next benchmark revision drops that
     #: argument and this field with it.
@@ -55,7 +55,7 @@ class BrunetConfig:
     #: structured-far connection target count (k of §IV-A)
     far_count: int = 4
     #: spacing, seconds, of the grid leaf/near/far overlord ticks land on
-    #: (a tick runs only where one is due: DESIGN.md §9.4)
+    #: (a tick runs only where one is due: DESIGN.md §3.3)
     overlord_interval: float = 5.0
     #: shortcut score service rate c (packets/s) and threshold
     shortcut_service_rate: float = 0.4
@@ -64,7 +64,7 @@ class BrunetConfig:
     #: node start) on which the score recurrence runs.  Not a polling
     #: period — the overlord is demand-driven and schedules a tick only
     #: while it has scores, arrivals or pending attempts to work on
-    #: (DESIGN.md §9.4); ``c`` per tick is ``shortcut_service_rate`` times
+    #: (DESIGN.md §3.3); ``c`` per tick is ``shortcut_service_rate`` times
     #: this.
     shortcut_tick: float = 1.0
     #: master switch for the ShortcutConnectionOverlord — the paper's

@@ -11,28 +11,12 @@ the encoded length (``"codec"``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.brunet.address import BrunetAddress
 from repro.brunet.uri import Uri
 from repro.obs.spans import TraceRef
-
-_token_counter = itertools.count(1)
-
-
-def next_token() -> int:
-    """Monotonic token for matching requests with replies.
-
-    .. deprecated::
-        This counter is module-global, so a second same-seed run in the
-        same process draws different tokens than the first.  Protocol code
-        now uses the per-node ``BrunetNode.next_token()`` instead; this
-        stays only for tests/tools that need a throwaway token.
-    """
-    return next(_token_counter)
-
 
 # ---------------------------------------------------------------------------
 # direct (physical-network) messages

@@ -14,7 +14,7 @@ tunnelled IP packet that has arrived (``wire.deliver_view`` →
 :meth:`_deliver_ip`) — and only the rest is decoded and walks
 :meth:`route` / :meth:`send_over` / :meth:`_deliver`, the path every
 packet takes on a transport that carries objects.  Each byte path does
-the object path's bookkeeping to the counter (DESIGN.md §14.4).
+the object path's bookkeeping to the counter (DESIGN.md §5.3).
 Keep-alives are one protocol in two framings: on such a transport they
 leave as ``wire.ping_frame`` / ``wire.ping_reply_frame`` bytes and are
 read with ``wire.ping_view`` / ``wire.ping_reply_view``; the handlers

@@ -13,7 +13,7 @@ ensures the node has the right number of connections."  Four overlords:
   queue ``s(i+1) = max(s(i) + a(i) − c, 0)`` driven by traffic inspection;
   scores above a threshold trigger decentralized single-hop link creation.
 
-All four are deadline-driven (DESIGN.md §9.4): each holds one timer, for
+All four are deadline-driven (DESIGN.md §3.3): each holds one timer, for
 the earliest instant at which its ``tick`` could do anything, and none
 while only an event can give it work — a settled node holds one overlord
 timer, the near overlord's backed-off re-announce.

@@ -12,8 +12,6 @@ import math
 import os
 from typing import Iterable, Sequence
 
-import numpy as np
-
 PLOT_WIDTH = 72
 PLOT_HEIGHT = 14
 
@@ -68,20 +66,6 @@ def ascii_plot(series: dict[str, tuple[Sequence[float], Sequence[float]]],
     lines.append(" " * 10 + "+" + "-" * width)
     lines.append(f"{'':10}{x_lo:<12.4g}{xlabel:^{max(0, width - 24)}}"
                  f"{x_hi:>12.4g}")
-    return "\n".join(lines)
-
-
-def ascii_histogram(values: Iterable[float], bins: Sequence[float],
-                    title: str = "", width: int = 50) -> str:
-    """Horizontal ASCII histogram over explicit bin edges."""
-    counts, edges = np.histogram(list(values), bins=bins)
-    total = counts.sum() or 1
-    lines = [title] if title else []
-    peak = counts.max() or 1
-    for count, lo, hi in zip(counts, edges, edges[1:]):
-        bar = "█" * int(round(width * count / peak))
-        pct = 100.0 * count / total
-        lines.append(f"{lo:6.0f}-{hi:<6.0f} |{bar:<{width}} {pct:4.1f}%")
     return "\n".join(lines)
 
 

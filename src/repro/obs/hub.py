@@ -47,7 +47,7 @@ DEFAULT_SAMPLE = {"ip": 1, "ctm": 1}
 #: node populations at or above this default to aggregated metrics
 #: (``node_series=False``) in :meth:`Observability.scale_to` — per-node
 #: label series cost O(n) memory and export lines, which at 10k nodes
-#: swamps the bundle without adding signal (see DESIGN.md §16)
+#: swamps the bundle without adding signal (see DESIGN.md §6.5)
 NODE_SERIES_MAX = 1000
 
 

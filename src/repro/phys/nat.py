@@ -220,15 +220,6 @@ class Nat:
         return m.inner
 
     # ------------------------------------------------------------------
-    def lookup_public(self, proto: str, inner: Endpoint) -> Optional[Endpoint]:
-        """The public endpoint currently mapped for ``inner`` (EIM only)."""
-        if self.spec.mapping != MappingBehavior.ENDPOINT_INDEPENDENT:
-            return None
-        m = self._by_key.get((proto, inner))
-        if m is None or self._expired(m):
-            return None
-        return Endpoint(self.public_ip, m.public_port)
-
     def expire_all(self) -> None:
         """Drop every mapping (models NAT reboot / ISP re-translation)."""
         self._by_key.clear()

@@ -7,7 +7,7 @@ internet (today's ``Internet.send``/``Host.bind_udp`` delivery);
 socket and frames every message through :mod:`repro.wire`.  ``BrunetNode``
 talks only to the transport interface, so the identical node/IPOP logic
 runs in either world — the sim-vs-live equivalence argument of
-DESIGN.md §12.
+DESIGN.md §5.
 
 :class:`~repro.transport.runtime.RealtimeKernel` supplies the scheduler/
 RNG/observability surface protocol code expects from a ``Simulator``, but

@@ -63,7 +63,7 @@ class WowVm:
         self.name = name
         self.virtual_ip = virtual_ip
         self.addr = addr_for_ip(virtual_ip)
-        self.image = (image or DEFAULT_IMAGE).clone(name)
+        self.image = image or DEFAULT_IMAGE
         self.cpu_speed = cpu_speed
         calib = deployment.calib
         self.host: "Host" = site.add_host(

@@ -19,7 +19,7 @@ sequence, the overlords' state at every stop, and their final state.
 
 Scripted times are drawn from continuous distributions, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
-may legitimately disagree on (DESIGN.md §9.4), and it is not what this
+may legitimately disagree on (DESIGN.md §3.3), and it is not what this
 file tests.
 """
 

@@ -18,7 +18,7 @@ state at every stop, and its final state.
 
 Arrival times are drawn from a continuous distribution, so none falls on
 a grid instant: same-instant ordering is the one thing the two designs
-may legitimately disagree on (DESIGN.md §9.4), and it is not what this
+may legitimately disagree on (DESIGN.md §3.3), and it is not what this
 file tests.
 """
 

@@ -1,13 +1,10 @@
 """Per-node protocol tokens: same-seed runs must be token-identical.
 
-The historical ``repro.brunet.messages.next_token`` counter is
-module-global, so a second same-seed run in one process continued where
-the first left off and drew different tokens.  Tokens now come from a
-per-node counter; the module-global stays only as a deprecated helper.
+Tokens come from a per-node counter, so a second same-seed run in one
+process draws the same tokens as the first.
 """
 
 from repro.brunet import BrunetConfig, BrunetNode, random_address
-from repro.brunet.messages import next_token
 from repro.brunet.uri import Uri
 from repro.phys import Internet, Site
 from repro.sim import Simulator
@@ -46,10 +43,6 @@ def _run_and_collect_tokens(seed: int) -> list[tuple[str, int]]:
 
 def test_same_seed_runs_produce_identical_token_sequences():
     first = _run_and_collect_tokens(seed=77)
-    # poison the module-global counter between runs: per-node tokens must
-    # be immune to unrelated consumers in the same process
-    for _ in range(1000):
-        next_token()
     second = _run_and_collect_tokens(seed=77)
     assert first == second
     assert first  # the overlay actually handed out tokens
@@ -64,8 +57,3 @@ def test_tokens_are_monotone_per_node():
     # counters are per node: several nodes issue the same small tokens
     firsts = [tok for _, tok in tokens if tok == 1]
     assert len(firsts) > 1
-
-
-def test_module_global_next_token_still_works():
-    a, b = next_token(), next_token()
-    assert b == a + 1

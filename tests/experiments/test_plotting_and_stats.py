@@ -8,7 +8,6 @@ import pytest
 
 from repro.brunet.stats import shortcut_census, survey
 from repro.experiments.plotting import (
-    ascii_histogram,
     ascii_plot,
     export_csv,
     export_series_csv,
@@ -42,12 +41,6 @@ class TestAsciiPlot:
 
 
 class TestHistogramAndCsv:
-    def test_histogram_percentages_sum(self):
-        out = ascii_histogram([1, 2, 3, 9, 9, 9], bins=[0, 5, 10],
-                              title="h")
-        assert "h" in out
-        assert "50.0%" in out
-
     def test_export_csv(self, tmp_path):
         path = export_csv(str(tmp_path / "sub" / "out.csv"),
                           ("a", "b"), [(1, 2), (3, 4)])

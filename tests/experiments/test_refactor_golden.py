@@ -34,7 +34,7 @@ CHURN_FP = "b9f18e82f40a5f4c34968bff89e94c709a2afa09e8ad31155ecf1aa8bb14431d"
 #: the shortcut overlord and then the leaf, near and far overlords
 #: stopped polling (87c5cb52…f705c448f, 75c4aaff…cabaee1eb,
 #: bffcc6c2…fea87d32): same-instant ties between two nodes' ticks ran in
-#: another order (DESIGN.md §9.4).
+#: another order (DESIGN.md §3.3).
 FIG4_FP = "bd2a275c35cbe1635a6dc3564cd5e83d8ffc87012062bf642ba9aeedfabd5886"
 
 

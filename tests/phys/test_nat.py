@@ -99,15 +99,6 @@ def test_expired_mapping_gets_new_public_port():
     assert pub1.port != pub2.port
 
 
-def test_lookup_public_eim_only():
-    cone = make_nat(NatSpec.cone())
-    cone.translate_outbound("udp", INNER, REMOTE_A)
-    assert cone.lookup_public("udp", INNER) is not None
-    sym = make_nat(NatSpec.symmetric())
-    sym.translate_outbound("udp", INNER, REMOTE_A)
-    assert sym.lookup_public("udp", INNER) is None
-
-
 def test_expire_all_models_nat_reboot():
     nat = make_nat(NatSpec.cone())
     pub = nat.translate_outbound("udp", INNER, REMOTE_A)

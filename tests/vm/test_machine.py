@@ -1,26 +1,15 @@
-"""WowVm: images, CPU model, IPOP restart, WAN migration."""
+"""WowVm: CPU model, IPOP restart, WAN migration."""
 
 import pytest
 
 from repro.sim.process import Process, WaitSignal
 from repro.sim.units import MB
-from repro.vm.image import DEFAULT_IMAGE, VmImage
 from tests.conftest import make_mini_testbed
 
 
 @pytest.fixture()
 def bed():
     return make_mini_testbed(seed=7)
-
-
-class TestImage:
-    def test_clone_tracking(self):
-        img = VmImage("base")
-        img.clone("n1").clone("n2")
-        assert img.clone_count == 2
-
-    def test_base_has_ipop(self):
-        assert DEFAULT_IMAGE.has_software("ipop")
 
 
 class TestCpuModel:
