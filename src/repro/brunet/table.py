@@ -124,12 +124,6 @@ class ConnectionTable:
                 c for c in self._conns.values() if conn_type in c.types)
         return cached
 
-    def stale(self, now: float, timeout: float) -> list[Connection]:
-        """Connections not heard from within ``timeout`` seconds — the
-        liveness layer's dead-peer candidates."""
-        return [c for c in self._conns.values()
-                if now - c.last_heard > timeout]
-
     def structured(self) -> Iterable[Connection]:
         """Connections that participate in greedy routing (snapshot tuple
         in insertion order, rebuilt only after a table mutation)."""

@@ -13,6 +13,10 @@ from typing import NamedTuple
 
 from repro.phys.endpoints import Endpoint
 
+#: learned (NAT-assigned) URIs a node keeps and advertises besides its
+#: local one; the codec rejects a longer list (``repro.wire.codec``)
+MAX_LEARNED_URIS = 4
+
 
 class Uri(NamedTuple):
     """A (transport, endpoint) pair a node can be contacted at."""
@@ -60,7 +64,7 @@ class UriSet:
         if uri in self._learned:
             self._learned.remove(uri)
         self._learned.insert(0, uri)
-        del self._learned[4:]  # keep the freshest few
+        del self._learned[MAX_LEARNED_URIS:]  # keep the freshest few
         return True
 
     def advertised(self) -> list[Uri]:

@@ -6,48 +6,35 @@ determined by progressive filling (max-min fairness) over the capacity
 resources along their path.  Rates are recomputed whenever the flow set or
 any path changes; between recomputations progress is linear, so it can be
 integrated exactly — and lazily: each flow carries ``(_base, _sync_t)``
-and materializes ``transferred`` on read, so a mutation only touches the
-flows whose rates actually change, never the whole population.
+and materializes ``transferred`` on read.
 
 Per-flow rate caps (e.g. a TCP window/RTT bound) are modelled as a private
 :class:`Resource` appended to the path — this keeps the fairness computation
 uniform and correct.
 
-Rate recomputation is incremental per affected *bottleneck*: a mutation
-(flow add/remove/re-path, pause/resume, capacity change) marks the touched
-resources dirty, and the solver water-fills only the flows crossing those
-resources.  Where a re-rated flow also crosses a resource outside the dirty
-set, that resource enters the fill with its residual capacity (capacity
-minus the load of its untouched flows) and the untouched flows are checked
-afterwards against the max-min optimality certificate — a flow is *happy*
-iff some resource on its path is saturated and carries no faster flow.  An
-unhappy flow pulls its whole path into scope and the fill repeats; the
-fixpoint expands at most to the connected component, but in the common case
-(disjoint bottlenecks, fig8-style job churn) it never leaves the dirty
-links.  Saturation state (load, max rate) is cached per resource and
-invalidated only for resources whose flow set or rates changed.
+Every recomputation water-fills the whole flow set from raw capacities.
+No experiment has more than 11 live flows at once, so there is no scope to
+track: any mutation (flow add/remove/re-path, pause/resume, capacity
+change) just marks the manager stale.  Mutations made inside an event are
+coalesced: the first one schedules a single flush at the current timestamp
+with a priority below every ordinary event, so a burst of changes pays for
+one recomputation and every event at a later timestamp still observes
+fresh rates.  Mutations made outside event context recompute synchronously,
+so direct driving of the manager (tests, setup code) keeps eager semantics.
 
-Mutations made inside an event are coalesced: the first one schedules a
-single flush at the current timestamp with a priority below every ordinary
-event, so a burst of changes pays for one recomputation and every event at
-a later timestamp still observes fresh rates.  Mutations made outside event
-context recompute synchronously, so direct driving of the manager (tests,
-setup code) keeps eager semantics.
-
-Completions are driven by a lazily-invalidated min-heap of estimated
-finish times (one entry per rate assignment, stale entries skipped by
-generation counter) instead of an O(flows) scan per flush.
+Each rate assignment stores the flow's estimated finish time; one kernel
+event waits for the earliest, and flows due together complete in (finish,
+assignment order).
 
 The overlay layer maps an overlay route onto resources: each traversed
 IPOP router contributes its user-level forwarding capacity and each WAN
 site-pair contributes a path-capacity resource (see
-:mod:`repro.ipop.router`).  Re-pathing a live flow (a shortcut forming, a
+:mod:`repro.ipop.bandwidth`).  Re-pathing a live flow (a shortcut forming, a
 migration) is ``flow.set_path(...)`` — exactly what Figs. 6–8 exercise.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -76,7 +63,7 @@ class Resource:
         self.flows: set["Flow"] = set()
 
     def set_capacity(self, capacity: float, manager: "FlowManager") -> None:
-        """Change capacity and recompute rates of affected flows.
+        """Change capacity and recompute rates.
 
         A resource carrying no flows cannot affect any rate, so the change
         is recorded without triggering a recomputation (the next flow
@@ -85,7 +72,7 @@ class Resource:
         self.capacity = capacity
         if not self.flows:
             return
-        manager.request_recompute((self,))
+        manager.request_recompute()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Resource {self.name} cap={self.capacity:.0f}B/s n={len(self.flows)}>"
@@ -122,10 +109,12 @@ class Flow:
         self.progress_log: list[tuple[float, float]] = [(self.start_time, 0.0)]
         self._base = 0.0          # bytes transferred as of _sync_t
         self._sync_t = self.start_time
-        self._gen = 0             # bumped on every rate assignment
-        self._cap_resource: Optional[Resource] = None
+        self._finish = math.inf   # estimated finish at the current rate
+        self._seq = 0             # manager-wide order of that estimate
+        self._cap_resource = (None if rate_cap is None
+                              else Resource(f"cap.{name}", rate_cap))
         self.path: list[Resource] = []
-        self._set_path_internal(path, rate_cap)
+        self._set_path(path)
         manager.add(self)
 
     @property
@@ -165,42 +154,23 @@ class Flow:
             self._sync_t = now
 
     # -- path management --------------------------------------------------
-    def _set_path_internal(self, path: Iterable[Resource],
-                           rate_cap: Optional[float]) -> None:
+    def _set_path(self, path: Iterable[Resource]) -> None:
         for r in self.path:
             r.flows.discard(self)
         self.path = list(path)
-        if rate_cap is not None:
-            self._cap_resource = Resource(f"cap.{self.name}", rate_cap)
-            self.path.append(self._cap_resource)
-        elif self._cap_resource is not None:
+        if self._cap_resource is not None:
             self.path.append(self._cap_resource)
         for r in self.path:
             r.flows.add(self)
 
-    def set_path(self, path: Iterable[Resource],
-                 rate_cap: Optional[float] = None) -> None:
+    def set_path(self, path: Iterable[Resource]) -> None:
         """Re-route the flow (keeps transferred bytes)."""
         if self.completed or self not in self.manager.flows:
             # completed or cancelled: re-pathing would re-register the
             # flow on the resources and let it steal live flows' share
             return
-        old_path = list(self.path)
-        if rate_cap is not None and self._cap_resource is not None:
-            self._cap_resource.capacity = rate_cap
-            rate_cap = None  # reuse the existing cap resource
-        self._set_path_internal(path, rate_cap)
-        self.manager.request_recompute(old_path + self.path)
-
-    def set_rate_cap(self, rate_cap: float) -> None:
-        """Install/update a per-flow rate ceiling (e.g. window/RTT)."""
-        if self.completed or self not in self.manager.flows:
-            return
-        if self._cap_resource is None:
-            self._set_path_internal(self.path, rate_cap)
-            self.manager.request_recompute(self.path)
-        else:
-            self._cap_resource.set_capacity(rate_cap, self.manager)
+        self._set_path(path)
+        self.manager.request_recompute()
 
     # -- control ----------------------------------------------------------
     def _log_point(self) -> None:
@@ -215,7 +185,7 @@ class Flow:
             self._sync(self.manager.sim.now)
             self.paused = True
             self._log_point()
-            self.manager.request_recompute(self.path)
+            self.manager.request_recompute()
 
     def resume(self) -> None:
         """Undo :meth:`pause`; rates are recomputed immediately."""
@@ -223,17 +193,12 @@ class Flow:
                 and self in self.manager.flows:
             self.paused = False
             self._log_point()
-            self.manager.request_recompute(self.path)
+            self.manager.request_recompute()
 
     def cancel(self) -> None:
         """Abort the transfer; ``done`` never fires."""
         if not self.completed:
             self.manager.remove(self)
-
-    @property
-    def remaining(self) -> float:
-        """Bytes still to transfer."""
-        return max(0.0, self.size - self.transferred)
 
     def mean_rate(self, t0: Optional[float] = None,
                   t1: Optional[float] = None) -> float:
@@ -278,45 +243,25 @@ class FlowManager:
         self.flows: set[Flow] = set()
         self._next_event: Optional["Event"] = None
         self._next_at = math.inf
-        self.completed_count = 0
-        self._dirty: set[Resource] = set()
-        self._full = False
+        self._stale = False
         self._flushing = False
         self._flush_event: Optional["Event"] = None
-        #: completion heap: (est_finish, seq, flow_gen, flow); entries go
-        #: stale when the flow's rate changes (gen mismatch) and are
-        #: skipped lazily instead of re-scanning every flow per flush
-        self._heap: list[tuple[float, int, int, Flow]] = []
         self._seq = 0
-        #: per-resource saturation state (load, max flow rate), invalidated
-        #: for exactly the resources a recomputation touches and refilled
-        #: on demand by the optimality check
-        self._res_state: dict[Resource, tuple[float, float]] = {}
-        #: observability: how many recomputations ran, how many of those
-        #: were scoped rather than global, and how many water-filling
-        #: passes the bottleneck-scoped fixpoint performed in total
-        self.full_recomputes = 0
-        self.scoped_recomputes = 0
-        self.bottleneck_recomputes = 0
 
     # -- flow set ----------------------------------------------------------
     def add(self, flow: Flow) -> None:
         """Admit a flow and rebalance rates."""
         self.flows.add(flow)
-        self.request_recompute(flow.path)
+        self.request_recompute()
 
     def remove(self, flow: Flow) -> None:
         """Withdraw a flow (without completing it) and rebalance."""
         flow._sync(self.sim.now)
         self.flows.discard(flow)
         flow.rate = 0.0
-        flow._gen += 1
-        state = self._res_state
         for r in flow.path:
             r.flows.discard(flow)
-            if state:
-                state.pop(r, None)
-        self.request_recompute(flow.path)
+        self.request_recompute()
 
     # -- integration --------------------------------------------------------
     def advance(self) -> None:
@@ -341,13 +286,10 @@ class FlowManager:
         flow.completed = True
         flow.finish_time = self.sim.now
         flow.rate = 0.0
-        flow._gen += 1
         self.flows.discard(flow)
-        self._dirty.update(flow.path)  # released capacity rebalances peers
+        self._stale = True  # released capacity rebalances peers
         for r in flow.path:
             r.flows.discard(flow)
-            self._res_state.pop(r, None)
-        self.completed_count += 1
         self.sim.trace("flow.complete", name=flow.name,
                        duration=flow.finish_time - flow.start_time,
                        size=flow.size)
@@ -356,21 +298,15 @@ class FlowManager:
         flow.done.fire(flow.finish_time)
 
     # -- rate computation --------------------------------------------------
-    def request_recompute(self, resources: Optional[Iterable[Resource]] = None
-                          ) -> None:
-        """Ask for a fairness recomputation scoped to ``resources`` (or a
-        full one when None).
+    def request_recompute(self) -> None:
+        """Ask for a fairness recomputation.
 
         Inside an event the request is coalesced: the first request
         schedules one flush at the current timestamp (below every ordinary
-        priority) and later requests merely widen its dirty set.  Outside
-        event context the recomputation happens immediately, preserving
-        the historical synchronous semantics for setup/test code.
+        priority) and later requests find it pending.  Outside event
+        context the recomputation happens immediately.
         """
-        if resources is None:
-            self._full = True
-        else:
-            self._dirty.update(resources)
+        self._stale = True
         if self.sim.executing:
             if self._flush_event is None and not self._flushing:
                 self._flush_event = self.sim.schedule(
@@ -379,8 +315,8 @@ class FlowManager:
         self._flush()
 
     def recompute(self) -> None:
-        """Force an immediate full progressive-filling recomputation."""
-        self._full = True
+        """Force an immediate progressive-filling recomputation."""
+        self._stale = True
         self._flush()
 
     def _on_flush_event(self) -> None:
@@ -388,10 +324,10 @@ class FlowManager:
         self._flush()
 
     def _flush(self) -> None:
-        """Drain the dirty set: solve the affected bottleneck scope(s) and
-        reschedule the next completion event.  Re-entrant requests (e.g. an
-        ``on_complete`` callback admitting a new flow) only widen the dirty
-        set; the running drain loop picks them up."""
+        """Re-solve while stale, then reschedule the next completion event.
+        Re-entrant requests (e.g. an ``on_complete`` callback admitting a
+        new flow) only mark the manager stale; the running loop picks them
+        up."""
         if self._flushing:
             return
         if self._flush_event is not None:
@@ -399,25 +335,19 @@ class FlowManager:
             self._flush_event = None
         self._flushing = True
         try:
-            while self._full or self._dirty:
-                if self._full:
-                    self._full = False
-                    self._dirty.clear()
-                    self.full_recomputes += 1
-                    self._solve_full()
-                else:
-                    dirty, self._dirty = self._dirty, set()
-                    self.scoped_recomputes += 1
-                    self._solve_scoped(dirty)
+            while self._stale:
+                self._stale = False
+                self._solve()
         finally:
             self._flushing = False
         self._schedule_next()
 
-    def _solve_full(self) -> None:
-        """Water-fill the entire flow set from raw capacities."""
+    def _solve(self) -> None:
+        """Water-fill the whole flow set and re-aim every completion."""
         now = self.sim.now
+        flows = self.flows
         finished: list[Flow] = []
-        for f in self.flows:
+        for f in flows:
             if f.rate > 0.0:
                 f._sync(now)
                 if f.size - f._base <= _EPS:
@@ -426,202 +356,23 @@ class FlowManager:
                 f._sync_t = now
         for f in finished:
             self._complete(f)
-        flows = self.flows
-        active = {f for f in flows if not f.paused and f.path}
         for f in flows:
             f.rate = 0.0
-        self._res_state.clear()
-        self._water_fill(active, None)
+        self._water_fill({f for f in flows if not f.paused and f.path})
         for f in flows:
-            f._gen += 1
-            if f.rate > _EPS:
-                self._push_completion(f, now)
+            self._aim(f, now)
 
-    def _solve_scoped(self, dirty: set[Resource]) -> None:
-        """Bottleneck-scoped incremental solve.
+    def _water_fill(self, active: set[Flow]) -> None:
+        """Progressive-filling max-min fair allocation over ``active``."""
+        res_flows: dict[Resource, set[Flow]] = {}
+        for f in active:
+            for r in f.path:
+                s = res_flows.get(r)
+                if s is None:
+                    res_flows[r] = s = set()
+                s.add(f)
 
-        Water-fills only the flows crossing the dirty resources; resources
-        their paths leak onto enter with residual capacity (capacity minus
-        untouched load).  Afterwards every untouched flow sharing a leaked
-        resource is checked against the max-min certificate — saturated
-        bottleneck with no faster flow — and an unhappy flow pulls its path
-        into scope for another pass.  The fixpoint expands at most to the
-        connected component; disjoint bottlenecks never meet it.
-        """
-        now = self.sim.now
-        live = self.flows
-        scope_res = set(dirty)
-        while True:
-            self.bottleneck_recomputes += 1
-            scope_flows: set[Flow] = set()
-            for r in scope_res:
-                scope_flows |= r.flows
-            # materialize progress at the outgoing rates before re-rating
-            # (inlined Flow._sync: this loop is the solver's hot path)
-            finished: Optional[list[Flow]] = None
-            for f in scope_flows:
-                rate = f.rate
-                if rate > 0.0:
-                    if now > f._sync_t:
-                        size = f.size
-                        base = f._base + rate * (now - f._sync_t)
-                        if base > size:
-                            base = size
-                        f._base = base
-                        f._sync_t = now
-                        log = f.progress_log
-                        if log[-1][0] != now:
-                            log.append((now, base))
-                        if size - base <= _EPS:
-                            if finished is None:
-                                finished = []
-                            finished.append(f)
-                    elif f.size - f._base <= _EPS:
-                        if finished is None:
-                            finished = []
-                        finished.append(f)
-                else:
-                    f._sync_t = now
-            if finished is None:
-                active = {f for f in scope_flows if not f.paused and f.path}
-            else:
-                for f in finished:
-                    self._complete(f)
-                scope_flows.difference_update(finished)
-                # completion callbacks may have cancelled peers mid-solve:
-                # drop anything no longer managed
-                active = {f for f in scope_flows
-                          if f in live and not f.paused and f.path}
-            # flows leaving service (pause/cancel/complete) always have
-            # their whole path in the dirty set, so only active flows can
-            # leak the scope onto border resources
-            border: Optional[set[Resource]] = None
-            res_flows: dict[Resource, set[Flow]] = {}
-            for f in active:
-                for r in f.path:
-                    if r not in scope_res:
-                        if border is None:
-                            border = set()
-                        border.add(r)
-            caps: Optional[dict[Resource, float]] = None
-            frozen: set[Flow] = set()
-            if border:
-                # scope paths leak outside the dirty set: those resources
-                # enter the fill at their residual capacity and their
-                # untouched flows face the optimality check afterwards
-                caps = {}
-                for r in border:
-                    cap = r.capacity
-                    for g in r.flows:
-                        if g not in scope_flows:
-                            frozen.add(g)
-                            cap -= g.rate
-                    caps[r] = cap if cap > 0.0 else 0.0
-            if len(active) != len(scope_flows):
-                # inactive scope flows (paused, detached) end at rate 0;
-                # every active flow is assigned by the fill itself
-                for f in scope_flows:
-                    if f not in active:
-                        f.rate = 0.0
-            if border is None and len(active) == len(scope_flows):
-                # every flow on every touched resource is being re-rated:
-                # each resource's live set IS r.flows — no copies needed
-                for f in active:
-                    for r in f.path:
-                        if r not in res_flows:
-                            res_flows[r] = r.flows
-            else:
-                for f in active:
-                    for r in f.path:
-                        s = res_flows.get(r)
-                        if s is None:
-                            res_flows[r] = s = set()
-                        s.add(f)
-            self._water_fill(active, caps, res_flows)
-            if self._res_state:
-                state_pop = self._res_state.pop
-                for r in scope_res:
-                    state_pop(r, None)
-                if border:
-                    for r in border:
-                        state_pop(r, None)
-            # rate assignments: bump generations (invalidating old heap
-            # entries) and push fresh completion estimates (inlined
-            # _push_completion — same hot path)
-            seq = self._seq
-            heap = self._heap
-            push = heapq.heappush
-            for f in scope_flows:
-                gen = f._gen + 1
-                f._gen = gen
-                rate = f.rate
-                if rate > _EPS:
-                    seq += 1
-                    dt = (f.size - f._base) / rate
-                    push(heap, (now + (dt if dt > 1e-6 else 1e-6),
-                                seq, gen, f))
-            self._seq = seq
-            if not frozen:
-                return
-            grew = False
-            for f in active | frozen:
-                if not self._happy(f):
-                    for r in f.path:
-                        if r not in scope_res:
-                            scope_res.add(r)
-                            grew = True
-            if not grew:
-                return
-
-    def _happy(self, f: Flow) -> bool:
-        """Max-min optimality certificate: some resource on the flow's path
-        is saturated and carries no faster flow."""
-        rate = f.rate
-        state = self._res_state
-        for r in f.path:
-            st = state.get(r)
-            if st is None:
-                load = 0.0
-                maxr = 0.0
-                for g in r.flows:
-                    gr = g.rate
-                    load += gr
-                    if gr > maxr:
-                        maxr = gr
-                st = (load, maxr)
-                state[r] = st
-            load, maxr = st
-            if (load >= r.capacity - _EPS * (1.0 + r.capacity)
-                    and rate >= maxr - _EPS * (1.0 + maxr)):
-                return True
-        return False
-
-    def _water_fill(self, active: set[Flow],
-                    caps: Optional[dict[Resource, float]],
-                    res_flows: Optional[dict[Resource, set[Flow]]] = None
-                    ) -> None:
-        """Progressive-filling max-min fair allocation over ``active``.
-
-        ``caps`` overrides the starting capacity for border resources of a
-        scoped solve (their residual after untouched flows); every other
-        resource starts at its raw capacity, so a scope that covers the
-        whole sharing component reproduces the full solve bit-for-bit.
-        ``res_flows`` (resource -> active flows crossing it) may be passed
-        pre-built by the caller; it is never mutated here.
-        """
-        if res_flows is None:
-            res_flows = {}
-            for f in active:
-                for r in f.path:
-                    s = res_flows.get(r)
-                    if s is None:
-                        res_flows[r] = s = set()
-                    s.add(f)
-
-        if caps:
-            remaining_cap = {r: caps.get(r, r.capacity) for r in res_flows}
-        else:
-            remaining_cap = {r: r.capacity for r in res_flows}
+        remaining_cap = {r: r.capacity for r in res_flows}
         unfrozen = set(active)
         first = True
         while unfrozen:
@@ -671,32 +422,28 @@ class FlowManager:
             unfrozen -= frozen_now
 
     # -- completion scheduling ---------------------------------------------
-    def _push_completion(self, f: Flow, now: float) -> None:
-        self._seq += 1
-        t = now + max(1e-6, (f.size - f._base) / f.rate)
-        heapq.heappush(self._heap, (t, self._seq, f._gen, f))
+    def _aim(self, f: Flow, now: float) -> None:
+        """Store the finish estimate of ``f``'s current rate.
 
-    @staticmethod
-    def _entry_live(entry: tuple[float, int, int, "Flow"]) -> bool:
-        f = entry[3]
-        return entry[2] == f._gen and f.rate > _EPS and not f.completed
+        The step is floored at 1 µs: a residual of a few bytes divided by a
+        MB/s rate is below float time resolution and would otherwise
+        re-fire the completion event forever.
+        """
+        if f.rate > _EPS:
+            self._seq += 1
+            f._seq = self._seq
+            f._finish = now + max(1e-6, (f.size - f._base) / f.rate)
+        else:
+            f._finish = math.inf
 
     def _schedule_next(self) -> None:
-        h = self._heap
-        live = self._entry_live
-        while h and not live(h[0]):
-            heapq.heappop(h)
-        if len(h) > 64 and len(h) > 8 * (len(self.flows) + 1):
-            fresh = [e for e in h if live(e)]
-            heapq.heapify(fresh)
-            self._heap = h = fresh
-        if not h:
+        t = min((f._finish for f in self.flows), default=math.inf)
+        if t == math.inf:
             if self._next_event is not None:
                 self._next_event.cancel()
                 self._next_event = None
             self._next_at = math.inf
             return
-        t = h[0][0]
         if self._next_event is not None:
             if self._next_at <= t:
                 # the pending event fires no later than the next completion;
@@ -705,9 +452,6 @@ class FlowManager:
                 return
             self._next_event.cancel()
         self._next_at = t
-        # floor the step at 1 µs (already applied at push time): a residual
-        # of a few bytes divided by a MB/s rate is below float time
-        # resolution and would otherwise re-fire this event forever
         self._next_event = self.sim.schedule(max(0.0, t - self.sim.now),
                                              self._on_completion_event)
 
@@ -715,27 +459,18 @@ class FlowManager:
         self._next_event = None
         self._next_at = math.inf
         now = self.sim.now
-        h = self._heap
-        live = self._entry_live
+        due = sorted((f for f in self.flows if f._finish <= now + 1e-12),
+                     key=lambda f: (f._finish, f._seq))
         finished: list[Flow] = []
-        while h:
-            entry = h[0]
-            if not live(entry):
-                heapq.heappop(h)
-                continue
-            if entry[0] > now + 1e-12:
-                break
-            heapq.heappop(h)
-            f = entry[3]
+        for f in due:
             f._sync(now)
             if f.size - f._base <= _EPS:
                 finished.append(f)
             else:
                 # sub-resolution residual: re-aim with the 1 µs floor
-                f._gen += 1
-                self._push_completion(f, now)
+                self._aim(f, now)
         for f in finished:
             self._complete(f)
-        # completions marked their resources dirty; the flush rebalances
-        # the component that actually gained capacity and reschedules
+        # completions marked the manager stale; the flush rebalances the
+        # peers that gained capacity and reschedules
         self._flush()

@@ -95,7 +95,7 @@ from repro.brunet.messages import (
     PingRequest,
     RoutedPacket,
 )
-from repro.brunet.uri import Uri
+from repro.brunet.uri import MAX_LEARNED_URIS, Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.ipop.vtcp import Segment
 from repro.obs.spans import TraceRef
@@ -397,10 +397,17 @@ def _d_uri(buf: bytes, pos: int, n: int) -> tuple[Uri, int]:
     return u, end
 
 
+#: ``UriSet.advertised()``: the learned URIs plus the local one
+_MAX_URIS = MAX_LEARNED_URIS + 1
+
+
 def _d_uris(buf: bytes, pos: int, n: int) -> tuple[list, int]:
     if pos + 2 > n:
         raise _trunc(2, pos, n)
     count = (buf[pos] << 8) | buf[pos + 1]
+    if count > _MAX_URIS:
+        raise DecodeError(f"{count} URIs in a list; a sender advertises "
+                          f"at most {_MAX_URIS}")
     pos += 2
     uris = []
     for _ in range(count):

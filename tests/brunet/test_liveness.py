@@ -7,9 +7,7 @@ backstop when ping accounting itself was confused.  These tests pin each
 signal down in isolation.
 """
 
-from repro.brunet import BrunetConfig, BrunetNode, random_address
-from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.table import ConnectionTable
+from repro.brunet import BrunetConfig
 from repro.fault import FaultSchedule
 from tests.conftest import build_overlay
 
@@ -107,25 +105,3 @@ def test_healthy_links_never_dropped_by_liveness(sim, internet):
     assert not reasons & {"ping-timeout", "liveness-timeout", "peer-forgot"}
     for n in nodes:
         assert len(n.table.all()) >= before[n.name]
-
-
-def test_connection_table_stale_selects_by_last_heard():
-    table = ConnectionTable(random_address_static())
-    fresh = Connection(random_address_static(1), None,
-                       ConnectionType.STRUCTURED_NEAR, now=0.0)
-    old = Connection(random_address_static(2), None,
-                     ConnectionType.STRUCTURED_FAR, now=0.0)
-    table.add(fresh)
-    table.add(old)
-    fresh.heard_from(95.0)
-    old.heard_from(10.0)
-    assert table.stale(now=100.0, timeout=30.0) == [old]
-    assert table.stale(now=100.0, timeout=0.5) == [fresh, old] \
-        or set(table.stale(now=100.0, timeout=0.5)) == {fresh, old}
-    assert table.stale(now=100.0, timeout=1000.0) == []
-
-
-def random_address_static(salt: int = 0):
-    import numpy as np
-    rng = np.random.default_rng(99 + salt)
-    return random_address(rng)

@@ -7,8 +7,12 @@ used here are small (seconds each) but exercise joins, CTM handshakes,
 linking, greedy routing, shortcut formation, crash-detection and repair —
 the full overlay stack.
 
-``capture_churn``/``capture_fig4`` are also import-run as a script by the
-maintenance workflow to (re)print the expected digests::
+``capture_flows`` covers what neither of those creates: bulk fluid flows
+(``repro.phys.flows``), hashed by their result payloads and every
+flow's progress log.
+
+All three are also import-run as a script by the maintenance workflow
+to (re)print the expected digests::
 
     PYTHONPATH=src python -m tests.experiments._golden_fp
 """
@@ -72,6 +76,55 @@ def capture_fig4(seed: int = 0) -> str:
     return h.hexdigest()
 
 
+def capture_flows(seed: int = 0) -> str:
+    """Results and per-flow progress logs of three small bulk-flow runs.
+
+    * fig6: one SCP stream paused, resumed and re-pathed across a VM
+      migration;
+    * fig8 without shortcuts, 200 jobs: PBS/NFS staging churn, up to 8
+      live flows;
+    * table3's 30-worker configuration with shortcuts, 24 taxa: NFS
+      flows under per-flow rate caps, up to 11 live flows.
+    """
+    from repro.experiments import fig6_scp_migration, fig8_meme_histogram
+    from repro.experiments import table3_fastdnaml
+    from repro.experiments.common import make_testbed
+    from repro.phys.flows import FlowManager
+
+    created = []
+    orig_add = FlowManager.add
+
+    def add(self, flow):
+        created.append(flow)
+        orig_add(self, flow)
+
+    def table3():
+        setup = make_testbed(seed=seed, scale=0.5, shortcuts=True)
+        setup.calib.fastdnaml_taxa = 24
+        workload = table3_fastdnaml.FastDnamlWorkload(
+            setup.calib, setup.sim.rng.stream("t3"))
+        return table3_fastdnaml.parallel_time(setup, 30, workload)
+
+    runs = (lambda: fig6_scp_migration.run(seed=seed, scale=0.5),
+            lambda: fig8_meme_histogram.run_one(False, seed=seed, scale=0.5,
+                                                n_jobs=200),
+            table3)
+    h = hashlib.sha256()
+    FlowManager.add = add
+    try:
+        for run in runs:
+            created.clear()
+            h.update(repr(run()).encode())
+            # names are left out: PVM numbers its tasks from a
+            # process-global counter, so they depend on what ran before
+            for f in created:
+                h.update(repr((f.size, f.start_time, f.finish_time,
+                               f.completed, f.progress_log)).encode())
+    finally:
+        FlowManager.add = orig_add
+    return h.hexdigest()
+
+
 if __name__ == "__main__":  # pragma: no cover - maintenance helper
     import time
     t0 = time.time()
@@ -79,5 +132,8 @@ if __name__ == "__main__":  # pragma: no cover - maintenance helper
     t1 = time.time()
     f = capture_fig4()
     t2 = time.time()
+    fl = capture_flows()
+    t3 = time.time()
     print(f"CHURN_FP = \"{c}\"  # {t1 - t0:.1f}s")
     print(f"FIG4_FP = \"{f}\"  # {t2 - t1:.1f}s")
+    print(f"FLOWS_FP = \"{fl}\"  # {t3 - t2:.1f}s")

@@ -1,8 +1,8 @@
-"""Incremental fairness: scoped recomputation, coalescing, early returns.
+"""Coalesced fairness recomputation and its early returns.
 
-The invariant throughout: incremental (component-scoped, coalesced)
-recomputation must produce exactly the rates a full progressive-filling
-pass over all flows would.
+The invariant throughout: a coalesced flush (one water-fill per burst of
+mutations) must produce exactly the rates an immediate progressive-filling
+pass over all flows would — no mutation may be lost.
 """
 
 import pytest
@@ -16,6 +16,19 @@ from repro.sim import Simulator
 def mgr():
     sim = Simulator(seed=7, trace=False)
     return sim, FlowManager(sim)
+
+
+def _count_solves(fm: FlowManager) -> list[int]:
+    """Count the manager's water-fill solves from now on."""
+    calls = [0]
+    solve = fm._solve
+
+    def counted():
+        calls[0] += 1
+        solve()
+
+    fm._solve = counted
+    return calls
 
 
 def _full_rates(fm: FlowManager) -> dict[str, float]:
@@ -33,14 +46,11 @@ def test_disjoint_component_rates_untouched(mgr):
     assert fa.rate == pytest.approx(100.0)
     assert fb.rate == pytest.approx(60.0)
 
-    full_before = fm.full_recomputes
     # mutate only component b from inside an event
     sim.schedule(1.0, lambda: Flow(fm, "fb2", 1e9, [rb]))
     sim.run(until=2.0)
     assert fb.rate == pytest.approx(30.0)
     assert fa.rate == pytest.approx(100.0)
-    assert fm.full_recomputes == full_before  # scoped, not global
-    assert fm.scoped_recomputes > 0
 
 
 def test_set_capacity_on_idle_resource_skips_recompute(mgr):
@@ -48,10 +58,10 @@ def test_set_capacity_on_idle_resource_skips_recompute(mgr):
     idle = Resource("idle", 10.0)
     busy = Resource("busy", 100.0)
     f = Flow(fm, "f", 1e9, [busy])
-    scoped, full = fm.scoped_recomputes, fm.full_recomputes
+    solves = _count_solves(fm)
     idle.set_capacity(500.0, fm)
     assert idle.capacity == 500.0
-    assert (fm.scoped_recomputes, fm.full_recomputes) == (scoped, full)
+    assert solves == [0]
     # a flow admitted over it later still sees the new capacity
     g = Flow(fm, "g", 1e9, [idle])
     assert g.rate == pytest.approx(500.0)
@@ -75,11 +85,11 @@ def test_mutations_in_one_event_coalesce_into_one_flush(mgr):
         for i in range(8):
             flows.append(Flow(fm, f"f{i}", 1e9, [r]))
 
-    before = fm.scoped_recomputes + fm.full_recomputes
+    solves = _count_solves(fm)
     sim.schedule(1.0, burst)
     sim.run(until=1.5)
     # one flush for the whole burst, not one per admission
-    assert fm.scoped_recomputes + fm.full_recomputes == before + 1
+    assert solves == [1]
     for f in flows:
         assert f.rate == pytest.approx(120.0 / 8)
 
@@ -108,21 +118,6 @@ def test_completion_rebalances_only_its_component(mgr):
     assert short.completed
     assert long_a.rate == pytest.approx(100.0)  # inherited released share
     assert long_b.rate == pytest.approx(80.0)
-
-
-def test_bottleneck_passes_counted_per_water_fill(mgr):
-    """Each flush counts one scoped recompute but may take several
-    bottleneck-scoped water-fill passes when unhappy frozen flows pull
-    their paths into scope; a clean single-bottleneck mutation takes
-    exactly one pass."""
-    sim, fm = mgr
-    r = Resource("r", 100.0)
-    Flow(fm, "f", 1e9, [r])
-    scoped, passes = fm.scoped_recomputes, fm.bottleneck_recomputes
-    sim.schedule(1.0, lambda: Flow(fm, "g", 1e9, [r]))
-    sim.run(until=2.0)
-    assert fm.scoped_recomputes == scoped + 1
-    assert fm.bottleneck_recomputes == passes + 1
 
 
 def test_incremental_matches_full_recompute_after_repath(mgr):
@@ -190,7 +185,6 @@ def test_mutating_a_cancelled_flow_is_inert(mgr):
     f0.set_path([r])
     f0.pause()
     f0.resume()
-    f0.set_rate_cap(10.0)
     assert r.flows == {f1}
     assert not f0.paused
     assert f1.rate == pytest.approx(50.0)

@@ -25,7 +25,7 @@ from repro.brunet.messages import (
     PingRequest,
     RoutedPacket,
 )
-from repro.brunet.uri import Uri
+from repro.brunet.uri import MAX_LEARNED_URIS, Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.ipop.vtcp import Segment
 from repro.obs.spans import TraceRef
@@ -272,6 +272,21 @@ def test_unknown_conn_type_is_a_decode_error(msg_type):
             lazy = codec.decode_lazy(encode(pkt))
             with pytest.raises(DecodeError, match="connection type"):
                 codec.materialize(lazy.payload)
+
+
+def test_uri_list_longer_than_any_sender_builds_is_a_decode_error():
+    """Every sender builds its URI list with ``UriSet.advertised()``: at
+    most ``MAX_LEARNED_URIS`` learned URIs plus the local one.  A longer
+    count is hostile and must fail typed, not make the decoder build up to
+    65 535 URIs."""
+    rng = random.Random(13)
+    uris = [_uri(rng) for _ in range(MAX_LEARNED_URIS + 2)]
+    assert len(uris) == 6
+    with pytest.raises(DecodeError, match="URI"):
+        decode(encode(LinkRequest(1, _addr(rng), uris, _conn_type(rng))))
+    most = uris[:MAX_LEARNED_URIS + 1]
+    msg = LinkRequest(2, _addr(rng), most, _conn_type(rng))
+    assert decode(encode(msg)) == msg
 
 
 def test_nesting_deeper_than_the_stack_is_a_decode_error():
