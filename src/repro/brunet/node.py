@@ -9,16 +9,15 @@ On a transport that carries frames (``Transport.carries_frames``) the
 common routed packets never become objects here: :meth:`send_routed`
 launches an untraced ``exact`` packet as one ``wire.encode_origin``
 frame, and :meth:`_on_datagram` classifies a received frame from its
-bytes — transit (``wire.transit_view`` → :meth:`_cut_through`), a
-tunnelled IP packet that has arrived (``wire.deliver_view`` →
-:meth:`_deliver_ip`) — and only the rest is decoded and walks
-:meth:`route` / :meth:`send_over` / :meth:`_deliver`, the path every
-packet takes on a transport that carries objects.  Each byte path does
-the object path's bookkeeping to the counter (DESIGN.md §5.3).
-Keep-alives are one protocol in two framings: on such a transport they
-leave as ``wire.ping_frame`` / ``wire.ping_reply_frame`` bytes and are
-read with ``wire.ping_view`` / ``wire.ping_reply_view``; the handlers
-work on the fields either way.
+bytes with one ``wire.frame_view`` call — transit (→ :meth:`_cut_through`),
+a tunnelled IP packet that has arrived (→ :meth:`_deliver_ip`) or a
+keep-alive — and only the rest is decoded and walks :meth:`route` /
+:meth:`send_over` / :meth:`_deliver`, the path every packet takes on a
+transport that carries objects.  Each byte path does the object path's
+bookkeeping to the counter (DESIGN.md §5.3).  Keep-alives are one
+protocol in two framings: on such a transport they leave as
+``wire.ping_frame`` / ``wire.ping_reply_frame`` bytes; the handlers work
+on the fields either way.
 """
 
 from __future__ import annotations
@@ -536,28 +535,23 @@ class BrunetNode:
             return
         if type(payload) is bytes:
             # a codec transport hands routed and keep-alive frames over
-            # undecoded; a view that declines one leaves it to decode_lazy
-            tag = payload[1] if len(payload) > 1 else None
-            if tag == codec.T_PING_REQUEST:
-                ping = wire.ping_view(payload)
-                if ping is not None:
-                    self._handle_ping_request(*ping, src)
+            # undecoded; frame_view classifies one for its byte path, and
+            # a frame no byte path takes goes to decode_lazy
+            view = wire.frame_view(payload, self._addr_bytes)
+            kind = view[0] if view is not None else None
+            if kind == codec.T_PING_REQUEST:
+                self._handle_ping_request(view[1], view[2], src)
+                return
+            if kind == codec.T_PING_REPLY:
+                self._handle_ping_reply(view[1], view[2], view[3], view[4],
+                                        src)
+                return
+            if kind == codec.T_ROUTED:
+                if self._cut_through(payload, view):
                     return
-            elif tag == codec.T_PING_REPLY:
-                pong = wire.ping_reply_view(payload)
-                if pong is not None:
-                    self._handle_ping_reply(*pong, src)
-                    return
-            else:
-                view = wire.transit_view(payload, self._addr_bytes)
-                if view is not None:
-                    if self._cut_through(payload, view):
-                        return
-                elif self.ip_handler is not None:
-                    arrived = wire.deliver_view(payload, self._addr_bytes)
-                    if arrived is not None:
-                        self._deliver_ip(*arrived)
-                        return
+            elif kind == codec.T_IP_ENCAP and self.ip_handler is not None:
+                self._deliver_ip(view[1], view[2], view[3])
+                return
             try:
                 payload = wire.decode_lazy(payload)
             except wire.DecodeError:
@@ -594,7 +588,7 @@ class BrunetNode:
         passes through here, without a decode, a ``RoutedPacket`` or an
         encode.  False at a local minimum — :meth:`route` then delivers
         or drops the decoded packet."""
-        (dest, exclude_dest_link, approach, size, previous_hop,
+        (_, dest, exclude_dest_link, approach, size, previous_hop,
          _hops, _via_count) = view
         conn = next_hop(self.table, self.addr, dest, exclude_dest_link,
                         approach)
@@ -616,7 +610,7 @@ class BrunetNode:
 
     def _deliver_ip(self, previous_hop: Optional[BrunetAddress], hops: int,
                     encap: IpEncap) -> None:
-        """Hand over a tunnelled IP packet that :func:`wire.deliver_view`
+        """Hand over a tunnelled IP packet that :func:`wire.frame_view`
         decoded from an arrived frame: the bookkeeping of
         :meth:`_on_datagram` + :meth:`route` + :meth:`_deliver` without a
         ``RoutedPacket``, a via list or a second parse."""

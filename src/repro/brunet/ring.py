@@ -3,10 +3,12 @@
 The per-simulation counterpart of the per-node ring view in
 :class:`~repro.brunet.table.ConnectionTable`: a sorted array of 160-bit
 addresses (plain ints) with a parallel payload array, maintained
-incrementally as nodes join and leave.  Census paths (`stats.survey`,
-`Deployment.ring_consistent`), invariant sweeps and the scaling
-experiments ask it for true successors/predecessors in O(log n) instead
-of re-sorting the node registry per query.
+incrementally as nodes join and leave.  ``Deployment`` keeps its nodes
+here, so the census paths (``stats.survey``,
+``Deployment.ring_consistent``) read them in ring order from
+:attr:`RingIndex.items` instead of re-sorting the node registry per
+call; :meth:`RingIndex.successor` answers a true-successor query in
+O(log n).
 
 Insertion keeps the arrays sorted with ``list.insert`` — O(n) element
 moves, but a single C-level memmove; across a 10k-node bring-up that is
@@ -16,10 +18,9 @@ milliseconds, against the former O(n log n) sort *per census call*.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
-from repro.brunet.address import (nearest_index, predecessor_index,
-                                  successor_index)
+from repro.brunet.address import successor_index
 
 
 class RingIndex:
@@ -67,37 +68,10 @@ class RingIndex:
         return True
 
     # -- queries -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._addrs)
-
-    def __contains__(self, addr: int) -> bool:
-        a = int(addr)
-        i = bisect_left(self._addrs, a)
-        return i < len(self._addrs) and self._addrs[i] == a
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-    @property
-    def addrs(self) -> list[int]:
-        """The sorted address array itself (do not mutate)."""
-        return self._addrs
-
     @property
     def items(self) -> list[Any]:
         """Payloads in address order (do not mutate)."""
         return self._items
-
-    def get(self, addr: int) -> Optional[Any]:
-        a = int(addr)
-        i = bisect_left(self._addrs, a)
-        if i < len(self._addrs) and self._addrs[i] == a:
-            return self._items[i]
-        return None
-
-    def rank(self, addr: int) -> int:
-        """Number of indexed addresses strictly below ``addr``."""
-        return bisect_left(self._addrs, int(addr))
 
     def successor(self, addr: int) -> Optional[Any]:
         """Payload of the first address clockwise *after* ``addr``
@@ -110,50 +84,6 @@ class RingIndex:
         if self._addrs[i] == a:
             i = (i + 1) % n
         return self._items[i]
-
-    def predecessor(self, addr: int) -> Optional[Any]:
-        """Payload of the nearest address counter-clockwise of ``addr``
-        (exclusive)."""
-        if not self._addrs:
-            return None
-        return self._items[predecessor_index(self._addrs, int(addr))]
-
-    def nearest(self, addr: int) -> Optional[Any]:
-        """Payload nearest to ``addr`` by ring distance (ties to the
-        lower address, inclusive of ``addr`` itself)."""
-        if not self._addrs:
-            return None
-        return self._items[nearest_index(self._addrs, int(addr))]
-
-    def neighbors(self, addr: int, per_side: int = 1) -> list[Any]:
-        """Up to ``per_side`` members on each side of ``addr``
-        (exclusive), clockwise picks first — the global-index analogue of
-        :meth:`ConnectionTable.neighbors_of`."""
-        addrs = self._addrs
-        n = len(addrs)
-        if n == 0:
-            return []
-        a = int(addr)
-        start = bisect_left(addrs, a)
-        out: list[Any] = []
-        seen: set[int] = set()
-        i, taken, steps = start % n, 0, 0
-        while taken < per_side and steps < n:
-            if addrs[i] != a and addrs[i] not in seen:
-                seen.add(addrs[i])
-                out.append(self._items[i])
-                taken += 1
-            i = (i + 1) % n
-            steps += 1
-        i, taken, steps = (start - 1) % n, 0, 0
-        while taken < per_side and steps < n:
-            if addrs[i] != a and addrs[i] not in seen:
-                seen.add(addrs[i])
-                out.append(self._items[i])
-                taken += 1
-            i = (i - 1) % n
-            steps += 1
-        return out
 
 
 __all__ = ["RingIndex"]

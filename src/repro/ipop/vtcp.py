@@ -15,9 +15,12 @@ fires after the current instant's events; live, after the next I/O
 poll, which is when a drained socket has handed over a whole window
 (:mod:`repro.transport.udp`).  No ACK waits on a clock, so no round trip
 grows.  An out-of-order, duplicate or gap-filling segment is acked at
-once (RFC 5681 §4.2), and that ACK covers a pending one.  The FIN takes
-sequence number ``snd_next``, so its ACK (``seq + 1``) cannot be mistaken
-for a late data ACK.
+once (RFC 5681 §4.2), and that ACK covers a pending one.  A segment past
+the receive window (``rcv_next + DEFAULT_WINDOW`` or later, which no
+honest sender reaches) is acked the same way but dropped and counted on
+``ipop.vtcp_window_drops``, so a peer cannot grow the reorder buffer.
+The FIN takes sequence number ``snd_next``, so its ACK (``seq + 1``)
+cannot be mistaken for a late data ACK.
 
 Bulk data still uses :class:`~repro.ipop.transfer.OverlayTransfer` (a fluid
 flow); VTCP is for *control* streams, where per-segment semantics matter.
@@ -80,6 +83,8 @@ class VtcpSocket:
         # receive side
         self.rcv_next = 0
         self._reorder: dict[int, Segment] = {}
+        self._m_window_drops = self.sim.obs.metrics.counter(
+            "ipop.vtcp_window_drops", node=router.node.name)
         self._ack_timer = None
         # signals
         self.established = Signal(self.sim, "vtcp.established", latch=True)
@@ -262,7 +267,12 @@ class VtcpSocket:
         # in order: acked with the rest of its receive batch; out of
         # order, duplicate or gap-filling: acked at once
         batched = seg.seq == self.rcv_next and not self._reorder
-        if seg.seq >= self.rcv_next:
+        if seg.seq >= self.rcv_next + DEFAULT_WINDOW:
+            # past the receive window: an honest sender's unacked seqs are
+            # [snd_una, snd_next), at most DEFAULT_WINDOW long, and
+            # rcv_next >= snd_una, so only a hostile peer sends this
+            self._m_window_drops.value += 1
+        elif seg.seq >= self.rcv_next:
             self._reorder[seg.seq] = seg
             while self.rcv_next in self._reorder:
                 ready = self._reorder.pop(self.rcv_next)

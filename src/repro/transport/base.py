@@ -15,12 +15,11 @@ codec transport hands a *routed* frame (tag ``T_ROUTED``) or a
 *keep-alive* frame (``T_PING_REQUEST``, ``T_PING_REPLY``; together
 :data:`repro.wire.codec.BYTE_PATH_TAGS`) to the handler as the received
 ``bytes``, undecoded, after counting it as received.  The node then
-forwards a routed frame as bytes (:func:`repro.wire.transit_view` +
-:func:`repro.wire.patch_forward` + :meth:`Transport.send_frame`: a
-transit hop builds no message object), takes a tunnelled IP packet out
-of it in one pass (:func:`repro.wire.deliver_view`), reads a keep-alive
-with :func:`repro.wire.ping_view` / :func:`repro.wire.ping_reply_view`,
-or decodes the frame itself with :func:`repro.wire.decode_lazy`,
+classifies the frame with one :func:`repro.wire.frame_view` call and
+forwards a routed frame as bytes (:func:`repro.wire.patch_forward` +
+:meth:`Transport.send_frame`: a transit hop builds no message object),
+takes a tunnelled IP packet out of the same pass, reads a keep-alive's
+fields, or decodes the frame itself with :func:`repro.wire.decode_lazy`,
 counting a failure on the same ``wire.decode_error`` series.  A handler
 that is not a ``BrunetNode`` must therefore accept ``bytes`` for those
 frames.

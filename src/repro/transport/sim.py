@@ -15,6 +15,7 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
     decodes (or counts ``wire.decode_error`` and drops) — except an
     untraced routed or keep-alive frame, which goes to the node as bytes,
     exactly as :class:`~repro.transport.udp.UdpTransport` delivers it, so
+    the node classifies it with one :func:`repro.wire.frame_view` call,
     origins launch, transit hops patch and resend, and keep-alives are
     built and read as fixed-layout frames through
     :meth:`SimTransport.send_frame` (``carries_frames`` is True in this

@@ -3,15 +3,15 @@
 Every outbound message is framed by :mod:`repro.wire` (version byte, type
 tag, length-prefixed fields) and handed to the OS; every inbound datagram
 is decoded back into the protocol object the node layer expects — except
-a routed or keep-alive frame, which goes to the node as received bytes:
-a transit hop patches and resends a routed frame through
-:meth:`UdpTransport.send_frame` without a decode or an encode, a
-destination takes a tunnelled IP packet out of it in one pass, and a
-keep-alive is read and answered as fixed-layout bytes (the node decodes
-the rest itself); frames the node launches as bytes leave through
-``send_frame`` too.  A frame that fails to decode increments the
-``wire.decode_error`` counter and is dropped — malformed traffic never
-raises into the event loop.
+a routed or keep-alive frame, which goes to the node as received bytes
+for one :func:`repro.wire.frame_view` call: a transit hop patches and
+resends a routed frame through :meth:`UdpTransport.send_frame` without a
+decode or an encode, a destination takes a tunnelled IP packet out of
+the same pass, and a keep-alive is read and answered as fixed-layout
+bytes (the node decodes the rest itself); frames the node launches as
+bytes leave through ``send_frame`` too.  A frame that fails to decode
+increments the ``wire.decode_error`` counter and is dropped — malformed
+traffic never raises into the event loop.
 
 The transport owns its socket and registers it with the asyncio loop's
 selector (``add_reader``).  One wake-up drains the receive queue: it

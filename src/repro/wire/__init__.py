@@ -12,10 +12,11 @@ length-prefixed fields) for every protocol message, so that
 * byte accounting can charge the real ``len(encode(msg))`` instead of
   paper constants — see ``BrunetConfig.wire_mode``.
 
-Keep-alives and routed packets also have fixed-layout byte paths
-(``ping_frame`` / ``ping_view``, ``encode_origin`` / ``transit_view`` /
-``deliver_view``) that a transport carrying frames uses without building
-a message object.
+Keep-alives and routed packets also have fixed-layout byte paths that a
+transport carrying frames uses without building a message object:
+``ping_frame`` / ``ping_reply_frame`` and ``encode_origin`` build frames,
+``frame_view`` classifies a received one in a single pass, and
+``patch_forward`` forwards a frame in transit.
 
 Decode failures raise the typed :class:`DecodeError`; transports, and the
 node for the frames it takes as bytes, count them (``wire.decode_error``)
@@ -32,17 +33,14 @@ from repro.wire.codec import (
     address_bytes,
     decode,
     decode_lazy,
-    deliver_view,
     encode,
     encode_origin,
+    frame_view,
     materialize,
     patch_forward,
     peek_header,
     ping_frame,
     ping_reply_frame,
-    ping_reply_view,
-    ping_view,
-    transit_view,
 )
 from repro.wire.sizing import encap_overhead
 
@@ -55,16 +53,13 @@ __all__ = [
     "address_bytes",
     "decode",
     "decode_lazy",
-    "deliver_view",
     "encode",
     "encode_origin",
+    "frame_view",
     "materialize",
     "patch_forward",
     "peek_header",
     "ping_frame",
     "ping_reply_frame",
-    "ping_reply_view",
-    "ping_view",
-    "transit_view",
     "encap_overhead",
 ]

@@ -26,27 +26,25 @@ Version 2 is built for per-packet speed:
   ``bytes`` in place (any other buffer is copied to ``bytes`` first);
 * the :class:`RoutedPacket` frame is **header-first**: src/dest/size/
   flags/ttl/hops, then trace ids, then the via list, with the payload
-  sub-frame *last*.  One parse of that head (``_routed_head``) serves
-  the two readers that stop before the via list: :func:`peek_header`
-  (tooling and the ledger's wire drill) and :func:`transit_view`, which a node
-  calls on every routed frame it receives.  Plain transit traffic is
-  forwarded with :func:`patch_forward`, which splices ``hops + 1``,
-  ``via_count + 1`` and the node's own address into the received bytes,
-  so a transit hop builds no message object and never calls ``encode``.
-  The two ends of a tunnelled IP packet work on bytes too:
+  sub-frame *last*.  One parse of the envelope up to the via list
+  (``_routed_head``) serves ``decode``, :func:`decode_lazy` and
+  :func:`peek_header` (tooling and the ledger's wire drill);
+* the frames a node reads as bytes are classified once, by
+  :func:`frame_view`: a keep-alive's fields, a plain routed frame in
+  transit, which :func:`patch_forward` forwards by splicing ``hops + 1``,
+  ``via_count + 1`` and the node's own address into the received bytes
+  (no message object, no ``encode``), or a plain routed frame that has
+  arrived with a tunnelled IP packet, whose ``IpEncap`` it decodes in
+  the same pass.  The sending ends build bytes too:
   :func:`encode_origin` packs everything a launching node puts before
   the payload (version … ``via[0]``, 76 bytes) with one struct, and
-  :func:`deliver_view` hands the destination the previous hop, ``hops``
-  and the decoded ``IpEncap`` from one pass over an arrived frame.
-  Frames the views decline (other payloads, TTL expiry, traced, odd
-  flags, malformed) go through :func:`decode_lazy`, which defers the
-  payload to a zero-copy :class:`RawBody` slice that ``encode`` splices
-  back (:func:`materialize` decodes it at local delivery);
-* keep-alives, most of the control traffic, have fixed-layout byte
-  paths too: :func:`ping_frame` / :func:`ping_reply_frame` build a
-  ``PingRequest`` / ``PingReply`` frame with one struct pack (the reply
-  adds its observed URI's cached span and the ``known`` byte), and
-  :func:`ping_view` / :func:`ping_reply_view` read one in a single call;
+  :func:`ping_frame` / :func:`ping_reply_frame` a ``PingRequest`` /
+  ``PingReply`` frame with one struct pack (the reply adds its observed
+  URI's cached span and the ``known`` byte).  Frames the view declines
+  (control traffic, TTL expiry, traced, odd flags, malformed) go
+  through :func:`decode_lazy`, which defers a routed payload to a
+  zero-copy :class:`RawBody` slice that ``encode`` splices back
+  (:func:`materialize` decodes it at local delivery);
 * repeated *values* (addresses, URIs, short strings, a virtual-IP
   packet's three header strings) round-trip through seven bounded
   caches of immutable objects.  Nothing is cached per frame
@@ -64,9 +62,9 @@ inside one trust domain (do not decode frames from untrusted networks).
 
 Every decode failure — truncation, bad version, unknown tag, malformed
 UTF-8/pickle, a ``conn_type`` that names no ``ConnectionType``, trailing
-garbage — raises :class:`DecodeError` and nothing else (the header and
-keep-alive views return None instead, and the caller's ``decode_lazy``
-raises it).
+garbage — raises :class:`DecodeError` and nothing else
+(:func:`frame_view` returns None instead, and the caller's
+``decode_lazy`` raises it).
 The lazy path defers *body* validation to :func:`materialize`
 (a transit router does not validate payloads it merely forwards); the
 node layer counts a late body failure exactly like a transport decode
@@ -726,12 +724,13 @@ def _d_forward(buf: bytes, pos: int, n: int):
     return m, pos
 
 
-def _d_routed_env(buf: bytes, pos: int, n: int):
-    """Shared envelope parse: everything up to (not including) the
-    payload sub-frame.  Returns (packet-with-None-payload, payload_pos)."""
-    (src, dest, size, exact, excl, apc,
-     ttl, hops) = _RHDR.unpack_from(buf, pos - 1)[1:]
-    pos += _RHDR.size - 1
+def _routed_head(buf: bytes, pos: int, n: int):
+    """The one parse of a routed envelope's head, from its tag at ``pos``
+    up to the via list (:func:`_d_routed_env`, :func:`peek_header`):
+    (the raw ``_RHDR`` fields, approach, trace, via-count offset)."""
+    head = _RHDR.unpack_from(buf, pos)
+    pos += _RHDR.size
+    apc = head[6]
     if apc == _APPROACH_OTHER:
         approach, pos = _d_str(buf, pos, n)
     else:
@@ -739,7 +738,16 @@ def _d_routed_env(buf: bytes, pos: int, n: int):
             approach = _APPROACH_STR[apc]
         except IndexError:
             raise DecodeError(f"unknown approach code {apc}") from None
-    trace, pos = _d_trace(buf, pos, n)
+    if pos < n and not buf[pos]:
+        return head, approach, None, pos + 1    # untraced: no call
+    return (head, approach) + _d_trace(buf, pos, n)
+
+
+def _d_routed_env(buf: bytes, pos: int, n: int):
+    """Shared envelope parse: everything up to (not including) the
+    payload sub-frame.  Returns (packet-with-None-payload, payload_pos)."""
+    ((_, src, dest, size, exact, excl, _, ttl, hops),
+     approach, trace, pos) = _routed_head(buf, pos - 1, n)
     if pos + 2 > n:
         raise _trunc(2, pos, n)
     count = (buf[pos] << 8) | buf[pos + 1]
@@ -937,48 +945,6 @@ def ping_reply_frame(token: int, sender: bytes, observed: Endpoint,
                      span, b"\x01" if known else b"\x00"))
 
 
-def ping_view(buf: bytes) -> Optional[tuple]:
-    """``(token, sender_addr)`` of a ``PingRequest`` frame, or None when
-    ``buf`` is not exactly one of this wire version — the caller then
-    takes :func:`decode_lazy`, which reports what is wrong with it."""
-    if len(buf) != _PING.size:
-        return None
-    version, tag, token, raw = _PING.unpack(buf)
-    if version != WIRE_VERSION or tag != T_PING_REQUEST:
-        return None
-    a = _ADDR_DEC.get(raw)
-    if a is None:
-        a = _da(raw)
-    return token, a
-
-
-def ping_reply_view(buf: bytes) -> Optional[tuple]:
-    """``(token, sender_addr, observed_uri, known)`` of a ``PingReply``
-    frame, or None when ``buf`` is not one of this wire version that
-    :func:`decode` accepts.  A repeated observed URI is one cache lookup
-    on the bytes between the head and the ``known`` byte; anything else
-    gets :func:`decode`'s full URI parse and must end one byte before
-    the frame does."""
-    n = len(buf)
-    if n <= _PING.size:
-        return None
-    version, tag, token, raw = _PING.unpack_from(buf)
-    if version != WIRE_VERSION or tag != T_PING_REPLY:
-        return None
-    observed = _URI_DEC.get(buf[_PING.size:-1])
-    if observed is None:
-        try:
-            observed, end = _d_uri(buf, _PING.size, n)
-        except _MALFORMED:
-            return None
-        if end != n - 1:
-            return None
-    a = _ADDR_DEC.get(raw)
-    if a is None:
-        a = _da(raw)
-    return token, a, observed, buf[-1] != 0
-
-
 def _coerce(buf: Any) -> bytes:
     if type(buf) is bytes:
         return buf
@@ -1067,25 +1033,6 @@ def materialize(payload: Any) -> Any:
     return _parse(payload.buf, payload.off)
 
 
-def _routed_head(buf: bytes, n: int):
-    """Head of a top-level routed frame, for the two readers that stop
-    before the via list (:func:`peek_header`, :func:`transit_view`):
-    (the raw ``_RHDR`` fields, approach, trace)."""
-    head = _RHDR.unpack_from(buf, 1)
-    pos = 1 + _RHDR.size
-    apc = head[6]
-    if apc == _APPROACH_OTHER:
-        approach, pos = _d_str(buf, pos, n)
-    else:
-        try:
-            approach = _APPROACH_STR[apc]
-        except IndexError:
-            raise DecodeError(f"unknown approach code {apc}") from None
-    if pos < n and not buf[pos]:
-        return head, approach, None     # untraced: the common case, no call
-    return head, approach, _d_trace(buf, pos, n)[0]
-
-
 def peek_header(buf: Any) -> FrameHeader:
     """Parse only the routing header of a frame: version, type tag and —
     for RoutedPacket frames — src/dest, size, flags, ttl/hops and trace
@@ -1101,7 +1048,7 @@ def peek_header(buf: Any) -> FrameHeader:
         return FrameHeader(buf[0], tag)
     try:
         ((_, src, dest, size, exact, excl, _, ttl, hops),
-         approach, trace) = _routed_head(buf, len(buf))
+         approach, trace, _) = _routed_head(buf, 1, len(buf))
     except _StructError as exc:
         raise DecodeError(f"malformed frame: {exc}") from None
     return FrameHeader(buf[0], tag, _da(src), _da(dest), size, exact != 0,
@@ -1110,87 +1057,86 @@ def peek_header(buf: Any) -> FrameHeader:
                        trace.parent if trace else None)
 
 
-def transit_view(buf: bytes, mine: bytes) -> Optional[tuple]:
-    """Header view of a received frame for the node whose
-    :func:`address_bytes` are ``mine``: ``(dest, exclude_dest_link,
-    approach, size, previous_hop, hops, via_count)`` when the frame is
-    one a relay may forward as bytes with :func:`patch_forward`, else
-    None — the caller then takes the object path through
-    :func:`decode_lazy`, which also reports anything malformed.
+def frame_view(buf: bytes, mine: bytes) -> Optional[tuple]:
+    """Classify a frame that the node whose :func:`address_bytes` are
+    ``mine`` received as bytes, in one pass: ``(kind, *fields)`` when a
+    byte path takes it, else None — the caller then takes the object
+    path through :func:`decode_lazy`, which also reports anything
+    malformed.  ``kind`` is a tag:
 
-    Forwardable means: a routed frame of this wire version, not
-    addressed to this node (unless ``exclude_dest_link`` keeps it
-    moving) and not sent by it, ``hops < ttl``, approach
-    none/left/right, untraced, flag bytes 0 or 1 (anything else would
-    not re-encode to the same bytes), and a complete via list with at
-    least one payload byte after it.  The own-address test comes first,
-    so a frame that has arrived pays one slice compare and no parse.
+    * ``T_PING_REQUEST``: ``(kind, token, sender_addr)``;
+    * ``T_PING_REPLY``: ``(kind, token, sender_addr, observed_uri,
+      known)``;
+    * ``T_ROUTED``, a frame in transit that a relay forwards with
+      :func:`patch_forward`: ``(kind, dest, exclude_dest_link, approach,
+      size, previous_hop, hops, via_count)``;
+    * ``T_IP_ENCAP``, a frame that has arrived here carrying a tunnelled
+      IP packet: ``(kind, previous_hop, hops, encap)``, the ``IpEncap``
+      decoded in this same pass.
+
+    Each field is what :func:`decode` yields for the frame (for a frame
+    in transit, :func:`decode_lazy`).  Both routed kinds are *plain*:
+    approach none/left/right, untraced, flag bytes 0 or 1 (anything
+    else would not re-encode to the same bytes), ``hops < ttl`` and a
+    complete via list.  A frame in transit is not addressed
+    here (unless ``exclude_dest_link`` keeps it moving), not sent from
+    here and has a payload after its via list, which is not validated,
+    as on the object path; an arrived frame ends where its ``IpEncap``
+    does.  A repeated observed URI is one cache lookup on the bytes
+    between a reply's head and its ``known`` byte.
     """
+    n = len(buf)
     try:
-        if buf[_O_DEST:_O_DEST + ADDRESS_BYTES] == mine \
-                and not buf[_O_EXCLUDE]:
+        tag = buf[1]
+        if buf[0] != WIRE_VERSION:
             return None
-        if buf[0] != WIRE_VERSION or buf[1] != T_ROUTED:
+        if tag == T_PING_REQUEST:
+            _, _, token, raw = _PING.unpack(buf)    # exactly one head long
+            a = _ADDR_DEC.get(raw)
+            return T_PING_REQUEST, token, _da(raw) if a is None else a
+        if tag == T_PING_REPLY:
+            observed = _URI_DEC.get(buf[_PING.size:-1])
+            if observed is None:
+                observed, end = _d_uri(buf, _PING.size, n)
+                if end != n - 1:
+                    return None
+            _, _, token, raw = _PING.unpack_from(buf)
+            a = _ADDR_DEC.get(raw)
+            return (T_PING_REPLY, token, _da(raw) if a is None else a,
+                    observed, buf[-1] != 0)
+        if (tag != T_ROUTED or buf[_O_APPROACH] >= _APPROACH_OTHER
+                or buf[_O_TRACE]):
             return None
-        n = len(buf)
-        ((_, src, dest, size, exact, excl, apc, ttl, hops),
-         approach, trace) = _routed_head(buf, n)
-    except (DecodeError, _StructError, IndexError):
-        return None
-    if (trace is not None or apc == _APPROACH_OTHER or exact > 1 or excl > 1
-            or hops >= ttl or src == mine or n <= _O_VIA):
-        return None
-    count = (buf[_O_COUNT] << 8) | buf[_O_COUNT + 1]
-    end = _O_VIA + count * ADDRESS_BYTES
-    if end >= n or count == 0xFFFF:
-        return None
-    prev = _da(buf[end - ADDRESS_BYTES:end]) if count else None
-    return _da(dest), excl == 1, approach, size, prev, hops, count
-
-
-def deliver_view(buf: bytes, mine: bytes) -> Optional[tuple]:
-    """``(previous_hop, hops, payload)`` when ``buf`` is a plain routed
-    frame that has arrived at the node whose :func:`address_bytes` are
-    ``mine`` and carries a tunnelled IP packet — the decoded ``IpEncap``,
-    parsed in this one pass — else None: the caller then takes the
-    object path (:func:`decode_lazy`, ``route``, :func:`materialize`),
-    which delivers, drops and counts every other frame as always.
-
-    Plain means what it does for :func:`transit_view`: this wire
-    version, approach none/left/right, untraced, flag bytes 0 or 1,
-    ``hops < ttl``, a complete via list.  The payload tag is read before
-    anything is unpacked, so control frames pay a few byte tests; a body
-    that is malformed or leaves trailing bytes is None too, and
-    ``materialize`` reports it.
-    """
-    try:
-        if (buf[0] != WIRE_VERSION or buf[1] != T_ROUTED
-                or buf[_O_APPROACH] >= _APPROACH_OTHER or buf[_O_TRACE]):
-            return None
+        _, src, dest, size, exact, excl, apc, ttl, hops = \
+            _RHDR.unpack_from(buf, 1)
         count = (buf[_O_COUNT] << 8) | buf[_O_COUNT + 1]
         end = _O_VIA + count * ADDRESS_BYTES
+        if exact > 1 or excl > 1 or hops >= ttl or end >= n:
+            return None
+        if dest != mine or excl:
+            if src == mine or count == 0xFFFF:
+                return None
+            return (T_ROUTED, _da(dest), excl == 1, _APPROACH_STR[apc], size,
+                    _da(buf[end - ADDRESS_BYTES:end]) if count else None,
+                    hops, count)
         if buf[end] != T_IP_ENCAP:
             return None
-        _, _, dest, _, exact, excl, _, ttl, hops = _RHDR.unpack_from(buf, 1)
-        if dest != mine or excl or exact > 1 or hops >= ttl:
-            return None
-        n = len(buf)
-        payload, pos = _d_ip_encap(buf, end + 1, n)
+        encap, pos = _d_ip_encap(buf, end + 1, n)
     except _MALFORMED:
         return None
     if pos != n:
         return None
-    return (_da(buf[end - ADDRESS_BYTES:end]) if count else None,
-            hops, payload)
+    return (T_IP_ENCAP, _da(buf[end - ADDRESS_BYTES:end]) if count else None,
+            hops, encap)
 
 
 def patch_forward(buf: bytes, view: tuple, mine: bytes) -> bytes:
     """The frame the relay with :func:`address_bytes` ``mine`` sends on
-    for a received frame ``buf`` whose :func:`transit_view` is ``view``:
-    the same bytes with ``hops + 1``, ``via_count + 1`` and ``mine``
-    appended to the via list — exactly what ``encode`` gives for the
-    lazily decoded packet after ``BrunetNode.send_over`` has stamped
-    it."""
+    for a received frame ``buf`` whose :func:`frame_view` is the
+    ``T_ROUTED`` ``view``: the same bytes with ``hops + 1``,
+    ``via_count + 1`` and ``mine`` appended to the via list — exactly
+    what ``encode`` gives for the lazily decoded packet after
+    ``BrunetNode.send_over`` has stamped it."""
     hops, count = view[-2:]
     end = _O_VIA + count * ADDRESS_BYTES
     return b"".join((buf[:_O_HOPS], _FWD_PATCH.pack(hops + 1, 0, count + 1),

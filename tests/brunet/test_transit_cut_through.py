@@ -2,14 +2,14 @@
 
 A node on a frame-carrying transport handles the common routed frames
 as bytes: it launches an untraced ``exact`` packet with
-``wire.encode_origin``, forwards a transit frame with
-``wire.transit_view`` + ``wire.patch_forward``, and takes delivery of a
-tunnelled IP packet through ``wire.deliver_view`` — each time through
-``Transport.send_frame`` or straight into ``ip_handler``, with no
-``RoutedPacket``.  Everything else, and every node on a transport that
-carries objects, takes the object path: ``decode_lazy`` →
-``_on_datagram`` → ``route`` → ``send_over`` / ``_deliver`` →
-``encode``, the only path there was before.
+``wire.encode_origin``, and ``wire.frame_view`` classifies a frame it
+receives: a transit frame is forwarded with ``wire.patch_forward``, and
+a tunnelled IP packet that has arrived is taken out of the same pass —
+each time through ``Transport.send_frame`` or straight into
+``ip_handler``, with no ``RoutedPacket``.  Everything else, and every
+node on a transport that carries objects, takes the object path:
+``decode_lazy`` → ``_on_datagram`` → ``route`` → ``send_over`` /
+``_deliver`` → ``encode``, the only path there was before.
 
 Both must be indistinguishable from outside.  Two identical nodes with
 the same fixed table get the same input — ``byte`` as a codec transport
@@ -54,6 +54,7 @@ from repro.transport.udp import UdpTransport
 from tests.conftest import stub_socket
 
 TTL = 24
+T_ROUTED, T_IP_ENCAP = wire.codec.T_ROUTED, wire.codec.T_IP_ENCAP
 SRC = Endpoint("192.0.2.9", 9)
 KINDS = [ConnectionType.STRUCTURED_NEAR, ConnectionType.STRUCTURED_NEAR,
          ConnectionType.STRUCTURED_FAR, ConnectionType.SHORTCUT,
@@ -250,19 +251,31 @@ def _frame(rng: random.Random, pair: Pair, traced: bool = False,
     return wire.encode(pkt)
 
 
+def _transit(buf: bytes, mine: bytes):
+    """The fields ``wire.frame_view`` gives a frame in transit, else None."""
+    view = wire.frame_view(buf, mine)
+    return view[1:] if view is not None and view[0] == T_ROUTED else None
+
+
+def _delivery(buf: bytes, mine: bytes):
+    """The fields ``wire.frame_view`` gives an arrived tunnelled IP
+    packet, else None."""
+    view = wire.frame_view(buf, mine)
+    return view[1:] if view is not None and view[0] == T_IP_ENCAP else None
+
+
 @pytest.fixture
 def delivered_as_bytes(monkeypatch) -> list:
-    """Every non-None ``wire.deliver_view`` result, as the node got it."""
+    """Every tunnelled IP packet a node took delivery of as bytes, as
+    ``wire.frame_view`` gave it to the node."""
     taken = []
-    real = wire.deliver_view
+    real = BrunetNode._deliver_ip
 
-    def counted(buf, mine):
-        view = real(buf, mine)
-        if view is not None:
-            taken.append(view)
-        return view
+    def counted(node, *view):
+        taken.append(view)
+        return real(node, *view)
 
-    monkeypatch.setattr(wire, "deliver_view", counted)
+    monkeypatch.setattr(BrunetNode, "_deliver_ip", counted)
     return taken
 
 
@@ -319,11 +332,11 @@ def test_cut_through_output_is_what_encode_would_send():
     accepted = 0
     for _ in range(400):
         buf = _frame(rng, pair)
-        view = wire.transit_view(buf, mine)
+        view = _transit(buf, mine)
         if view is None:
             continue
         accepted += 1
-        assert wire.deliver_view(buf, mine) is None
+        assert _delivery(buf, mine) is None
         pkt = wire.decode_lazy(buf)
         assert view == (pkt.dest, pkt.exclude_dest_link, pkt.approach,
                         pkt.size, pkt.via[-1] if pkt.via else None,
@@ -349,11 +362,11 @@ def test_deliver_view_is_what_decode_would_deliver():
         plain = (pkt.dest == me and not pkt.exclude_dest_link
                  and pkt.approach != "sideways" and pkt.hops < pkt.ttl
                  and type(pkt.payload) is IpEncap)
-        view = wire.deliver_view(buf, mine)
+        view = _delivery(buf, mine)
         assert (view is not None) == plain
         if plain:
             accepted += 1
-            assert wire.transit_view(buf, mine) is None
+            assert _transit(buf, mine) is None
             assert view == (pkt.via[-1] if pkt.via else None, pkt.hops,
                             pkt.payload)
             # a flag byte the encoder never writes: delivery would not
@@ -361,7 +374,7 @@ def test_deliver_view_is_what_decode_would_deliver():
             odd = bytearray(buf)
             odd[wire.codec._O_EXCLUDE - 1] = 2
             assert wire.decode(bytes(odd)).payload == pkt.payload
-            assert wire.deliver_view(bytes(odd), mine) is None
+            assert _delivery(bytes(odd), mine) is None
     assert accepted > 100
 
 
@@ -374,7 +387,7 @@ def test_string_approach_is_never_patched_at_the_coded_offsets():
     pkt = RoutedPacket(src=pair.addrs[2], dest=peer, payload=bytes(60_000),
                        size=10, approach="sideways", ttl=TTL)
     buf = wire.encode(pkt)
-    assert wire.transit_view(buf, wire.address_bytes(me)) is None
+    assert _transit(buf, wire.address_bytes(me)) is None
     assert pair.feed(buf) == 0
     assert pair.byte.stats["forwarded"] == 1
 
@@ -396,7 +409,7 @@ def test_string_approach_is_never_delivered_at_the_coded_offsets(
     pkt.payload = bytes(end - len(probe)) + wire.encode(IpEncap(None, 0))[1:]
     buf = wire.encode(pkt)
     assert buf[end] == codec.T_IP_ENCAP and len(buf) == end + 6
-    assert wire.deliver_view(buf, wire.address_bytes(me)) is None
+    assert _delivery(buf, wire.address_bytes(me)) is None
     assert pair.feed(buf) == 0
     assert delivered_as_bytes == [] and pair.byte.stats["delivered"] == 1
 
@@ -452,7 +465,7 @@ def test_hostile_every_truncation_and_single_byte_corruption():
     rng = random.Random(9)
     pair = Pair(9)
     sent, fed = _hostile(rng, pair,
-                         _corpus(rng, pair, wire.transit_view, 14))
+                         _corpus(rng, pair, _transit, 14))
     errors = pair.byte.sim.obs.metrics.counter("wire.decode_error",
                                                node="relay").value
     assert errors > 1000            # malformed frames reached decode_lazy
@@ -464,7 +477,7 @@ def test_hostile_delivery_every_truncation_and_single_byte_corruption(
     rng = random.Random(13)
     pair = Pair(13)
     _sent, fed = _hostile(rng, pair,
-                          _corpus(rng, pair, wire.deliver_view, 10))
+                          _corpus(rng, pair, _delivery, 10))
     stats = pair.byte.stats
     # malformed bodies reached materialize, malformed envelopes
     # decode_lazy, and harmless corruptions were delivered as bytes

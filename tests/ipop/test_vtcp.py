@@ -170,7 +170,7 @@ def _receiver():
     sim = Simulator(seed=0)
     sent = []
     router = SimpleNamespace(
-        node=SimpleNamespace(sim=sim),
+        node=SimpleNamespace(sim=sim, name="n0"),
         send_ip=lambda ip, proto, port, payload, size: sent.append(
             payload[1]))
     sock = VtcpSocket(router, 7000)

@@ -1,8 +1,10 @@
-"""VTCP edge cases: strays, SYN give-up, duplicate SYN, listener close."""
+"""VTCP edge cases: strays, SYN give-up, duplicate SYN, listener close,
+far-ahead segments past the receive window."""
 
 import pytest
 
-from repro.ipop.vtcp import MAX_SYN_RETRIES, RTO_MAX, Segment, VtcpStack
+from repro.ipop.vtcp import (DEFAULT_WINDOW, MAX_SYN_RETRIES, RTO_MAX,
+                             Segment, VtcpStack)
 from tests.conftest import make_mini_testbed
 
 
@@ -91,3 +93,32 @@ def test_messages_survive_loss_via_retransmission(bed):
     sim.run(until=sim.now + RTO_MAX + 60)
     assert got == list(range(10))
     assert client.retransmissions > 0
+
+
+def test_far_ahead_segments_are_dropped_past_the_receive_window(bed):
+    """An honest sender's unacked seqs are ``[snd_una, snd_next)``, at most
+    ``DEFAULT_WINDOW`` long, and ``rcv_next >= snd_una``: nothing it sends
+    lies past ``rcv_next + DEFAULT_WINDOW``.  A peer that sends far-ahead
+    seqs anyway must not grow the reorder buffer: each such segment is
+    dropped, counted and acked at once."""
+    sim, tb = bed
+    got = []
+    server = VtcpStack(tb.vm(12).router).socket(9500, on_message=got.append)
+    server.listen()
+    client = VtcpStack(tb.vm(13).router).socket(9501)
+    client.connect(tb.vm(12).virtual_ip, 9500)
+    sim.run(until=sim.now + 10)
+    assert server.state == "ESTABLISHED"
+    drops = sim.obs.metrics.counter("ipop.vtcp_window_drops",
+                                    node=tb.vm(12).node.name)
+    before, acked = drops.value, client.snd_una
+    start = server.rcv_next + DEFAULT_WINDOW
+    for seq in range(start, start + 10_000):
+        server.handle_segment(client.router.virtual_ip, 9501,
+                              Segment(seq, 0, "DATA", "far", 100))
+    assert len(server._reorder) <= DEFAULT_WINDOW
+    assert drops.value - before == 10_000
+    # the stream itself is untouched: what the client sends still arrives
+    client.send("next")
+    sim.run(until=sim.now + 10)
+    assert got == ["next"] and client.snd_una == acked + 1

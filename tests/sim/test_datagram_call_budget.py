@@ -60,9 +60,9 @@ KEEPALIVE_BUDGET = 38
 #: layouts (75 when they crossed ``encode`` / ``decode_lazy`` as objects)
 TICK_EXCHANGE_MEASURED = {"reference": 41, "codec": 42}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
-TRANSIT_MEASURED = 20
+TRANSIT_MEASURED = 19
 #: one zero-hop ``Pinger`` echo: timer → request → reply → handler
-ECHO_MEASURED = 87
+ECHO_MEASURED = 71
 #: ``Simulator._head`` calls per fired event on the warm ring (0 measured:
 #: no tombstone reaches the head in the window; a peek-then-step loop
 #: adds two per event)
@@ -122,7 +122,7 @@ def test_tick_driven_keepalive_exchange_stays_inside_its_call_budget(
     """One ``_ping_tick`` on A with its link silent, then the run that
     carries the request to B and the reply back.  In codec mode the
     frames are ``wire.ping_frame`` / ``ping_reply_frame`` bytes read by
-    ``ping_view`` / ``ping_reply_view``; the liveness backstop is off so
+    ``wire.frame_view``; the liveness backstop is off so
     that a link silent for a whole ``ping_interval`` is pinged, not
     dropped."""
     sim, (a, b) = _linked_nodes(("10.128.0.2", "10.128.0.3"),

@@ -9,6 +9,10 @@ other references a reader follows:
   ``benchmarks/`` or ``examples/``;
 * every backticked ``repro.x[.y]`` imports, and the rest of the dotted
   name resolves as attributes;
+* every backticked call of a codec function, ``wire.<name>(`` or
+  ``codec.<name>(``, names an attribute of ``repro.wire`` or
+  ``repro.wire.codec`` (a metric such as ``wire.decode_error`` is no
+  call, so it is not read as one);
 * every ``DESIGN.md §N[.M]`` citation in ``src/``, ``tests/`` and
   ``DOCS``, and every bare ``§N[.M]`` inside DESIGN.md, names a heading
   of DESIGN.md.
@@ -34,6 +38,9 @@ SEARCHED = ("src", "tests", "benchmarks", "examples")
 SPAN = re.compile(r"`([^`\n]+)`")
 PY_PATH = re.compile(r"([\w./-]+\.py)(?::\d+(?:[–-]\d+)?|::(\w+))?")
 MODULE = re.compile(r"repro(?:\.\w+)+")
+#: a call of a codec function by its short module name
+CALL = re.compile(r"(?<![\w.])(wire|codec)\.(\w+)\(")
+CALLED = {"wire": "repro.wire", "codec": "repro.wire.codec"}
 CITATION = re.compile(r"DESIGN\.md\s+(§[\d.]+(?:(?:,\s*|\s+and\s+)§[\d.]+)*)")
 SECTION = re.compile(r"§(\d+(?:\.\d+)*)")
 #: a bare ``§N`` in DESIGN.md that is not one of its own sections
@@ -91,6 +98,15 @@ def missing_name(dotted: str) -> str | None:
     return f"no module {parts[0]}"
 
 
+def missing_call(span: str) -> str | None:
+    """Why a ``wire.<name>(`` / ``codec.<name>(`` call in ``span`` does
+    not resolve, or None."""
+    for m in CALL.finditer(span):
+        if why := missing_name(f"{CALLED[m.group(1)]}.{m.group(2)}"):
+            return why
+    return None
+
+
 def path_problems(doc: str) -> list[str]:
     return [f"{where}: {why}" for where, span in backticked(doc)
             for token in span.split()
@@ -100,6 +116,11 @@ def path_problems(doc: str) -> list[str]:
 def name_problems(doc: str) -> list[str]:
     return [f"{where}: {why}" for where, span in backticked(doc)
             if (m := MODULE.match(span)) and (why := missing_name(m.group()))]
+
+
+def call_problems(doc: str) -> list[str]:
+    return [f"{where}: {why}" for where, span in backticked(doc)
+            if (why := missing_call(span))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,6 +153,7 @@ def test_the_collectors_find_references():
     spans = [span for doc in DOCS for _, span in backticked(doc)]
     assert sum(bool(PY_PATH.fullmatch(t)) for s in spans for t in s.split()) >= 30
     assert sum(bool(MODULE.match(s)) for s in spans) >= 10
+    assert sum(bool(CALL.search(s)) for s in spans) >= 5
     cited = [n for f in citing_files() for n in cited_sections(f.read_text())]
     assert len(cited) >= 10
     assert len(design_sections()) >= 10
@@ -145,6 +167,11 @@ def test_backticked_paths_resolve(doc):
 @pytest.mark.parametrize("doc", DOCS)
 def test_backticked_repro_names_import(doc):
     assert name_problems(doc) == []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_codec_calls_resolve(doc):
+    assert call_problems(doc) == []
 
 
 def test_design_section_citations_name_existing_headings():
@@ -176,6 +203,17 @@ def test_path_check_catches_a_missing_file(token, resolves):
 ])
 def test_name_check_catches_a_missing_name(dotted, resolves):
     assert (missing_name(dotted) is None) is resolves
+
+
+@pytest.mark.parametrize("span,resolves", [
+    ("wire.frame_view(buf, mine)", True),
+    ("codec.patch_forward(buf, view, mine)", True),
+    ("wire.transit_view(buf, mine)", False),
+    ("codec.ping_view(buf)", False),
+    ("wire.decode_error", True),
+])
+def test_call_check_catches_a_removed_function(span, resolves):
+    assert (missing_call(span) is None) is resolves
 
 
 def test_citation_check_reads_lists_and_skips_rfc_sections():

@@ -301,7 +301,7 @@ def test_nesting_deeper_than_the_stack_is_a_decode_error():
         decode(buf)
     with pytest.raises(DecodeError, match="malformed"):
         codec.materialize(codec.decode_lazy(buf).payload)
-    assert codec.deliver_view(buf, codec.address_bytes(BrunetAddress(2))) \
+    assert codec.frame_view(buf, codec.address_bytes(BrunetAddress(2))) \
         is None
     shallow = encode(pkt)[:-1] + body[-5 * 100 - 1:]
     assert decode(shallow).payload.size == 0

@@ -1,12 +1,13 @@
 """Header-only peek and zero-copy lazy decode.
 
 ``peek_header`` reads src/dest/ttl without touching the via list or
-payload (it shares that parse with ``transit_view``, the header view a
-relay forwards on — see ``tests/brunet/test_transit_cut_through.py``).
-``decode_lazy`` parses only the routing envelope of a RoutedPacket and
-leaves the body as a :class:`~repro.wire.RawBody` slice that re-encodes
-by splicing and materializes (or fails with the typed error) only at
-local delivery.
+payload (it shares that parse of the envelope with ``decode`` and
+``decode_lazy``; ``wire.frame_view``, which a relay forwards on, is
+tested in ``tests/wire/test_frame_view.py`` and
+``tests/brunet/test_transit_cut_through.py``).  ``decode_lazy`` parses
+only the routing envelope of a RoutedPacket and leaves the body as a
+:class:`~repro.wire.RawBody` slice that re-encodes by splicing and
+materializes (or fails with the typed error) only at local delivery.
 
 The fuzz requirement mirrors the full-decode one: truncation or
 corruption at *every* byte offset must either parse or raise
