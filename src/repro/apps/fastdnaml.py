@@ -182,8 +182,3 @@ class FastDnamlWorkload:
                      for _ in range(2 * r - 5)]
             out.append(tasks)
         return out
-
-    def sequential_work(self) -> float:
-        """Total ref-seconds (what a 1-node run must execute)."""
-        return float(sum(t.work_ref for round_ in self.rounds()
-                         for t in round_))

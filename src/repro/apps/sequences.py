@@ -32,7 +32,3 @@ def implant_motif(rng: np.random.Generator, sequences: np.ndarray,
         sequences[i, pos:pos + w] = site
     return positions
 
-
-def to_string(seq: np.ndarray) -> str:
-    """Index array → ACGT string (for display in examples)."""
-    return "".join(ALPHABET[int(b)] for b in seq)

@@ -134,11 +134,3 @@ def nearest_index(addrs: Sequence[int], target: int) -> int:
     if di < dj or (di == dj and ai < aj):
         return i
     return j
-
-
-def is_between_cw(a: int, x: int, b: int) -> bool:
-    """True when walking clockwise from ``a`` to ``b`` passes through ``x``
-    (exclusive of both ends)."""
-    if a == b:
-        return x != a
-    return 0 < directed_distance(a, x) < directed_distance(a, b)

@@ -7,12 +7,15 @@ endpoint that worked during linking, and keep-alive bookkeeping.
 A node pair needs only one physical link, but the link can serve several
 roles at once — it may simultaneously be a structured-near connection and a
 shortcut — so a connection carries a *set* of type labels.  Overlords manage
-labels; the link itself is shared.
+labels; the link itself is shared.  The set is immutable and shared: every
+connection with the same labels holds the same ``frozenset`` object from
+:func:`label_set`, and a label change rebinds the field.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterable, Union
 
 from repro.brunet.address import BrunetAddress
@@ -38,6 +41,16 @@ ROUTING_TYPES = frozenset({ConnectionType.STRUCTURED_NEAR,
                            ConnectionType.STRUCTURED_FAR,
                            ConnectionType.SHORTCUT})
 
+#: every label combination (16 of them), each the one shared instance
+_LABEL_SETS = {s: s for s in (
+    frozenset(c) for r in range(len(ConnectionType) + 1)
+    for c in itertools.combinations(ConnectionType, r))}
+
+
+def label_set(types: Iterable[ConnectionType]) -> frozenset[ConnectionType]:
+    """The shared immutable label set equal to ``types``."""
+    return _LABEL_SETS[frozenset(types)]
+
 
 class Connection:
     """One established overlay link (one node's view of it)."""
@@ -51,10 +64,9 @@ class Connection:
                  now: float):
         self.peer_addr = peer_addr
         self.remote_endpoint = remote_endpoint
-        if isinstance(conn_type, ConnectionType):
-            self.types: set[ConnectionType] = {conn_type}
-        else:
-            self.types = set(conn_type)
+        self.types = label_set((conn_type,)
+                               if isinstance(conn_type, ConnectionType)
+                               else conn_type)
         self.established_at = now
         self.closed = False
         self.last_heard = now
@@ -84,14 +96,14 @@ class Connection:
     def add_type(self, conn_type: ConnectionType) -> None:
         """Give the link an additional role label."""
         if conn_type not in self.types:
-            self.types.add(conn_type)
+            self.types = label_set(self.types | {conn_type})
             if self._table is not None:
                 self._table.bump_version()
 
     def discard_type(self, conn_type: ConnectionType) -> None:
         """Remove a role label (the link survives if others remain)."""
         if conn_type in self.types:
-            self.types.discard(conn_type)
+            self.types = label_set(self.types - {conn_type})
             if self._table is not None:
                 self._table.bump_version()
 

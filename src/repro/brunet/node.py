@@ -83,6 +83,17 @@ class BrunetNode:
     :class:`~repro.transport.runtime.RealtimeKernel`.
     """
 
+    # over 29 attributes a per-instance dict loses CPython's shared-key
+    # layout and costs ~1.6 KB a node; slots cost 8 B an attribute
+    __slots__ = ("sim", "host", "addr", "_addr_bytes", "config", "active",
+                 "transport", "name", "port", "uris", "_token_next", "table",
+                 "linker", "peer_uris", "ip_handler", "payload_handlers",
+                 "stats", "bootstrap_uris", "overlords", "leaf_overlord",
+                 "shortcut_overlord", "_ping_timer", "on_connection",
+                 "on_disconnection", "joined_at", "started_at", "_m_sent",
+                 "_m_forwarded", "_m_delivered", "_m_hops", "_m_decode_err",
+                 "_m_body_drop", "_m_conns", "__weakref__")
+
     def __init__(self, sim: "Simulator", host: Optional["Host"],
                  addr: BrunetAddress,
                  config: Optional[BrunetConfig] = None,
@@ -120,7 +131,7 @@ class BrunetNode:
         self.bootstrap_uris: list[Uri] = []
         self.overlords: list = []
         self._ping_timer = None
-        # observability hooks
+        # observers of connection changes, called after the overlords
         self.on_connection: list[Callable[[Connection], None]] = []
         self.on_disconnection: list[Callable[[Connection], None]] = []
         self.joined_at: Optional[float] = None
@@ -143,8 +154,8 @@ class BrunetNode:
                                              node=self.name)
         self._m_body_drop = metrics.counter("wire.body_decode_drop",
                                             node=self.name)
-        metrics.gauge_fn("brunet.connections", lambda: len(self.table),
-                         node=self.name)
+        #: ``brunet.connections``, holding this node's callback while it runs
+        self._m_conns = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -172,6 +183,8 @@ class BrunetNode:
             self.uris = UriSet(Uri.udp(ep.ip, ep.port))
         self.active = True
         self.started_at = self.sim.now
+        self._m_conns = self.sim.obs.metrics.gauge_fn(
+            "brunet.connections", self.table.__len__, node=self.name)
         self.bootstrap_uris = [u for u in bootstrap_uris
                                if u.endpoint != self.uris.local.endpoint]
         self.shortcut_overlord = ShortcutConnectionOverlord(self)
@@ -202,6 +215,7 @@ class BrunetNode:
         if not self.active:
             return
         self.active = False
+        self._m_conns.fns.remove(self.table.__len__)    # or it pins us
         for o in self.overlords:
             o.stop()
         self.linker.cancel_all()
@@ -683,7 +697,7 @@ class BrunetNode:
         if not known:
             # the peer answers but holds no state for us: it restarted (or
             # its close-notify was lost).  Drop the zombie link so the
-            # overlords' on_disconnection repair hooks re-establish it.
+            # overlords' repair re-establishes it.
             self.drop_connection(conn, reason="peer-forgot")
             return
         conn.heard_from(self.sim.now)
@@ -715,6 +729,14 @@ class BrunetNode:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
+    def _overlords_by_age(self) -> tuple:
+        """The live overlords in construction order (shortcut first), the
+        order they hear of connection changes; none once stopped."""
+        if not self.active:
+            return ()
+        leaf, near, far, shortcut = self.overlords
+        return shortcut, leaf, near, far
+
     def _connection_added(self, conn: Connection) -> None:
         self.trace("conn.add", peer=conn.peer_addr,
                    conn_type=conn.conn_type.value,
@@ -722,10 +744,14 @@ class BrunetNode:
         if (self.joined_at is None
                 and ConnectionType.STRUCTURED_NEAR in conn.types):
             self.joined_at = self.sim.now
+        for o in self._overlords_by_age():
+            o.connection_added(conn)
         for cb in list(self.on_connection):
             cb(conn)
 
     def _connection_removed(self, conn: Connection) -> None:
+        for o in self._overlords_by_age():
+            o.connection_removed(conn)
         for cb in list(self.on_disconnection):
             cb(conn)
 

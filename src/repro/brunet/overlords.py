@@ -22,7 +22,7 @@ timer, the near overlord's backed-off re-announce.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.brunet.address import (
     BrunetAddress,
@@ -57,40 +57,33 @@ class Overlord:
         self._grid = 0.0
         #: the grid instant the one timer is armed for (None: unarmed)
         self._armed_at: Optional[float] = None
-        #: (callback list, callback) pairs registered via :meth:`_hook`
-        self._hooks: list[tuple[list, Callable]] = []
-        # a connection landing or leaving can move any deadline earlier
-        self._hook(node.on_connection, self._wake)
-        self._hook(node.on_disconnection, self._wake)
 
     def start(self) -> None:
         """Anchor the tick grid at now; the first tick runs immediately."""
         self._grid = self.node.sim.now
         self.kick()
 
-    def _hook(self, hooks: list, fn: Callable) -> None:
-        """Register ``fn`` on one of the node's callback lists
-        (``on_connection`` / ``on_disconnection``); :meth:`stop` takes it
-        off again, so a node restarted in place does not accumulate the
-        callbacks of its dead overlords."""
-        hooks.append(fn)
-        self._hooks.append((hooks, fn))
-
     def stop(self) -> None:
-        """Cancel the armed tick and unregister hooks (node shutdown)."""
+        """Cancel the armed tick (node shutdown)."""
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
-        for hooks, fn in self._hooks:
-            hooks.remove(fn)
-        self._hooks.clear()
+
+    def connection_added(self, conn: Connection) -> None:
+        """The node gained a connection, or labels on one (called by the
+        node while it runs): a deadline can have moved earlier."""
+        self._wake()
+
+    def connection_removed(self, conn: Connection) -> None:
+        """The node lost a connection: a deadline can have moved earlier."""
+        self._wake()
 
     @property
     def timer_pending(self) -> bool:
         """True when a tick really is scheduled (what ``_armed_at`` claims)."""
         return self._timer is not None and self._timer.pending
 
-    def _wake(self, _conn: Optional[Connection] = None) -> None:
+    def _wake(self) -> None:
         """State changed: arm a tick for the first grid instant, from now
         on, at or after ``_due()``; one armed for a deadline that moved
         later since is left alone (it runs as a no-op and re-arms)."""
@@ -203,10 +196,9 @@ class NearConnectionOverlord(Overlord):
         self._backoff = self.REANNOUNCE_INTERVAL
         #: a join or repair announce was asked for and has not run yet
         self._owed = False
-        self._hook(node.on_disconnection, self._on_disconnection)
-        self._hook(node.on_connection, self._on_connection)
 
-    def _on_connection(self, conn: Connection) -> None:
+    def connection_added(self, conn: Connection) -> None:
+        self._wake()
         # announce the moment the bootstrap leaf link lands, rather than
         # waiting for the next maintenance tick — join latency matters
         # (abstract: "90% of the nodes self-configured P2P routes within
@@ -214,7 +206,8 @@ class NearConnectionOverlord(Overlord):
         if ConnectionType.LEAF in conn.types and not self.node.in_ring:
             self._announce_soon()
 
-    def _on_disconnection(self, conn: Connection) -> None:
+    def connection_removed(self, conn: Connection) -> None:
+        self._wake()
         # neighbour died: rediscover current nearest on both sides, and
         # back to the base wait even if the same peer links again
         if ConnectionType.STRUCTURED_NEAR in conn.types:
@@ -266,7 +259,7 @@ class NearConnectionOverlord(Overlord):
         if in_ring and node.table.version != self._relabeled_version:
             return node.sim.now
         if not in_ring and node.leaf_connection() is None:
-            return None  # the LEAF hook announces the moment one lands
+            return None  # connection_added announces when a leaf lands
         # an ulp early: ``tick`` tests ``now - last >= wait``, a rounded
         # subtraction this sum can overshoot — and an early tick is a no-op
         return math.nextafter(self._last_announce + self._wait(), -math.inf)
@@ -318,13 +311,12 @@ class FarConnectionOverlord(Overlord):
 
     def __init__(self, node: "BrunetNode"):
         super().__init__(node)
-        self._rng = node.sim.rng.stream(f"brunet.far.{node.name}")
         self._pending: list[float] = []  # expiry times of CTMs in flight
         self._m_ctms = node.sim.obs.metrics.counter(
             "overlord.far_ctms", node=node.name)
-        self._hook(node.on_connection, self._on_connection)
 
-    def _on_connection(self, conn: Connection) -> None:
+    def connection_added(self, conn: Connection) -> None:
+        self._wake()
         # a far connection landed: release one in-flight slot so the next
         # tick sees the true deficit (a success used to count against
         # ``need`` until its 30 s TTL, leaving the node below far_count
@@ -363,8 +355,11 @@ class FarConnectionOverlord(Overlord):
             spacing = max(spacing,
                           directed_distance(int(node.addr),
                                             int(right.peer_addr)))
+        # the registry caches the stream by name: fetched at the first
+        # draw, so a node that never tops up builds no generator
+        rng = node.sim.rng.stream(f"brunet.far.{node.name}")
         for _ in range(need):
-            target = kleinberg_far_target(int(node.addr), self._rng,
+            target = kleinberg_far_target(int(node.addr), rng,
                                           min_distance=spacing)
             self._m_ctms.inc()
             node.connect_to(target, ConnectionType.STRUCTURED_FAR)
@@ -398,14 +393,14 @@ class ShortcutConnectionOverlord(Overlord):
                                        node=node.name)
         self._m_evictions = metrics.counter("overlord.shortcut_evictions",
                                             node=node.name)
-        self._hook(node.on_connection, self._on_connection)
 
     @property
     def enabled(self) -> bool:
         """Mirrors ``BrunetConfig.shortcuts_enabled``."""
         return self.node.config.shortcuts_enabled
 
-    def _on_connection(self, conn: Connection) -> None:
+    def connection_added(self, conn: Connection) -> None:
+        self._wake()
         self._pending.pop(conn.peer_addr, None)
 
     def observe(self, dest: BrunetAddress, packets: int = 1) -> None:
@@ -511,7 +506,7 @@ class ShortcutConnectionOverlord(Overlord):
             self.node.drop_connection(conn, reason=reason, notify=True)
         else:
             conn.discard_type(ConnectionType.SHORTCUT)
-            # no connection hook fires for a label change, but it moves
+            # the node reports no label change to its overlords, but it moves
             # the table version the near overlord's relabel pass watches
             for overlord in self.node.overlords:
                 overlord._wake()

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.brunet.connection import ConnectionType
 from repro.brunet.routing import overlay_hop_count
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,21 +89,6 @@ class OverlaySurvey:
         return (float(np.percentile(self.hop_counts, 95))
                 if self.hop_counts else 0.0)
 
-    def summary_lines(self) -> list[str]:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"nodes: {self.n_nodes}  ring consistent: {self.ring_consistent}",
-            f"degree: mean {self.degree_mean:.1f}, max {self.degree_max}",
-            "connections: " + ", ".join(
-                f"{t}: {n}" for t, n in sorted(
-                    self.connections_by_type.items())),
-        ]
-        if self.hop_counts:
-            lines.append(f"routes: mean {self.hop_mean:.2f} hops, "
-                         f"p95 {self.hop_p95:.0f}, "
-                         f"unreachable pairs {self.unreachable_pairs}")
-        return lines
-
 
 def survey(deployment: "Deployment", sample_sources: int = 12,
            include_routes: bool = True,
@@ -141,19 +125,3 @@ def survey(deployment: "Deployment", sample_sources: int = 12,
             ((s, d) for s in sources for d in dests if s is not d),
             deployment.resolve)
     return out
-
-
-def shortcut_census(deployment: "Deployment") -> dict[str, int]:
-    """How many shortcut links exist between each site pair."""
-    pairs: Counter = Counter()
-    for node in deployment.ring_nodes():
-        for conn in node.table.by_type(ConnectionType.SHORTCUT):
-            peer = deployment.resolve(conn.peer_addr)
-            if peer is None:
-                continue
-            a = node.host.site.name
-            b = peer.host.site.name
-            pairs["~".join(sorted((a, b)))] += 1
-    # each link counted once per endpoint
-    return {k: v // 2 for k, v in pairs.items() if v >= 2} | \
-        {k: v for k, v in pairs.items() if v == 1}

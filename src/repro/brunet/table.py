@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.brunet.address import (BrunetAddress, nearest_index,
                                   predecessor_index, successor_index)
-from repro.brunet.connection import Connection, ConnectionType
+from repro.brunet.connection import Connection, ConnectionType, label_set
 
 
 class ConnectionTable:
@@ -69,8 +69,8 @@ class ConnectionTable:
         old = self._conns.get(conn.peer_addr)
         if old is not None:
             old.heard_from(conn.established_at)
-            grew = bool(conn.types - old.types)
-            old.types |= conn.types
+            grew = not conn.types <= old.types
+            old.types = label_set(old.types | conn.types)
             old.remote_endpoint = conn.remote_endpoint
             if grew:
                 self.bump_version()

@@ -26,6 +26,11 @@ protocol is no longer the interesting cost.  Methodology:
   :data:`JOINERS` fresh nodes joining the settled ring through the real
   protocol, an optional churn slice (crash a fraction of the built ring,
   time ring recovery), and a budgeted post-hoc :mod:`repro.check` audit.
+* **Memory** — the resident-set growth over building and settling the
+  ring, per node (``/proc/self/statm``; NaN where that does not exist).
+  It includes allocator slack and the kernel's queue, so it reads above
+  the ``tracemalloc`` heap that ``tests/brunet/test_memory_per_node.py``
+  bounds.
 
 Run ``python -m repro.experiments.scaling_10k --help`` for the CLI; CI
 runs the 1k-point smoke (see .github/workflows/ci.yml).
@@ -34,6 +39,7 @@ runs the 1k-point smoke (see .github/workflows/ci.yml).
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -128,6 +134,8 @@ class Scale10kPoint:
     sample_pairs: int
     events: int
     wall_s: float
+    #: resident-set growth over build + settle, KiB per node (NaN: unread)
+    kib_per_node: float = float("nan")
     churn: Optional[ChurnSlice] = None
     violations: list = field(default_factory=list)
 
@@ -207,6 +215,16 @@ def build_warm_overlay(kernel: Simulator, n: int, config: BrunetConfig,
 # ---------------------------------------------------------------------------
 # measurement helpers
 # ---------------------------------------------------------------------------
+def _rss_bytes() -> float:
+    """This process's resident set in bytes; NaN without ``/proc``."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return float("nan")
+    return pages * os.sysconf("SC_PAGE_SIZE")
+
+
 def _crash(node: BrunetNode) -> None:
     """True crash: no close-notify, the host stops answering entirely."""
     node.stop()
@@ -288,9 +306,11 @@ def measure_point(n: int, seed: int = 0, settle: float = 45.0,
     # threshold; a 10k-node bundle must not carry 10k label series
     kernel.obs.scale_to(n, nodes_fn=lambda: [x for x in nodes if x.active])
     config = BrunetConfig()
+    rss0 = _rss_bytes()
     internet, built = build_warm_overlay(kernel, n, config, k_far=k_far)
     nodes.extend(built)
     kernel.run(until=settle)
+    kib_per_node = (_rss_bytes() - rss0) / n / 1024
 
     live = [x for x in nodes if x.active]
     hrng = kernel.rng.stream("scaling10k.pairs")
@@ -324,7 +344,7 @@ def measure_point(n: int, seed: int = 0, settle: float = 45.0,
         unreachable=unreachable, mean_join_s=mean_join_s,
         sample_pairs=sample_pairs,
         events=kernel.events_processed, wall_s=time.perf_counter() - wall0,
-        churn=churn, violations=violations)
+        kib_per_node=kib_per_node, churn=churn, violations=violations)
 
 
 def run(sizes=(1000, 2000, 5000, 10000), seed: int = 0, settle: float = 45.0,
@@ -344,10 +364,11 @@ def report(points: list[Scale10kPoint]) -> None:
     print_table(
         "Ring scaling — greedy hops vs c·log²n",
         ["nodes", "mean hops", "p95", "hops/log²n", "unreachable",
-         "mean join (s)", "events", "wall (s)"],
+         "mean join (s)", "events", "wall (s)", "KiB/node"],
         [[p.n_nodes, f"{p.mean_hops:.2f}", f"{p.p95_hops:.0f}",
           f"{p.hops_per_log2n_sq:.3f}", p.unreachable,
-          f"{p.mean_join_s:.1f}", p.events, f"{p.wall_s:.0f}"]
+          f"{p.mean_join_s:.1f}", p.events, f"{p.wall_s:.0f}",
+          f"{p.kib_per_node:.1f}"]
          for p in points])
     c = fit_k(points)
     print(f"\nleast-squares fit: hops ≈ {c:.4f}·log²n "

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 LabelItems = tuple[tuple[str, str], ...]
 
@@ -69,9 +69,6 @@ class Gauge:
 
     def inc(self, n: float = 1) -> None:
         self.value += n
-
-    def dec(self, n: float = 1) -> None:
-        self.value -= n
 
     def row(self) -> dict:
         return {"value": self.value}
@@ -194,8 +191,9 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
-                 **labels: str) -> None:
-        """Register a gauge computed by ``fn()`` at export time.
+                 **labels: str) -> CallbackGauge:
+        """Register a gauge computed by ``fn()`` at export time; returns
+        the gauge, whose ``fns`` a caller edits to unregister ``fn``.
         Registering the same ``(name, labels)`` again *adds* the callback
         (values sum) — which is how per-node gauges roll up when
         ``node_series`` is off."""
@@ -207,7 +205,8 @@ class MetricsRegistry:
         if isinstance(inst, CallbackGauge):
             inst.fns.append(fn)
         else:
-            self._instruments[key] = CallbackGauge(name, items, fn)
+            inst = self._instruments[key] = CallbackGauge(name, items, fn)
+        return inst
 
     def add_collector(self,
                       fn: Callable[["MetricsRegistry"], None]) -> None:
@@ -288,11 +287,6 @@ class MetricsRegistry:
                          f"{value},{row.get('count', '')},"
                          f"{row.get('sum', '')}\n")
         return path
-
-
-def merge_rows(rows: Iterable[dict], name: str) -> float:
-    """Sum the ``value`` of every row called ``name`` (export analysis)."""
-    return sum(r.get("value", 0) for r in rows if r["name"] == name)
 
 
 # ---------------------------------------------------------------------------

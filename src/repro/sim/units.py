@@ -42,7 +42,3 @@ def to_KBps(bytes_per_second: float) -> float:
     """Bytes/second to the paper's KB/s."""
     return bytes_per_second / KIB
 
-
-def to_MBps(bytes_per_second: float) -> float:
-    """Bytes/second to MB/s."""
-    return bytes_per_second / MIB

@@ -105,9 +105,19 @@ class WowVm:
     def restart_ipop(self) -> None:
         """Kill and restart the user-level IPOP program (§V-C): new node
         object, same ring address, same tap state."""
+        self._kill_ipop()
+        self._boot_ipop()
+
+    def _kill_ipop(self) -> None:
+        """The IPOP process dies: its node leaves the overlay and the tap
+        loses its router."""
         self.deployment.unregister_node(self.node)
         self.node.stop()
         self.router.detach()
+
+    def _boot_ipop(self) -> None:
+        """A fresh IPOP process on the current host: a new node with the
+        same ring address, under the tap's router, joining at once."""
         self.node = BrunetNode(self.sim, self.host, self.addr,
                                self.deployment.brunet_config,
                                name=f"ipop.{self.name}")
@@ -167,9 +177,7 @@ class WowVm:
 
         # 1. suspend the guest; the IPOP process dies with it
         self.suspended = True
-        self.deployment.unregister_node(self.node)
-        self.node.stop()
-        self.router.detach()
+        self._kill_ipop()
         yield Timeout(calib.vm_suspend_overhead)
         record.suspend_done = self.sim.now
 
@@ -201,17 +209,10 @@ class WowVm:
         if dest_cpu_speed is not None:
             self.cpu_speed = dest_cpu_speed
         yield Timeout(calib.vm_resume_overhead)
-        if self.interface_mode == "host-only":
-            self.host.allowed_ports = {self.deployment.brunet_config.default_port}
 
         # 4. restart IPOP: the tap (virtual IP) is unchanged; the node
         #    rejoins the overlay autonomously
-        self.node = BrunetNode(self.sim, self.host, self.addr,
-                               self.deployment.brunet_config,
-                               name=f"ipop.{self.name}")
-        self.router.attach(self.node)
-        self.node.start(self.deployment.bootstrap_uris)
-        self.deployment.register_node(self.node)
+        self._boot_ipop()
         self.suspended = False
         record.resumed_at = self.sim.now
         self.resumed.fire(record)

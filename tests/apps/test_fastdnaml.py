@@ -130,7 +130,7 @@ class TestWorkload:
         13% virtualization overhead."""
         calib = CalibrationConfig()
         wl = FastDnamlWorkload(calib, np.random.default_rng(0))
-        work = wl.sequential_work()
+        work = sum(t.work_ref for round_ in wl.rounds() for t in round_)
         wall_on_node002 = work * (1 + calib.virt_overhead)
         assert wall_on_node002 == pytest.approx(22272, rel=0.08)
 

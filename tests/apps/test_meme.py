@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.meme import MemeMotifFinder
-from repro.apps.sequences import implant_motif, random_dna, to_string
+from repro.apps.sequences import implant_motif, random_dna
 
 
 def test_recovers_implanted_motif():
@@ -89,8 +89,6 @@ def test_sequence_helpers():
     assert seqs.shape == (3, 10)
     assert seqs.dtype == np.int8
     assert set(np.unique(seqs)) <= {0, 1, 2, 3}
-    s = to_string(seqs[0])
-    assert len(s) == 10 and set(s) <= set("ACGT")
 
 
 def test_implant_rejects_short_sequences():

@@ -8,7 +8,6 @@ from repro.brunet.address import (
     BrunetAddress,
     address_from_ip,
     directed_distance,
-    is_between_cw,
     kleinberg_far_target,
     random_address,
     ring_distance,
@@ -86,17 +85,3 @@ def test_kleinberg_targets_span_scales():
     logs = np.log2(np.array([max(d, 1) for d in distances], dtype=float))
     # log-uniform-ish: wide spread across scales
     assert logs.std() > 20.0
-
-
-def test_is_between_cw():
-    assert is_between_cw(10, 20, 30)
-    assert not is_between_cw(10, 40, 30)
-    assert is_between_cw(ADDRESS_SPACE - 5, 3, 10)  # wraps zero
-    assert not is_between_cw(10, 10, 30)  # exclusive
-
-
-@given(addr_ints, addr_ints)
-def test_is_between_excludes_endpoints(a, b):
-    assert not is_between_cw(a, a, b)
-    if a != b:
-        assert not is_between_cw(a, b, b)

@@ -95,7 +95,6 @@ class TestRouting:
         nearest = min(small_overlay,
                       key=lambda n: ring_distance(n.addr, ghost))
         got = []
-        nearest.handlers = {}  # not used; deliver path traces unhandled
         before = nearest.stats["delivered"]
         src.send_routed(ghost, IpEncap("x", 10), size=10, exact=False)
         sim.run(until=sim.now + 5)

@@ -40,7 +40,8 @@ def _links(nodes) -> set:
             for n in nodes for c in n.table.all()}
 
 
-def test_a_ring_started_in_one_instant_pings_each_link_about_once():
+def test_a_ring_started_in_one_instant_pings_each_link_about_once(
+        monkeypatch):
     """Over three keep-alive cycles of a healthy link (a ping, a reply
     heard ``rtt`` later, silence until ``rtt + ping_interval``: three
     ticks), a link whose ends tick in step carries about two pings a
@@ -49,16 +50,14 @@ def test_a_ring_started_in_one_instant_pings_each_link_about_once():
     config = BrunetConfig()
     kernel, nodes = _warm_ring(config)
     pings = 0
+    real = BrunetNode.send_direct
 
-    def counting(real):
-        def send_direct(dst, msg, size):
-            nonlocal pings
-            pings += type(msg) is PingRequest
-            real(dst, msg, size)
-        return send_direct
+    def send_direct(self, dst, msg, size):    # every node is in the ring
+        nonlocal pings
+        pings += type(msg) is PingRequest
+        real(self, dst, msg, size)
 
-    for node in nodes:
-        node.send_direct = counting(node.send_direct)
+    monkeypatch.setattr(BrunetNode, "send_direct", send_direct)
     kernel.run(until=SETTLE)
     pings = 0
     cycle = 3 * config.ping_interval / 2

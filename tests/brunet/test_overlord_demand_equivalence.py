@@ -46,6 +46,7 @@ from repro.brunet.uri import Uri
 from repro.phys import Internet, Site
 from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
+from tests.conftest import patch_node_method
 
 LEAF, NEAR, FAR = (ConnectionType.LEAF, ConnectionType.STRUCTURED_NEAR,
                    ConnectionType.STRUCTURED_FAR)
@@ -217,12 +218,21 @@ def _addrs(peers) -> list | None:
     return None if peers is None else sorted(map(int, peers))
 
 
+def _far_stream_state(node: BrunetNode):
+    """The far overlord's RNG state; None until its first draw builds
+    the stream."""
+    name = f"brunet.far.{node.name}"
+    if name not in node.sim.rng.names():
+        return None
+    return repr(node.sim.rng.stream(name).bit_generator.state)
+
+
 def _state(node: BrunetNode) -> tuple:
     leaf, near, far, shortcut = node.overlords
     return ((leaf._seed_index, leaf._attempting),
             (near._last_announce, near._relabeled_version, near._backoff,
              near._owed, _addrs(near._near), _addrs(near._announced_near)),
-            (list(far._pending), repr(far._rng.bit_generator.state)),
+            (list(far._pending), _far_stream_state(node)),
             sorted((int(c.peer_addr), sorted(t.value for t in c.types))
                    for c in node.table.all()))
 
@@ -323,8 +333,8 @@ def play(schedule: Schedule, reference: bool, monkeypatch, *,
         real_drop(conn, reason=reason, notify=notify)
 
     node.linker.start = link
-    node.connect_to = connect_to
-    node.drop_connection = drop_connection
+    patch_node_method(monkeypatch, node, "connect_to", connect_to)
+    patch_node_method(monkeypatch, node, "drop_connection", drop_connection)
 
     def join(offset: int) -> None:
         """A new ring peer appears and links to us (its own announce)."""

@@ -43,6 +43,7 @@ from tests.brunet.test_overlord_demand_equivalence import (
     periodic,
     run_to,
 )
+from tests.conftest import patch_node_method
 
 SHORTCUT_MAX = 2
 
@@ -183,8 +184,8 @@ def play(schedule: Schedule, overlord_cls, monkeypatch, *,
         real_tick(self)
 
     monkeypatch.setattr(ShortcutConnectionOverlord, "tick", counted_tick)
-    node.connect_to = connect_to
-    node.drop_connection = drop_connection
+    patch_node_method(monkeypatch, node, "connect_to", connect_to)
+    patch_node_method(monkeypatch, node, "drop_connection", drop_connection)
 
     def stop():
         log.append((sim.now, None, ("stop", _state(node.shortcut_overlord))))

@@ -66,7 +66,7 @@ def test_eviction_closes_pure_shortcut(sim, tight_overlay):
     sim.run(until=sim.now + 30.0)
     conn = node.table.get(victim.addr)
     assert conn is not None and ConnectionType.SHORTCUT in conn.types
-    conn.types.intersection_update({ConnectionType.SHORTCUT})
+    conn.types = conn.types & {ConnectionType.SHORTCUT}
 
     overlord = node.shortcut_overlord
     hot = _absent_addr(node)
@@ -110,8 +110,7 @@ def test_eviction_victim_tie_breaks_by_address(sim, tight_overlay):
                                    tight_overlay[-1].addr)][:2]
     assert len(pair) == 2
     for conn in pair:
-        conn.types.clear()
-        conn.types.add(ConnectionType.SHORTCUT)
+        conn.types = frozenset({ConnectionType.SHORTCUT})
     node.table.bump_version()
     lo, hi = sorted((c.peer_addr for c in pair), key=int)
 

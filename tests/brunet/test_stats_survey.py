@@ -33,9 +33,6 @@ def test_survey_empty_overlay():
     # percentile helpers must not choke on the empty route sample
     assert out.hop_mean == 0.0
     assert out.hop_p95 == 0.0
-    lines = out.summary_lines()
-    assert any("ring consistent: True" in line for line in lines)
-    assert not any(line.startswith("routes:") for line in lines)
 
 
 def test_survey_singleton_overlay():
@@ -67,7 +64,6 @@ def test_survey_small_overlay_degrees_and_hops():
     assert out.hop_counts
     assert all(h >= 1 for h in out.hop_counts)
     assert 1.0 <= out.hop_mean <= out.hop_p95 <= max(out.hop_counts)
-    assert any(line.startswith("routes:") for line in out.summary_lines())
 
 
 def test_survey_without_routes_skips_sampling():

@@ -9,8 +9,10 @@ from repro.brunet.uri import Uri
 from repro.phys import Internet, Site
 from repro.sim import Simulator
 
+_NEXT_TOKEN = BrunetNode.next_token
 
-def _run_and_collect_tokens(seed: int) -> list[tuple[str, int]]:
+
+def _run_and_collect_tokens(seed: int, monkeypatch) -> list[tuple[str, int]]:
     """Build a small overlay and record every token each node hands out,
     in order."""
     sim = Simulator(seed=seed, trace=False)
@@ -21,17 +23,17 @@ def _run_and_collect_tokens(seed: int) -> list[tuple[str, int]]:
     boot = None
     nodes = []
     tokens: list[tuple[str, int]] = []
+
+    def spying(self):
+        t = _NEXT_TOKEN(self)
+        if self.sim is sim:         # this overlay's nodes only
+            tokens.append((self.name, t))
+        return t
+
+    monkeypatch.setattr(BrunetNode, "next_token", spying)
     for i in range(6):
         h = site.add_host(f"h{i}")
         node = BrunetNode(sim, h, random_address(rng), cfg, name=f"n{i}")
-        real = node.next_token
-
-        def spying(node=node, real=real):
-            t = real()
-            tokens.append((node.name, t))
-            return t
-
-        node.next_token = spying
         node.start([boot] if boot else [])
         if boot is None:
             boot = Uri.udp(h.ip, node.port)
@@ -41,15 +43,15 @@ def _run_and_collect_tokens(seed: int) -> list[tuple[str, int]]:
     return tokens
 
 
-def test_same_seed_runs_produce_identical_token_sequences():
-    first = _run_and_collect_tokens(seed=77)
-    second = _run_and_collect_tokens(seed=77)
+def test_same_seed_runs_produce_identical_token_sequences(monkeypatch):
+    first = _run_and_collect_tokens(seed=77, monkeypatch=monkeypatch)
+    second = _run_and_collect_tokens(seed=77, monkeypatch=monkeypatch)
     assert first == second
     assert first  # the overlay actually handed out tokens
 
 
-def test_tokens_are_monotone_per_node():
-    tokens = _run_and_collect_tokens(seed=5)
+def test_tokens_are_monotone_per_node(monkeypatch):
+    tokens = _run_and_collect_tokens(seed=5, monkeypatch=monkeypatch)
     last: dict[str, int] = {}
     for node_name, tok in tokens:
         assert tok > last.get(node_name, 0)

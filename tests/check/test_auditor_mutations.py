@@ -186,7 +186,7 @@ def test_symmetry_flags_empty_label_set(sim, overlay):
     ordered = _ordered(overlay)
     node = ordered[2]
     conn = node.table.all()[0]
-    conn.types.clear()
+    conn.types = frozenset()
     found = invariants.check_symmetry(overlay, sim.now, handshake_grace=0.0)
     assert "symmetry.empty-labels" in _kinds(found)
 
@@ -196,10 +196,8 @@ def test_symmetry_flags_disjoint_labels(sim, overlay):
     a, b = ordered[0], ordered[1]
     fwd, back = a.table.get(b.addr), b.table.get(a.addr)
     assert fwd is not None and back is not None
-    fwd.types.clear()
-    fwd.types.add(ConnectionType.STRUCTURED_NEAR)
-    back.types.clear()
-    back.types.add(ConnectionType.LEAF)
+    fwd.types = frozenset({ConnectionType.STRUCTURED_NEAR})
+    back.types = frozenset({ConnectionType.LEAF})
     found = invariants.check_symmetry(overlay, sim.now, handshake_grace=0.0)
     assert f"symmetry.label-mismatch:{a.name}:{b.name}" in {
         v.key for v in found}

@@ -149,6 +149,21 @@ def count_calls(fn, *args) -> int:
     return sum(calls_by_name(fn, *args).values())
 
 
+def patch_node_method(monkeypatch, node: BrunetNode, name: str,
+                      fn) -> None:
+    """Make ``node.<name>(...)`` call ``fn(...)``, for ``node`` alone: a
+    ``BrunetNode`` has slots and no instance ``__dict__``, so the patch
+    goes on the class and hands every other node the method it had."""
+    real = getattr(BrunetNode, name)
+
+    def dispatch(self, *args, **kwargs):
+        if self is node:
+            return fn(*args, **kwargs)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrunetNode, name, dispatch)
+
+
 def build_overlay(sim, internet, n_nodes: int, config=None,
                   site=None, stagger: float = 5.0):
     """A public-site overlay of ``n_nodes``; returns (nodes, bootstrap)."""

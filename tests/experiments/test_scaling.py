@@ -37,3 +37,4 @@ def test_report_renders(capsys, point):
     assert "Ring scaling" in out
     assert "24" in out
     assert "mean join (s)" in out
+    assert "KiB/node" in out

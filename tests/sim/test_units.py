@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.units import GB, KB, MB, minutes, ms, to_KBps, to_MBps
+from repro.sim.units import GB, KB, MB, minutes, ms, to_KBps
 
 
 def test_byte_units_nest():
@@ -18,4 +18,3 @@ def test_time_units():
 
 def test_bandwidth_roundtrip():
     assert to_KBps(KB(85)) == pytest.approx(85.0)
-    assert to_MBps(MB(1.83)) == pytest.approx(1.83)

@@ -1,5 +1,8 @@
 """WowVm: CPU model, IPOP restart, WAN migration."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.process import Process, WaitSignal
@@ -53,6 +56,26 @@ class TestRestartAndMigration:
         assert vm.node.addr == addr_before
         assert vm.node.in_ring
         assert tb.deployment.resolve(vm.addr) is vm.node
+
+    def test_restarted_node_is_freed(self, bed):
+        """A restart builds a new node under the old name; the stopped one
+        must not stay reachable through its ``brunet.connections`` gauge
+        callback (nor its table, linker and overlords with it)."""
+        sim, tb = bed
+        vm = tb.vm(2)
+        first = weakref.ref(vm.node)
+        for _ in range(5):
+            vm.restart_ipop()
+            sim.run(until=sim.now + 10)
+        # a cancelled timer leaves the kernel's heap only when it reaches
+        # the head: run past the longest overlord wait (240 s)
+        sim.run(until=sim.now + 300)
+        gc.collect()
+        assert first() is None
+        gauge = sim.obs.metrics.find("brunet.connections",
+                                     node=vm.node.name)
+        assert len(gauge.fns) == 1
+        assert gauge.value == len(vm.node.table) > 0
 
     def test_migration_moves_site_and_rejoins(self, bed):
         sim, tb = bed
