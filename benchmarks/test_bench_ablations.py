@@ -4,8 +4,6 @@ Each ablation flips one mechanism and checks the direction of the effect:
 
 * far-connection count k — routing hop count (§IV-A: O(log²n / k));
 * the shortcut overlord — virtual-network RTT for a communicating pair;
-* race resolution policy — address tie-break vs the paper's
-  abort-and-back-off (same outcome, different convergence);
 * the linking back-off constants — the UFL-UFL shortcut delay scales with
   the URI-ladder length (footnote 2).
 """
@@ -57,26 +55,6 @@ def test_ablation_far_count_vs_hops(benchmark):
     print("\nfar-count ablation (mean overlay hops, n=30):", hops)
     assert hops[8] < hops[1]  # more far links → shorter routes
     assert hops[1] <= 9.0
-
-
-def test_ablation_race_policy(benchmark):
-    """Both race-resolution policies must converge to the same ring; the
-    paper's abort-and-back-off is merely slower."""
-    def both():
-        out = {}
-        for label, tiebreak in (("address", True), ("backoff", False)):
-            cfg = BrunetConfig(race_tiebreak_by_address=tiebreak)
-            sim, nodes = build_ring(20, cfg, seed=4)
-            ring = sorted(nodes, key=lambda n: int(n.addr))
-            complete = all(
-                ring[i].table.get(ring[(i + 1) % len(ring)].addr) is not None
-                for i in range(len(ring)))
-            out[label] = (complete, mean_hops(nodes))
-        return out
-
-    results = run_once(benchmark, both)
-    print("\nrace-policy ablation:", results)
-    assert results["address"][0] and results["backoff"][0]
 
 
 def test_ablation_backoff_ladder_length(benchmark):

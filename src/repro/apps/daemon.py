@@ -233,21 +233,13 @@ class WowDaemon:
     # ------------------------------------------------------------------
     def status(self) -> dict:
         node = self.node
-        left = node.table.left_neighbor()
-        right = node.table.right_neighbor()
         return {
-            "name": self.name,
+            **node.census(),
             "vip": self.vip,
-            "addr": node.addr.hex(),
             "endpoint": str(self.transport.local_endpoint),
             "uri": str(node.uris.local),
             "pid": os.getpid(),
             "uptime": self.kernel.now,
-            "active": node.active,
-            "in_ring": node.in_ring,
-            "connections": len(node.table),
-            "left": left.peer_addr.hex() if left else None,
-            "right": right.peer_addr.hex() if right else None,
             "bootstrap_uris": [str(u) for u in node.bootstrap_uris],
             "cache": {"path": self.cache.path, "peers": len(self.cache)}
                      if self.cache is not None else None,

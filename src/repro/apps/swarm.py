@@ -37,8 +37,9 @@ import time
 from typing import Optional
 
 import repro
-from repro.apps.wowctl import (ControlError, audit_ring, collect_census,
-                               control_call, render_census)
+from repro.apps.wowctl import (ControlError, collect_census, control_call,
+                               render_census)
+from repro.check.invariants import ring_verdict
 
 #: localhost virtual subnet: node i owns 10.128.(2+i//250).(2+i%250)
 def vip_for(index: int) -> str:
@@ -158,17 +159,17 @@ class Swarm:
         """Poll the census until ``expect`` nodes are in a consistent
         ring; raises RuntimeError with the last census on timeout."""
         deadline = time.monotonic() + timeout
-        statuses, errors, problems = [], ["not yet polled"], ["pending"]
+        statuses, errors, findings = [], ["not yet polled"], []
         while time.monotonic() < deadline:
             statuses, errors = collect_census(self.live_sockets(),
                                               timeout=5.0)
-            problems = audit_ring(statuses)
-            if len(statuses) >= expect and not problems:
+            findings = ring_verdict(statuses)
+            if len(statuses) >= expect and not findings:
                 return statuses
             time.sleep(1.0)
         raise RuntimeError(
             f"{label}: ring not consistent after {timeout:.0f}s\n"
-            + render_census(statuses, errors, problems))
+            + render_census(statuses, errors, findings))
 
     def ping_pairs(self, count: int, timeout: float = 10.0) -> int:
         """Random-pair virtual-IP pings; returns the number that failed."""

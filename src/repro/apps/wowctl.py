@@ -6,7 +6,9 @@ The operator-side half of :mod:`repro.apps.daemon`, modeled on IPOP's
 
 * ``status`` / ``peers`` / ``links`` / ``cache`` — inspection;
 * ``census`` — sweep every daemon under a socket directory and render a
-  one-line-per-node ring overview plus a successor-consistency audit;
+  one-line-per-node ring overview plus the ring verdict over the statuses
+  (:func:`repro.check.invariants.ring_verdict`, the one the simulator's
+  auditor uses);
 * ``trim`` — drop idle shortcut links past a TTL (the IPOP
   ``BaseTopologyManager`` link-expiry policy, applied on demand);
 * ``connect`` — request an on-demand shortcut to a virtual IP;
@@ -30,6 +32,8 @@ import os
 import socket
 import sys
 from typing import Any, Optional
+
+from repro.check.invariants import Violation, ring_verdict
 
 #: client-side receive cap per reply line
 MAX_REPLY = 1 << 22
@@ -91,31 +95,8 @@ def collect_census(sockets: list[str],
     return statuses, errors
 
 
-def audit_ring(statuses: list[dict]) -> list[str]:
-    """Successor-consistency check over the live nodes.
-
-    With the live address set sorted on the ring, every in-ring node's
-    ``right`` neighbor must be the next live address (§III: structured
-    near connections hold the ring together).  Returns human-readable
-    violations; an empty list means the ring is consistent.
-    """
-    ring = [s for s in statuses if s.get("in_ring")]
-    problems = [f"{s['vip']}: not in ring" for s in statuses
-                if not s.get("in_ring")]
-    if len(ring) < 2:
-        return problems
-    addrs = [s["addr"] for s in ring]
-    for i, st in enumerate(ring):
-        expect = addrs[(i + 1) % len(addrs)]
-        if st.get("right") != expect:
-            problems.append(
-                f"{st['vip']}: right neighbor {str(st.get('right'))[:12]} "
-                f"!= successor {expect[:12]}")
-    return problems
-
-
 def render_census(statuses: list[dict], errors: list[str],
-                  problems: list[str]) -> str:
+                  findings: list[Violation]) -> str:
     lines = [f"{'vip':<14} {'addr':<14} {'ring':<5} {'conns':>5} "
              f"{'sent':>7} {'delivered':>9}  endpoint"]
     for st in statuses:
@@ -129,9 +110,9 @@ def render_census(statuses: list[dict], errors: list[str],
     lines.append(f"{len(statuses)} alive, {len(errors)} unreachable")
     for err in errors:
         lines.append(f"  unreachable: {err}")
-    if problems:
+    if findings:
         lines.append("RING AUDIT: INCONSISTENT")
-        lines.extend(f"  {p}" for p in problems)
+        lines.extend(f"  {v.detail}" for v in findings)
     else:
         lines.append("RING AUDIT: consistent")
     return "\n".join(lines)
@@ -186,13 +167,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "census":
             statuses, errors = collect_census(_targets(args),
                                               timeout=args.timeout)
-            problems = audit_ring(statuses)
+            findings = ring_verdict(statuses)
             if args.json:
-                print(json.dumps({"nodes": statuses, "errors": errors,
-                                  "problems": problems}, indent=1))
+                print(json.dumps(
+                    {"nodes": statuses, "errors": errors,
+                     "violations": [v.to_row() for v in findings]},
+                    indent=1))
             else:
-                print(render_census(statuses, errors, problems))
-            return 1 if (problems or errors) else 0
+                print(render_census(statuses, errors, findings))
+            return 1 if (findings or errors) else 0
 
         params: dict[str, Any] = {}
         if args.command == "trim":

@@ -24,11 +24,6 @@ class BrunetConfig:
     #: a dead URI is abandoned after 5+10+20+40+80 = 155 s — the "delays of
     #: the order of 150 seconds" of the paper's footnote 2.
     link_max_retries: int = 5
-    #: deterministic race resolution by address comparison (True) vs the
-    #: paper's abort-and-exponential-back-off (False)
-    race_tiebreak_by_address: bool = True
-    #: base back-off when both ends abort a linking race (seconds)
-    race_backoff_base: float = 2.0
 
     # -- keep-alive (§IV-B "ping messages") ------------------------------
     ping_interval: float = 15.0

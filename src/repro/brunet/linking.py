@@ -11,12 +11,9 @@ Because *both* peers initiate linking after a CTM exchange, their link
 requests punch holes in both NATs ("the bi-directionality of the
 connection/linking protocols is what enables the NAT hole-punching technique
 to succeed", §IV-D).  Simultaneous attempts race; the race is broken with a
-link-error message.  Two resolution policies are provided:
-
-* ``race_tiebreak_by_address=True`` (default): the higher address wins
-  deterministically — converges in one exchange;
-* ``False``: the paper's description — both sides may abort and restart
-  with exponential back-off and jitter.
+link-error message.  The paper has both sides abort and retry after a
+jittered exponential back-off; here the higher address keeps its attempt
+and the lower one yields, which converges in one exchange and draws no RNG.
 """
 
 from __future__ import annotations
@@ -288,7 +285,8 @@ class Linker:
         if existing is None:
             racing = self.by_addr.get(sender)
             if racing is not None:
-                if self._race_keep_mine(sender):
+                # the higher address keeps its attempt, the lower yields
+                if int(node.addr) > int(sender):
                     reply = LinkError(msg.token, node.addr)
                     node.send_direct(src, reply, node.config.size_link)
                     # the peer's request proves a return path exists (its
@@ -343,15 +341,6 @@ class Linker:
         callbacks = (list(attempt.on_success), list(attempt.on_fail))
         self._deregister(attempt)
         node.trace("link.race_abort", target=msg.sender_addr)
-        if node.config.race_tiebreak_by_address:
-            # the peer proceeds; re-check later in case its attempt dies
-            delay = node.config.link_resend_interval * 4
-        else:
-            # paper behaviour: exponential back-off with jitter, then retry
-            rng = node.sim.rng.stream(f"brunet.race.{node.name}")
-            delay = (node.config.race_backoff_base
-                     * (2 ** min(attempt.race_aborts, 6))
-                     * float(rng.uniform(0.5, 1.5)))
         target = msg.sender_addr
         uris = attempt.uris
 
@@ -372,11 +361,5 @@ class Linker:
             if again is not None:
                 again.race_aborts = attempt.race_aborts
 
-        node.sim.schedule(delay, recheck)
-
-    def _race_keep_mine(self, peer: BrunetAddress) -> bool:
-        """True when this node should keep its own attempt and reject the
-        peer's (deterministic address tie-break)."""
-        if self.node.config.race_tiebreak_by_address:
-            return int(self.node.addr) > int(peer)
-        return True  # paper mode: always tell the peer to give up
+        # the peer proceeds; re-check later in case its attempt dies
+        node.sim.schedule(node.config.link_resend_interval * 4, recheck)

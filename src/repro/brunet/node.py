@@ -284,6 +284,20 @@ class BrunetNode:
         leafs = self.table.by_type(ConnectionType.LEAF)
         return leafs[0] if leafs else None
 
+    def census(self) -> dict:
+        """This node's census record, JSON-clean: the half of a daemon's
+        ``status`` the node itself knows, and what
+        :func:`repro.check.invariants.ring_verdict` judges.  ``addr``,
+        ``left`` and ``right`` are fixed-width hex, so they sort in ring
+        order."""
+        left = self.table.left_neighbor()
+        right = self.table.right_neighbor()
+        return {"name": self.name, "addr": self.addr.hex(),
+                "active": self.active, "in_ring": self.in_ring,
+                "left": left.peer_addr.hex() if left else None,
+                "right": right.peer_addr.hex() if right else None,
+                "connections": len(self.table)}
+
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

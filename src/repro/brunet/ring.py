@@ -4,11 +4,11 @@ The per-simulation counterpart of the per-node ring view in
 :class:`~repro.brunet.table.ConnectionTable`: a sorted array of 160-bit
 addresses (plain ints) with a parallel payload array, maintained
 incrementally as nodes join and leave.  ``Deployment`` keeps its nodes
-here, so the census paths (``stats.survey``,
-``Deployment.ring_consistent``) read them in ring order from
-:attr:`RingIndex.items` instead of re-sorting the node registry per
-call; :meth:`RingIndex.successor` answers a true-successor query in
-O(log n).
+here, so ``Deployment.ring_nodes`` and ``Deployment.ring_consistent``
+(the ring verdict over every node's census record) read them in ring
+order from :attr:`RingIndex.items` instead of re-sorting the node
+registry per call; :meth:`RingIndex.successor` answers a true-successor
+query in O(log n).
 
 Insertion keeps the arrays sorted with ``list.insert`` — O(n) element
 moves, but a single C-level memmove; across a 10k-node bring-up that is

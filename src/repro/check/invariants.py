@@ -7,11 +7,12 @@ depends on them.  This module states each invariant as a pure function
 over live :class:`~repro.brunet.node.BrunetNode` objects returning
 structured :class:`Violation` records:
 
-* **ring consistency** (:func:`check_ring`) — every node holds a
-  structured link to its true ring successor and predecessor, every
-  STRUCTURED_NEAR label points at a genuine nearest neighbour, no
-  structured link points at a dead node, and the structured-connection
-  graph is not partitioned;
+* **ring consistency** (:func:`check_ring`) — every node is in the ring
+  and its nearest structured peers are its true ring successor and
+  predecessor (:func:`ring_verdict`, over census records, so the same
+  function judges a simulation and a live swarm), every STRUCTURED_NEAR
+  label points at a genuine nearest neighbour, no structured link points
+  at a dead node, and the structured-connection graph is not partitioned;
 * **connection symmetry** (:func:`check_symmetry`) — A's table lists B
   with compatible type labels iff B's lists A, modulo a grace window for
   in-flight linking handshakes;
@@ -35,7 +36,7 @@ does not.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.brunet.address import ring_distance
 from repro.brunet.connection import ConnectionType
@@ -97,6 +98,47 @@ def _link_in_flight(a: "BrunetNode", b: "BrunetNode") -> bool:
             or b.linker.by_addr.get(a.addr) is not None)
 
 
+def ring_verdict(records: Iterable[dict], now: float = 0.0,
+                 excuse: Optional[Callable[[int, int], bool]] = None
+                 ) -> list[Violation]:
+    """The one ring-neighbour verdict, over census records
+    (:meth:`~repro.brunet.node.BrunetNode.census` in a simulation, a
+    daemon's ``status`` live): a node is consistent when it is ``in_ring``
+    and its ``right`` / ``left`` are its true successor / predecessor among
+    ``records``.  Fewer than two records make no ring.
+
+    ``excuse(i, j)``, with ``i`` and ``j`` indices into the address-sorted
+    records, drops the finding of node ``i`` against its true neighbour
+    ``j`` (a not-in-ring node is excused against either neighbour).
+    """
+    ring = sorted(records, key=lambda r: r["addr"])
+    out: list[Violation] = []
+    count = len(ring)
+    if count < 2:
+        return out
+    for i, rec in enumerate(ring):
+        name = rec["name"]
+        sides = (("right", (i + 1) % count), ("left", (i - 1) % count))
+        if not rec["in_ring"]:
+            if excuse is None or not any(excuse(i, j) for _, j in sides):
+                out.append(Violation(
+                    now, "ring", "ring.not-in-ring", name,
+                    f"ring.not-in-ring:{name}",
+                    f"{name} is not in the ring", gated=True))
+            continue
+        for side, j in sides:
+            true = ring[j]
+            if rec[side] != true["addr"] and (excuse is None
+                                               or not excuse(i, j)):
+                out.append(Violation(
+                    now, "ring", "ring.neighbor-missing", name,
+                    f"ring.neighbor-missing:{name}:{side}",
+                    f"{name}'s {side} neighbour is {str(rec[side])[:12]}, "
+                    f"not its true {side} neighbour {true['name']} "
+                    f"({true['addr'][:12]})", gated=True))
+    return out
+
+
 def _ring_repairing(node: "BrunetNode", live: list["BrunetNode"],
                     i: int) -> bool:
     """True while ``node`` has a linking handshake in flight (either
@@ -120,19 +162,20 @@ def _ring_repairing(node: "BrunetNode", live: list["BrunetNode"],
 def check_ring(nodes: Iterable["BrunetNode"], now: float,
                budget: Optional[int] = None) -> list[Violation]:
     """The structured-near connections must form the true sorted-address
-    ring: successor/predecessor links present, NEAR labels only on genuine
-    nearest neighbours, no links to dead nodes, no partitions.
+    ring: :func:`ring_verdict` over the live nodes' census records, NEAR
+    labels only on genuine nearest neighbours, no links to dead nodes, no
+    partitions.
 
-    A missing-neighbour or stale-label finding is skipped while a linking
+    A neighbour or stale-label finding is skipped while a linking
     handshake with the true neighbour is in flight on either side — the
     same exemption :func:`check_symmetry` applies — so slow NAT traversal
     reads as repair in progress, not as a violation.
 
     ``budget`` bounds the sweep for big rings: only a deterministic
-    stride sample of ``budget`` nodes is examined per call (successor
-    computation still uses the full live list, so sampled nodes are
-    graded against their *true* neighbours), and the partition BFS
-    abstains once it has traversed ``50 * budget`` edges.
+    stride sample of ``budget`` nodes is examined per call (they are
+    still graded against their *true* neighbours among all live nodes),
+    and the partition BFS abstains once it has traversed ``50 * budget``
+    edges.
     """
     live = _live(nodes)
     out: list[Violation] = []
@@ -142,20 +185,12 @@ def check_ring(nodes: Iterable["BrunetNode"], now: float,
     addr_index = {n.addr: i for i, n in enumerate(live)}
     repairing = [_ring_repairing(n, live, i) for i, n in enumerate(live)]
     examine = _stride_sample(list(enumerate(live)), budget)
+    examined = {i for i, _ in examine}
+    out.extend(ring_verdict(
+        [n.census() for n in live], now,
+        excuse=lambda i, j: (i not in examined
+                             or _link_in_flight(live[i], live[j]))))
     for i, node in examine:
-        for side, other in (("right", live[(i + 1) % count]),
-                            ("left", live[(i - 1) % count])):
-            if other is node:
-                continue
-            conn = node.table.get(other.addr)
-            if conn is None or not conn.structured:
-                if _link_in_flight(node, other):
-                    continue  # handshake toward the true neighbour runs
-                out.append(Violation(
-                    now, "ring", "ring.neighbor-missing", node.name,
-                    f"ring.neighbor-missing:{node.name}:{side}",
-                    f"{node.name} has no structured link to its true "
-                    f"{side} neighbour {other.name}", gated=True))
         # NEAR labels must point at genuine nearest live neighbours
         per_side = node.config.near_per_side
         allowed = set()

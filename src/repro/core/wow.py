@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.brunet import stats
 from repro.brunet.address import BrunetAddress, random_address
 from repro.brunet.config import BrunetConfig
 from repro.brunet.node import BrunetNode
 from repro.brunet.ring import RingIndex
 from repro.brunet.uri import Uri
+from repro.check.invariants import ring_verdict
 from repro.core.config import CalibrationConfig, SiteSpec
 from repro.ipop.bandwidth import BandwidthBroker
 from repro.phys.latency import LatencyModel
@@ -172,5 +172,6 @@ class Deployment:
         return list(self.ring_index.items)
 
     def ring_consistent(self) -> bool:
-        """Every live node is connected to its true ring successor."""
-        return stats.ring_consistent(self.ring_index.items)
+        """Every live node is in the ring and its left / right neighbours
+        are its true predecessor / successor (:func:`ring_verdict`)."""
+        return not ring_verdict([n.census() for n in self.ring_index.items])

@@ -27,8 +27,9 @@ from typing import Optional
 from repro.brunet.config import BrunetConfig
 from repro.brunet.node import BrunetNode
 from repro.brunet.routing import trace_route
-from repro.brunet.stats import ring_consistent, routable_fraction
+from repro.brunet.stats import routable_fraction
 from repro.brunet.uri import Uri
+from repro.check.invariants import ring_verdict
 from repro.experiments.common import print_table
 from repro.experiments.plotting import ascii_plot, export_series_csv
 from repro.fault import FaultSchedule
@@ -162,7 +163,8 @@ def run(seed: int = 0, n_nodes: int = 20, kill_fraction: float = 0.25,
     deadline = sim.now + settle
     while sim.now < deadline:
         live = [n for n in nodes if n.active]
-        if ring_consistent(live) and routable_fraction(live) == 1.0:
+        if (not ring_verdict([n.census() for n in live])
+                and routable_fraction(live) == 1.0):
             break
         sim.run(until=sim.now + 10.0)
     if obs_dir is not None:
@@ -186,7 +188,7 @@ def run(seed: int = 0, n_nodes: int = 20, kill_fraction: float = 0.25,
     while sim.now - t_kill < horizon:
         sim.run(until=sim.now + sample_every)
         elapsed = sim.now - t_kill
-        ring_ok = ring_consistent(survivors)
+        ring_ok = not ring_verdict([n.census() for n in survivors])
         frac = routable_fraction(survivors)
         series.append((elapsed, frac, ring_ok))
         if ring_ok and recovery_ring is None:

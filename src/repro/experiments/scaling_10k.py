@@ -57,7 +57,6 @@ from repro.brunet.address import (
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.stats import (
     hop_sample,
-    ring_consistent,
     routable_fraction,
     sampled_pairs,
 )
@@ -279,7 +278,8 @@ def _churn_slice(kernel: Simulator, nodes: list[BrunetNode],
     while kernel.now - t_kill < horizon:
         kernel.run(until=kernel.now + sample_every)
         elapsed = kernel.now - t_kill
-        if recovery_ring is None and ring_consistent(survivors):
+        if recovery_ring is None and not invariants.ring_verdict(
+                [n.census() for n in survivors]):
             recovery_ring = elapsed
         frac = routable_fraction(
             survivors, sampled_pairs(survivors, sample_pairs, prng))

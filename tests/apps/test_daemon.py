@@ -16,6 +16,7 @@ from repro.apps.daemon import WowDaemon
 from repro.brunet.bootstrap import PeerCache
 from repro.brunet.config import BrunetConfig
 from repro.brunet.uri import Uri
+from repro.check.invariants import ring_verdict
 
 FAST = BrunetConfig(link_resend_interval=0.1, link_max_retries=3,
                     overlord_interval=0.1, ping_interval=0.5,
@@ -56,6 +57,12 @@ def test_two_daemons_form_ring_and_answer_control(tmp_path):
         assert status["ok"] and status["in_ring"]
         assert status["vip"] == "10.128.0.2"
         assert status["right"] == b.node.addr.hex()
+        # a status is its node's census record plus daemon-only fields,
+        # and the simulator's ring verdict reads it as it stands
+        status_b = await _ctl(str(tmp_path / "b.sock"), "status")
+        for daemon, st in ((a, status), (b, status_b)):
+            assert st.items() >= daemon.node.census().items()
+        assert ring_verdict([status, status_b]) == []
 
         peers = await _ctl(str(tmp_path / "b.sock"), "peers")
         assert any(p["addr"] == a.node.addr.hex() for p in peers["peers"])

@@ -7,6 +7,7 @@ kept small (4 nodes, seed-death drill only) so tier-1 stays fast.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -14,45 +15,66 @@ import pytest
 
 from repro.apps.swarm import main as swarm_main
 from repro.apps.swarm import vip_for
-from repro.apps.wowctl import audit_ring, render_census
+from repro.apps import wowctl
+from repro.apps.wowctl import render_census
+from repro.check.invariants import ring_verdict
 
 
-def _status(vip: str, addr: str, right: str, in_ring: bool = True) -> dict:
-    return {"vip": vip, "addr": addr, "right": right, "in_ring": in_ring,
+def _status(vip: str, addr: str, left: str, right: str,
+            in_ring: bool = True) -> dict:
+    return {"name": f"n{vip.rsplit('.', 1)[1]}", "vip": vip, "addr": addr,
+            "left": left, "right": right, "in_ring": in_ring,
             "connections": 2, "endpoint": "127.0.0.1:1", "stats": {}}
 
 
-def test_audit_ring_accepts_consistent_successors():
+def test_ring_verdict_accepts_consistent_successors():
     # addresses sorted; each right neighbor is the next live address
-    statuses = [_status("10.128.2.2", "aa", "bb"),
-                _status("10.128.2.3", "bb", "cc"),
-                _status("10.128.2.4", "cc", "aa")]
-    assert audit_ring(statuses) == []
+    statuses = [_status("10.128.2.2", "aa", "cc", "bb"),
+                _status("10.128.2.3", "bb", "aa", "cc"),
+                _status("10.128.2.4", "cc", "bb", "aa")]
+    assert ring_verdict(statuses) == []
 
 
-def test_audit_ring_flags_stale_successor():
+def test_ring_verdict_flags_stale_successor():
     # "aa" still points at a departed node "zz" instead of "bb"
-    statuses = [_status("10.128.2.2", "aa", "zz"),
-                _status("10.128.2.3", "bb", "cc"),
-                _status("10.128.2.4", "cc", "aa")]
-    problems = audit_ring(statuses)
-    assert len(problems) == 1 and "10.128.2.2" in problems[0]
+    statuses = [_status("10.128.2.2", "aa", "cc", "zz"),
+                _status("10.128.2.3", "bb", "aa", "cc"),
+                _status("10.128.2.4", "cc", "bb", "aa")]
+    problems = ring_verdict(statuses)
+    assert [v.key for v in problems] == ["ring.neighbor-missing:n2:right"]
 
 
-def test_audit_ring_flags_node_out_of_ring():
-    statuses = [_status("10.128.2.2", "aa", "bb"),
-                _status("10.128.2.3", "bb", "aa"),
-                _status("10.128.2.4", "cc", None, in_ring=False)]
-    problems = audit_ring(statuses)
-    assert any("not in ring" in p for p in problems)
+def test_ring_verdict_flags_node_out_of_ring():
+    statuses = [_status("10.128.2.2", "aa", "bb", "bb"),
+                _status("10.128.2.3", "bb", "aa", "aa"),
+                _status("10.128.2.4", "cc", None, None, in_ring=False)]
+    problems = ring_verdict(statuses)
+    assert "ring.not-in-ring:n4" in {v.key for v in problems}
 
 
 def test_render_census_reports_verdict():
-    statuses = [_status("10.128.2.2", "aabbccddeeff", "aabbccddeeff")]
-    text = render_census(statuses, errors=[], problems=[])
+    statuses = [_status("10.128.2.2", "aabbccddeeff", "aabbccddeeff",
+                        "aabbccddeeff")]
+    text = render_census(statuses, errors=[], findings=[])
     assert "RING AUDIT: consistent" in text
-    text = render_census(statuses, errors=["n1: dead"], problems=["bad"])
+    bad = ring_verdict(statuses + [_status("10.128.2.3", "bb", None, None,
+                                           in_ring=False)])
+    text = render_census(statuses, errors=["n1: dead"], findings=bad)
     assert "RING AUDIT: INCONSISTENT" in text and "n1: dead" in text
+    assert "n3 is not in the ring" in text
+
+
+def test_census_json_lists_findings_as_violation_rows(monkeypatch, capsys):
+    statuses = [_status("10.128.2.2", "aa", "cc", "zz"),
+                _status("10.128.2.3", "bb", "aa", "cc"),
+                _status("10.128.2.4", "cc", "bb", "aa")]
+    monkeypatch.setattr(wowctl, "collect_census",
+                        lambda sockets, timeout: (statuses, []))
+    assert wowctl.main(["--json", "--sock", "unused.sock", "census"]) == 1
+    rows = json.loads(capsys.readouterr().out)["violations"]
+    # the schema of violations.jsonl, which repro.obs.inspect reads
+    assert rows == [v.to_row() for v in ring_verdict(statuses)]
+    assert [r["key"] for r in rows] == ["ring.neighbor-missing:n2:right"]
 
 
 def test_vip_allocation_is_unique_and_valid():

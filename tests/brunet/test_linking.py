@@ -94,19 +94,6 @@ def test_simultaneous_linking_race_converges(world):
     assert b.table.get(a.addr) is not None
 
 
-def test_race_with_paper_backoff_mode(world):
-    sim, net = world
-    site = Site(net, "pub")
-    cfg = BrunetConfig(race_tiebreak_by_address=False)
-    a = make_node(sim, net, site, "a", cfg)
-    b = make_node(sim, net, site, "b", cfg)
-    a.linker.start(b.addr, b.uris.advertised(), ConnectionType.SHORTCUT)
-    b.linker.start(a.addr, a.uris.advertised(), ConnectionType.SHORTCUT)
-    sim.run(until=sim.now + 120)
-    assert a.table.get(b.addr) is not None
-    assert b.table.get(a.addr) is not None
-
-
 def test_hole_punch_between_two_nated_sites(world):
     """Both ends behind port-restricted cone NATs: linking succeeds only
     because both sides initiate (§IV-D)."""

@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.brunet.stats import survey
+from repro.brunet.stats import routable_fraction
+from repro.check.invariants import ring_verdict
 from repro.experiments.plotting import (
     ascii_plot,
     export_csv,
@@ -63,10 +64,13 @@ class TestSurvey:
 
     def test_survey_counts_make_sense(self, bed):
         sim, tb = bed
-        s = survey(tb.deployment, sample_sources=6)
-        assert s.n_nodes == 12 + 33
-        assert s.ring_consistent
-        assert s.degree_mean > 2
-        assert s.connections_by_type["structured.near"] > 0
-        assert s.hop_mean >= 1.0
-        assert s.unreachable_pairs == 0
+        nodes = tb.deployment.ring_nodes()
+        records = [n.census() for n in nodes]
+        assert len(records) == 12 + 33
+        assert ring_verdict(records) == []
+        assert sum(r["connections"] for r in records) / len(records) > 2
+        assert all(r["in_ring"] for r in records)  # NEAR links present
+        # six sources to every destination: every sampled pair routable
+        sources = nodes[::-(-len(nodes) // 6)]
+        assert routable_fraction(
+            nodes, ((s, d) for s in sources for d in nodes if s is not d)) == 1.0
