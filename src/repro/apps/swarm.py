@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -284,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--base-port", type=int, default=15600)
     parser.add_argument("--run-dir", default=None,
                         help="sockets/caches/logs live here "
-                             "(default: fresh temp dir)")
+                             "(default: a fresh temp dir, removed after a "
+                             "passing run)")
     parser.add_argument("--bundle-dir", default=None,
                         help="daemons export obs bundles here on drain; "
                              "audited with repro.check.posthoc")
@@ -305,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    passed = False
     run_dir = args.run_dir or tempfile.mkdtemp(prefix="wow-swarm-")
     os.makedirs(run_dir, exist_ok=True)
     if args.bundle_dir:
@@ -344,12 +347,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             if bad:
                 raise RuntimeError(f"bundle audit: {bad} failed checks")
         print("swarm: ALL DRILLS PASSED")
+        passed = True
         return 0
     except (RuntimeError, ControlError) as exc:
-        print(f"swarm: FAILED — {exc}", file=sys.stderr)
+        # the run dir holds the daemons' logs: the evidence, so it stays
+        print(f"swarm: FAILED — {exc} (logs in {run_dir})", file=sys.stderr)
         return 1
     finally:
         swarm.teardown(graceful=False)
+        if passed and not args.run_dir:
+            shutil.rmtree(run_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -134,19 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=10.0)
     parser.add_argument("--json", action="store_true",
                         help="raw JSON output instead of rendered text")
+    # ``--json`` is accepted after the subcommand too; SUPPRESS keeps an
+    # absent sub-level flag from overwriting the top-level value
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="raw JSON output instead of rendered text")
     sub = parser.add_subparsers(dest="command", required=True)
-    for simple in ("status", "peers", "links", "cache", "stats",
-                   "save-cache", "shutdown"):
-        sub.add_parser(simple)
-    sub.add_parser("census")
-    p_trim = sub.add_parser("trim")
-    p_trim.add_argument("--ttl", type=float, default=30.0,
-                        help="drop shortcut links idle >= TTL seconds")
-    p_conn = sub.add_parser("connect")
-    p_conn.add_argument("vip")
-    p_ping = sub.add_parser("ping")
-    p_ping.add_argument("vip")
-    p_ping.add_argument("--ping-timeout", type=float, default=5.0)
+    cmd = {name: sub.add_parser(name, parents=[common])
+           for name in ("status", "peers", "links", "cache", "stats",
+                        "save-cache", "shutdown", "census", "trim",
+                        "connect", "ping")}
+    cmd["trim"].add_argument("--ttl", type=float, default=30.0,
+                             help="drop shortcut links idle >= TTL seconds")
+    cmd["connect"].add_argument("vip")
+    cmd["ping"].add_argument("vip")
+    cmd["ping"].add_argument("--ping-timeout", type=float, default=5.0)
     return parser
 
 

@@ -35,10 +35,6 @@ class BrunetConfig:
     #: ``batch_timers=True``; the next benchmark revision drops that
     #: argument and this field with it.
     batch_timers: bool = False
-    #: read by nothing: an unanswered ping is looked at again only on the
-    #: next keep-alive tick.  ROADMAP item 3a either retries a silent
-    #: link's ping after this many seconds or deletes the field.
-    ping_timeout: float = 4.0
     #: hard liveness backstop: drop a connection when *nothing* has been
     #: heard from the peer for this long, regardless of ping accounting
     #: (0 disables).  Healthy peers always answer pings well inside this.

@@ -92,7 +92,7 @@ class BrunetNode:
                  "shortcut_overlord", "_ping_timer", "on_connection",
                  "on_disconnection", "joined_at", "started_at", "_m_sent",
                  "_m_forwarded", "_m_delivered", "_m_hops", "_m_decode_err",
-                 "_m_body_drop", "_m_conns", "__weakref__")
+                 "_m_conns", "__weakref__")
 
     def __init__(self, sim: "Simulator", host: Optional["Host"],
                  addr: BrunetAddress,
@@ -148,12 +148,10 @@ class BrunetNode:
                                             node=self.name)
         self._m_hops = metrics.histogram("brunet.route.hops",
                                          node=self.name)
-        # a lazily-decoded payload that turns out malformed at delivery is
-        # the same failure as a transport-level decode error
+        # a frame the node reads as bytes and cannot decode is the same
+        # failure as a transport-level decode error
         self._m_decode_err = metrics.counter("wire.decode_error",
                                              node=self.name)
-        self._m_body_drop = metrics.counter("wire.body_decode_drop",
-                                            node=self.name)
         #: ``brunet.connections``, holding this node's callback while it runs
         self._m_conns = None
 
@@ -453,23 +451,6 @@ class BrunetNode:
 
     def _deliver(self, pkt: RoutedPacket) -> None:
         payload = pkt.payload
-        if type(payload) is wire.RawBody:
-            # codec mode deferred the body decode across transit hops;
-            # pay it exactly once, here, at local delivery
-            try:
-                payload = wire.materialize(payload)
-            except wire.DecodeError:
-                self.stats["body_decode_drop"] += 1
-                self._m_decode_err.inc()
-                self._m_body_drop.inc()
-                if pkt.trace is not None:
-                    spans = self.sim.obs.spans
-                    spans.hop(pkt.trace, "wire.decode_drop", self.name,
-                              self.sim.now, hops=pkt.hops)
-                    spans.end_trace(pkt.trace.trace_id, self.sim.now,
-                                    decode_error=True)
-                return
-            pkt.payload = payload
         self.stats["delivered"] += 1
         self._m_delivered.value += 1
         self._m_hops.observe(pkt.hops)
@@ -564,7 +545,7 @@ class BrunetNode:
         if type(payload) is bytes:
             # a codec transport hands routed and keep-alive frames over
             # undecoded; frame_view classifies one for its byte path, and
-            # a frame no byte path takes goes to decode_lazy
+            # a frame no byte path takes is decoded whole
             view = wire.frame_view(payload, self._addr_bytes)
             kind = view[0] if view is not None else None
             if kind == codec.T_PING_REQUEST:
@@ -581,7 +562,7 @@ class BrunetNode:
                 self._deliver_ip(view[1], view[2], view[3])
                 return
             try:
-                payload = wire.decode_lazy(payload)
+                payload = wire.decode(payload)
             except wire.DecodeError:
                 self._m_decode_err.inc()
                 return

@@ -118,7 +118,6 @@ def render_nodes(metrics: list[dict], out=None) -> None:
     decap = _metric_by_node(metrics, "ipop.decap_packets")
     opaque = _metric_by_node(metrics, "wire.opaque_frames")
     dec_err = _metric_by_node(metrics, "wire.decode_error")
-    body_drop = _metric_by_node(metrics, "wire.body_decode_drop")
     nodes = sorted(set(conns) | set(sent) | set(dlv) | set(l_ok))
     if not nodes:
         print("no per-node metrics in this export", file=out)
@@ -131,9 +130,9 @@ def render_nodes(metrics: list[dict], out=None) -> None:
                      f"{l_ok.get(n, 0):g}/{l_fail.get(n, 0):g}",
                      f"{encap.get(n, 0):g}/{decap.get(n, 0):g}",
                      f"{opaque.get(n, 0):g}",
-                     f"{dec_err.get(n, 0):g}/{body_drop.get(n, 0):g}"])
+                     f"{dec_err.get(n, 0):g}"])
     _table(["node", "conns", "sent", "fwd", "dlvd", "link ok/fail",
-            "ip out/in", "opaque", "decode err/drop"], rows, out)
+            "ip out/in", "opaque", "decode err"], rows, out)
 
 
 def render_census(events: list[dict], buckets: int = 12,

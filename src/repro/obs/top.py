@@ -166,7 +166,6 @@ def render_stats(cur: dict, prev: Optional[dict] = None,
         f"{_rate(cur, prev, 'wire.tx_bytes', dt)}  "
         f"rx={_fmt_bytes(sums.get('wire.rx_bytes', 0))}  "
         f"decode_err={sums.get('wire.decode_error', 0):g}  "
-        f"body_drop={sums.get('wire.body_decode_drop', 0):g}  "
         f"opaque={sums.get('wire.opaque_frames', 0):g}")
     prof = cur.get("profile")
     if prof:

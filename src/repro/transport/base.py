@@ -19,7 +19,7 @@ classifies the frame with one :func:`repro.wire.frame_view` call and
 forwards a routed frame as bytes (:func:`repro.wire.patch_forward` +
 :meth:`Transport.send_frame`: a transit hop builds no message object),
 takes a tunnelled IP packet out of the same pass, reads a keep-alive's
-fields, or decodes the frame itself with :func:`repro.wire.decode_lazy`,
+fields, or decodes the whole frame itself with :func:`repro.wire.decode`,
 counting a failure on the same ``wire.decode_error`` series.  A handler
 that is not a ``BrunetNode`` must therefore accept ``bytes`` for those
 frames.

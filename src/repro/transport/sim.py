@@ -12,14 +12,14 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
 ``"codec"``
     Full serialization: the datagram carries encoded bytes and is charged
     ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
-    decodes (or counts ``wire.decode_error`` and drops) — except an
-    untraced routed or keep-alive frame, which goes to the node as bytes,
-    exactly as :class:`~repro.transport.udp.UdpTransport` delivers it, so
-    the node classifies it with one :func:`repro.wire.frame_view` call,
-    origins launch, transit hops patch and resend, and keep-alives are
-    built and read as fixed-layout frames through
-    :meth:`SimTransport.send_frame` (``carries_frames`` is True in this
-    mode only).  The simulator then exercises the exact byte paths the
+    decodes each whole frame (or counts ``wire.decode_error`` and drops)
+    — except an untraced routed or keep-alive frame, which goes to the
+    node as bytes, exactly as :class:`~repro.transport.udp.UdpTransport`
+    delivers it, so the node classifies it with one
+    :func:`repro.wire.frame_view` call, origins launch, transit hops
+    patch and resend, and keep-alives are built and read as fixed-layout
+    frames through :meth:`SimTransport.send_frame` (``carries_frames`` is
+    True in this mode only).  The simulator then exercises the exact byte paths the
     UDP transport uses.
 """
 
@@ -127,10 +127,9 @@ class SimTransport(Transport):
     def _on_codec_dgram(self, dgram: "Datagram") -> None:
         """Codec-mode delivery.  An untraced routed or keep-alive frame
         goes to the node as bytes (the byte paths, see
-        :mod:`repro.transport.base`).  Everything else is decoded here
-        (payloads of routed frames stay as zero-copy
-        :class:`~repro.wire.RawBody` slices until local delivery), gets
-        its post-transit trace context restored, and is dispatched.
+        :mod:`repro.transport.base`).  Everything else is decoded whole
+        here, gets its post-transit trace context restored, and is
+        dispatched.
         Malformed frames are counted and dropped — never raised into the
         simulation event loop."""
         buf = dgram.payload
@@ -140,7 +139,7 @@ class SimTransport(Transport):
             self._handler(buf, dgram.src, dgram.size)
             return
         try:
-            msg = codec.decode_lazy(buf)
+            msg = codec.decode(buf)
         except codec.DecodeError:
             self._m_decode_err.inc()
             if dgram.trace is not None:

@@ -170,7 +170,7 @@ class UdpTransport(Transport):
             msg = data     # the node reads it as bytes or decodes it
         else:
             try:
-                msg = codec.decode_lazy(data)
+                msg = codec.decode(data)
             except codec.DecodeError:
                 self._m_decode_err.inc()
                 return

@@ -16,7 +16,9 @@ Keep-alives and routed packets also have fixed-layout byte paths that a
 transport carrying frames uses without building a message object:
 ``ping_frame`` / ``ping_reply_frame`` and ``encode_origin`` build frames,
 ``frame_view`` classifies a received one in a single pass, and
-``patch_forward`` forwards a frame in transit.
+``patch_forward`` forwards a frame in transit.  Every other frame is
+decoded whole by ``decode``.  ``decode_lazy``, ``materialize`` and
+``peek_header`` are inert aliases kept for the frozen benchmark harness.
 
 Decode failures raise the typed :class:`DecodeError`; transports, and the
 node for the frames it takes as bytes, count them (``wire.decode_error``)
@@ -27,8 +29,6 @@ loop.
 from repro.wire.codec import (
     UDP_IP_OVERHEAD,
     DecodeError,
-    FrameHeader,
-    RawBody,
     WIRE_VERSION,
     address_bytes,
     decode,
@@ -48,8 +48,6 @@ __all__ = [
     "UDP_IP_OVERHEAD",
     "WIRE_VERSION",
     "DecodeError",
-    "FrameHeader",
-    "RawBody",
     "address_bytes",
     "decode",
     "decode_lazy",

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
+from repro.apps.swarm import Swarm, vip_for
 from repro.apps.swarm import main as swarm_main
-from repro.apps.swarm import vip_for
 from repro.apps import wowctl
 from repro.apps.wowctl import render_census
 from repro.check.invariants import ring_verdict
@@ -75,6 +76,58 @@ def test_census_json_lists_findings_as_violation_rows(monkeypatch, capsys):
     # the schema of violations.jsonl, which repro.obs.inspect reads
     assert rows == [v.to_row() for v in ring_verdict(statuses)]
     assert [r["key"] for r in rows] == ["ring.neighbor-missing:n2:right"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "--dir", "D", "census"],
+    ["--dir", "D", "census", "--json"],
+    ["--sock", "S", "ping", "10.128.0.3", "--json"],
+])
+def test_json_flag_parses_before_and_after_the_subcommand(argv):
+    assert wowctl.build_parser().parse_args(argv).json is True
+
+
+@pytest.mark.parametrize("argv", [["--dir", "D", "census"],
+                                  ["--sock", "S", "status"]])
+def test_json_flag_defaults_to_text(argv):
+    assert wowctl.build_parser().parse_args(argv).json is False
+
+
+def _stub_swarm(monkeypatch, tmp_path, lost_pings: int) -> None:
+    """A swarm that starts no daemon: every drill passes at once, except
+    that ``lost_pings`` of the pings are lost."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(Swarm, "spawn_all", lambda self: None)
+    monkeypatch.setattr(Swarm, "wait_for_ring",
+                        lambda self, expect, timeout, label: [{}] * expect)
+    monkeypatch.setattr(Swarm, "ping_pairs",
+                        lambda self, count, timeout=10.0: lost_pings)
+    monkeypatch.setattr(Swarm, "teardown", lambda self, graceful=True: [])
+
+
+ARGV = ["--nodes", "2", "--seeds", "1", "--skip-churn", "--skip-seed-death"]
+
+
+def test_passing_run_removes_the_run_dir_it_created(monkeypatch, tmp_path):
+    _stub_swarm(monkeypatch, tmp_path, lost_pings=0)
+    assert swarm_main(ARGV) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_run_keeps_the_run_dir_and_names_it(monkeypatch, tmp_path,
+                                                    capsys):
+    _stub_swarm(monkeypatch, tmp_path, lost_pings=1)
+    assert swarm_main(ARGV) == 1
+    [run_dir] = tmp_path.iterdir()
+    assert run_dir.name.startswith("wow-swarm-")
+    assert str(run_dir) in capsys.readouterr().err
+
+
+def test_passing_run_keeps_a_given_run_dir(monkeypatch, tmp_path):
+    _stub_swarm(monkeypatch, tmp_path, lost_pings=0)
+    run_dir = tmp_path / "run"
+    assert swarm_main(ARGV + ["--run-dir", str(run_dir)]) == 0
+    assert list(tmp_path.iterdir()) == [run_dir]
 
 
 def test_vip_allocation_is_unique_and_valid():

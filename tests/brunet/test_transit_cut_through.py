@@ -8,7 +8,7 @@ a tunnelled IP packet that has arrived is taken out of the same pass —
 each time through ``Transport.send_frame`` or straight into
 ``ip_handler``, with no ``RoutedPacket``.  Everything else, and every
 node on a transport that carries objects, takes the object path:
-``decode_lazy`` → ``_on_datagram`` → ``route`` → ``send_over`` /
+``decode`` → ``_on_datagram`` → ``route`` → ``send_over`` /
 ``_deliver`` → ``encode``, the only path there was before.
 
 Both must be indistinguishable from outside.  Two identical nodes with
@@ -17,7 +17,14 @@ delivers it and with byte paths available, ``obj`` through the object
 path only — and must emit the same bytes to the same endpoints, make
 the same handler calls with equal payloads, and end with equal
 connection counters, ``node.stats``, trace counters, metrics and
-transport counters.
+transport counters.  With one difference: the byte path forwards a
+frame in transit without reading its body, while the object path
+decodes every frame whole and encodes it again.  So a body that does
+not decode is dropped there and counted once on ``wire.decode_error``,
+a body in bytes the encoder would not write leaves in the bytes it
+would (``Pair.unread``), and a body that holds an OPAQUE value is
+pickled again and counted on ``wire.opaque_frames``
+(``Pair.opaque_skew``).
 
 The hostile half feeds every truncation and single-byte corruption of
 frames the byte paths accept to both: a byte path may only forward or
@@ -43,6 +50,7 @@ from repro.brunet.messages import (
     RoutedPacket,
 )
 from repro.brunet.node import BrunetNode
+from repro.brunet.routing import next_hop
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.ipop.vtcp import Segment
@@ -130,18 +138,34 @@ def _snapshot(node: BrunetNode) -> dict:
         "metrics": {name: metrics.counter(name, node=node.name).value
                     for name in ("brunet.route.sent", "brunet.route.forwarded",
                                  "brunet.route.delivered",
-                                 "wire.decode_error", "wire.body_decode_drop",
-                                 "wire.tx_bytes", "wire.opaque_frames")},
+                                 "wire.decode_error", "wire.tx_bytes",
+                                 "wire.opaque_frames")},
         "hops": (node._m_hops.count, node._m_hops.total),
         "sent": node.transport.sent,
     }
 
 
-def _object_path(node: BrunetNode, buf: bytes) -> None:
-    """What a codec transport and the node did with every frame before
-    the byte paths existed."""
+def _decode_errors(node: BrunetNode) -> int:
+    return node.sim.obs.metrics.counter("wire.decode_error",
+                                        node=node.name).value
+
+
+def _reencode(buf: bytes) -> tuple:
+    """``encode(decode(buf))`` (None if ``buf`` does not decode) and how
+    many OPAQUE values that encode pickled."""
+    before = wire.codec.opaque_frames
     try:
-        msg = wire.decode_lazy(buf)
+        again = wire.encode(wire.decode(buf))
+    except wire.DecodeError:
+        return None, 0
+    return again, wire.codec.opaque_frames - before
+
+
+def _object_path(node: BrunetNode, buf: bytes) -> None:
+    """What a codec transport and the node do with a frame that takes no
+    byte path."""
+    try:
+        msg = wire.decode(buf)
     except wire.DecodeError:
         node._m_decode_err.inc()
         return
@@ -162,6 +186,15 @@ class Pair:
         self.handled: Counter = Counter()
         self.byte = _fixed_node(self.addrs, True, self.byte_calls)
         self.obj = _fixed_node(self.addrs, False, self.obj_calls)
+        self.mine = wire.address_bytes(self.addrs[0])
+        #: the same two nodes again, for the frames the paths differ on
+        self.spare = (_fixed_node(self.addrs, True, []),
+                      _fixed_node(self.addrs, False, []))
+        #: frames forwarded unread by ``byte`` that ``obj`` dropped
+        self.unread_forwarded = 0
+        #: OPAQUE values ``obj`` pickled again in frames ``byte`` forwarded
+        #: unread: how far its ``wire.opaque_frames`` runs ahead
+        self.opaque_skew = 0
 
     def both(self, act) -> int:
         """Run ``act(node)`` on both nodes, require identical behaviour;
@@ -172,7 +205,11 @@ class Pair:
         act(self.obj)
         assert self.byte.transport.out == self.obj.transport.out
         assert self.byte_calls == self.obj_calls
-        assert _snapshot(self.byte) == _snapshot(self.obj)
+        byte, obj = _snapshot(self.byte), _snapshot(self.obj)
+        assert (obj["metrics"].pop("wire.opaque_frames")
+                - byte["metrics"].pop("wire.opaque_frames")
+                == self.opaque_skew)
+        assert byte == obj
         assert self.obj.transport.frames_sent == 0
         self.handled.update(call[0] for call in self.byte_calls)
         for seen in (self.byte.transport.out, self.obj.transport.out,
@@ -181,13 +218,49 @@ class Pair:
         return self.byte.transport.frames_sent - before
 
     def feed(self, buf: bytes) -> int:
-        """Deliver ``buf`` to both nodes, each by its own path."""
+        """Deliver ``buf`` to both nodes, each by its own path; a frame
+        the byte path forwards unread and that does not re-encode to
+        itself goes to :meth:`unread`."""
+        view = _transit(buf, self.mine)
+        if (view is not None and next_hop(self.byte.table, self.addrs[0],
+                                          *view[:3]) is not None):
+            again, opaques = _reencode(buf)
+            if again != buf:
+                return self.unread(buf, again)
+            self.opaque_skew += opaques
+
         def deliver(node: BrunetNode) -> None:
             if node is self.byte:
                 node._on_datagram(buf, SRC, len(buf) + wire.UDP_IP_OVERHEAD)
             else:
                 _object_path(node, buf)
         return self.both(deliver)
+
+    def unread(self, buf: bytes, again) -> int:
+        """A frame in transit that re-encodes as ``again`` (None: it does
+        not decode), fed to the spare pair so that the main pair stays in
+        step.  The byte path forwards it unread; the object path drops
+        it and counts it once on ``wire.decode_error``, or forwards the
+        same packet in the encoder's bytes."""
+        byte, obj = self.spare
+        errors = _decode_errors(byte), _decode_errors(obj)
+        byte._on_datagram(buf, SRC, len(buf) + wire.UDP_IP_OVERHEAD)
+        _object_path(obj, buf)
+        view = wire.frame_view(buf, self.mine)
+        [(frame, to)] = byte.transport.out
+        assert frame == wire.patch_forward(buf, view, self.mine)
+        assert _decode_errors(byte) == errors[0]
+        if again is None:
+            assert obj.transport.out == []
+            assert _decode_errors(obj) == errors[1] + 1
+            self.unread_forwarded += 1
+        else:
+            [(canonical, obj_to)] = obj.transport.out
+            assert obj_to == to and canonical != frame
+            assert wire.decode(canonical) == wire.decode(frame)
+        byte.transport.out.clear()
+        obj.transport.out.clear()
+        return 1
 
     def send(self, dest, payload, size, **kwargs) -> int:
         """``send_routed`` on both nodes."""
@@ -337,7 +410,7 @@ def test_cut_through_output_is_what_encode_would_send():
             continue
         accepted += 1
         assert _delivery(buf, mine) is None
-        pkt = wire.decode_lazy(buf)
+        pkt = wire.decode(buf)
         assert view == (pkt.dest, pkt.exclude_dest_link, pkt.approach,
                         pkt.size, pkt.via[-1] if pkt.via else None,
                         pkt.hops, len(pkt.via))
@@ -423,7 +496,30 @@ def test_body_nested_deeper_than_the_stack_is_dropped_and_counted(
     nested = wire.encode(IpEncap(None, 0))[1:-1] * 3000 + head[-1:]
     assert pair.feed(head[:-1] + nested) == 0
     assert delivered_as_bytes == [] and not pair.handled
-    assert pair.byte.stats["body_decode_drop"] == 1
+    assert _decode_errors(pair.byte) == 1
+    assert pair.byte.stats["delivered"] == 0
+
+
+def test_a_corrupt_body_is_forwarded_unread_and_dropped_where_decoded():
+    """The difference, on a routed CtmRequest whose ``conn_type`` no
+    ``ConnectionType`` names: in transit the byte path forwards it
+    unread and the object path drops it; addressed here, both decode it,
+    drop it and count it once."""
+    pair = Pair(18)
+    me, peer = pair.addrs[0], pair.addrs[1]
+    bad = CtmRequest(1, pair.addrs[2], [Uri.udp("10.0.0.2", 14001)],
+                     "structured.near")
+    bad.conn_type = "bogus"
+    passing, arriving = (
+        wire.encode(RoutedPacket(src=pair.addrs[2], dest=dest, payload=bad,
+                                 size=80, ttl=TTL, via=[pair.addrs[3]]))
+        for dest in (peer, me))
+    assert _transit(passing, pair.mine) is not None
+    assert _reencode(passing)[0] is _reencode(arriving)[0] is None
+    assert pair.feed(passing) == 1 and pair.unread_forwarded == 1
+    assert pair.feed(arriving) == 0
+    assert _decode_errors(pair.byte) == 1
+    assert pair.byte.stats["delivered"] == 0 and not pair.handled
 
 
 def _corpus(rng: random.Random, pair: Pair, accepts, count: int) -> list:
@@ -466,10 +562,10 @@ def test_hostile_every_truncation_and_single_byte_corruption():
     pair = Pair(9)
     sent, fed = _hostile(rng, pair,
                          _corpus(rng, pair, _transit, 14))
-    errors = pair.byte.sim.obs.metrics.counter("wire.decode_error",
-                                               node="relay").value
-    assert errors > 1000            # malformed frames reached decode_lazy
-    assert 0 < sent < fed           # and harmless corruptions cut through
+    # malformed frames reached decode, harmless corruptions cut through,
+    # and so did frames whose body alone is malformed
+    assert _decode_errors(pair.byte) > 1000
+    assert 0 < pair.unread_forwarded < sent < fed
 
 
 def test_hostile_delivery_every_truncation_and_single_byte_corruption(
@@ -479,11 +575,9 @@ def test_hostile_delivery_every_truncation_and_single_byte_corruption(
     _sent, fed = _hostile(rng, pair,
                           _corpus(rng, pair, _delivery, 10))
     stats = pair.byte.stats
-    # malformed bodies reached materialize, malformed envelopes
-    # decode_lazy, and harmless corruptions were delivered as bytes
-    assert stats["body_decode_drop"] > 500
-    assert pair.byte.sim.obs.metrics.counter(
-        "wire.decode_error", node="relay").value > stats["body_decode_drop"]
+    # malformed frames reached decode, and harmless corruptions were
+    # delivered as bytes
+    assert _decode_errors(pair.byte) > 1000
     assert 0 < len(delivered_as_bytes) < stats["delivered"] < fed
     assert stats["ttl_drop"] > 0 and stats["forwarded"] > 0
 

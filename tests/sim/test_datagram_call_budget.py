@@ -22,7 +22,7 @@ What would lose the gain while every behavioural test stays green:
   accessors, a frame or two each per datagram;
 * ``BrunetNode._on_datagram`` walks its ``isinstance`` ladder before it
   recognises a keep-alive;
-* in codec mode, a keep-alive crosses ``encode`` / ``decode_lazy`` as a
+* in codec mode, a keep-alive crosses ``encode`` / ``decode`` as a
   message object again instead of the fixed-layout byte path, or
   ``SimTransport`` sends through ``UdpSocket.send`` and counts with
   ``.inc()``.
@@ -57,7 +57,7 @@ KEEPALIVE_MEASURED = 34
 KEEPALIVE_BUDGET = 38
 #: a whole tick-driven keep-alive exchange (tick → request → reply), as
 #: measured per wire mode: codec frames are built and read as fixed
-#: layouts (75 when they crossed ``encode`` / ``decode_lazy`` as objects)
+#: layouts (75 when they crossed ``encode`` / ``decode`` as objects)
 TICK_EXCHANGE_MEASURED = {"reference": 41, "codec": 42}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
 TRANSIT_MEASURED = 19

@@ -2,7 +2,7 @@
 
 B holds links to A and C; A and C hold only their link to B, so every
 virtual-IP packet between them visits B in transit.  In codec mode no
-node calls ``encode`` / ``decode_lazy`` / ``materialize`` for it: A and C
+node calls ``encode`` or ``decode`` for it: A and C
 launch and take delivery of tunnelled IP packets as bytes, B forwards
 them as bytes.  With span tracing on, the traced frames take the object
 path and the causal tree is the one both wire modes have always
@@ -72,12 +72,12 @@ def _sim_chain(mode: str, spans: bool = False):
 
 
 class CodecCalls:
-    """Counts ``encode`` / ``decode_lazy`` / ``materialize`` calls: all
+    """Counts ``encode`` / ``decode`` calls: all
     of them (``total``) and those made while the middle node is handling
     a datagram (``calls``; its forwarding send happens inside that
     call)."""
 
-    NAMES = ("encode", "decode_lazy", "materialize")
+    NAMES = ("encode", "decode")
 
     def __init__(self, monkeypatch):
         self.inside = False
@@ -87,7 +87,7 @@ class CodecCalls:
             monkeypatch.setattr(codec, name,
                                 self._counted(name, getattr(codec, name)))
         import repro.wire as wire_pkg
-        for name in self.NAMES:     # ``wire.decode_lazy(...)`` callers
+        for name in self.NAMES:     # ``wire.decode(...)`` callers
             monkeypatch.setattr(wire_pkg, name, getattr(codec, name))
 
     def _counted(self, name, fn):

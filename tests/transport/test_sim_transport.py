@@ -223,7 +223,7 @@ def test_unknown_conn_type_is_counted_and_dropped_not_raised():
     """Regression: a well-formed frame whose ``conn_type`` is no
     ``ConnectionType`` raised ``ValueError`` out of the node's handlers
     and aborted ``sim.run()``.  Direct frames now fail in the transport's
-    decode, routed bodies at local delivery; both are counted."""
+    decode, routed ones in the node's; both are counted."""
     sim = Simulator(seed=1, trace=False)
     site = Site(Internet(sim), "pub")
     me, peer = addr_for_ip("10.128.0.2"), addr_for_ip("10.128.0.3")
@@ -244,11 +244,10 @@ def test_unknown_conn_type_is_counted_and_dropped_not_raised():
                                             size=80)), size=10)
     sim.run(until=1.0)
     assert len(node.table) == 0 and not node.linker.by_addr
-    assert node.stats["body_decode_drop"] == len(routed)
     assert node.stats["delivered"] == 0
     metrics = sim.obs.metrics
-    assert metrics.counter("wire.decode_error", node="a").value == 4
-    assert metrics.counter("wire.body_decode_drop", node="a").value == 2
+    assert metrics.counter("wire.decode_error", node="a").value \
+        == len(direct) + len(routed)
 
 
 def test_codec_mode_preserves_trace_context_across_bytes():
@@ -300,7 +299,7 @@ def test_node_restart_reuses_transport_and_keeps_port():
 
 def test_reserved_tags_are_counted_once_each():
     """A frame with a reserved type tag fails in the transport's decode;
-    as a routed body it fails at local delivery.  Each counts once."""
+    as a routed body it fails in the node's.  Each counts once."""
     sim = Simulator(seed=1, trace=False)
     site = Site(Internet(sim), "pub")
     me, peer = addr_for_ip("10.128.0.2"), addr_for_ip("10.128.0.3")
@@ -315,6 +314,4 @@ def test_reserved_tags_are_counted_once_each():
     metrics = sim.obs.metrics
     assert metrics.counter("wire.decode_error", node="a").value \
         == len(bare) + len(routed)
-    assert metrics.counter("wire.body_decode_drop", node="a").value \
-        == node.stats["body_decode_drop"] == len(routed)
     assert node.stats["delivered"] == 0

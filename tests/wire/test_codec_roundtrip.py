@@ -218,16 +218,25 @@ def test_bad_version_byte():
 def test_unknown_type_tag():
     with pytest.raises(DecodeError, match="tag"):
         decode(bytes([WIRE_VERSION, 250]))
-    # a reserved tag is unknown too: bare, and as a routed body, whose
-    # envelope still parses
+    # a reserved tag is unknown too: bare, and as a routed body
     bare, routed = reserved_frames(BrunetAddress(1), BrunetAddress(2))
     for tag, frame, pkt in zip(RESERVED_BODIES, bare, routed):
-        for reader in (decode, codec.decode_lazy):
+        for buf in (frame, pkt):
             with pytest.raises(DecodeError, match=f"unknown type tag {tag}"):
-                reader(frame)
-        lazy = codec.decode_lazy(pkt)
-        with pytest.raises(DecodeError, match=f"unknown type tag {tag}"):
-            codec.materialize(lazy.payload)
+                decode(buf)
+
+
+def test_frozen_harness_names_are_inert_aliases():
+    """``decode_lazy``, ``peek_header`` and ``materialize`` exist only for
+    the frozen benchmark harness: two more names for ``decode`` and the
+    identity, the same objects on ``repro.wire``."""
+    import repro.wire as wire_pkg
+    assert codec.decode_lazy is codec.peek_header is codec.decode
+    for name in ("decode", "decode_lazy", "materialize", "peek_header"):
+        assert getattr(wire_pkg, name) is getattr(codec, name)
+    msg = PingRequest(1, BrunetAddress(42))
+    assert codec.materialize(msg) is msg
+    assert codec.materialize(None) is None
 
 
 def test_trailing_garbage_rejected():
@@ -262,16 +271,12 @@ def test_unknown_conn_type_is_a_decode_error(msg_type):
         msg.conn_type = hostile
         with pytest.raises(DecodeError, match="connection type"):
             decode(encode(msg))
-        # as a routed body the envelope still parses; the body fails at
-        # materialize, nested one level down too
+        # as a routed body too, nested one level down too
         for body in (msg, Forward(_addr(rng), msg, 80)):
             pkt = RoutedPacket(src=_addr(rng), dest=_addr(rng), payload=body,
                                size=80)
             with pytest.raises(DecodeError, match="connection type"):
                 decode(encode(pkt))
-            lazy = codec.decode_lazy(encode(pkt))
-            with pytest.raises(DecodeError, match="connection type"):
-                codec.materialize(lazy.payload)
 
 
 def test_uri_list_longer_than_any_sender_builds_is_a_decode_error():
@@ -299,8 +304,6 @@ def test_nesting_deeper_than_the_stack_is_a_decode_error():
     buf = encode(pkt)[:-1] + body
     with pytest.raises(DecodeError, match="malformed"):
         decode(buf)
-    with pytest.raises(DecodeError, match="malformed"):
-        codec.materialize(codec.decode_lazy(buf).payload)
     assert codec.frame_view(buf, codec.address_bytes(BrunetAddress(2))) \
         is None
     shallow = encode(pkt)[:-1] + body[-5 * 100 - 1:]

@@ -21,14 +21,7 @@ from repro.brunet.messages import (
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.obs.spans import TraceRef
-from repro.wire import (
-    DecodeError,
-    codec,
-    decode,
-    decode_lazy,
-    encode,
-    materialize,
-)
+from repro.wire import DecodeError, codec, decode, encode
 
 A = BrunetAddress(0x1234 << 100)
 B = BrunetAddress(0x9876 << 90)
@@ -85,7 +78,7 @@ def _assert_disjoint(x: RoutedPacket, y: RoutedPacket) -> None:
     assert x is not y
     assert x.via is not y.via
     assert x.trace is not y.trace
-    px, py = materialize(x.payload), materialize(y.payload)
+    px, py = x.payload, y.payload
     assert px is not py and px.__dict__ is not py.__dict__
     assert px.payload is not py.payload
     assert px.payload.payload is not py.payload.payload
@@ -103,11 +96,6 @@ def _assert_disjoint(x: RoutedPacket, y: RoutedPacket) -> None:
 def test_two_decodes_of_equal_bytes_share_no_mutable_state():
     buf = encode(_echo(7, trace=TraceRef(123, 456)))
     _assert_disjoint(decode(buf), decode(bytes(buf)))
-
-
-def test_two_lazy_decodes_of_equal_bytes_share_no_mutable_state():
-    buf = encode(_echo(7, trace=TraceRef(123, 456)))
-    _assert_disjoint(decode_lazy(buf), decode_lazy(bytes(buf)))
 
 
 def test_link_request_decodes_do_not_share_uri_list_or_trace():
@@ -131,10 +119,9 @@ def test_unique_frames_leave_no_state_behind():
     assert set(VALUE_CACHES) <= set(before)
     for i in range(20_000):
         frame = encode(_echo(i, trace=TraceRef(i + 1, i + 2)))
-        assert decode(frame).payload.payload.payload.seq == i
-        lazy = decode_lazy(frame)
-        assert materialize(lazy.payload).payload.payload.seq == i
-        assert encode(lazy) == frame          # transit splice
+        pkt = decode(frame)
+        assert pkt.payload.payload.payload.seq == i
+        assert encode(pkt) == frame
     after = _dict_sizes()
     for name in VALUE_CACHES:
         assert after.pop(name) <= codec._CACHE_MAX, name
