@@ -21,7 +21,7 @@ from repro.brunet.messages import (
 from repro.brunet.uri import Uri
 from repro.ipop.ippacket import IcmpEcho, VirtualIpPacket
 from repro.obs.spans import TraceRef
-from repro.wire import DecodeError, codec, decode, encode
+from repro.wire import DecodeError, codec, decode, decode_lazy, encode
 
 A = BrunetAddress(0x1234 << 100)
 B = BrunetAddress(0x9876 << 90)
@@ -96,6 +96,11 @@ def _assert_disjoint(x: RoutedPacket, y: RoutedPacket) -> None:
 def test_two_decodes_of_equal_bytes_share_no_mutable_state():
     buf = encode(_echo(7, trace=TraceRef(123, 456)))
     _assert_disjoint(decode(buf), decode(bytes(buf)))
+
+
+def test_two_lazy_decodes_of_equal_bytes_share_no_mutable_state():
+    buf = encode(_echo(7, trace=TraceRef(123, 456)))
+    _assert_disjoint(decode_lazy(buf), decode_lazy(bytes(buf)))
 
 
 def test_link_request_decodes_do_not_share_uri_list_or_trace():
