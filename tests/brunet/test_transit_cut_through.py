@@ -241,12 +241,17 @@ class Pair:
         not decode), fed to the spare pair so that the main pair stays in
         step.  The byte path forwards it unread; the object path drops
         it and counts it once on ``wire.decode_error``, or forwards the
-        same packet in the encoder's bytes."""
+        same packet in the encoder's bytes.  Either way the frame has a
+        payload and its envelope is sound: only the body may differ."""
+        view = wire.frame_view(buf, self.mine)
+        end = wire.codec._O_VIA + view[-1] * wire.codec.ADDRESS_BYTES
+        assert len(buf) > end, "a frame in transit has a payload"
+        envelope = wire.decode(buf[:end] + bytes((wire.codec.T_NONE,)))
+        assert envelope.payload is None
         byte, obj = self.spare
         errors = _decode_errors(byte), _decode_errors(obj)
         byte._on_datagram(buf, SRC, len(buf) + wire.UDP_IP_OVERHEAD)
         _object_path(obj, buf)
-        view = wire.frame_view(buf, self.mine)
         [(frame, to)] = byte.transport.out
         assert frame == wire.patch_forward(buf, view, self.mine)
         assert _decode_errors(byte) == errors[0]

@@ -226,19 +226,6 @@ def test_unknown_type_tag():
                 decode(buf)
 
 
-def test_frozen_harness_names_are_inert_aliases():
-    """``decode_lazy``, ``peek_header`` and ``materialize`` exist only for
-    the frozen benchmark harness: two more names for ``decode`` and the
-    identity, the same objects on ``repro.wire``."""
-    import repro.wire as wire_pkg
-    assert codec.decode_lazy is codec.peek_header is codec.decode
-    for name in ("decode", "decode_lazy", "materialize", "peek_header"):
-        assert getattr(wire_pkg, name) is getattr(codec, name)
-    msg = PingRequest(1, BrunetAddress(42))
-    assert codec.materialize(msg) is msg
-    assert codec.materialize(None) is None
-
-
 def test_trailing_garbage_rejected():
     buf = encode(PingRequest(1, BrunetAddress(42)))
     with pytest.raises(DecodeError, match="trailing"):

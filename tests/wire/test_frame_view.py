@@ -54,8 +54,9 @@ def _agrees(frame: bytes, mine: bytes):
                           msg.known)
     elif kind in (codec.T_ROUTED, codec.T_IP_ENCAP):
         if kind == codec.T_ROUTED:      # the envelope, then a None payload
-            frame = frame[:codec._O_VIA + fields[-1] * codec.ADDRESS_BYTES] \
-                + bytes((codec.T_NONE,))
+            end = codec._O_VIA + fields[-1] * codec.ADDRESS_BYTES
+            assert len(frame) > end, "a frame in transit has a payload"
+            frame = frame[:end] + bytes((codec.T_NONE,))
         pkt = decode(frame)
         assert type(pkt) is RoutedPacket
         assert pkt.trace is None and pkt.hops < pkt.ttl
