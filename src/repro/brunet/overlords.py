@@ -189,9 +189,9 @@ class NearConnectionOverlord(Overlord):
             "overlord.announces", node=node.name)
         #: ``table.version`` at the end of the last relabel pass
         self._relabeled_version = -1
-        #: ring neighbours as of the last relabel pass / the last announce
-        self._near: set = set()
-        self._announced_near: Optional[set] = None
+        #: ring neighbours (sorted addresses) at the last relabel / announce
+        self._near: tuple = ()
+        self._announced_near: Optional[tuple] = None
         #: the in-ring re-announce wait while ``_near`` stays as announced
         self._backoff = self.REANNOUNCE_INTERVAL
         #: a join or repair announce was asked for and has not run yet
@@ -300,7 +300,7 @@ class NearConnectionOverlord(Overlord):
                                      notify=True)
             else:
                 conn.discard_type(ConnectionType.STRUCTURED_NEAR)
-        self._near = keep
+        self._near = tuple(sorted(keep))
         self._relabeled_version = table.version
 
 

@@ -35,7 +35,7 @@ def _metric(addr: BrunetAddress, dest: BrunetAddress,
 _MISS = object()
 
 #: wholesale-clear threshold so a long-lived static table cannot pin
-#: unbounded numbers of (dest, approach) entries
+#: unbounded numbers of destination entries
 _CACHE_MAX = 4096
 
 
@@ -49,19 +49,21 @@ def next_hop(table: ConnectionTable, my_addr: BrunetAddress,
     Each hop strictly decreases the metric to the destination, so greedy
     forwarding can never loop.
 
-    Decisions are memoized in ``table.next_hop_cache``; the table clears
-    the cache whenever its ``version`` bumps (connection added/removed or
-    relabelled), so a hit is always equal to a fresh scan.
+    Plain lookups are memoized in ``table.next_hop_cache`` by ``dest``
+    (``my_addr`` is the table's own), cleared on every ``version`` bump,
+    so a hit equals a fresh scan; flagged ones (join announces) scan.
     """
+    if exclude_dest_link or approach is not None:
+        return _next_hop_scan(table, my_addr, dest, exclude_dest_link,
+                              approach)
     cache = table.next_hop_cache
-    key = (my_addr, dest, exclude_dest_link, approach)
-    hit = cache.get(key, _MISS)
+    hit = cache.get(dest, _MISS)
     if hit is not _MISS:
         return hit
-    result = _next_hop_scan(table, my_addr, dest, exclude_dest_link, approach)
+    result = _next_hop_scan(table, my_addr, dest)
     if len(cache) >= _CACHE_MAX:
         cache.clear()
-    cache[key] = result
+    cache[dest] = result
     return result
 
 
@@ -88,16 +90,15 @@ def _next_hop_scan(table: ConnectionTable, my_addr: BrunetAddress,
     n = len(addrs)
     if n == 0:
         return None
-    dest_i = int(dest)
     skip_dest = exclude_dest_link or approach is not None
-    pos = bisect_left(addrs, dest_i)
+    pos = bisect_left(addrs, dest)
     if approach == "left":
         # metric is ccw distance from dest: candidate is the predecessor
         # (bisect_left guarantees addrs[pos-1] != dest, wrap aside)
         cand = ((pos - 1) % n,)
     else:
         i = pos % n
-        if skip_dest and addrs[i] == dest_i:
+        if skip_dest and addrs[i] == dest:
             i = (i + 1) % n
         if approach == "right":
             # metric is cw distance from dest: candidate is the successor
@@ -110,11 +111,11 @@ def _next_hop_scan(table: ConnectionTable, my_addr: BrunetAddress,
     best_d = my_d
     for k in cand:
         a = addrs[k]
-        if skip_dest and a == dest_i:
+        if skip_dest and a == dest:
             continue
         d = _metric(a, dest, approach)
         if d < best_d or (d == best_d and best is not None
-                          and a < int(best.peer_addr)):
+                          and a < best.peer_addr):
             best, best_d = conns[k], d
     return best
 

@@ -3,9 +3,9 @@
 Provides the queries routing and the overlords need: nearest structured
 neighbour to an address, left/right ring neighbours, connections by type.
 
-Hot queries run against an **array-backed ring view**: a sorted array of
-peer addresses (plain ints) with a parallel array of connections, rebuilt
-lazily after a mutation and answered with bisect instead of object scans.
+Hot queries run against an **array-backed ring view**: the peers' own
+sorted addresses (no int copies) with a parallel array of connections,
+rebuilt lazily after a mutation and answered with bisect, not scans.
 At the paper's degrees (~2 near + k far + a few shortcuts) either wins;
 at 10k-node rings the bisect forms keep `closest_to`/neighbour lookups
 O(log k) and — more importantly — allocation-free.
@@ -26,6 +26,7 @@ the brute-force oracle property tests in
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.brunet.address import (BrunetAddress, nearest_index,
@@ -46,11 +47,11 @@ class ConnectionTable:
         self._structured_cache: Optional[tuple[Connection, ...]] = None
         #: sorted (addrs, conns) parallel arrays over structured peers
         self._ring_cache: Optional[
-            tuple[list[int], list[Connection]]] = None
+            tuple[list[BrunetAddress], list[Connection]]] = None
         self._type_cache: dict[ConnectionType, tuple[Connection, ...]] = {}
-        #: (my_addr, dest, exclude_dest_link, approach) -> Connection|None,
-        #: owned here, filled by repro.brunet.routing.next_hop
-        self.next_hop_cache: dict[tuple, Optional[Connection]] = {}
+        #: dest -> Connection|None for plain lookups, owned here, filled
+        #: by repro.brunet.routing.next_hop
+        self.next_hop_cache: dict[BrunetAddress, Optional[Connection]] = {}
 
     def bump_version(self) -> None:
         """Invalidate routing caches after a table mutation."""
@@ -133,17 +134,15 @@ class ConnectionTable:
                 c for c in self._conns.values() if c.structured)
         return cached
 
-    def ring_view(self) -> tuple[list[int], list[Connection]]:
+    def ring_view(self) -> tuple[list[BrunetAddress], list[Connection]]:
         """Sorted parallel arrays over structured peers: ``(addrs, conns)``
-        with ``addrs`` ascending ints and ``conns[i].peer_addr == addrs[i]``.
+        with ``addrs`` ascending and ``addrs[i] is conns[i].peer_addr``.
         Rebuilt lazily after a mutation; the bisect queries below (and
         :func:`repro.brunet.routing._next_hop_scan`) run against it."""
         cached = self._ring_cache
         if cached is None:
-            conns = sorted(self.structured(),
-                           key=lambda c: int(c.peer_addr))
-            cached = self._ring_cache = (
-                [int(c.peer_addr) for c in conns], conns)
+            conns = sorted(self.structured(), key=attrgetter("peer_addr"))
+            cached = self._ring_cache = ([c.peer_addr for c in conns], conns)
         return cached
 
     def closest_to(self, dest: BrunetAddress) -> Optional[Connection]:

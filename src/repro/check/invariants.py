@@ -410,21 +410,20 @@ def check_cache(nodes: Iterable["BrunetNode"], now: float,
         if budget is not None and total >= budget:
             break
         table = node.table
-        for i, (key, cached) in enumerate(table.next_hop_cache.items()):
+        for i, (dest, cached) in enumerate(table.next_hop_cache.items()):
             if i >= max_entries:
                 break
             if budget is not None and total >= budget:
                 break
             total += 1
-            fresh = _next_hop_scan(table, key[0], key[1], key[2], key[3])
+            fresh = _next_hop_scan(table, table.my_addr, dest)
             if fresh is not cached:
                 out.append(Violation(
                     now, "cache", "cache.incoherent", node.name,
-                    f"cache.incoherent:{node.name}:{key[1].hex()}:"
-                    f"{key[2]}:{key[3]}",
+                    f"cache.incoherent:{node.name}:{int(dest):040x}",
                     f"{node.name} cache says "
                     f"{(cached.peer_addr if cached else None)!r} for dest "
-                    f"{key[1]!r} but a fresh scan says "
+                    f"{dest!r} but a fresh scan says "
                     f"{(fresh.peer_addr if fresh else None)!r}"))
     return out
 

@@ -35,7 +35,7 @@ def test_cache_hit_returns_same_decision(table):
                              ConnectionType.STRUCTURED_FAR, 0.0))
     dest = _addr(99)
     first = next_hop(table, table.my_addr, dest)
-    assert (table.my_addr, dest, False, None) in table.next_hop_cache
+    assert list(table.next_hop_cache) == [dest]
     assert next_hop(table, table.my_addr, dest) is first
     assert first is _next_hop_scan(table, table.my_addr, dest)
 

@@ -225,13 +225,14 @@ def test_cache_flags_poisoned_entry(sim, overlay):
     ordered = _ordered(overlay)
     src, dest = ordered[0], ordered[6].addr
     real = next_hop(src.table, src.addr, dest)  # warm the cache
-    key = (src.addr, dest, False, None)
-    assert src.table.next_hop_cache[key] is real
+    assert src.table.next_hop_cache[dest] is real
     poison = next(c for c in src.table.all() if c is not real)
-    src.table.next_hop_cache[key] = poison  # no version bump: stale entry
+    src.table.next_hop_cache[dest] = poison  # no version bump: stale entry
     found = invariants.check_cache(overlay, sim.now)
     assert any(v.kind == "cache.incoherent" and v.node == src.name
                for v in found)
+    assert f"cache.incoherent:{src.name}:{int(dest):040x}" in {
+        v.key for v in found}
 
 
 def test_routing_flags_metric_increase(sim, overlay, immediate):
@@ -241,7 +242,7 @@ def test_routing_flags_metric_increase(sim, overlay, immediate):
     worse = next(c for c in src.table.all() if c.structured
                  and ring_distance(c.peer_addr, owner.addr) >= d_here)
     # a poisoned memoized decision sends the chain *away* from the owner
-    src.table.next_hop_cache[(src.addr, owner.addr, False, None)] = worse
+    src.table.next_hop_cache[owner.addr] = worse
     auditor = Auditor(sim, overlay, config=immediate)
     promoted = auditor.sweep()
     assert any(v.kind in ("routing.metric-increase", "cache.incoherent")
