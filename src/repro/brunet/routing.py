@@ -49,11 +49,12 @@ def next_hop(table: ConnectionTable, my_addr: BrunetAddress,
     Each hop strictly decreases the metric to the destination, so greedy
     forwarding can never loop.
 
-    Plain lookups are memoized in ``table.next_hop_cache`` by ``dest``
-    (``my_addr`` is the table's own), cleared on every ``version`` bump,
-    so a hit equals a fresh scan; flagged ones (join announces) scan.
+    Plain lookups from the table's own address are memoized in
+    ``table.next_hop_cache`` by ``dest``, cleared on every ``version``
+    bump, so a hit equals a fresh scan; the rest scan (DESIGN.md §10.5).
     """
-    if exclude_dest_link or approach is not None:
+    if (exclude_dest_link or approach is not None
+            or my_addr is not table.my_addr):
         return _next_hop_scan(table, my_addr, dest, exclude_dest_link,
                               approach)
     cache = table.next_hop_cache

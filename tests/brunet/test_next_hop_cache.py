@@ -40,6 +40,22 @@ def test_cache_hit_returns_same_decision(table):
     assert first is _next_hop_scan(table, table.my_addr, dest)
 
 
+def test_lookup_from_another_address_is_answered_for_it_unmemoized():
+    """The memo is keyed by ``dest`` alone, so it holds only lookups made
+    from the table's own address: one from anywhere else is answered for
+    that address and leaves no entry for the owner to find."""
+    table = ConnectionTable(BrunetAddress(0))
+    near, _far = (table.add(Connection(BrunetAddress(a),
+                                       Endpoint("1.1.1.1", a),
+                                       ConnectionType.STRUCTURED_FAR, 0.0))
+                  for a in (100, 200))
+    dest = BrunetAddress(150)
+    assert next_hop(table, BrunetAddress(149), dest) is None
+    assert not table.next_hop_cache
+    assert next_hop(table, table.my_addr, dest) is near   # tie: lower address
+    assert list(table.next_hop_cache) == [dest]
+
+
 def test_add_remove_relabel_bump_version_and_clear_cache(table):
     v0 = table.version
     conn = table.add(Connection(_addr(1), Endpoint("1.1.1.1", 1),
