@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: multiplicative back-off between link-request resends (``Linker``)
+LINK_BACKOFF_FACTOR = 2.0
+
 
 @dataclass
 class BrunetConfig:
@@ -18,8 +21,6 @@ class BrunetConfig:
     # -- linking handshake (§IV-B) --------------------------------------
     #: first link-request resend interval, seconds
     link_resend_interval: float = 5.0
-    #: multiplicative back-off between resends
-    link_backoff_factor: float = 2.0
     #: resends per URI before giving up on it.  With 5 s base and factor 2
     #: a dead URI is abandoned after 5+10+20+40+80 = 155 s — the "delays of
     #: the order of 150 seconds" of the paper's footnote 2.
@@ -41,22 +42,17 @@ class BrunetConfig:
     liveness_timeout: float = 90.0
 
     # -- overlords (§IV-A, §IV-C, §IV-E) ---------------------------------
-    #: structured-near connections maintained on each side of the ring
-    near_per_side: int = 1
     #: structured-far connection target count (k of §IV-A)
     far_count: int = 4
     #: spacing, seconds, of the grid leaf/near/far overlord ticks land on
     #: (a tick runs only where one is due: DESIGN.md §3.3)
     overlord_interval: float = 5.0
-    #: shortcut score service rate c (packets/s) and threshold
-    shortcut_service_rate: float = 0.4
-    shortcut_threshold: float = 14.0
     #: shortcut score tick, seconds: the spacing of the grid (anchored at
     #: node start) on which the score recurrence runs.  Not a polling
     #: period — the overlord is demand-driven and schedules a tick only
     #: while it has scores, arrivals or pending attempts to work on
-    #: (DESIGN.md §3.3); ``c`` per tick is ``shortcut_service_rate`` times
-    #: this.
+    #: (DESIGN.md §3.3); ``c`` per tick is
+    #: ``ShortcutConnectionOverlord.SERVICE_RATE`` times this.
     shortcut_tick: float = 1.0
     #: master switch for the ShortcutConnectionOverlord — the paper's
     #: experiments compare shortcuts enabled vs disabled
@@ -85,16 +81,13 @@ class BrunetConfig:
     #: overlay-packet TTL (max greedy hops)
     ttl: int = 32
 
-    #: default UDP port IPOP/Brunet binds on every node
-    default_port: int = 14001
-
     def uri_give_up_time(self) -> float:
         """Seconds spent on one dead URI before moving to the next."""
         total = 0.0
         interval = self.link_resend_interval
         for _ in range(self.link_max_retries):
             total += interval
-            interval *= self.link_backoff_factor
+            interval *= LINK_BACKOFF_FACTOR
         return total
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.brunet.address import BrunetAddress
+from repro.brunet.config import LINK_BACKOFF_FACTOR
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.messages import (
     LinkError,
@@ -225,7 +226,7 @@ class Linker:
                             target=attempt.target_addr,
                             uri=str(attempt.current_uri))
         else:
-            attempt.interval *= cfg.link_backoff_factor
+            attempt.interval *= LINK_BACKOFF_FACTOR
         self._send_request(attempt)
 
     def _deregister(self, attempt: LinkAttempt) -> None:

@@ -5,13 +5,15 @@ router.  The IPOP layer sits on top via :attr:`ip_handler` (inbound
 tunnelled packets) and :meth:`inspect_traffic` (outbound traffic scores for
 the shortcut overlord).
 
-On a transport that carries frames (``Transport.carries_frames``) the
-common routed packets never become objects here: :meth:`send_routed`
-launches an untraced ``exact`` packet as one ``wire.encode_origin``
-frame, and :meth:`_on_datagram` classifies a received frame from its
-bytes with one ``wire.frame_view`` call — transit (→ :meth:`_cut_through`),
-a tunnelled IP packet that has arrived (→ :meth:`_deliver_ip`) or a
-keep-alive — and only the rest is decoded and walks :meth:`route` /
+On a transport that carries frames (``Transport.carries_frames``) every
+untraced datagram arrives as the received bytes, and the node is its
+only decoder.  The common routed packets never become objects:
+:meth:`send_routed` launches an untraced ``exact`` packet as one
+``wire.encode_origin`` frame, and :meth:`_on_datagram` classifies a
+received frame with one ``wire.frame_view`` call — transit (→
+:meth:`_cut_through`), a tunnelled IP packet that has arrived (→
+:meth:`_deliver_ip`) or a keep-alive — and only the rest is decoded (a
+failure counted on ``wire.decode_error``) and walks :meth:`route` /
 :meth:`send_over` / :meth:`_deliver`, the path every packet takes on a
 transport that carries objects.  Each byte path does the object path's
 bookkeeping to the counter (DESIGN.md §5.3).  Keep-alives are one
@@ -55,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phys.host import Host
     from repro.sim.engine import Simulator
     from repro.transport.base import Transport
+
+
+#: the UDP port IPOP/Brunet binds on every simulated node
+DEFAULT_PORT = 14001
 
 
 def keepalive_phase(addr: BrunetAddress) -> float:
@@ -115,7 +121,7 @@ class BrunetNode:
             if host is None:
                 raise ValueError("BrunetNode needs a host or a transport")
             self.name = name or f"bn.{host.name}"
-            self.port = port if port is not None else self.config.default_port
+            self.port = port if port is not None else DEFAULT_PORT
             self.uris = UriSet(Uri.udp(host.ip, self.port))
         #: per-node monotonically increasing protocol token (CTM, linking,
         #: pings) — per-node rather than process-global so that two
@@ -148,8 +154,7 @@ class BrunetNode:
                                             node=self.name)
         self._m_hops = metrics.histogram("brunet.route.hops",
                                          node=self.name)
-        # a frame the node reads as bytes and cannot decode is the same
-        # failure as a transport-level decode error
+        # a frame that reaches the node as bytes and does not decode
         self._m_decode_err = metrics.counter("wire.decode_error",
                                              node=self.name)
         #: ``brunet.connections``, holding this node's callback while it runs
@@ -543,9 +548,9 @@ class BrunetNode:
         if not self.active:
             return
         if type(payload) is bytes:
-            # a codec transport hands routed and keep-alive frames over
+            # a transport that carries frames hands every datagram over
             # undecoded; frame_view classifies one for its byte path, and
-            # a frame no byte path takes is decoded whole
+            # a frame no byte path takes is decoded whole, here only
             view = wire.frame_view(payload, self._addr_bytes)
             kind = view[0] if view is not None else None
             if kind == codec.T_PING_REQUEST:

@@ -287,8 +287,9 @@ class NearConnectionOverlord(Overlord):
         if table.version == self._relabeled_version:
             return
         keep = set()
-        per_side = node.config.near_per_side
-        for conn in table.neighbors_of(node.addr, per_side=per_side):
+        for conn in (table.right_neighbor(), table.left_neighbor()):
+            if conn is None:
+                continue
             keep.add(conn.peer_addr)
             if ConnectionType.STRUCTURED_NEAR not in conn.types:
                 conn.add_type(ConnectionType.STRUCTURED_NEAR)
@@ -379,6 +380,10 @@ class ShortcutConnectionOverlord(Overlord):
     """
 
     INTERVAL = "shortcut_tick"
+    #: service rate c of the score queue, packets per second
+    SERVICE_RATE = 0.4
+    #: the score at which a destination gets a shortcut link
+    THRESHOLD = 14.0
 
     def __init__(self, node: "BrunetNode"):
         super().__init__(node)
@@ -443,7 +448,7 @@ class ShortcutConnectionOverlord(Overlord):
         if self._pending:
             self._pending = {d: t for d, t in self._pending.items()
                              if t > now}
-        c = cfg.shortcut_service_rate * cfg.shortcut_tick
+        c = self.SERVICE_RATE * cfg.shortcut_tick
         for dest in set(self.scores) | set(self.arrivals):
             a = self.arrivals.pop(dest, 0)
             s = max(self.scores.get(dest, 0.0) + a - c, 0.0)
@@ -458,7 +463,7 @@ class ShortcutConnectionOverlord(Overlord):
                 continue
             self.scores[dest] = s
             self._last_nonzero[dest] = now
-            if s >= cfg.shortcut_threshold:
+            if s >= self.THRESHOLD:
                 self._maybe_connect(dest, s)
         self._drop_idle()
 

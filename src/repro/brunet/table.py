@@ -25,7 +25,6 @@ the brute-force oracle property tests in
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -183,33 +182,3 @@ class ConnectionTable:
         if addrs[i] == me:
             return None
         return conns[i]
-
-    def neighbors_of(self, addr: BrunetAddress,
-                     per_side: int = 1) -> list[Connection]:
-        """Up to ``per_side`` nearest structured peers on each side of
-        ``addr`` (used when answering a joining node's CTM-to-self).
-        Clockwise picks first, then counter-clockwise, deduplicated —
-        peers are unique by address, so the two walks are each simply a
-        contiguous run of the sorted ring view."""
-        addrs, conns = self.ring_view()
-        n = len(addrs)
-        if n == 0:
-            return []
-        target = int(addr)
-        start = bisect_left(addrs, target)
-        picked: dict[BrunetAddress, Connection] = {}
-        i, taken, steps = start % n, 0, 0
-        while taken < per_side and steps < n:
-            if addrs[i] != target:
-                picked[conns[i].peer_addr] = conns[i]
-                taken += 1
-            i = (i + 1) % n
-            steps += 1
-        i, taken, steps = (start - 1) % n, 0, 0
-        while taken < per_side and steps < n:
-            if addrs[i] != target:
-                picked.setdefault(conns[i].peer_addr, conns[i])
-                taken += 1
-            i = (i - 1) % n
-            steps += 1
-        return list(picked.values())

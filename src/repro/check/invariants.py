@@ -191,12 +191,8 @@ def check_ring(nodes: Iterable["BrunetNode"], now: float,
         excuse=lambda i, j: (i not in examined
                              or _link_in_flight(live[i], live[j]))))
     for i, node in examine:
-        # NEAR labels must point at genuine nearest live neighbours
-        per_side = node.config.near_per_side
-        allowed = set()
-        for k in range(1, per_side + 1):
-            allowed.add(live[(i + k) % count].addr)
-            allowed.add(live[(i - k) % count].addr)
+        # NEAR labels must point at the true successor or predecessor
+        allowed = {live[(i + 1) % count].addr, live[(i - 1) % count].addr}
         for conn in node.table.by_type(ConnectionType.STRUCTURED_NEAR):
             if conn.peer_addr not in allowed:
                 peer_i = addr_index.get(conn.peer_addr)

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.brunet.address import BrunetAddress, random_address
 from repro.brunet.config import BrunetConfig
-from repro.brunet.node import BrunetNode
+from repro.brunet.node import DEFAULT_PORT, BrunetNode
 from repro.brunet.ring import RingIndex
 from repro.brunet.uri import Uri
 from repro.check.invariants import ring_verdict
@@ -68,8 +68,7 @@ class Deployment:
         if spec.subnet is not None:
             nat_spec = NatSpec.cone(hairpin=spec.nat_hairpin)
         if spec.nat_open_port_only:
-            firewall = FirewallPolicy(open_udp_ports=frozenset(
-                {self.brunet_config.default_port}))
+            firewall = FirewallPolicy(open_udp_ports=frozenset({DEFAULT_PORT}))
         site = Site(self.internet, spec.name, subnet=spec.subnet,
                     nat_spec=nat_spec, firewall=firewall,
                     lan_latency=spec.lan_latency)

@@ -7,33 +7,30 @@ the historical socket one::
 
     handler(message, src_endpoint, size_bytes)
 
-where ``message`` is a decoded protocol object (transports running the
-wire codec decode before dispatch — a frame that fails to decode is
-counted on the ``wire.decode_error`` metric and dropped, mirroring how a
-real daemon must treat garbage datagrams) — with one exception: a
-codec transport hands a *routed* frame (tag ``T_ROUTED``) or a
-*keep-alive* frame (``T_PING_REQUEST``, ``T_PING_REPLY``; together
-:data:`repro.wire.codec.BYTE_PATH_TAGS`) to the handler as the received
-``bytes``, undecoded, after counting it as received.  The node then
-classifies the frame with one :func:`repro.wire.frame_view` call and
-forwards a routed frame as bytes (:func:`repro.wire.patch_forward` +
-:meth:`Transport.send_frame`: a transit hop builds no message object),
-takes a tunnelled IP packet out of the same pass, reads a keep-alive's
-fields, or decodes the whole frame itself with :func:`repro.wire.decode`,
-counting a failure on the same ``wire.decode_error`` series.  A handler
-that is not a ``BrunetNode`` must therefore accept ``bytes`` for those
-frames.
+A transport that carries frames (:attr:`Transport.carries_frames`) hands
+every datagram over as the received ``bytes``, after counting it as
+received (``received``, ``wire.rx_bytes``), and reads none of it; the one
+exception is a *traced* simulated datagram, which ``SimTransport``
+decodes itself because only it holds the physical-transit span the
+message must adopt (DESIGN.md §5.3).  The node classifies the bytes with
+one :func:`repro.wire.frame_view` call: it forwards a routed frame as
+bytes (:func:`repro.wire.patch_forward` + :meth:`Transport.send_frame`: a
+transit hop builds no message object), takes a tunnelled IP packet out of
+the same pass, reads a keep-alive's fields, or decodes the whole frame
+with :func:`repro.wire.decode`, counting a failure on
+``wire.decode_error`` and dropping it, as a real daemon must treat
+garbage datagrams.  A transport that carries objects hands over the
+message object itself.
 
-A transport that works this way says so with
-:attr:`Transport.carries_frames`; the node reads that attribute — not the
-config — to decide whether it may also *launch* a packet or a
-keep-alive as bytes (:func:`repro.wire.encode_origin`,
-:func:`repro.wire.ping_frame`, :func:`repro.wire.ping_reply_frame` +
-:meth:`Transport.send_frame`).  What such a transport must offer:
-``send`` encodes with :func:`repro.wire.encode` and counts OPAQUE
-fallbacks on ``wire.opaque_frames``; ``send_frame`` counts and charges a
-frame exactly as ``send`` does for the same bytes; routed and keep-alive
-frames arrive at the handler as ``bytes``.
+The node reads :attr:`Transport.carries_frames` — not the config — to
+decide whether it may also *launch* a packet or a keep-alive as bytes
+(:func:`repro.wire.encode_origin`, :func:`repro.wire.ping_frame`,
+:func:`repro.wire.ping_reply_frame` + :meth:`Transport.send_frame`).  What
+such a transport must offer: ``send`` encodes with
+:func:`repro.wire.encode` and counts OPAQUE fallbacks on
+``wire.opaque_frames``; ``send_frame`` counts and charges a frame exactly
+as ``send`` does for the same bytes; every datagram arrives at the handler
+as ``bytes``.
 """
 
 from __future__ import annotations
@@ -51,10 +48,10 @@ class Transport(abc.ABC):
     """One node's datagram endpoint (sim-backed or socket-backed)."""
 
     #: True when messages cross this transport as :mod:`repro.wire`
-    #: frames: routed and keep-alive frames reach the handler as
-    #: ``bytes`` and :meth:`send_frame` is live, so the node may launch
-    #: and forward packets, and send keep-alives, as bytes.  False:
-    #: objects travel by reference.
+    #: frames: datagrams reach the handler as ``bytes`` and
+    #: :meth:`send_frame` is live, so the node may launch and forward
+    #: packets, and send keep-alives, as bytes.  False: objects travel by
+    #: reference.
     carries_frames = False
 
     @property

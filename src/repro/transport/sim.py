@@ -11,16 +11,17 @@ Wraps ``Host.bind_udp`` / ``Internet.send`` delivery.  Two wire modes
 
 ``"codec"``
     Full serialization: the datagram carries encoded bytes and is charged
-    ``len(wire.encode(msg))`` plus real UDP/IP headers; the receive path
-    decodes each whole frame (or counts ``wire.decode_error`` and drops)
-    — except an untraced routed or keep-alive frame, which goes to the
-    node as bytes, exactly as :class:`~repro.transport.udp.UdpTransport`
-    delivers it, so the node classifies it with one
-    :func:`repro.wire.frame_view` call, origins launch, transit hops
-    patch and resend, and keep-alives are built and read as fixed-layout
-    frames through :meth:`SimTransport.send_frame` (``carries_frames`` is
-    True in this mode only).  The simulator then exercises the exact byte paths the
-    UDP transport uses.
+    ``len(wire.encode(msg))`` plus real UDP/IP headers.  The receive path
+    counts each datagram and hands it to the node as the received bytes,
+    exactly as :class:`~repro.transport.udp.UdpTransport` delivers it, so
+    the node classifies it with one :func:`repro.wire.frame_view` call and
+    decodes the rest itself; origins launch, transit hops patch and
+    resend, and keep-alives are built and read as fixed-layout frames
+    through :meth:`SimTransport.send_frame` (``carries_frames`` is True in
+    this mode only).  The simulator then exercises the exact byte paths
+    the UDP transport uses.  Only a traced datagram is decoded here (or
+    counted on ``wire.decode_error`` and dropped), so that the message
+    adopts the ids of its physical-transit span.
 """
 
 from __future__ import annotations
@@ -125,41 +126,37 @@ class SimTransport(Transport):
 
     # ------------------------------------------------------------------
     def _on_codec_dgram(self, dgram: "Datagram") -> None:
-        """Codec-mode delivery.  An untraced routed or keep-alive frame
-        goes to the node as bytes (the byte paths, see
-        :mod:`repro.transport.base`).  Everything else is decoded whole
-        here, gets its post-transit trace context restored, and is
-        dispatched.
-        Malformed frames are counted and dropped — never raised into the
-        simulation event loop."""
+        """Codec-mode delivery: count the datagram, then hand an untraced
+        one to the node as the received bytes (the node decodes it, see
+        :mod:`repro.transport.base`).  A traced one is decoded here, where
+        the physical-transit span it must adopt is known; one that does
+        not decode is counted and dropped, its trace ended — never raised
+        into the simulation event loop."""
         buf = dgram.payload
-        if (dgram.trace is None and type(buf) is bytes and len(buf) > 1
-                and buf[1] in codec.BYTE_PATH_TAGS):
-            self._m_rx_bytes.value += len(buf)
+        self._m_rx_bytes.value += len(buf)
+        trace = dgram.trace
+        if trace is None:
             self._handler(buf, dgram.src, dgram.size)
             return
         try:
             msg = codec.decode(buf)
         except codec.DecodeError:
             self._m_decode_err.inc()
-            if dgram.trace is not None:
-                # terminate the causal chain here: without this the traced
-                # packet's last span stays the physical transit and the
-                # post-hoc span tree ends in a dangling branch with no
-                # explanation of where the packet went
-                spans = self.sim.obs.spans
-                spans.hop(dgram.trace, "wire.decode_drop", self.name,
-                          self.sim.now, bytes=len(buf))
-                spans.end_trace(dgram.trace.trace_id, self.sim.now,
-                                decode_error=True)
+            # terminate the causal chain here: without this the traced
+            # packet's last span stays the physical transit and the
+            # post-hoc span tree ends in a dangling branch with no
+            # explanation of where the packet went
+            spans = self.sim.obs.spans
+            spans.hop(trace, "wire.decode_drop", self.name, self.sim.now,
+                      bytes=len(buf))
+            spans.end_trace(trace.trace_id, self.sim.now, decode_error=True)
             return
-        self._m_rx_bytes.value += len(buf)
-        if dgram.trace is not None and getattr(msg, "trace", None) is not None:
+        if getattr(msg, "trace", None) is not None:
             # the transit span re-parented the sender's ref at delivery;
             # adopt its ids so the receiver's hop chain nests under the
             # physical transit exactly as in reference mode
-            msg.trace.trace_id = dgram.trace.trace_id
-            msg.trace.parent = dgram.trace.parent
+            msg.trace.trace_id = trace.trace_id
+            msg.trace.parent = trace.parent
         self._handler(msg, dgram.src, dgram.size)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -2,16 +2,15 @@
 
 Every outbound message is framed by :mod:`repro.wire` (version byte, type
 tag, length-prefixed fields) and handed to the OS; every inbound datagram
-is decoded back into the protocol object the node layer expects — except
-a routed or keep-alive frame, which goes to the node as received bytes
-for one :func:`repro.wire.frame_view` call: a transit hop patches and
-resends a routed frame through :meth:`UdpTransport.send_frame` without a
-decode or an encode, a destination takes a tunnelled IP packet out of
-the same pass, and a keep-alive is read and answered as fixed-layout
-bytes (the node decodes the rest itself); frames the node launches as
-bytes leave through ``send_frame`` too.  A frame that fails to decode
-increments the ``wire.decode_error`` counter and is dropped — malformed
-traffic never raises into the event loop.
+is counted as received and handed to the node as the received bytes,
+unread.  The node classifies it with one :func:`repro.wire.frame_view`
+call — a transit hop patches and resends a routed frame through
+:meth:`UdpTransport.send_frame` without a decode or an encode, a
+destination takes a tunnelled IP packet out of the same pass, a
+keep-alive is read and answered as fixed-layout bytes — and decodes the
+rest itself, counting a frame that fails on ``wire.decode_error`` and
+dropping it, so malformed traffic never raises into the event loop.
+Frames the node launches as bytes leave through ``send_frame`` too.
 
 The transport owns its socket and registers it with the asyncio loop's
 selector (``add_reader``).  One wake-up drains the receive queue: it
@@ -24,7 +23,7 @@ starve timers or other sockets.  ``send_frame`` calls ``sendto`` itself:
 a datagram the OS refuses (a full send buffer, ``ENOBUFS``, an ICMP error
 reported on the socket) is dropped and counted on ``wire.socket_error``,
 as is a receive error, which also ends that wake-up.  Socket errors stay
-out of ``wire.decode_error``, which reads as codec health.
+out of the node's ``wire.decode_error``, which reads as codec health.
 
 The reported receive ``size`` is ``len(frame) + UDP_IP_OVERHEAD`` so that
 byte accounting (``conn.bytes_sent`` etc.) matches what a codec-mode
@@ -72,7 +71,6 @@ class UdpTransport(Transport):
         #: (a mutable buffer: ``ioctl`` on ``bytes`` costs twice as much)
         self._next_size = array("i", [0])
         metrics = kernel.obs.metrics
-        self._m_decode_err = metrics.counter("wire.decode_error", node=name)
         self._m_socket_err = metrics.counter("wire.socket_error", node=name)
         self._m_tx_bytes = metrics.counter("wire.tx_bytes", node=name)
         self._m_rx_bytes = metrics.counter("wire.rx_bytes", node=name)
@@ -166,14 +164,6 @@ class UdpTransport(Transport):
     def _on_datagram(self, data: bytes, addr) -> None:
         if self._handler is None:
             return
-        if len(data) > 1 and data[1] in codec.BYTE_PATH_TAGS:
-            msg = data     # the node reads it as bytes or decodes it
-        else:
-            try:
-                msg = codec.decode(data)
-            except codec.DecodeError:
-                self._m_decode_err.inc()
-                return
         self.received += 1
         self._m_rx_bytes.value += len(data)
         src = self._peers.get(addr)
@@ -181,7 +171,7 @@ class UdpTransport(Transport):
             if len(self._peers) >= ENDPOINT_MEMO_MAX:
                 self._peers.clear()
             src = self._peers[addr] = Endpoint(addr[0], addr[1])
-        self._handler(msg, src, len(data) + codec.UDP_IP_OVERHEAD)
+        self._handler(data, src, len(data) + codec.UDP_IP_OVERHEAD)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<UdpTransport {self.name} {self._endpoint}>"

@@ -20,10 +20,10 @@ transport carrying frames uses without building a message object:
 decoded whole by ``decode``.  ``decode_lazy``, ``materialize`` and
 ``peek_header`` are inert aliases kept for the frozen benchmark harness.
 
-Decode failures raise the typed :class:`DecodeError`; transports, and the
-node for the frames it takes as bytes, count them (``wire.decode_error``)
-and drop the datagram instead of letting the exception escape the event
-loop.
+Decode failures raise the typed :class:`DecodeError`; the node (and the
+simulated transport, for a traced datagram) counts them
+(``wire.decode_error``) and drops the datagram instead of letting the
+exception escape the event loop.
 """
 
 from repro.wire.codec import (

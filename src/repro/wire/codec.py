@@ -131,11 +131,6 @@ T_VTCP_SEGMENT = 18
 # 19-21: retired (a ring DHT's put/get/reply); reserved, decode as unknown
 T_VTCP_DATAGRAM = 22
 
-#: the frames a transport that carries frames hands to its node as the
-#: received bytes: routed packets and keep-alives, which the node reads
-#: through its byte paths (everything else arrives decoded)
-BYTE_PATH_TAGS = (T_ROUTED, T_PING_REQUEST, T_PING_REPLY)
-
 #: OPAQUE-pickle fallback frames encoded since process start; transports
 #: snapshot this around ``encode`` to feed the ``wire.opaque_frames``
 #: metric without the codec depending on the metrics registry.

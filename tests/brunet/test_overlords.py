@@ -30,7 +30,8 @@ class TestScoreQueue:
         for _ in range(10):
             self.overlord.observe(self.dest, 1)
             self.overlord.tick()
-        expected = 10 * (1 - cfg.shortcut_service_rate * cfg.shortcut_tick)
+        expected = 10 * (1 - ShortcutConnectionOverlord.SERVICE_RATE
+                         * cfg.shortcut_tick)
         assert self.overlord.score_of(self.dest) == pytest.approx(expected)
 
     def test_score_drains_when_idle(self):

@@ -1,6 +1,6 @@
 """Array-backed ring view vs brute-force object-scan oracle (ISSUE 9).
 
-`ConnectionTable.closest_to`/`_directional_neighbor`/`neighbors_of` and
+`ConnectionTable.closest_to`/`_directional_neighbor` and
 `routing._next_hop_scan` now answer from sorted parallel arrays with
 bisect.  Each test replays the pre-refactor linear scan (the oracle,
 copied verbatim from the old implementations) over the same table and
@@ -73,22 +73,6 @@ def oracle_next_hop_scan(table, my_addr, dest, exclude_dest_link=False,
     return best
 
 
-def oracle_neighbors_of(table, addr, per_side=1):
-    left, right = [], []
-    for conn in table.structured():
-        if conn.peer_addr == addr:
-            continue
-        d_cw = directed_distance(addr, conn.peer_addr)
-        right.append((d_cw, conn))
-        left.append(((-d_cw) % ADDRESS_SPACE, conn))
-    right.sort(key=lambda t: (t[0], int(t[1].peer_addr)))
-    left.sort(key=lambda t: (t[0], int(t[1].peer_addr)))
-    picked = {}
-    for _, conn in right[:per_side] + left[:per_side]:
-        picked.setdefault(conn.peer_addr, conn)
-    return list(picked.values())
-
-
 # -- strategies ------------------------------------------------------------
 # Small offsets around probe points make wraparound and exact-tie cases
 # (peers at probe ± d) common instead of measure-zero.
@@ -137,17 +121,6 @@ def test_next_hop_scan_matches_oracle(me, addrs, dest, exclude, approach):
     if got is not None:
         assert got.peer_addr == want.peer_addr
         assert got is want  # same Connection object, not just same peer
-
-
-@given(me=any_addr, addrs=addr_lists, target=any_addr,
-       per_side=st.integers(min_value=1, max_value=4))
-@settings(max_examples=300, deadline=None)
-def test_neighbors_of_matches_oracle(me, addrs, target, per_side):
-    table = _table(me, addrs)
-    target = BrunetAddress(target)
-    got = table.neighbors_of(target, per_side=per_side)
-    want = oracle_neighbors_of(table, target, per_side=per_side)
-    assert [c.peer_addr for c in got] == [c.peer_addr for c in want]
 
 
 def test_dest_present_in_table_with_exclusion():

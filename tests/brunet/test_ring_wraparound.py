@@ -1,4 +1,4 @@
-"""Ring arithmetic at the 0 / 2^160 seam: ``neighbors_of`` and the
+"""Ring arithmetic at the 0 / 2^160 seam: the ring neighbours and the
 routing ``_metric`` must treat the address space as circular."""
 
 from __future__ import annotations
@@ -23,28 +23,13 @@ def _table(me, peers):
 
 
 # ---------------------------------------------------------------------------
-# neighbors_of
+# ring neighbours
 # ---------------------------------------------------------------------------
 
-def test_neighbors_of_straddling_zero():
-    table = _table(TOP - 5, [TOP - 100, TOP - 2, 3, 50])
-    got = {int(c.peer_addr) for c in table.neighbors_of(BrunetAddress(1))}
-    # clockwise of 1 the nearest is 3; counter-clockwise it is 2^160-2
-    assert got == {3, TOP - 2}
-
-
-def test_neighbors_of_two_per_side_straddling_zero():
-    table = _table(TOP - 5, [TOP - 100, TOP - 2, 3, 50])
-    got = {int(c.peer_addr)
-           for c in table.neighbors_of(BrunetAddress(1), per_side=2)}
-    assert got == {3, 50, TOP - 2, TOP - 100}
-
-
-def test_neighbors_of_excludes_the_address_itself():
-    table = _table(TOP - 5, [TOP - 2, 3])
-    got = {int(c.peer_addr)
-           for c in table.neighbors_of(BrunetAddress(TOP - 2))}
-    assert TOP - 2 not in got
+def test_directional_neighbors_skip_a_link_to_my_own_address():
+    table = _table(TOP - 2, [TOP - 2, 3])
+    assert int(table.right_neighbor().peer_addr) == 3
+    assert int(table.left_neighbor().peer_addr) == 3
 
 
 def test_directional_neighbors_straddle_zero():

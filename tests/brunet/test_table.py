@@ -94,16 +94,6 @@ def test_neighbors_wrap_around_ring(table):
     assert table.left_neighbor().peer_addr == 2000
 
 
-def test_neighbors_of(table):
-    table.add(conn(500))
-    table.add(conn(900))
-    table.add(conn(1200))
-    table.add(conn(4000))
-    picked = table.neighbors_of(BrunetAddress(1100), per_side=1)
-    addrs = {int(c.peer_addr) for c in picked}
-    assert addrs == {900, 1200}
-
-
 def test_clear_removes_all(table):
     table.add(conn(2000))
     table.add(conn(3000))

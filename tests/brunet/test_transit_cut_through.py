@@ -162,8 +162,8 @@ def _reencode(buf: bytes) -> tuple:
 
 
 def _object_path(node: BrunetNode, buf: bytes) -> None:
-    """What a codec transport and the node do with a frame that takes no
-    byte path."""
+    """The object path for ``buf``: the decode (or counted drop) the node
+    does for a frame that takes no byte path, then the object dispatch."""
     try:
         msg = wire.decode(buf)
     except wire.DecodeError:

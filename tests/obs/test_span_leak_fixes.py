@@ -48,15 +48,19 @@ def test_codec_decode_drop_closes_the_trace(sim, internet):
 
 
 def test_codec_decode_drop_without_trace_only_counts(sim, internet):
+    """An untraced frame goes to the node as bytes; the node counts the
+    decode failure and records no span."""
     host = Site(internet, "pub").add_host("rx2")
-    sim.obs.enable_spans()
-    transport = SimTransport(sim, host, 7000, wire_mode="codec")
-    transport.open(lambda msg, src, size: None)
+    spans = sim.obs.enable_spans()
+    node = BrunetNode(sim, host, BrunetAddress(54321),
+                      BrunetConfig(wire_mode="codec"), port=7000, name="rx2")
+    node.start([])
     dgram = Datagram(Endpoint("9.9.9.9", 1), Endpoint(host.ip, 7000),
                      b"\xffnope", size=5)
-    transport._on_codec_dgram(dgram)  # must not raise
+    node.transport._on_codec_dgram(dgram)  # must not raise
     assert sim.obs.metrics.counter("wire.decode_error",
-                                   node=transport.name).value == 1
+                                   node=node.name).value == 1
+    assert not any(s.name == "wire.decode_drop" for s in spans.spans)
 
 
 def test_cancel_all_closes_link_attempt_spans(sim, internet):

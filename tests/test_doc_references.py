@@ -13,6 +13,9 @@ other references a reader follows:
   ``codec.<name>(``, names an attribute of ``repro.wire`` or
   ``repro.wire.codec`` (a metric such as ``wire.decode_error`` is no
   call, so it is not read as one);
+* every backticked UPPER_SNAKE name (``READ_BATCH``, ``_RHDR``,
+  ``NearConnectionOverlord.REANNOUNCE_MAX``) is assigned or imported
+  somewhere under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``;
 * every ``DESIGN.md §N[.M]`` citation in ``src/``, ``tests/`` and
   ``DOCS``, and every bare ``§N[.M]`` inside DESIGN.md, names a heading
   of DESIGN.md.
@@ -23,6 +26,7 @@ what was true when they were written, so none of them is in ``DOCS``.
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import re
@@ -41,6 +45,10 @@ MODULE = re.compile(r"repro(?:\.\w+)+")
 #: a call of a codec function by its short module name
 CALL = re.compile(r"(?<![\w.])(wire|codec)\.(\w+)\(")
 CALLED = {"wire": "repro.wire", "codec": "repro.wire.codec"}
+#: a constant's name: capitals and digits with an underscore inside or in
+#: front (not after ``/``, which abbreviates a pair: ``_ADDR_ENC/_DEC``)
+CONSTANT = re.compile(
+    r"(?<![\w/])(_?[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+|_[A-Z][A-Z0-9]+)(?!\w)")
 CITATION = re.compile(r"DESIGN\.md\s+(§[\d.]+(?:(?:,\s*|\s+and\s+)§[\d.]+)*)")
 SECTION = re.compile(r"§(\d+(?:\.\d+)*)")
 #: a bare ``§N`` in DESIGN.md that is not one of its own sections
@@ -107,6 +115,32 @@ def missing_call(span: str) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def bound_names() -> frozenset[str]:
+    """Every name a module under ``SEARCHED`` assigns (to a variable or
+    an attribute) or imports."""
+    names = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update((a.asname or a.name).rpartition(".")[2]
+                                 for a in node.names)
+                elif isinstance(node, ast.Name) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store):
+                    names.add(node.attr)
+    return frozenset(names)
+
+
+def missing_constants(span: str) -> list[str]:
+    """The UPPER_SNAKE names in ``span`` that nothing assigns or imports."""
+    return [name for name in CONSTANT.findall(span)
+            if name not in bound_names()]
+
+
 def path_problems(doc: str) -> list[str]:
     return [f"{where}: {why}" for where, span in backticked(doc)
             for token in span.split()
@@ -121,6 +155,12 @@ def name_problems(doc: str) -> list[str]:
 def call_problems(doc: str) -> list[str]:
     return [f"{where}: {why}" for where, span in backticked(doc)
             if (why := missing_call(span))]
+
+
+def constant_problems(doc: str) -> list[str]:
+    return [f"{where}: nothing assigns or imports {name}"
+            for where, span in backticked(doc)
+            for name in missing_constants(span)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,6 +194,7 @@ def test_the_collectors_find_references():
     assert sum(bool(PY_PATH.fullmatch(t)) for s in spans for t in s.split()) >= 30
     assert sum(bool(MODULE.match(s)) for s in spans) >= 10
     assert sum(bool(CALL.search(s)) for s in spans) >= 5
+    assert len({n for s in spans for n in CONSTANT.findall(s)}) >= 10
     cited = [n for f in citing_files() for n in cited_sections(f.read_text())]
     assert len(cited) >= 10
     assert len(design_sections()) >= 10
@@ -172,6 +213,11 @@ def test_backticked_repro_names_import(doc):
 @pytest.mark.parametrize("doc", DOCS)
 def test_backticked_codec_calls_resolve(doc):
     assert call_problems(doc) == []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_constants_are_defined(doc):
+    assert constant_problems(doc) == []
 
 
 def test_design_section_citations_name_existing_headings():
@@ -214,6 +260,19 @@ def test_name_check_catches_a_missing_name(dotted, resolves):
 ])
 def test_call_check_catches_a_removed_function(span, resolves):
     assert (missing_call(span) is None) is resolves
+
+
+@pytest.mark.parametrize("span,missing", [
+    ("READ_BATCH = 64", []),
+    ("NearConnectionOverlord.REANNOUNCE_MAX", []),
+    ("_ADDR_ENC/_DEC", []),
+    ("_RHDR", []),
+    ("codec.BYTE_PATH_TAGS", ["BYTE_PATH_TAGS"]),
+    ("(`_NO_SUCH_CACHE`, MTU)", ["_NO_SUCH_CACHE"]),
+    ("wire.decode_error", []),
+])
+def test_constant_check_catches_a_removed_name(span, missing):
+    assert missing_constants(span) == missing
 
 
 def test_citation_check_reads_lists_and_skips_rfc_sections():

@@ -4,9 +4,10 @@
 of ``tests/wire/test_codec_roundtrip.py``) truncated at a random offset
 or with one byte changed, go to one of two linked live nodes, shuffled
 with the structure-aware keep-alive mutants of
-``tests/wire/test_keepalive_frames.py`` (which the node, not the
-transport, reads and rejects) and with frames that use the reserved type
-tags 19-21, bare and as a routed packet's body.  The run
+``tests/wire/test_keepalive_frames.py`` and with frames that use the
+reserved type tags 19-21, bare and as a routed packet's body; the
+transport hands every one to the node unread, and the node alone decodes
+and rejects them.  The run
 is seeded, and the sender waits for each batch to be read before the
 next, so nothing is lost to a full receive buffer and every count is
 exact.  Afterwards:

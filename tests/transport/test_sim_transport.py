@@ -25,7 +25,7 @@ from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
 from repro.sim import Simulator
 from repro.transport.sim import SimTransport
-from repro.wire import UDP_IP_OVERHEAD, decode, encode
+from repro.wire import UDP_IP_OVERHEAD, codec, decode, encode
 
 from tests.wire.test_codec_roundtrip import reserved_frames
 
@@ -133,31 +133,40 @@ def test_reference_mode_charges_paper_constant():
 
 
 def test_codec_mode_counts_decode_errors_and_drops():
+    """Every datagram is counted as received and reaches the node as
+    bytes; the node counts a garbage or truncated frame once on
+    ``wire.decode_error`` and dispatches only the valid one."""
     sim = Simulator(seed=1, trace=False)
     net = Internet(sim)
     site = Site(net, "pub")
     host = site.add_host("a")
     peer = site.add_host("b")
     delivered = []
-    t = SimTransport(sim, peer, 7000, wire_mode="codec", name="b")
-    t.open(lambda msg, src, size: delivered.append(msg))
+    node = BrunetNode(sim, peer, addr_for_ip("10.128.0.3"),
+                      BrunetConfig(wire_mode="codec"), port=7000, name="b")
+    node.start([])
+    node.linker.handle_error = lambda msg, src: delivered.append(msg)
     sender = host.bind_udp(6000, lambda *a: None)
-    ep = t.local_endpoint
-    sender.send(ep, b"\xde\xad\xbe\xef", size=4)          # garbage frame
-    sender.send(ep, encode(LinkError(1, addr_for_ip("10.128.0.2"),
-                                     "busy"))[:-2],
-                size=10)                                   # truncated frame
-    sender.send(ep, encode(LinkError(2, addr_for_ip("10.128.0.2"), "busy")),
-                size=10)                                   # valid frame
-    sim.run()
-    errs = sim.obs.metrics.counter("wire.decode_error", node="b").value
-    assert errs == 2
+    ep = node.transport.local_endpoint
+    frames = [b"\xde\xad\xbe\xef",                         # garbage frame
+              encode(LinkError(1, addr_for_ip("10.128.0.2"),
+                               "busy"))[:-2],              # truncated frame
+              encode(LinkError(2, addr_for_ip("10.128.0.2"), "busy"))]
+    for frame in frames:
+        sender.send(ep, frame, size=10)
+    sim.run(until=1.0)
+    metrics = sim.obs.metrics
+    assert metrics.counter("wire.decode_error", node="b").value == 2
     assert [m.token for m in delivered] == [2]
+    assert metrics.counter("wire.rx_bytes", node="b").value == sum(
+        map(len, frames))
 
 
-def test_codec_mode_hands_keepalive_frames_over_as_bytes():
-    """A keep-alive frame reaches the handler as the bytes that crossed
-    the wire, the way a routed frame does; the node reads it itself."""
+def test_codec_mode_hands_keepalive_frames_over_as_bytes(monkeypatch):
+    """An untraced datagram reaches the handler as the bytes that crossed
+    the wire, whatever its tag, counted as received: keep-alives, a
+    control frame and a truncated one alike (``decode`` fails the test if
+    the transport calls it); the node reads them itself."""
     sim = Simulator(seed=1, trace=False)
     site = Site(Internet(sim), "pub")
     delivered = []
@@ -168,8 +177,15 @@ def test_codec_mode_hands_keepalive_frames_over_as_bytes():
                           name="a")
     sender.open(lambda *a: None)
     peer = addr_for_ip("10.128.0.2")
+    error = encode(LinkError(4, peer, "busy"))
     frames = [encode(PingRequest(1, peer)),
-              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), False))]
+              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), False)),
+              error, error[:-2]]
+
+    def no_decode(buf):
+        raise AssertionError("the transport decoded a datagram")
+
+    monkeypatch.setattr(codec, "decode", no_decode)
     for frame in frames:
         sender.send_frame(t.local_endpoint, frame)
     sim.run()
@@ -182,9 +198,9 @@ def test_codec_mode_hands_keepalive_frames_over_as_bytes():
     # send_frame counts and charges a frame exactly as send does
     assert metrics.counter("wire.tx_bytes", node="a").value == sum(
         map(len, frames))
-    assert sender.sock.sent == 2
+    assert sender.sock.sent == len(frames)
     sender.send(t.local_endpoint, LinkError(3, peer, "busy"))
-    assert sender.sock.sent == 3
+    assert sender.sock.sent == len(frames) + 1
     assert metrics.counter("wire.tx_bytes", node="a").value == sum(
         map(len, frames)) + len(encode(LinkError(3, peer, "busy")))
 

@@ -2,14 +2,16 @@
 
 The full two-node bootstrap + CTM + linking + tunnelled-ping scenario
 runs on two in-process daemons; the focused checks cover UdpTransport
-framing, its socket-error accounting and how one wake-up drains the
-socket (over a stub socket, so the queue is exact).
+framing (every datagram reaches the handler as the received bytes; the
+node on the transport decodes it), its socket-error accounting and how
+one wake-up drains the socket (over a stub socket, so the queue is exact).
 """
 
 import asyncio
 
 from repro.apps.daemon import WowDaemon
 from repro.brunet.config import BrunetConfig
+from repro.brunet.node import BrunetNode
 from repro.brunet.messages import LinkError, PingReply, PingRequest
 from repro.brunet.uri import Uri
 from repro.ipop.mapping import addr_for_ip
@@ -39,32 +41,47 @@ def test_udp_transport_roundtrip_real_sockets():
         return sent, msg, src, size
 
     sent, msg, src, size = asyncio.run(scenario())
-    assert msg == sent and msg is not sent  # crossed the wire by value
+    assert type(msg) is bytes and decode(msg) == sent  # crossed by value
     assert src.ip == "127.0.0.1"
     assert size > 28  # measured frame + UDP/IP headers, not a constant
 
 
 def test_udp_transport_drops_garbage_with_counted_metric():
+    """Garbage reaches the node on the transport, counted as received;
+    the node counts it once on ``wire.decode_error`` and dispatches only
+    the valid frame sent after it."""
+    sent = LinkError(7, addr_for_ip("10.128.0.3"), "busy")
+
     async def scenario():
         kernel = RealtimeKernel(seed=0)
         b = await UdpTransport.create(kernel, "127.0.0.1", 0, name="b")
+        node = BrunetNode(kernel, None, addr_for_ip("10.128.0.2"),
+                          BrunetConfig(wire_mode="codec"), transport=b,
+                          name="b")
+        node.start([])
         delivered = []
-        b.open(lambda msg, src, size: delivered.append(msg))
+        node.linker.handle_error = lambda msg, src: delivered.append(msg)
         loop = asyncio.get_running_loop()
         garbage_tx, _ = await loop.create_datagram_endpoint(
             asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
         ep = b.local_endpoint
         garbage_tx.sendto(b"not a frame", (ep.ip, ep.port))
-        await asyncio.sleep(0.2)
-        errs = kernel.obs.metrics.counter("wire.decode_error",
-                                          node="b").value
+        garbage_tx.sendto(encode(sent), (ep.ip, ep.port))
+        for _ in range(100):
+            if b.received == 2:
+                break
+            await asyncio.sleep(0.01)
+        metrics = kernel.obs.metrics
+        errs = metrics.counter("wire.decode_error", node="b").value
+        rx = metrics.counter("wire.rx_bytes", node="b").value
         garbage_tx.close()
-        b.close()
-        return delivered, errs
+        node.stop()
+        return delivered, errs, rx, b.received
 
-    delivered, errs = asyncio.run(scenario())
-    assert delivered == []
+    delivered, errs, rx, received = asyncio.run(scenario())
+    assert delivered == [sent]
     assert errs == 1
+    assert (rx, received) == (len(b"not a frame") + len(encode(sent)), 2)
 
 
 def test_socket_errors_do_not_pollute_codec_health():
@@ -140,7 +157,7 @@ def test_one_wakeup_reads_at_most_a_batch_and_keeps_order():
         t = UdpTransport(kernel, name="t")
         stub = stub_socket(t, "127.0.0.1", 4000)
         got = []
-        t.open(lambda msg, src, size: got.append(msg.token))
+        t.open(lambda msg, src, size: got.append(decode(msg).token))
         peer = addr_for_ip("10.128.0.2")
         for token in range(1, 201):
             stub.deliver(encode(LinkError(token, peer, "busy")), PEER)
@@ -168,7 +185,7 @@ def test_a_handler_that_closes_the_transport_ends_the_wakeup():
         got = []
 
         def handler(msg, src, size):
-            got.append(msg.token)
+            got.append(decode(msg).token)
             if len(got) == 3:
                 t.close()
 
@@ -210,16 +227,24 @@ def test_close_releases_the_socket_and_its_loop_registration():
     closed_fd, reused, msg = asyncio.run(scenario())
     assert closed_fd == -1
     assert reused
-    assert msg == ping
+    assert decode(msg) == ping
 
 
-def test_keepalive_frames_reach_the_handler_as_bytes():
-    """Keep-alives cross as fixed-layout frames: the transport hands them
-    to its node as the received bytes, like routed frames, counted as
-    received."""
+def test_keepalive_frames_reach_the_handler_as_bytes(monkeypatch):
+    """The transport hands its node every datagram as the received bytes,
+    counted as received, and reads none of it: keep-alives, a control
+    frame and a truncated one alike (``decode`` fails the test if the
+    transport calls it)."""
     peer = addr_for_ip("10.128.0.2")
+    error = encode(LinkError(3, peer, "busy"))
     frames = [encode(PingRequest(1, peer)),
-              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), True))]
+              encode(PingReply(2, peer, Uri.udp("150.1.0.9", 6000), True)),
+              error, error[:-2]]
+
+    def no_decode(buf):
+        raise AssertionError("the transport decoded a datagram")
+
+    monkeypatch.setattr(codec, "decode", no_decode)
 
     async def scenario():
         kernel = RealtimeKernel(seed=0)
@@ -239,7 +264,7 @@ def test_keepalive_frames_reach_the_handler_as_bytes():
     assert all(type(msg) is bytes for msg, _ in got)
     assert [size for _, size in got] == [len(f) + UDP_IP_OVERHEAD
                                          for f in frames]
-    assert (rx, received) == (sum(map(len, frames)), 2)
+    assert (rx, received) == (sum(map(len, frames)), len(frames))
 
 
 def test_one_endpoint_per_peer_and_a_bounded_memo():
