@@ -56,7 +56,6 @@ DAEMON_CONFIG = BrunetConfig(
     link_max_retries=3,
     overlord_interval=0.5,
     ping_interval=2.0,
-    liveness_timeout=15.0,
     shortcut_idle_drop=60.0,
     wire_mode="codec",
 )

@@ -36,10 +36,6 @@ class BrunetConfig:
     #: ``batch_timers=True``; the next benchmark revision drops that
     #: argument and this field with it.
     batch_timers: bool = False
-    #: hard liveness backstop: drop a connection when *nothing* has been
-    #: heard from the peer for this long, regardless of ping accounting
-    #: (0 disables).  Healthy peers always answer pings well inside this.
-    liveness_timeout: float = 90.0
 
     # -- overlords (§IV-A, §IV-C, §IV-E) ---------------------------------
     #: structured-far connection target count (k of §IV-A)

@@ -14,6 +14,7 @@ to succeed", §IV-D).  Simultaneous attempts race; the race is broken with a
 link-error message.  The paper has both sides abort and retry after a
 jittered exponential back-off; here the higher address keeps its attempt
 and the lower one yields, which converges in one exchange and draws no RNG.
+An answer acts only on the attempt that asked its sender (DESIGN.md §3.2).
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class Linker:
                                            node=node.name)
         self._m_duration = metrics.histogram("linking.duration_s",
                                              node=node.name)
+        self._m_unsolicited = metrics.counter("brunet.link.unsolicited",
+                                              node=node.name)
 
     # -- public API --------------------------------------------------------
     def start(self, target_addr: Optional[BrunetAddress], uris: list[Uri],
@@ -316,26 +319,33 @@ class Linker:
         # remember the peer's freshest URI list for repairs
         node.peer_uris[sender] = list(msg.sender_uris)
 
+    def _asked(self, token: int, *targets) -> Optional[LinkAttempt]:
+        """The live attempt ``token`` names, if its target is one of
+        ``targets``; otherwise None, counted as unsolicited."""
+        attempt = self.by_token.get(token)
+        if attempt is None or attempt.target_addr not in targets:
+            self._m_unsolicited.inc()
+            return None
+        return attempt
+
     def handle_reply(self, msg: LinkReply, src: Endpoint) -> None:
-        """Initiator side: record the connection and learn observed URIs."""
+        """Initiator side: complete the attempt that asked this sender (or
+        asked no one in particular: a bootstrap URI)."""
+        attempt = self._asked(msg.token, msg.sender_addr, None)
+        if attempt is None:
+            return
         node = self.node
         if node.uris.learn(msg.observed_uri):
             node.trace("uri.learned", uri=str(msg.observed_uri))
-        attempt = self.by_token.get(msg.token)
-        if attempt is None and msg.sender_addr in self.by_addr:
-            attempt = self.by_addr[msg.sender_addr]
-        conn_type = (attempt.conn_type if attempt is not None
-                     else ConnectionType(msg.conn_type))
-        conn = node.table.add(Connection(msg.sender_addr, src, conn_type,
-                                         node.sim.now))
+        conn = node.table.add(Connection(msg.sender_addr, src,
+                                         attempt.conn_type, node.sim.now))
         node.peer_uris[msg.sender_addr] = list(msg.sender_uris)
-        if attempt is not None:
-            self._complete(attempt, conn)
+        self._complete(attempt, conn)
 
     def handle_error(self, msg: LinkError, src: Endpoint) -> None:
-        """Race loss: abandon the attempt; re-check/retry later."""
+        """Race loss: abandon the attempt its target names; re-check later."""
         node = self.node
-        attempt = self.by_addr.get(msg.sender_addr)
+        attempt = self._asked(msg.token, msg.sender_addr)
         if attempt is None:
             return
         attempt.race_aborts += 1

@@ -650,13 +650,6 @@ class BrunetNode:
             if conn.unanswered_pings > cfg.ping_retries:
                 self.drop_connection(conn, reason="ping-timeout")
                 continue
-            if (cfg.liveness_timeout > 0
-                    and now - conn.last_heard > cfg.liveness_timeout):
-                # hard backstop: nothing heard for the whole window — even
-                # if ping accounting was confused (e.g. replies swallowed
-                # by a blackout that lifted), the peer is treated as dead
-                self.drop_connection(conn, reason="liveness-timeout")
-                continue
             if now - conn.last_heard >= cfg.ping_interval:
                 token = self.next_token()
                 conn.unanswered_pings += 1
@@ -750,6 +743,7 @@ class BrunetNode:
             cb(conn)
 
     def _connection_removed(self, conn: Connection) -> None:
+        self.peer_uris.pop(conn.peer_addr, None)
         for o in self._overlords_by_age():
             o.connection_removed(conn)
         for cb in list(self.on_disconnection):

@@ -10,8 +10,8 @@ semantically transparent by the cache-coherence invariant itself).
 Convergence-dependent findings (``gated=True``) go through persistence
 gating: a finding's stable ``key`` must be re-observed continuously for
 :attr:`AuditConfig.grace` seconds before it is promoted to a violation.
-Mid-churn the ring *is* briefly wrong — the liveness layer needs up to
-``liveness_timeout`` (90 s) to even notice a dead peer — so the default
+Mid-churn the ring *is* briefly wrong — the ping-timeout drop needs up to
+52.5 s (DESIGN.md §3.4) to even notice a dead peer — so the default
 grace of 120 s separates "repair in progress" from "wedged".  Instant
 findings (cache incoherence, metric increases, empty label sets, leaks)
 are reported on first sight and deduplicated by key.

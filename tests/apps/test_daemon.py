@@ -20,7 +20,7 @@ from repro.check.invariants import ring_verdict
 
 FAST = BrunetConfig(link_resend_interval=0.1, link_max_retries=3,
                     overlord_interval=0.1, ping_interval=0.5,
-                    liveness_timeout=3.0, wire_mode="codec")
+                    wire_mode="codec")
 
 
 async def _ctl(path: str, cmd: str, **params) -> dict:
@@ -128,7 +128,7 @@ def test_restart_rejoins_via_peer_cache_with_seeds_dead(tmp_path):
 
 def test_shutdown_notifies_peers_and_drops_state_fast(tmp_path):
     """Graceful drain sends close-notify: the surviving peer drops the
-    connection immediately instead of waiting out liveness_timeout."""
+    connection immediately instead of waiting out the ping timeout."""
     async def scenario():
         a = WowDaemon("10.128.0.2", config=FAST, name="a")
         await a.start()
@@ -139,7 +139,8 @@ def test_shutdown_notifies_peers_and_drops_state_fast(tmp_path):
 
         b_addr = b.node.addr
         await b.shutdown("drill")
-        # far sooner than liveness_timeout (3s here, 90s in production)
+        # far sooner than the ping-timeout drop (up to 1.75 s here, 52.5 s
+        # at the defaults)
         assert await _wait_for(
             lambda: b_addr not in a.node.table, timeout=1.0), (
             "close-notify did not drop peer state promptly")

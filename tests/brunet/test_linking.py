@@ -6,6 +6,7 @@ from repro.brunet import BrunetConfig, BrunetNode, random_address
 from repro.brunet.connection import ConnectionType
 from repro.brunet.uri import Uri
 from repro.phys import Internet, NatSpec, Site
+from repro.phys.endpoints import Endpoint
 from repro.sim import Simulator
 
 
@@ -187,3 +188,68 @@ def test_race_recheck_with_empty_uris_fires_on_fail(world):
     a.peer_uris[target] = []
     sim.run(until=sim.now + 120.0)
     assert fails == [1]
+
+
+def _unsolicited(node):
+    return node.sim.obs.metrics.counter("brunet.link.unsolicited",
+                                        node=node.name).value
+
+
+def test_stranger_reply_with_unknown_token_is_dropped_and_counted(world):
+    """A ``LinkReply`` that answers no attempt of ours — a private-URI probe
+    that reached an unrelated host, or a forged one — adds no connection,
+    records no peer URIs and teaches no observed URI."""
+    from repro.brunet.messages import LinkReply
+    sim, net = world
+    site = Site(net, "pub")
+    a = make_node(sim, net, site, "a")
+    stranger = random_address(sim.rng.stream("stranger"))
+    observed = Uri.udp("198.51.100.7", 4321)
+    reply = LinkReply(4242, stranger, [Uri.udp("198.51.100.9", 14001)],
+                      observed, ConnectionType.STRUCTURED_NEAR.value)
+    a.linker.handle_reply(reply, Endpoint("198.51.100.9", 14001))
+    assert a.table.get(stranger) is None
+    assert stranger not in a.peer_uris
+    assert observed not in a.uris
+    assert _unsolicited(a) == 1
+
+
+def test_reply_with_live_token_from_another_node_completes_nothing(world):
+    """The token names a live attempt, but the reply comes from a node
+    other than that attempt's target: the attempt stays open and the
+    sender gets no connection."""
+    from repro.brunet.messages import LinkReply
+    sim, net = world
+    site = Site(net, "pub")
+    a = make_node(sim, net, site, "a")
+    target = random_address(sim.rng.stream("tgt"))
+    stranger = random_address(sim.rng.stream("stranger"))
+    dead = Uri.udp("203.0.113.9", 14001)  # no such host: unroutable
+    done = []
+    attempt = a.linker.start(target, [dead], ConnectionType.SHORTCUT,
+                             on_success=done.append)
+    reply = LinkReply(attempt.token, stranger, [dead], Uri.udp(
+        "198.51.100.7", 4321), ConnectionType.SHORTCUT.value)
+    a.linker.handle_reply(reply, Endpoint("198.51.100.9", 14001))
+    assert done == []
+    assert a.linker.by_token.get(attempt.token) is attempt
+    assert a.table.get(stranger) is None and len(a.table) == 0
+    assert _unsolicited(a) == 1
+
+
+def test_link_error_with_unknown_token_aborts_nothing(world):
+    """A ``LinkError`` from the attempt's target must still name the
+    attempt's token: one that names no attempt is counted and ignored."""
+    from repro.brunet.messages import LinkError
+    sim, net = world
+    site = Site(net, "pub")
+    a = make_node(sim, net, site, "a")
+    target = random_address(sim.rng.stream("tgt"))
+    dead = Uri.udp("203.0.113.9", 14001)
+    attempt = a.linker.start(target, [dead], ConnectionType.STRUCTURED_FAR)
+    a.linker.handle_error(LinkError(attempt.token + 1000, target),
+                          dead.endpoint)
+    assert a.linker.by_token.get(attempt.token) is attempt
+    assert a.linker.by_addr.get(target) is attempt
+    assert attempt.race_aborts == 0
+    assert _unsolicited(a) == 1

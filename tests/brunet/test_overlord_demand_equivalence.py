@@ -257,7 +257,7 @@ def play(schedule: Schedule, reference: bool, monkeypatch, *,
     host = Site(Internet(sim), "pub").add_host("h")
     # keep-alives off: this node's peers are table entries, not nodes
     config = BrunetConfig(far_count=schedule.far_count,
-                          ping_interval=1e9, liveness_timeout=0.0)
+                          ping_interval=1e9)
     node = BrunetNode(sim, host, ME, config, name="n")
     log: list[tuple] = []
     ticks = {cls.__name__: 0 for cls in OVERLORDS}

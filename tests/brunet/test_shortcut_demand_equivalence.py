@@ -154,7 +154,7 @@ def play(schedule: Schedule, overlord_cls, monkeypatch, *,
     # keep-alives off: this node's peers are table entries, not nodes
     config = BrunetConfig(shortcut_max=SHORTCUT_MAX,
                           shortcut_idle_drop=idle_drop,
-                          ping_interval=1e9, liveness_timeout=0.0)
+                          ping_interval=1e9)
     node = BrunetNode(sim, host, BrunetAddress(1 << 159), config, name="n")
     endpoints = {dest: Endpoint(f"150.9.9.{i + 2}", 14001)
                  for i, dest in enumerate(schedule.dests)}

@@ -50,3 +50,22 @@ def test_recovers_at_larger_scale_and_kill_fraction():
     result = churn_recovery.run(seed=0, n_nodes=32, kill_fraction=0.3,
                                 settle=600.0, horizon=900.0)
     assert result.recovered
+
+
+def test_peer_uris_name_only_current_peers(monkeypatch):
+    """A node keeps a peer's advertised URIs only while it holds a link to
+    that peer: after crashes and repair, no entry outlives its connection."""
+    built = []
+    build = churn_recovery._build_overlay
+
+    def capture(*args, **kwargs):
+        overlay = build(*args, **kwargs)
+        built.append(overlay[1])
+        return overlay
+
+    monkeypatch.setattr(churn_recovery, "_build_overlay", capture)
+    churn_recovery.run(seed=0)
+    live = [n for n in built[0] if n.active]
+    assert live
+    for node in live:
+        assert set(node.peer_uris) <= {c.peer_addr for c in node.table.all()}

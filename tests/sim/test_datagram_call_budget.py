@@ -122,11 +122,9 @@ def test_tick_driven_keepalive_exchange_stays_inside_its_call_budget(
     """One ``_ping_tick`` on A with its link silent, then the run that
     carries the request to B and the reply back.  In codec mode the
     frames are ``wire.ping_frame`` / ``ping_reply_frame`` bytes read by
-    ``wire.frame_view``; the liveness backstop is off so
-    that a link silent for a whole ``ping_interval`` is pinged, not
-    dropped."""
+    ``wire.frame_view``."""
     sim, (a, b) = _linked_nodes(("10.128.0.2", "10.128.0.3"),
-                                wire_mode=wire_mode, liveness_timeout=0)
+                                wire_mode=wire_mode)
     conn = a.table.get(b.addr)
     calls = collections.Counter()
     for _ in range(3):                  # first pass warms, last one counts

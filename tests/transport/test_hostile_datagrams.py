@@ -18,6 +18,8 @@ exact.  Afterwards:
   frame one node forwards as bytes, unread, is counted by the node that
   decodes it, or by none if it is forwarded to a peer that a hostile
   link request planted (the frames sent outside the two nodes);
+* the attacked node holds no peer that only a hostile link reply named:
+  a reply that answers none of its attempts is dropped;
 * the reserved tags fail as unknown tags, bare and as a routed body;
 * a tunnelled ping still makes the round trip;
 * after ``close()`` the process holds the descriptors it held before.
@@ -37,6 +39,7 @@ import random
 import socket
 
 from repro.brunet.config import BrunetConfig
+from repro.brunet.messages import LinkReply, LinkRequest
 from repro.brunet.node import BrunetNode
 from repro.ipop.ippacket import IcmpEcho
 from repro.ipop.mapping import addr_for_ip
@@ -83,6 +86,20 @@ def _hostile_frames(seed: int = 29) -> list[bytes]:
     frames += RESERVED_TOP + RESERVED_ROUTED
     rng.shuffle(frames)
     return frames
+
+
+def _reply_only_senders(frames: list[bytes]) -> set:
+    """Addresses that decodable ``LinkReply`` frames name as their sender
+    and no decodable ``LinkRequest`` frame does."""
+    named = {LinkReply: set(), LinkRequest: set()}
+    for frame in frames:
+        try:
+            msg = codec.decode(frame)
+        except DecodeError:
+            continue
+        if type(msg) in named:
+            named[type(msg)].add(msg.sender_addr)
+    return named[LinkReply] - named[LinkRequest]
 
 
 def _malformed(frame: bytes) -> bool:
@@ -156,6 +173,7 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
                 async with asyncio.timeout(5.0):
                     while read < sent:
                         await asyncio.sleep(0)
+            peers = {conn.peer_addr for conn in nodes[1].table.all()}
 
             replies = []
             routers[0].bind("icmp", 0, replies.append)
@@ -169,7 +187,7 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             errors = sum(metrics.counter("wire.decode_error",
                                          node=node.name).value
                          for node in nodes)
-            return read, errors, replies
+            return read, errors, replies, peers
         finally:
             hostile.close()
             for node in nodes:
@@ -177,12 +195,14 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             await asyncio.sleep(0)
             assert _open_fds() == fds
 
-    read, errors, replies = asyncio.run(scenario())
+    read, errors, replies, peers = asyncio.run(scenario())
     assert read == len(frames) > FRAMES
     assert unhandled == [], unhandled
     bad = sum(map(_malformed, frames))
     assert 0 < bad < len(frames)
     assert errors == bad - sum(map(_malformed, escaped))
     assert all(map(_malformed, RESERVED_TOP + RESERVED_ROUTED))
+    planted = _reply_only_senders(frames)
+    assert planted and not peers & planted, (len(peers & planted), len(peers))
     assert [r.payload.seq for r in replies] == [1]
     assert replies[0].payload.is_reply

@@ -28,7 +28,7 @@ from repro.transport.udp import UdpTransport
 
 FAST = BrunetConfig(link_resend_interval=0.05, link_max_retries=3,
                     overlord_interval=0.05, ping_interval=0.5,
-                    liveness_timeout=2.0, wire_mode="codec")
+                    wire_mode="codec")
 
 
 def _open_fds() -> int:
@@ -122,7 +122,7 @@ def test_idle_live_overlay_fires_no_overlord_timer():
     near holds one, for its re-announce half a minute out."""
     config = BrunetConfig(far_count=0, link_resend_interval=0.2,
                           overlord_interval=0.1, ping_interval=1.0,
-                          liveness_timeout=4.0, wire_mode="codec")
+                          wire_mode="codec")
     window = 20 * config.overlord_interval
 
     async def scenario():

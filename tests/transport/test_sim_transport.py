@@ -80,8 +80,7 @@ def test_codec_mode_carries_bytes_on_the_wire():
 
     net.send = spy
     for conn in nodes[0].table.all():
-        # stale enough for a keep-alive ping, fresh enough to dodge the
-        # liveness-timeout backstop
+        # silent for longer than ping_interval (15 s): due a keep-alive
         conn.last_heard = sim.now - 20.0
     nodes[0]._ping_tick()
     sim.run(until=sim.now + 1.0)
