@@ -682,11 +682,11 @@ class BrunetNode:
     def _handle_ping_reply(self, token: int, sender: BrunetAddress,
                            observed_uri: Uri, known: bool,
                            src: Endpoint) -> None:
-        if self.uris.learn(observed_uri):
-            self.trace("uri.learned", uri=str(observed_uri))
         conn = self.table.get(sender)
         if conn is None:
             return
+        if self.uris.learn(observed_uri):
+            self.trace("uri.learned", uri=str(observed_uri))
         if not known:
             # the peer answers but holds no state for us: it restarted (or
             # its close-notify was lost).  Drop the zombie link so the

@@ -120,6 +120,7 @@ class Nat:
         self._clock = clock or (lambda: 0.0)
         self._next_port = self.PORT_MIN
         # EIM: key (proto, inner_ep); APDM: key (proto, inner_ep, remote_ep)
+        self._eim = spec.mapping == MappingBehavior.ENDPOINT_INDEPENDENT
         self._by_key: dict[tuple, _Mapping] = {}
         self._by_port: dict[int, _Mapping] = {}
         self.drops: dict[str, int] = {"filtering": 0, "hairpin": 0,
@@ -129,25 +130,23 @@ class Nat:
     def live_mappings(self) -> int:
         """Number of currently live (non-expired) mappings — exported as
         the ``nat.mappings_live`` gauge."""
+        now = self._clock()
         return sum(1 for m in self._by_port.values()
-                   if not self._expired(m))
+                   if not self._expired(m, now))
 
     # ------------------------------------------------------------------
     def is_inside(self, ip: str) -> bool:
         """True when ``ip`` belongs to this NAT's private subnet."""
         return ip_in_subnet(ip, self.subnet)
 
-    def _now(self) -> float:
-        return self._clock()
-
-    def _expired(self, m: _Mapping) -> bool:
-        return self._now() - m.last_used > self.spec.mapping_timeout
+    def _expired(self, m: _Mapping, now: float) -> bool:
+        return now - m.last_used > self.spec.mapping_timeout
 
     def _gc(self, m: _Mapping) -> None:
         self._by_key.pop(m.key, None)
         self._by_port.pop(m.public_port, None)
 
-    def _alloc_port(self) -> int:
+    def _alloc_port(self, now: float) -> int:
         """Next free public port, wrapping within [PORT_MIN, PORT_MAX].
 
         Ports whose holder has expired are reclaimed in passing; a port
@@ -160,15 +159,10 @@ class Nat:
             holder = self._by_port.get(port)
             if holder is None:
                 return port
-            if self._expired(holder):
+            if self._expired(holder, now):
                 self._gc(holder)
                 return port
         raise RuntimeError(f"{self.name}: public port space exhausted")
-
-    def _key(self, proto: str, inner: Endpoint, remote: Endpoint) -> tuple:
-        if self.spec.mapping == MappingBehavior.ENDPOINT_INDEPENDENT:
-            return (proto, inner)
-        return (proto, inner, remote)
 
     # ------------------------------------------------------------------
     def translate_outbound(self, proto: str, inner: Endpoint,
@@ -177,18 +171,19 @@ class Nat:
 
         Returns the public source endpoint.
         """
-        key = self._key(proto, inner, remote)
+        now = self._clock()
+        key = (proto, inner) if self._eim else (proto, inner, remote)
         m = self._by_key.get(key)
-        if m is not None and self._expired(m):
+        if m is not None and self._expired(m, now):
             self._gc(m)
             m = None
         if m is None:
-            port = self._alloc_port()
+            port = self._alloc_port(now)
             m = _Mapping(inner=inner, public_port=port, key=key)
             self._by_key[key] = m
             self._by_port[port] = m
         m.contacted.add(remote)
-        m.last_used = self._now()
+        m.last_used = now
         return Endpoint(self.public_ip, m.public_port)
 
     def translate_inbound(self, proto: str, public_port: int,
@@ -202,7 +197,8 @@ class Nat:
         if m is None:
             self.drops["no_mapping"] += 1
             return None
-        if self._expired(m):
+        now = self._clock()
+        if self._expired(m, now):
             self._gc(m)
             self.drops["no_mapping"] += 1
             return None
@@ -216,7 +212,7 @@ class Nat:
         if not allowed:
             self.drops["filtering"] += 1
             return None
-        m.last_used = self._now()
+        m.last_used = now
         return m.inner
 
     # ------------------------------------------------------------------

@@ -106,7 +106,7 @@ class Internet:
             dgram.trace = getattr(dgram.payload, "trace", None)
         proto = dgram.proto
         for nat in src_host.nat_chain:
-            if nat.is_inside(dgram.dst.ip):
+            if dgram.dst.ip.startswith(nat.subnet):
                 # stays within this NAT's scope — no translation at/above it
                 dgram.hop(f"lan:{nat.name}")
                 self._resolve_and_schedule(src_host, dgram, trusted=True)

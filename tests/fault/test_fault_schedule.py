@@ -166,9 +166,9 @@ class TestNatFaults:
         # a mapping opened under the shrunken window dies after 2 s idle
         inner.sockets[9000].send(outer.sockets[9000].endpoint, "open")
         mapping = next(iter(priv.nat._by_key.values()))
-        assert not priv.nat._expired(mapping)
+        assert not priv.nat._expired(mapping, sim.now)
         sim.run(until=sim.now + 5.0)
-        assert priv.nat._expired(mapping)
+        assert priv.nat._expired(mapping, sim.now)
 
 
 class TestDeterminism:

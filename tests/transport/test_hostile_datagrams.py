@@ -20,6 +20,8 @@ exact.  Afterwards:
   link request planted (the frames sent outside the two nodes);
 * the attacked node holds no peer that only a hostile link reply named:
   a reply that answers none of its attempts is dropped;
+* the attacked node advertises its own URI and nothing else: a ping
+  reply teaches a URI only when its sender is a peer;
 * the reserved tags fail as unknown tags, bare and as a routed body;
 * a tunnelled ping still makes the round trip;
 * after ``close()`` the process holds the descriptors it held before.
@@ -174,6 +176,8 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
                     while read < sent:
                         await asyncio.sleep(0)
             peers = {conn.peer_addr for conn in nodes[1].table.all()}
+            learned = [uri for uri in nodes[1].uris.advertised()
+                       if uri != nodes[1].uris.local]
 
             replies = []
             routers[0].bind("icmp", 0, replies.append)
@@ -187,7 +191,7 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             errors = sum(metrics.counter("wire.decode_error",
                                          node=node.name).value
                          for node in nodes)
-            return read, errors, replies, peers
+            return read, errors, replies, peers, learned
         finally:
             hostile.close()
             for node in nodes:
@@ -195,7 +199,7 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             await asyncio.sleep(0)
             assert _open_fds() == fds
 
-    read, errors, replies, peers = asyncio.run(scenario())
+    read, errors, replies, peers, learned = asyncio.run(scenario())
     assert read == len(frames) > FRAMES
     assert unhandled == [], unhandled
     bad = sum(map(_malformed, frames))
@@ -204,5 +208,6 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
     assert all(map(_malformed, RESERVED_TOP + RESERVED_ROUTED))
     planted = _reply_only_senders(frames)
     assert planted and not peers & planted, (len(peers & planted), len(peers))
+    assert learned == [], learned
     assert [r.payload.seq for r in replies] == [1]
     assert replies[0].payload.is_reply
