@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-import numpy as np
-
 from repro.phys.endpoints import Endpoint
 from repro.phys.packet import Datagram
 
@@ -131,13 +129,6 @@ class Host:
     def compute_time(self, ref_seconds: float) -> float:
         """Wall time to execute ``ref_seconds`` of reference-CPU work now."""
         return ref_seconds / self.cpu_speed * (1.0 + max(0.0, self.load))
-
-    def processing_delay(self, rng: np.random.Generator) -> float:
-        """Per-packet user-level processing delay at this host."""
-        if self.proc_delay_mean <= 0.0:
-            return 0.0
-        scale = self.proc_delay_mean * (1.0 + max(0.0, self.load))
-        return float(rng.exponential(scale))
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self) -> None:

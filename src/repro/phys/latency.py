@@ -12,6 +12,7 @@ unlisted pairs.  Intra-site delay is the site's ``lan_latency``.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +21,9 @@ from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phys.host import Host
+
+#: variates drawn per vectorised refill of one of the three buffers
+BLOCK = 1024
 
 
 class LatencyModel:
@@ -37,6 +41,11 @@ class LatencyModel:
         # keyed by ordered name pair, both orders stored
         self._pair_latency: dict[tuple[str, str], float] = {}
         self._pair_loss: dict[tuple[str, str], float] = {}
+        # loss uniforms, standard normals, standard exponentials: each
+        # refilled by one ``rng`` call, popped from the end, one per use
+        self._u: list[float] = []
+        self._z: list[float] = []
+        self._e: list[float] = []
 
     # -- configuration -------------------------------------------------
     def set_pair(self, site_a: str, site_b: str, one_way: float,
@@ -61,17 +70,23 @@ class LatencyModel:
         return self._pair_loss.get((site_a, site_b), self.default_loss)
 
     # -- sampling --------------------------------------------------------
+    @staticmethod
+    def _refill(buf: list[float], draw) -> float:
+        buf.extend(draw(BLOCK).tolist())
+        return buf.pop()
+
     def sample(self, src: "Host", dst: "Host") -> float | None:
         """One-way delay for a datagram from ``src`` to ``dst``, or None
         when it is lost in transit.
 
-        Draws, in order: a uniform for the loss decision (only when its
-        probability is positive), the lognormal jitter, one exponential
-        per endpoint with a ``proc_delay_mean`` (:meth:`Host.
-        processing_delay`'s draw).  Hosts share a LAN when they hold the
-        *same* ``Site`` object; other pairs are looked up by name.
+        Takes a uniform for the loss decision (only when its probability
+        is positive; a lost datagram takes nothing else), a standard
+        normal for the lognormal jitter, and one standard exponential per
+        endpoint with a ``proc_delay_mean``, scaled by ``1 + load``.  Each
+        kind comes from its own buffer, refilled ``BLOCK`` variates at a
+        time.  Hosts share a LAN when they hold the *same* ``Site``
+        object; other pairs are looked up by name.
         """
-        rng = self.rng
         site = src.site
         if site is dst.site:
             base, p = site.lan_latency, 0.0
@@ -82,14 +97,21 @@ class LatencyModel:
             base = self._pair_latency.get(names, self.default_wan_latency)
             p = self._pair_loss.get(names, self.default_loss)
         p = p + src.extra_loss + dst.extra_loss
-        if p > 0 and rng.random() < p:
-            return None
-        delay = base * rng.lognormal(0.0, self.jitter_sigma)
+        if p > 0:
+            u = self._u
+            if (u.pop() if u else self._refill(u, self.rng.random)) < p:
+                return None
+        z = self._z
+        delay = base * math.exp(self.jitter_sigma * (
+            z.pop() if z else self._refill(z, self.rng.standard_normal)))
+        e = self._e
         proc = 0.0
         if src.proc_delay_mean > 0.0:
-            proc = rng.exponential(
-                src.proc_delay_mean * (1.0 + max(0.0, src.load)))
+            proc = (src.proc_delay_mean * (1.0 + max(0.0, src.load))
+                    * (e.pop() if e else self._refill(
+                        e, self.rng.standard_exponential)))
         if dst.proc_delay_mean > 0.0:
-            proc += rng.exponential(
-                dst.proc_delay_mean * (1.0 + max(0.0, dst.load)))
+            proc += (dst.proc_delay_mean * (1.0 + max(0.0, dst.load))
+                     * (e.pop() if e else self._refill(
+                         e, self.rng.standard_exponential)))
         return delay + proc

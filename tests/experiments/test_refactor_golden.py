@@ -28,7 +28,14 @@ from tests.experiments._golden_fp import (
 #: 8e638bd before that, and unchanged until it.
 #: It held when the near overlord's settled re-announce began to back off
 #: (30 → 240 s): the run ends before any node's announce schedule differs.
-CHURN_FP = "b9f18e82f40a5f4c34968bff89e94c709a2afa09e8ad31155ecf1aa8bb14431d"
+#: Regenerated once more, deliberately, when ``LatencyModel.sample`` began
+#: to take its variates from three per-kind buffers refilled in blocks of
+#: ``BLOCK`` (loss uniforms, standard normals, standard exponentials)
+#: instead of one numpy call per variate: the same distributions, but
+#: each datagram draws other variates and a loss no longer shifts later
+#: delays, so the run is another sample (689 → 684 kernel events;
+#: b9f18e82…bb14431d before).
+CHURN_FP = "57460ceee83127e95cf042f7f67df7603afc273a322955a7d8752de92ea0642d"
 #: regenerated once, deliberately, when the near overlord's settled
 #: re-announce began to back off (each announce that finds the ring
 #: neighbours unchanged doubles the wait, 30 s up to 240 s): a settled
@@ -39,12 +46,19 @@ CHURN_FP = "b9f18e82f40a5f4c34968bff89e94c709a2afa09e8ad31155ecf1aa8bb14431d"
 #: the shortcut overlord and then the leaf, near and far overlords
 #: stopped polling (87c5cb52…f705c448f, 75c4aaff…cabaee1eb,
 #: bffcc6c2…fea87d32): same-instant ties between two nodes' ticks ran in
-#: another order (DESIGN.md §3.3).
-FIG4_FP = "bd2a275c35cbe1635a6dc3564cd5e83d8ffc87012062bf642ba9aeedfabd5886"
+#: another order (DESIGN.md §3.3).  Last regenerated when the latency
+#: model began to draw its variates in per-kind blocks (see ``CHURN_FP``):
+#: another sample of the same process (49 338 → 49 892 kernel events;
+#: bd2a275c…aabd5886 before).
+FIG4_FP = "0bcf20da3f347ccc700af725b1c3dec3244b107eeab38cd6ca84234baf439185"
 #: captured at bc87a03, while the flow model still kept a
 #: bottleneck-scoped incremental solve and a completion heap; it held
 #: when both were replaced by one whole-set water-fill per recompute.
-FLOWS_FP = "16fcdf90184eabdbbe4f8fc88a6ba7668452255d6bebfade86b28beb9a84bf8a"
+#: Regenerated once, deliberately, when the latency model began to draw
+#: its variates in per-kind blocks (see ``CHURN_FP``): the control
+#: traffic around the flows is another sample (257 941 → 257 641 kernel
+#: events over the three runs; 16fcdf90…9a84bf8a before).
+FLOWS_FP = "31a6a4b759c34e670ea1919ae724b723bb1e8ce225f945fcaedb48f130f117e1"
 
 
 def test_churn_trajectory_byte_identical_to_main():

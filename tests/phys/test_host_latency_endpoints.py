@@ -82,10 +82,16 @@ class TestHost:
         assert seen == [Endpoint("150.1.0.200", 7)]
 
     def test_processing_delay_zero_when_unloaded_model(self):
-        rng = self.sim.rng.stream("t")
-        assert self.host.processing_delay(rng) == 0.0
+        """A host's processing delay is what ``LatencyModel.sample`` adds
+        to the jittered base: nothing without a ``proc_delay_mean``, an
+        exponential of that mean with one."""
+        lm = LatencyModel(self.sim.rng.stream("t"), jitter_sigma=0.0)
+        peer = self.site.add_host("peer")
+        base = self.site.lan_latency
+        assert lm.sample(self.host, peer) == base
         loaded = self.site.add_host("pl", proc_delay_mean=ms(8.0))
-        delays = [loaded.processing_delay(rng) for _ in range(500)]
+        delays = [lm.sample(loaded, peer) - base for _ in range(500)]
+        assert min(delays) > 0.0
         assert np.mean(delays) == pytest.approx(ms(8.0), rel=0.25)
 
 
