@@ -326,8 +326,9 @@ class BrunetNode:
         else:
             self.stats["sent"] += 1
             self._m_sent.value += 1
-        self.send_direct(conn.remote_endpoint, pkt,
-                         pkt.size + self.config.size_routed_header)
+        # only ``route`` calls this, and it checked ``active``
+        self.transport.send(conn.remote_endpoint, pkt,
+                            size_hint=pkt.size + self.config.size_routed_header)
 
     def send_routed(self, dest: BrunetAddress, payload: Any, size: int,
                     exact: bool = True,

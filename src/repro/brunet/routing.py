@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.brunet.address import BrunetAddress, directed_distance, ring_distance
+from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
 from repro.brunet.connection import Connection
 from repro.brunet.table import ConnectionTable
 
@@ -19,17 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.brunet.node import BrunetNode
 
 
-def _metric(addr: BrunetAddress, dest: BrunetAddress,
-            approach: Optional[str]) -> int:
-    """Greedy distance.  With an ``approach`` side the packet must stay on
-    (and converge from) that side of ``dest``: "right" = clockwise of dest,
-    "left" = counter-clockwise."""
-    if approach == "right":
-        return directed_distance(dest, addr)
-    if approach == "left":
-        return directed_distance(addr, dest)
-    return ring_distance(addr, dest)
-
+#: half the ring: an undirected distance above it is folded back
+_HALF = ADDRESS_SPACE >> 1
 
 #: cache-miss sentinel (None is a valid cached decision)
 _MISS = object()
@@ -82,6 +73,11 @@ def _next_hop_scan(table: ConnectionTable, my_addr: BrunetAddress,
     of ``dest``, possible only for the undirected metric — breaks to the
     lower address; a hop is taken only when it *strictly* decreases the
     metric, exactly as the pre-array object scan decided.
+
+    The metric is the ring distance to ``dest``; with an ``approach``
+    side, where the packet must stay on (and converge from) that side of
+    ``dest``, it is the clockwise distance from ``dest`` ("right") or to
+    ``dest`` ("left").  It is computed inline: no call per candidate.
     """
     if not exclude_dest_link and approach is None:
         direct = table.get(dest)
@@ -107,14 +103,18 @@ def _next_hop_scan(table: ConnectionTable, my_addr: BrunetAddress,
         else:
             j = (pos - 1) % n
             cand = (i,) if i == j else (i, j)
-    my_d = _metric(my_addr, dest, approach)
+    right, fold = approach == "right", approach is None
     best: Optional[Connection] = None
-    best_d = my_d
+    best_d = ((my_addr - dest) if right else (dest - my_addr)) % ADDRESS_SPACE
+    if fold and best_d > _HALF:
+        best_d = ADDRESS_SPACE - best_d
     for k in cand:
         a = addrs[k]
         if skip_dest and a == dest:
             continue
-        d = _metric(a, dest, approach)
+        d = ((a - dest) if right else (dest - a)) % ADDRESS_SPACE
+        if fold and d > _HALF:
+            d = ADDRESS_SPACE - d
         if d < best_d or (d == best_d and best is not None
                           and a < best.peer_addr):
             best, best_d = conns[k], d

@@ -104,8 +104,7 @@ def build_paper_testbed(sim: "Simulator",
             # the broadband router's subnet (§V-A, Fig. 1).  The guest IP
             # is re-homed into the VMware subnet so the chain nests.
             vmware = Nat("nat.gru.vmware", "10.6.0.1", "10.6.200.",
-                         NatSpec.cone(hairpin=True),
-                         clock=lambda: sim.now)
+                         NatSpec.cone(hairpin=True), clock=sim)
             deployment.internet.register_nat(vmware)
             extra_nats = [vmware]
         vm = deployment.create_vm(name, virtual_ip, site,
@@ -113,9 +112,7 @@ def build_paper_testbed(sim: "Simulator",
                                   extra_nats=extra_nats)
         if extra_nats is not None:
             # move the guest's address inside the innermost NAT's subnet
-            deployment.internet.unregister_host(vm.host)
-            vm.host.ip = "10.6.200.2"
-            deployment.internet.register_host(vm.host)
+            vm.host.rehome("10.6.200.2")
             vm.node.uris.local = vm.node.uris.local._replace(
                 endpoint=vm.node.uris.local.endpoint._replace(ip=vm.host.ip))
         testbed.vms[name] = vm

@@ -44,16 +44,8 @@ class UdpSocket:
         self.closed = False
         self.sent = 0
         self.received = 0
-        self._endpoint = Endpoint(host.ip, port)
-
-    @property
-    def endpoint(self) -> Endpoint:
-        """The socket's (ip, port); rebuilt when ``host.ip`` is
-        reassigned (a guest re-homed behind a NAT)."""
-        ep = self._endpoint
-        if ep.ip != self.host.ip:
-            ep = self._endpoint = Endpoint(self.host.ip, self.port)
-        return ep
+        #: the socket's (ip, port); :meth:`Host.rehome` rebuilds it
+        self.endpoint = Endpoint(host.ip, port)
 
     def send(self, dst: Endpoint, payload: Any, size: int = 0,
              header: Optional[int] = None, trace: Any = None) -> None:
@@ -118,6 +110,15 @@ class Host:
         sock = UdpSocket(self, port, handler)
         self.sockets[port] = sock
         return sock
+
+    def rehome(self, ip: str) -> None:
+        """Move the host to ``ip`` (a guest re-homed behind a NAT): the
+        routing table and every bound socket's endpoint follow."""
+        self.internet.unregister_host(self)
+        self.ip = ip
+        self.internet.register_host(self)
+        for sock in self.sockets.values():
+            sock.endpoint = Endpoint(ip, sock.port)
 
     def ephemeral_port(self) -> int:
         """A fresh high port (40000+), never reused on this host."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 from repro.phys.endpoints import Endpoint, ip_in_subnet
@@ -96,6 +97,7 @@ class _Mapping:
     # remote endpoints the inner socket has sent to through this mapping
     contacted: set[Endpoint] = field(default_factory=set)
     last_used: float = 0.0
+    public: Optional[Endpoint] = None  # (public_ip, public_port), built once
 
 
 class Nat:
@@ -117,7 +119,8 @@ class Nat:
         self.public_ip = public_ip
         self.subnet = subnet if subnet.endswith(".") else subnet + "."
         self.spec = spec
-        self._clock = clock or (lambda: 0.0)
+        #: read as ``clock.now`` (the kernel); without one, t stays 0
+        self._clock = clock or SimpleNamespace(now=0.0)
         self._next_port = self.PORT_MIN
         # EIM: key (proto, inner_ep); APDM: key (proto, inner_ep, remote_ep)
         self._eim = spec.mapping == MappingBehavior.ENDPOINT_INDEPENDENT
@@ -130,7 +133,7 @@ class Nat:
     def live_mappings(self) -> int:
         """Number of currently live (non-expired) mappings — exported as
         the ``nat.mappings_live`` gauge."""
-        now = self._clock()
+        now = self._clock.now
         return sum(1 for m in self._by_port.values()
                    if not self._expired(m, now))
 
@@ -171,20 +174,22 @@ class Nat:
 
         Returns the public source endpoint.
         """
-        now = self._clock()
+        now = self._clock.now
         key = (proto, inner) if self._eim else (proto, inner, remote)
         m = self._by_key.get(key)
-        if m is not None and self._expired(m, now):
+        # ``_expired`` inline: one Python call per translation
+        if m is not None and now - m.last_used > self.spec.mapping_timeout:
             self._gc(m)
             m = None
         if m is None:
             port = self._alloc_port(now)
-            m = _Mapping(inner=inner, public_port=port, key=key)
+            m = _Mapping(inner=inner, public_port=port, key=key,
+                         public=Endpoint(self.public_ip, port))
             self._by_key[key] = m
             self._by_port[port] = m
         m.contacted.add(remote)
         m.last_used = now
-        return Endpoint(self.public_ip, m.public_port)
+        return m.public
 
     def translate_inbound(self, proto: str, public_port: int,
                           remote: Endpoint) -> Optional[Endpoint]:
@@ -197,8 +202,8 @@ class Nat:
         if m is None:
             self.drops["no_mapping"] += 1
             return None
-        now = self._clock()
-        if self._expired(m, now):
+        now = self._clock.now
+        if now - m.last_used > self.spec.mapping_timeout:
             self._gc(m)
             self.drops["no_mapping"] += 1
             return None

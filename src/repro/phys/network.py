@@ -97,7 +97,15 @@ class Internet:
     # -- sending ----------------------------------------------------------
     def send(self, src_host: "Host", dgram: Datagram) -> None:
         """Route one datagram.  Never raises for network-level failures —
-        packets silently vanish with a counted reason, like real UDP."""
+        packets silently vanish with a counted reason, like real UDP.
+
+        After the source's NAT walk the destination is resolved,
+        descending through its NATs.  ``trusted`` marks packets that
+        legitimately entered a private scope (intra-site delivery, hairpin
+        translation, a destination NAT's mapping).  Untrusted packets from
+        the public core addressed straight at a private (NATed) host are
+        unroutable — private URIs only work from inside (§IV-D).
+        """
         if self.sim.obs.spans.enabled and dgram.trace is None:
             # lift the causal context off the payload message (if any) so
             # NAT traversal and the transit span attach to the right trace;
@@ -105,12 +113,13 @@ class Internet:
             # payload is then opaque bytes with no ``trace`` attribute)
             dgram.trace = getattr(dgram.payload, "trace", None)
         proto = dgram.proto
+        trusted = False
         for nat in src_host.nat_chain:
             if dgram.dst.ip.startswith(nat.subnet):
                 # stays within this NAT's scope — no translation at/above it
                 dgram.hop(f"lan:{nat.name}")
-                self._resolve_and_schedule(src_host, dgram, trusted=True)
-                return
+                trusted = True
+                break
             public_src = nat.translate_outbound(proto, dgram.src, dgram.dst)
             if dgram.dst.ip == nat.public_ip:
                 if not nat.spec.hairpin:
@@ -125,22 +134,11 @@ class Internet:
                 dgram.src = public_src
                 dgram.dst = inner
                 dgram.hop(f"hairpin:{nat.name}")
-                self._resolve_and_schedule(src_host, dgram, trusted=True)
-                return
+                trusted = True
+                break
             dgram.src = public_src
             dgram.hop(f"snat:{nat.name}")
-        self._resolve_and_schedule(src_host, dgram)
 
-    # -- destination resolution ------------------------------------------
-    def _resolve_and_schedule(self, src_host: "Host", dgram: Datagram,
-                              trusted: bool = False) -> None:
-        """Deliver toward the destination, descending through its NATs.
-
-        ``trusted`` marks packets that legitimately entered a private scope
-        (intra-site delivery, hairpin translation).  Untrusted packets from
-        the public core addressed straight at a private (NATed) host are
-        unroutable — private URIs only work from inside (§IV-D).
-        """
         # descend through destination NATs
         seen = 0
         while True:
@@ -151,8 +149,7 @@ class Internet:
             if seen > 8:  # pragma: no cover - defensive
                 self._drop(dgram, "nat-loop")
                 return
-            inner = nat.translate_inbound(dgram.proto, dgram.dst.port,
-                                          dgram.src)
+            inner = nat.translate_inbound(proto, dgram.dst.port, dgram.src)
             if inner is None:
                 self._drop(dgram, f"filtering:{nat.name}")
                 return

@@ -42,7 +42,7 @@ class Site:
                 raise ValueError(f"site {name}: NATed site needs a subnet")
             public_ip = internet.allocate_public_ip()
             self.nat = Nat(f"nat.{name}", public_ip, subnet, nat_spec,
-                           clock=lambda: internet.sim.now)
+                           clock=internet.sim)
             internet.register_nat(self.nat)
             self._private_alloc = IpAllocator(subnet)
         else:

@@ -43,7 +43,7 @@ class Event:
                  "fired", "_sim")
 
     def __init__(self, time: float, priority: int, seq: int,
-                 fn: Callable[..., Any], args: tuple):
+                 fn: Callable[..., Any], args: tuple, sim: "Simulator"):
         self.time = time
         self.priority = priority
         self.seq = seq
@@ -51,7 +51,7 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     @property
     def pending(self) -> bool:
@@ -64,8 +64,7 @@ class Event:
         re-decrement the kernel's live-event count)."""
         if not self.cancelled and not self.fired:
             self.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancel()
+            self._sim._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
@@ -121,28 +120,30 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        return self._enqueue(self.now + delay, priority, fn, args)
+        # ``not >=`` also refuses NaN, which would sort ahead of every
+        # finite key and fire first with ``now`` set to NaN
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay!r}")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        ev = Event(time, priority, seq, fn, args, self)
+        heapq.heappush(self._queue, (time, priority, seq, ev))
+        return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
                     priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        return self._enqueue(time, priority, fn, args)
-
-    def _enqueue(self, time: float, priority: int,
-                 fn: Callable[..., Any], args: tuple) -> Event:
-        # ``not >=`` also refuses NaN, which would sort ahead of every
-        # finite key and fire first with ``now`` set to NaN
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule in the past or at NaN: "
                 f"{time!r} vs now {self.now}")
-        ev = Event(time, priority, self._seq, fn, args)
-        ev._sim = self
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, (time, priority, ev.seq, ev))
+        ev = Event(time, priority, seq, fn, args, self)
+        heapq.heappush(self._queue, (time, priority, seq, ev))
         return ev
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.brunet.address import (ADDRESS_SPACE, BrunetAddress,
                                   directed_distance, ring_distance)
 from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.routing import _metric, _next_hop_scan
+from repro.brunet.routing import _next_hop_scan
 from repro.brunet.table import ConnectionTable
 from repro.phys.endpoints import Endpoint
 
@@ -31,6 +31,15 @@ def _table(me, addrs):
 
 
 # -- oracles: the pre-array linear scans, verbatim -------------------------
+
+def _metric(addr, dest, approach):
+    """The routing metric as a function (``_next_hop_scan`` inlines it)."""
+    if approach == "right":
+        return directed_distance(dest, addr)
+    if approach == "left":
+        return directed_distance(addr, dest)
+    return ring_distance(addr, dest)
+
 
 def oracle_closest_to(table, dest):
     best, best_d = None, None

@@ -1,13 +1,14 @@
 """Ring arithmetic at the 0 / 2^160 seam: the ring neighbours and the
-routing ``_metric`` must treat the address space as circular."""
+routing metric must treat the address space as circular."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
+from repro.brunet.address import (ADDRESS_SPACE, BrunetAddress,
+                                  directed_distance, ring_distance)
 from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.routing import _metric, _next_hop_scan
+from repro.brunet.routing import _next_hop_scan
 from repro.brunet.table import ConnectionTable
 from repro.phys.endpoints import Endpoint
 
@@ -40,24 +41,25 @@ def test_directional_neighbors_straddle_zero():
 
 
 # ---------------------------------------------------------------------------
-# _metric with approach sides
+# the routing metric with approach sides (``_next_hop_scan`` computes
+# these distances inline; tests/brunet/test_inline_metric.py holds it to them)
 # ---------------------------------------------------------------------------
 
 def test_metric_ring_distance_across_seam():
-    assert _metric(BrunetAddress(TOP - 10), BrunetAddress(5), None) == 15
-    assert _metric(BrunetAddress(20), BrunetAddress(TOP - 10), None) == 30
+    assert ring_distance(BrunetAddress(TOP - 10), BrunetAddress(5)) == 15
+    assert ring_distance(BrunetAddress(20), BrunetAddress(TOP - 10)) == 30
 
 
 def test_metric_approach_sides_across_seam():
     addr, dest = BrunetAddress(TOP - 10), BrunetAddress(5)
     # "left" converges clockwise toward dest: distance addr→dest = 15
-    assert _metric(addr, dest, "left") == 15
+    assert directed_distance(addr, dest) == 15
     # "right" stays clockwise *of* dest: distance dest→addr wraps long way
-    assert _metric(addr, dest, "right") == TOP - 15
+    assert directed_distance(dest, addr) == TOP - 15
 
     addr2 = BrunetAddress(20)
-    assert _metric(addr2, dest, "right") == 15
-    assert _metric(addr2, dest, "left") == TOP - 15
+    assert directed_distance(dest, addr2) == 15       # "right"
+    assert directed_distance(addr2, dest) == TOP - 15  # "left"
 
 
 @pytest.mark.parametrize("approach,expected", [

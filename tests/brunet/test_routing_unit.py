@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
+from repro.brunet.address import BrunetAddress
 from repro.brunet.connection import Connection, ConnectionType
-from repro.brunet.routing import _metric, next_hop
+from repro.brunet.routing import next_hop
 from repro.brunet.table import ConnectionTable
 from repro.phys.endpoints import Endpoint
 
@@ -53,17 +53,26 @@ def test_leaf_connections_never_route():
 
 
 class TestApproachMetric:
+    # the metric is inline in the scan: a lone peer is taken exactly when
+    # its distance (50, or ADDRESS_SPACE - 50 the long way) beats mine
+
     def test_right_metric_is_clockwise_from_dest(self):
-        dest = 100
-        assert _metric(BrunetAddress(150), dest, "right") == 50
-        assert _metric(BrunetAddress(50), dest, "right") \
-            == ADDRESS_SPACE - 50
+        dest = BrunetAddress(100)
+        for me, peer, taken in ((50, 150, True), (150, 50, False),
+                                (151, 150, True), (149, 150, False)):
+            me = BrunetAddress(me)
+            hop = next_hop(table_with(peer, me=me), me, dest,
+                           approach="right")
+            assert (hop is not None) == taken, (me, peer)
 
     def test_left_metric_is_counterclockwise(self):
-        dest = 100
-        assert _metric(BrunetAddress(50), dest, "left") == 50
-        assert _metric(BrunetAddress(150), dest, "left") \
-            == ADDRESS_SPACE - 50
+        dest = BrunetAddress(100)
+        for me, peer, taken in ((150, 50, True), (50, 150, False),
+                                (49, 50, True), (51, 50, False)):
+            me = BrunetAddress(me)
+            hop = next_hop(table_with(peer, me=me), me, dest,
+                           approach="left")
+            assert (hop is not None) == taken, (me, peer)
 
     def test_right_approach_converges_to_successor(self):
         dest = BrunetAddress(1000)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.brunet.address import ADDRESS_SPACE, BrunetAddress
+from repro.brunet.address import ADDRESS_SPACE, BrunetAddress, ring_distance
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.linking import LinkAttempt
 from repro.brunet.overlords import (
@@ -18,7 +18,7 @@ from repro.brunet.overlords import (
     LeafConnectionOverlord,
     NearConnectionOverlord,
 )
-from repro.brunet.routing import next_hop, ring_distance
+from repro.brunet.routing import next_hop
 from repro.check import AuditConfig, Auditor, invariants
 from repro.obs.spans import SpanCollector
 from repro.phys.endpoints import Endpoint

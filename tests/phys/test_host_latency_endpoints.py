@@ -63,19 +63,17 @@ class TestHost:
         assert 6 not in self.host.sockets
 
     def test_socket_endpoint_follows_a_reassigned_host_ip(self):
-        """The re-homing recipe of ``core/testbed.py`` (unregister, assign
-        ``host.ip``, register) on a host that already holds a socket: the
-        socket's endpoint is built once, not per send, and must still be
-        the address the next datagram leaves from."""
+        """``Host.rehome``, as ``core/testbed.py`` re-homes a guest, on a
+        host that already holds a socket: the socket's endpoint is built
+        once, not per send, and must still be the address the next
+        datagram leaves from."""
         peer = self.site.add_host("peer")
         seen = []
         peer.bind_udp(7, lambda payload, src, size: seen.append(src))
         sock = self.host.bind_udp(7, lambda *a: None)
         before = sock.endpoint
         assert sock.endpoint is before              # built once
-        self.net.unregister_host(self.host)
-        self.host.ip = "150.1.0.200"
-        self.net.register_host(self.host)
+        self.host.rehome("150.1.0.200")
         assert sock.endpoint == Endpoint("150.1.0.200", 7) != before
         sock.send(Endpoint(peer.ip, 7), "x")
         self.sim.run()

@@ -96,7 +96,7 @@ class _Reference:
         return bool(self.uniform() < p) if p > 0 else False
 
     def sample(self, src, dst):
-        """What ``Internet._resolve_and_schedule`` did with the pair."""
+        """What ``Internet.send`` did with the pair."""
         if self.sample_loss(src, dst):
             return None
         return self.sample_delay(src, dst)

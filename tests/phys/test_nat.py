@@ -1,5 +1,7 @@
 """NAT middlebox semantics: mapping, filtering, hairpin, expiry."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.phys.endpoints import Endpoint
@@ -18,7 +20,7 @@ REMOTE_A2 = Endpoint("128.0.0.5", 9001)
 
 
 def make_nat(spec, clock=None):
-    return Nat("n", "200.0.0.1", "10.1.", spec, clock=clock or (lambda: 0.0))
+    return Nat("n", "200.0.0.1", "10.1.", spec, clock=clock)
 
 
 def test_eim_mapping_is_stable_across_remotes():
@@ -72,29 +74,29 @@ def test_inbound_without_mapping_dropped():
 
 
 def test_mapping_expiry():
-    clock = {"t": 0.0}
-    nat = make_nat(NatSpec.cone(timeout=120.0), clock=lambda: clock["t"])
+    clock = SimpleNamespace(now=0.0)
+    nat = make_nat(NatSpec.cone(timeout=120.0), clock=clock)
     pub = nat.translate_outbound("udp", INNER, REMOTE_A)
-    clock["t"] = 100.0
+    clock.now = 100.0
     assert nat.translate_inbound("udp", pub.port, REMOTE_A) == INNER
-    clock["t"] = 300.0  # idle > timeout since last use (100.0)
+    clock.now = 300.0  # idle > timeout since last use (100.0)
     assert nat.translate_inbound("udp", pub.port, REMOTE_A) is None
 
 
 def test_traffic_refreshes_mapping():
-    clock = {"t": 0.0}
-    nat = make_nat(NatSpec.cone(timeout=120.0), clock=lambda: clock["t"])
+    clock = SimpleNamespace(now=0.0)
+    nat = make_nat(NatSpec.cone(timeout=120.0), clock=clock)
     pub = nat.translate_outbound("udp", INNER, REMOTE_A)
     for step in range(1, 10):
-        clock["t"] = step * 100.0
+        clock.now = step * 100.0
         assert nat.translate_inbound("udp", pub.port, REMOTE_A) == INNER
 
 
 def test_expired_mapping_gets_new_public_port():
-    clock = {"t": 0.0}
-    nat = make_nat(NatSpec.cone(timeout=120.0), clock=lambda: clock["t"])
+    clock = SimpleNamespace(now=0.0)
+    nat = make_nat(NatSpec.cone(timeout=120.0), clock=clock)
     pub1 = nat.translate_outbound("udp", INNER, REMOTE_A)
-    clock["t"] = 500.0
+    clock.now = 500.0
     pub2 = nat.translate_outbound("udp", INNER, REMOTE_A)
     assert pub1.port != pub2.port
 
@@ -144,12 +146,12 @@ class TestPortAllocation:
         assert pub.port == 20000  # skipped the two live mappings
 
     def test_wrapped_allocation_reclaims_expired_ports(self):
-        t = {"now": 0.0}
-        nat = make_nat(NatSpec.symmetric(), clock=lambda: t["now"])
+        t = SimpleNamespace(now=0.0)
+        nat = make_nat(NatSpec.symmetric(), clock=t)
         nat._next_port = 65535
         old = nat.translate_outbound("udp", INNER, REMOTE_A)
         assert old.port == 65535
-        t["now"] = 1e4  # far beyond mapping_timeout: the holder is dead
+        t.now = 1e4  # far beyond mapping_timeout: the holder is dead
         nat._next_port = 65535
         pub = nat.translate_outbound("udp", INNER, REMOTE_B)
         assert pub.port == 65535

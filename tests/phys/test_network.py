@@ -141,8 +141,7 @@ def test_nat_chain_two_levels(world):
     sim, net = world
     home = Site(net, "home", subnet="10.6.", nat_spec=NatSpec.cone())
     pub = Site(net, "pub")
-    vmware = Nat("vmware", "10.6.0.1", "10.6.200.", NatSpec.cone(),
-                 clock=lambda: sim.now)
+    vmware = Nat("vmware", "10.6.0.1", "10.6.200.", NatSpec.cone(), clock=sim)
     net.register_nat(vmware)
     guest = home.add_host("guest", ip="10.6.200.2", extra_nats=[vmware])
     ext = pub.add_host("ext")

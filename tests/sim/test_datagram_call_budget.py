@@ -3,9 +3,10 @@
 A simulated datagram is one send, one kernel event, one delivery, and
 between the node's ``send_direct`` and the receiving node's
 ``_on_datagram`` it crosses a fixed set of frames: ``SimTransport.send``
-→ ``Internet.send`` → ``_resolve_and_schedule`` → ``LatencyModel.sample``
-→ ``Simulator.schedule`` → the dispatch loop in ``Simulator.run`` →
-``Internet._deliver`` → the bound handler.  The counts below
+→ ``Internet.send`` (the NAT walk and the destination's resolution in
+one body) → ``LatencyModel.sample`` → ``Simulator.schedule`` (which
+pushes the heap entry itself) → the dispatch loop in ``Simulator.run``
+→ ``Internet._deliver`` → the bound handler.  The counts below
 (``sys.setprofile``, Python-level calls only) are deterministic, so they
 can be pinned where a timing on a shared host cannot.
 
@@ -14,55 +15,74 @@ What would lose the gain while every behavioural test stays green:
 * the dispatch loop's one look at the queue head stops taking the
   in-place branch (a live head) and falls back to ``Simulator._head()``
   for every event — or somebody reintroduces a peek-then-step pair;
-* a delivery seam comes back between ``_resolve_and_schedule`` and
-  ``Simulator.schedule``;
+* a helper frame comes back between ``Internet.send`` and
+  ``Simulator.schedule``, or between ``schedule`` and the heap push;
 * ``SimTransport.send`` in reference mode goes back through
-  ``UdpSocket.send``, ``Internet._deliver`` back through per-host and
-  per-socket ``deliver`` methods, or ``LatencyModel.sample`` through its
-  accessors, a frame or two each per datagram;
+  ``UdpSocket.send``, ``UdpSocket.endpoint`` becomes a property again,
+  ``Internet._deliver`` goes back through per-host and per-socket
+  ``deliver`` methods, or ``LatencyModel.sample`` through its accessors,
+  a frame or two each per datagram;
+* ``BrunetNode.send_over`` goes back through ``send_direct``;
 * ``BrunetNode._on_datagram`` walks its ``isinstance`` ladder before it
   recognises a keep-alive;
 * in codec mode, a keep-alive crosses ``encode`` / ``decode`` as a
   message object again instead of the fixed-layout byte path, or
   ``SimTransport`` sends through ``UdpSocket.send`` and counts with
-  ``.inc()``.
+  ``.inc()``;
+* a next-hop scan computes its metric through a helper →
+  ``ring_distance`` → ``directed_distance`` again (nine calls per
+  undirected miss), or a NAT translation reads its clock through a
+  callable or tests expiry through ``_expired`` (three calls each way).
 
 In this file's own harness the path before it was straightened made 59
 calls for the keep-alive exchange, 29 for the transit hop, 115 for the
 echo and 3.73 ``_head`` calls per fired event; with the ring on a
 sharded kernel and a delivery seam in ``Internet`` it made 36, 21, 90
-and 0.86.
+and 0.86; with a destination-resolution helper behind ``Internet.send``,
+an enqueue helper behind ``schedule``, ``UdpSocket.endpoint`` as a
+property and ``send_over`` going through ``send_direct`` it made 34, 19
+and 71, and 41 / 42 for the tick-driven exchange.
 """
 
 import collections
 
 import pytest
 
+import numpy as np
+
+from repro.brunet.address import random_address
 from repro.brunet.config import BrunetConfig
 from repro.brunet.connection import Connection, ConnectionType
 from repro.brunet.messages import PingRequest
 from repro.brunet.node import BrunetNode
+from repro.brunet.routing import _next_hop_scan
+from repro.brunet.table import ConnectionTable
 from repro.experiments.scaling_10k import build_warm_overlay
 from repro.ipop import Pinger
 from repro.ipop.mapping import addr_for_ip
 from repro.ipop.router import IpopRouter
 from repro.phys import Internet, Site
+from repro.phys.endpoints import Endpoint
+from repro.phys.nat import NatSpec
 from repro.sim import Simulator
 
 from tests.conftest import calls_by_name, count_calls
 from tests.transport.test_cut_through_chain import _chain_ips
 
 #: send request → deliver → send reply → deliver, as measured
-KEEPALIVE_MEASURED = 34
-KEEPALIVE_BUDGET = 38
+KEEPALIVE_MEASURED = 28
+KEEPALIVE_BUDGET = 29
 #: a whole tick-driven keep-alive exchange (tick → request → reply), as
 #: measured per wire mode: codec frames are built and read as fixed
 #: layouts (75 when they crossed ``encode`` / ``decode`` as objects)
-TICK_EXCHANGE_MEASURED = {"reference": 41, "codec": 42}
+TICK_EXCHANGE_MEASURED = {"reference": 34, "codec": 35}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
-TRANSIT_MEASURED = 19
+TRANSIT_MEASURED = 15
 #: one zero-hop ``Pinger`` echo: timer → request → reply → handler
-ECHO_MEASURED = 71
+ECHO_MEASURED = 62
+#: one ``_next_hop_scan`` miss on a warm table, per approach side: the
+#: scan, ``ConnectionTable.get`` (plain lookups only) and ``ring_view``
+SCAN_MISS_MEASURED = {None: 3, "left": 2, "right": 2}
 #: ``Simulator._head`` calls per fired event on the warm ring (0 measured:
 #: no tombstone reaches the head in the window; a peek-then-step loop
 #: adds two per event)
@@ -168,6 +188,60 @@ def test_zero_hop_pinger_echo_stays_inside_its_call_budget():
     assert done.value.replied.all()
     assert calls <= _pin(ECHO_MEASURED), (
         f"{calls} calls per zero-hop echo, budget {_pin(ECHO_MEASURED)}")
+
+
+@pytest.mark.parametrize("approach", sorted(SCAN_MISS_MEASURED, key=str))
+def test_next_hop_scan_miss_makes_no_call_for_its_metric(approach):
+    """A memo miss on a warm 200-peer table: the metric of each bisect
+    candidate is computed inline, so the calls do not depend on how many
+    candidates the scan weighs (twelve for a plain miss when it called a
+    metric helper → ``ring_distance`` → ``directed_distance`` for itself
+    and each of two candidates)."""
+    rng = np.random.default_rng(11)
+    me = random_address(rng)
+    table = ConnectionTable(me)
+    for i in range(200):
+        table.add(Connection(random_address(rng), Endpoint("1.1.1.1", i + 1),
+                             ConnectionType.STRUCTURED_NEAR, 0.0))
+    dests = [random_address(rng) for _ in range(8)]
+    _next_hop_scan(table, me, dests[0], False, approach)  # builds the view
+    for exclude in (False, True):
+        calls = {count_calls(_next_hop_scan, table, me, d, exclude, approach)
+                 for d in dests}
+        want = 2 if exclude else SCAN_MISS_MEASURED[approach]
+        assert calls == {want}, (approach, exclude, calls)
+
+
+def test_a_nat_translation_is_one_call_each_way():
+    """A datagram out through a cone NAT, and the reply in through it,
+    cost exactly two calls more than the same datagram between public
+    hosts: the translation itself and the ``Datagram.hop`` that records
+    it.  The mapping's expiry is tested inline, the kernel's ``now`` is
+    read as an attribute and the public endpoint is built once per
+    mapping (a clock ``lambda``, ``_expired`` and an ``Endpoint`` made
+    the outbound translation four calls)."""
+    sim = Simulator(seed=5, trace=False)
+    net = Internet(sim)
+    home = Site(net, "home", subnet="10.6.", nat_spec=NatSpec.cone())
+    pub = Site(net, "pub")
+    heard = []
+    natted, server, other = (
+        host.bind_udp(500, lambda payload, src, size: heard.append(src))
+        for host in (home.add_host("g"), pub.add_host("p"),
+                     pub.add_host("q")))
+    for _ in range(3):                  # first pass maps, last one counts
+        out = calls_by_name(natted.send, server.endpoint, "x", 10)
+        sim.run()
+        back = calls_by_name(server.send, heard[-1], "y", 10)
+        sim.run()
+        public = calls_by_name(other.send, server.endpoint, "x", 10)
+        sim.run()
+    mapped, replied, direct = heard[-3:]
+    assert mapped.ip == home.nat.public_ip
+    assert (replied, direct) == (server.endpoint, other.endpoint)
+    assert out - public == {"translate_outbound": 1, "hop": 1}, out
+    assert back - public == {"translate_inbound": 1, "hop": 1}, back
+    assert not public - out and not public - back
 
 
 def test_ring_inspects_the_queue_head_about_once_per_event(monkeypatch):

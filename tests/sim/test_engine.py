@@ -103,8 +103,8 @@ def test_nan_time_rejected_by_schedule_at(from_handler):
     """``schedule_at(nan)`` used to be queued: a NaN key compares false
     against everything, so it sat wherever the heap put it — events at
     1.0, NaN, 0.5 fired NaN, 0.5, 1.0 — and its handler ran with ``now``
-    set to NaN.  Both entry points now refuse it in ``_enqueue``, from
-    set-up code and from a running handler alike."""
+    set to NaN.  Both entry points now refuse it, from set-up code and
+    from a running handler alike."""
     sim = Simulator()
     order = []
 
