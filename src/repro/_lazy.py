@@ -1,8 +1,8 @@
 """Lazy package exports (PEP 562).
 
-``repro.phys``, ``repro.sim``, ``repro.ipop`` and ``repro.transport``
-each re-export their public names, and importing any submodule runs the
-package's ``__init__`` first.  Done eagerly, that made a live node — which
+``repro.phys``, ``repro.sim``, ``repro.ipop``, ``repro.transport`` and
+``repro.apps`` each re-export their public names, and importing any
+submodule runs the package's ``__init__`` first.  Done eagerly, that made a live node — which
 needs ``repro.phys.endpoints``, ``repro.sim.engine``, ``repro.ipop.router``
 and ``repro.transport.udp`` — import the whole simulator (NAT model,
 flows, topology, latency model, ...) before its first packet.  These

@@ -7,20 +7,19 @@ tested directly, and (b) the calibrated cost model the simulation uses to
 generate Fig. 8 / Table III workloads at the paper's scale.
 """
 
-from repro.apps.sequences import random_dna, implant_motif
-from repro.apps.meme import MemeMotifFinder, MemeWorkload
-from repro.apps.fastdnaml import (
-    FastDnaMl,
-    FastDnamlWorkload,
-    jc69_likelihood,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "random_dna",
-    "implant_motif",
-    "MemeMotifFinder",
-    "MemeWorkload",
-    "FastDnaMl",
-    "FastDnamlWorkload",
-    "jc69_likelihood",
-]
+#: public name -> the submodule that defines it (imported on first use, so
+#: a daemon, ``wowctl`` or ``swarm`` loads neither the miniatures nor numpy)
+_ORIGIN = {
+    "random_dna": "sequences",
+    "implant_motif": "sequences",
+    "MemeMotifFinder": "meme",
+    "MemeWorkload": "meme",
+    "FastDnaMl": "fastdnaml",
+    "FastDnamlWorkload": "fastdnaml",
+    "jc69_likelihood": "fastdnaml",
+}
+
+__all__ = list(_ORIGIN)
+__getattr__ = lazy_exports(__name__, _ORIGIN)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+    from repro.sim.rng import ScalarStream
 
 ADDRESS_BITS = 160
 ADDRESS_SPACE = 1 << ADDRESS_BITS
@@ -64,14 +66,14 @@ def address_from_ip(virtual_ip: str) -> BrunetAddress:
 
 def random_address(rng: np.random.Generator) -> BrunetAddress:
     """Uniformly random ring address from an RNG stream."""
-    words = rng.integers(0, 1 << 32, size=5, dtype=np.uint64)
+    words = rng.integers(0, 1 << 32, size=5, dtype="uint64")
     value = 0
     for w in words:
         value = (value << 32) | int(w)
     return BrunetAddress(value)
 
 
-def kleinberg_far_target(me: int, rng: np.random.Generator,
+def kleinberg_far_target(me: int, rng: np.random.Generator | ScalarStream,
                          min_distance: int = 2) -> BrunetAddress:
     """Sample a structured-far target address.
 

@@ -358,7 +358,7 @@ class FarConnectionOverlord(Overlord):
                                             int(right.peer_addr)))
         # the registry caches the stream by name: fetched at the first
         # draw, so a node that never tops up builds no generator
-        rng = node.sim.rng.stream(f"brunet.far.{node.name}")
+        rng = node.sim.rng.scalars(f"brunet.far.{node.name}")
         for _ in range(need):
             target = kleinberg_far_target(int(node.addr), rng,
                                           min_distance=spacing)

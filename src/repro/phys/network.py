@@ -117,7 +117,8 @@ class Internet:
         for nat in src_host.nat_chain:
             if dgram.dst.ip.startswith(nat.subnet):
                 # stays within this NAT's scope — no translation at/above it
-                dgram.hop(f"lan:{nat.name}")
+                if dgram.trace is not None:
+                    dgram.hop(f"lan:{nat.name}")
                 trusted = True
                 break
             public_src = nat.translate_outbound(proto, dgram.src, dgram.dst)
@@ -133,11 +134,13 @@ class Internet:
                     return
                 dgram.src = public_src
                 dgram.dst = inner
-                dgram.hop(f"hairpin:{nat.name}")
+                if dgram.trace is not None:
+                    dgram.hop(f"hairpin:{nat.name}")
                 trusted = True
                 break
             dgram.src = public_src
-            dgram.hop(f"snat:{nat.name}")
+            if dgram.trace is not None:
+                dgram.hop(f"snat:{nat.name}")
 
         # descend through destination NATs
         seen = 0
@@ -154,7 +157,8 @@ class Internet:
                 self._drop(dgram, f"filtering:{nat.name}")
                 return
             dgram.dst = inner
-            dgram.hop(f"dnat:{nat.name}")
+            if dgram.trace is not None:
+                dgram.hop(f"dnat:{nat.name}")
             trusted = True  # the NAT mapping vouches for the inner hop
 
         host = self.hosts_by_ip.get(dgram.dst.ip)

@@ -5,7 +5,7 @@ internet.  ``payload`` is any Python object (protocol message) — or raw
 ``bytes`` when the sending transport runs the wire codec.  ``size`` is
 the on-wire size in bytes used for serialization-delay accounting.  NATs
 rewrite ``src``/``dst`` in place as the packet crosses them, and append to
-``path`` (allocated on the first hop) for debugging/tests.
+the ``path`` of a traced packet, which its ``phys.tx`` span carries.
 
 ``header`` selects the fixed framing charge added on top of ``size``.
 The reference (paper-constant) accounting uses :data:`HEADER_BYTES`,

@@ -219,12 +219,13 @@ def _addrs(peers) -> list | None:
 
 
 def _far_stream_state(node: BrunetNode):
-    """The far overlord's RNG state; None until its first draw builds
-    the stream."""
+    """The far overlord's PCG64 ``(state, inc)``; None until its first
+    draw builds the stream."""
     name = f"brunet.far.{node.name}"
     if name not in node.sim.rng.names():
         return None
-    return repr(node.sim.rng.stream(name).bit_generator.state)
+    far = node.sim.rng.scalars(name)
+    return far.state, far.inc
 
 
 def _state(node: BrunetNode) -> tuple:

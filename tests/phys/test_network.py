@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.phys import Endpoint, Internet, NatSpec, Site
+from repro.obs.spans import TraceRef
+from repro.phys import Datagram, Endpoint, Internet, NatSpec, Site
 from repro.phys.nat import FirewallPolicy, Nat
 from repro.sim import Simulator
 
@@ -45,6 +46,31 @@ def test_private_to_public_snat_and_reply(world):
     b.sockets[1000].send(observed, "resp", 10)
     sim.run()
     assert [p for p, _ in alog] == ["resp"]
+
+
+def test_only_a_traced_datagram_labels_its_nat_hops(world):
+    """The NAT walk records ``path`` for the ``phys.tx`` span of a traced
+    datagram, and leaves an untraced one's empty: nothing reads it."""
+    sim, net = world
+    sim.obs.spans.enabled = True
+    home = Site(net, "home", subnet="10.6.", nat_spec=NatSpec.cone())
+    a, b = home.add_host("a"), Site(net, "pub").add_host("b")
+    recv_log(a, 1000)
+    recv_log(b, 1000)
+    traced = Datagram(Endpoint(a.ip, 1000), Endpoint(b.ip, 1000), "t", 10)
+    traced.trace = TraceRef(1, None)
+    plain = Datagram(Endpoint(a.ip, 1000), Endpoint(b.ip, 1000), "p", 10)
+    net.send(a, traced)
+    net.send(a, plain)
+    sim.run()
+    reply = Datagram(Endpoint(b.ip, 1000), traced.src, "r", 10)
+    reply.trace = TraceRef(2, None)
+    net.send(b, reply)
+    sim.run()
+    paths = [s.attrs["path"] for s in sim.obs.spans.spans
+             if s.name == "phys.tx"]
+    assert paths == [f"snat:{home.nat.name}", f"dnat:{home.nat.name}"]
+    assert plain.path == ()
 
 
 def test_intra_site_bypasses_nat(world):
