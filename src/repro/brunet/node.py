@@ -348,14 +348,9 @@ class BrunetNode:
                 conn.bytes_sent += size
                 self.stats["sent"] += 1
                 self._m_sent.value += 1
-                opaque = codec.opaque_frames
                 frame = wire.encode_origin(
                     self._addr_bytes, wire.address_bytes(dest), size,
                     self.config.ttl, payload)
-                if codec.opaque_frames != opaque:
-                    self.sim.obs.metrics.counter(
-                        "wire.opaque_frames", node=self.name).inc(
-                            codec.opaque_frames - opaque)
                 self.transport.send_frame(conn.remote_endpoint, frame)
                 return
         pkt = RoutedPacket(src=self.addr, dest=dest, payload=payload,

@@ -45,7 +45,8 @@ class PbsMom:
             job_id = body["job_id"]
             if job_id != self.current_job_id:
                 self.current_job_id = job_id
-                Process(self.sim, self._run_job(body["spec"], job_id),
+                spec = JobSpec(**body["spec"])
+                Process(self.sim, self._run_job(spec, job_id),
                         name=f"mom.{self.vm.name}.job{job_id}")
             return {"started": job_id}
         return {"error": "bad method"}

@@ -103,7 +103,7 @@ class PbsServer:
             if ok:
                 resp = yield WaitSignal(self.rpc.call(
                     worker_ip, PBS_MOM_PORT, "run",
-                    {"job_id": record.job_id, "spec": record.spec,
+                    {"job_id": record.job_id, "spec": vars(record.spec),
                      "server_ip": self.vm.virtual_ip}))
                 ok = not isinstance(resp, RpcFailure)
             if not ok:

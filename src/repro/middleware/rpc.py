@@ -11,13 +11,20 @@ are served in arrival order, each consuming server CPU — this is the PBS
 head-node bottleneck the paper blames for the no-shortcut throughput
 collapse ("the use of shortcuts also reduced queuing delays in the PBS head
 node", §V-D1).
+
+A request is the ``bytes`` of the JSON array ``[rid, method, body,
+reply_port]`` and a response ``[rid, body]``, in both wire modes: bodies
+are JSON values (a tuple arrives as a list, a float exactly), and the
+reply goes to the request's source address.  Each call still charges its
+explicit ``size``, so the simulated byte counts do not depend on the
+encoding.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.ipop.ippacket import VirtualIpPacket
@@ -27,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.machine import WowVm
 
 _rid_counter = itertools.count(1)
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class RpcFailure:
@@ -42,23 +50,25 @@ class RpcFailure:
         return False
 
 
-@dataclass
-class RpcRequest:
-    """One call on the wire; ``rid`` matches retransmits and replies."""
-
-    rid: int
-    method: str
-    body: Any
-    reply_port: int
-    reply_ip: str
+def _pack(*fields) -> bytes:
+    """One RPC datagram: the JSON array of ``fields``."""
+    return _JSON.encode(fields).encode()
 
 
-@dataclass
-class RpcResponse:
-    """Server answer, addressed back to the caller's reply port."""
-
-    rid: int
-    body: Any
+def _unpack(payload: Any, arity: int) -> Optional[list]:
+    """The fields of an RPC datagram: a JSON array of ``arity`` values
+    whose first is an int request id.  Anything else is None, dropped as
+    a UDP application drops garbage."""
+    if type(payload) is not bytes:
+        return None
+    try:
+        fields = json.loads(payload.decode())
+    except (ValueError, RecursionError):   # not UTF-8, not JSON, too deep
+        return None
+    if (type(fields) is not list or len(fields) != arity
+            or type(fields[0]) is not int):
+        return None
+    return fields
 
 
 #: handler return type: plain body, or (body, response_size_bytes)
@@ -81,8 +91,10 @@ class RpcServer:
         self.cpu_per_request = cpu_per_request
         self.serialize = serialize
         self.requests_served = 0
-        self._cache: OrderedDict[int, tuple[Any, int]] = OrderedDict()
-        self._queue: deque[tuple[RpcRequest, str]] = deque()
+        #: rid -> (encoded response, its size)
+        self._cache: OrderedDict[int, tuple[bytes, int]] = OrderedDict()
+        #: (rid, method, body, reply ip, reply port) awaiting service
+        self._queue: deque[tuple] = deque()
         self._wake = Signal(self.sim, f"rpc{port}.wake")
         vm.router.bind("udp", port, self._on_packet)
         if serialize:
@@ -94,51 +106,55 @@ class RpcServer:
 
     # ------------------------------------------------------------------
     def _on_packet(self, pkt: VirtualIpPacket) -> None:
-        req = pkt.payload
-        if not isinstance(req, RpcRequest):
+        fields = _unpack(pkt.payload, 4)
+        if fields is None:
             return
-        cached = self._cache.get(req.rid)
+        rid, method, body, reply_port = fields
+        if (type(method) is not str or type(reply_port) is not int
+                or not 0 <= reply_port <= 0xFFFF):
+            return
+        cached = self._cache.get(rid)
         if cached is not None:
-            body, size = cached
-            self._respond(req, body, size)
+            self._respond(pkt.src_ip, reply_port, *cached)
             return
+        req = (rid, method, body, pkt.src_ip, reply_port)
         if self.serialize:
-            self._queue.append((req, pkt.src_ip))
+            self._queue.append(req)
             self._wake.fire()
         else:
             delay = self.vm.host.compute_time(self.cpu_per_request)
-            self.sim.schedule(delay, self._handle, req, pkt.src_ip)
+            self.sim.schedule(delay, self._handle, *req)
 
     def _serve_loop(self):
         while True:
             if not self._queue:
                 yield WaitSignal(self._wake)
                 continue
-            req, src_ip = self._queue.popleft()
-            if self._cache.get(req.rid) is not None:
+            req = self._queue.popleft()
+            if self._cache.get(req[0]) is not None:
                 continue
             yield Timeout(self.vm.host.compute_time(self.cpu_per_request))
-            self._handle(req, src_ip)
+            self._handle(*req)
 
-    def _handle(self, req: RpcRequest, src_ip: str) -> None:
-        if req.rid in self._cache:
+    def _handle(self, rid: int, method: str, body: Any, src_ip: str,
+                reply_port: int) -> None:
+        if rid in self._cache:
             return
         self.requests_served += 1
-        result = self.handler(req.method, req.body, src_ip)
+        result = self.handler(method, body, src_ip)
         if isinstance(result, tuple):
-            body, size = result
+            reply, size = result
         else:
-            body, size = result, DEFAULT_RESPONSE_SIZE
-        self._cache[req.rid] = (body, size)
+            reply, size = result, DEFAULT_RESPONSE_SIZE
+        cached = self._cache[rid] = (_pack(rid, reply), size)
         while len(self._cache) > RESPONSE_CACHE_SIZE:
             self._cache.popitem(last=False)
-        self._respond(req, body, size)
+        self._respond(src_ip, reply_port, *cached)
 
-    def _respond(self, req: RpcRequest, body: Any, size: int) -> None:
+    def _respond(self, ip: str, port: int, data: bytes, size: int) -> None:
         if not self.vm.started or self.vm.suspended:
             return
-        self.vm.router.send_ip(req.reply_ip, "udp", req.reply_port,
-                               RpcResponse(req.rid, body), size)
+        self.vm.router.send_ip(ip, "udp", port, data, size)
 
 
 class RpcClient:
@@ -177,8 +193,8 @@ class RpcClient:
         self.calls += 1
         done = Signal(self.sim, f"rpc.{method}.{rid}", latch=True)
         state = {
-            "req": RpcRequest(rid, method, body, self.reply_port,
-                              self.vm.virtual_ip),
+            "rid": rid, "method": method,
+            "data": _pack(rid, method, body, self.reply_port),
             "dst_ip": dst_ip, "port": port, "size": size,
             "attempts_left": (retries if retries is not None
                               else self.retries),
@@ -197,32 +213,33 @@ class RpcClient:
 
     # ------------------------------------------------------------------
     def _transmit(self, state: dict) -> None:
-        rid = state["req"].rid
+        rid = state["rid"]
         if rid not in self._pending:
             return
         if state["attempts_left"] <= 0:
             self._pending.pop(rid, None)
             self.timeouts += 1
-            self.sim.trace("rpc.failure", method=state["req"].method,
+            self.sim.trace("rpc.failure", method=state["method"],
                            dst=state["dst_ip"])
             state["done"].fire(RpcFailure())
             return
         state["attempts_left"] -= 1
         if self.vm.started and not self.vm.suspended:
             self.vm.router.send_ip(state["dst_ip"], "udp", state["port"],
-                                   state["req"], state["size"])
+                                   state["data"], state["size"])
         state["timer"] = self.sim.schedule(state["interval"], self._transmit,
                                            state)
         state["interval"] *= self.backoff
 
     def _on_packet(self, pkt: VirtualIpPacket) -> None:
-        resp = pkt.payload
-        if not isinstance(resp, RpcResponse):
+        fields = _unpack(pkt.payload, 2)
+        if fields is None:
             return
-        state = self._pending.pop(resp.rid, None)
+        rid, body = fields
+        state = self._pending.pop(rid, None)
         if state is None:
             return  # duplicate response
         if state["timer"] is not None:
             state["timer"].cancel()
         state["rtt"] = self.sim.now - state["started"]
-        state["done"].fire(resp.body)
+        state["done"].fire(body)

@@ -116,7 +116,6 @@ def render_nodes(metrics: list[dict], out=None) -> None:
     l_fail = _metric_by_node(metrics, "linking.failures")
     encap = _metric_by_node(metrics, "ipop.encap_packets")
     decap = _metric_by_node(metrics, "ipop.decap_packets")
-    opaque = _metric_by_node(metrics, "wire.opaque_frames")
     dec_err = _metric_by_node(metrics, "wire.decode_error")
     nodes = sorted(set(conns) | set(sent) | set(dlv) | set(l_ok))
     if not nodes:
@@ -129,10 +128,9 @@ def render_nodes(metrics: list[dict], out=None) -> None:
                      f"{fwd.get(n, 0):g}", f"{dlv.get(n, 0):g}",
                      f"{l_ok.get(n, 0):g}/{l_fail.get(n, 0):g}",
                      f"{encap.get(n, 0):g}/{decap.get(n, 0):g}",
-                     f"{opaque.get(n, 0):g}",
                      f"{dec_err.get(n, 0):g}"])
     _table(["node", "conns", "sent", "fwd", "dlvd", "link ok/fail",
-            "ip out/in", "opaque", "decode err"], rows, out)
+            "ip out/in", "decode err"], rows, out)
 
 
 def render_census(events: list[dict], buckets: int = 12,

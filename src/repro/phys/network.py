@@ -110,7 +110,7 @@ class Internet:
             # lift the causal context off the payload message (if any) so
             # NAT traversal and the transit span attach to the right trace;
             # codec-mode transports attach it explicitly instead (the
-            # payload is then opaque bytes with no ``trace`` attribute)
+            # payload is then encoded bytes with no ``trace`` attribute)
             dgram.trace = getattr(dgram.payload, "trace", None)
         proto = dgram.proto
         trusted = False

@@ -27,8 +27,8 @@ decide whether it may also *launch* a packet or a keep-alive as bytes
 (:func:`repro.wire.encode_origin`, :func:`repro.wire.ping_frame`,
 :func:`repro.wire.ping_reply_frame` + :meth:`Transport.send_frame`).  What
 such a transport must offer: ``send`` encodes with
-:func:`repro.wire.encode` and counts OPAQUE fallbacks on
-``wire.opaque_frames``; ``send_frame`` counts and charges a frame exactly
+:func:`repro.wire.encode`, which frames protocol types only (tag 17 is
+retired and reserved); ``send_frame`` counts and charges a frame exactly
 as ``send`` does for the same bytes; every datagram arrives at the handler
 as ``bytes``.
 """

@@ -64,8 +64,6 @@ class SimTransport(Transport):
                                                node=self.name)
             self._m_rx_bytes = metrics.counter("wire.rx_bytes",
                                                node=self.name)
-            self._m_opaque = metrics.counter("wire.opaque_frames",
-                                             node=self.name)
 
     # ------------------------------------------------------------------
     @property
@@ -100,11 +98,8 @@ class SimTransport(Transport):
                 host, Datagram(sock.endpoint, dst, msg, size=size_hint))
             return
         # codec: the datagram carries real bytes; causal context must ride
-        # the datagram explicitly since the payload is now opaque
-        before = codec.opaque_frames
+        # the datagram explicitly since the payload is now encoded
         buf = codec.encode(msg)
-        if codec.opaque_frames != before:
-            self._m_opaque.inc(codec.opaque_frames - before)
         sock.sent += 1
         self._m_tx_bytes.value += len(buf)
         dgram = Datagram(sock.endpoint, dst, buf, size=len(buf),

@@ -74,7 +74,6 @@ class UdpTransport(Transport):
         self._m_socket_err = metrics.counter("wire.socket_error", node=name)
         self._m_tx_bytes = metrics.counter("wire.tx_bytes", node=name)
         self._m_rx_bytes = metrics.counter("wire.rx_bytes", node=name)
-        self._m_opaque = metrics.counter("wire.opaque_frames", node=name)
         self.sent = 0
         self.received = 0
 
@@ -123,11 +122,7 @@ class UdpTransport(Transport):
 
     # ------------------------------------------------------------------
     def send(self, dst: Endpoint, msg: Any, size_hint: int = 0) -> None:
-        before = codec.opaque_frames
-        buf = codec.encode(msg)
-        if codec.opaque_frames != before:
-            self._m_opaque.inc(codec.opaque_frames - before)
-        self.send_frame(dst, buf)
+        self.send_frame(dst, codec.encode(msg))
 
     def send_frame(self, dst: Endpoint, frame: bytes) -> None:
         sock = self._sock

@@ -48,16 +48,14 @@ Version 2 is built for per-packet speed:
   so a message mutated between two encodes re-encodes as it now is, and
   two decodes of equal bytes share no mutable state.
 
-Payloads the protocol does not define (middleware RPC bodies, opaque
-application data) fall back to an ``OPAQUE`` frame carrying a pickle of
-the object; the module-level :data:`opaque_frames` counter records every
-such fallback so transports can surface a ``wire.opaque_frames`` metric.
-That keeps the codec total over everything the overlay can legitimately
-carry; like the paper's deployment, peers on a link are assumed to be
-inside one trust domain (do not decode frames from untrusted networks).
+The codec frames protocol types only.  Application data rides a
+``T_BYTES`` frame as bytes its own layer encoded (a VTCP body, an RPC's
+JSON); ``encode`` raises :class:`TypeError` for a value of any type
+without a frame.  Tag 17 once carried such values; it is retired and
+reserved, and decodes as an unknown tag.
 
 Every decode failure — truncation, bad version, unknown tag, malformed
-UTF-8/pickle, a ``conn_type`` that names no ``ConnectionType``, trailing
+UTF-8, a ``conn_type`` that names no ``ConnectionType``, trailing
 garbage — raises :class:`DecodeError` and nothing else
 (:func:`frame_view` returns None instead, and the caller's
 ``decode`` raises it).
@@ -69,7 +67,6 @@ exist only because the frozen benchmark harness imports and taps them.
 
 from __future__ import annotations
 
-import pickle
 from struct import Struct
 from struct import error as _StructError
 from typing import Any, Optional
@@ -99,7 +96,7 @@ from repro.phys.endpoints import Endpoint
 #: v2: header-first RoutedPacket (payload last), composite fixed runs,
 #: approach as a 1-byte code, fixed-prefix reordering of IpEncap/Forward/
 #: VirtualIpPacket/Segment, typed frames for vTCP segments.  Retiring a
-#: tag (19-21) changes no surviving frame's bytes, so it needs no bump.
+#: tag (17, 19-21) changes no surviving frame's bytes, so it needs no bump.
 WIRE_VERSION = 2
 
 #: physical framing charged per datagram in codec-mode accounting:
@@ -126,15 +123,10 @@ T_ICMP_ECHO = 13
 T_NONE = 14
 T_STR = 15
 T_BYTES = 16
-T_OPAQUE = 17
+# 17: retired (a pickled value of any type); reserved, decodes as unknown
 T_VTCP_SEGMENT = 18
 # 19-21: retired (a ring DHT's put/get/reply); reserved, decode as unknown
 T_VTCP_DATAGRAM = 22
-
-#: OPAQUE-pickle fallback frames encoded since process start; transports
-#: snapshot this around ``encode`` to feed the ``wire.opaque_frames``
-#: metric without the codec depending on the metrics registry.
-opaque_frames = 0
 
 _U16 = Struct(">H")
 _U32 = Struct(">I")
@@ -516,7 +508,6 @@ _ENCODERS: dict[type, Any] = {
 }
 
 def _e_any(out: bytearray, value: Any) -> None:
-    global opaque_frames
     t = type(value)
     enc = _ENCODERS.get(t)
     if enc is not None:
@@ -536,11 +527,7 @@ def _e_any(out: bytearray, value: Any) -> None:
         out += _VDG.pack(T_VTCP_DATAGRAM, value[0])
         _e_segment(out, value[1])
     else:
-        opaque_frames += 1
-        out.append(T_OPAQUE)
-        raw = pickle.dumps(value, protocol=4)
-        out += _U32.pack(len(raw))
-        out += raw
+        raise TypeError(f"no wire frame for {t.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +744,6 @@ def _d_bytes(buf: bytes, pos: int, n: int):
     return buf[pos:end], end
 
 
-def _d_opaque(buf: bytes, pos: int, n: int):
-    raw, pos = _d_bytes(buf, pos, n)
-    try:
-        return pickle.loads(raw), pos
-    except Exception as exc:  # any unpickling failure is a decode failure
-        raise DecodeError(f"malformed opaque payload: {exc!r}") from None
-
-
 _DECODERS: list = [None] * 256
 for _tag, _fn in {
     T_LINK_REQUEST: _d_link_request,
@@ -783,7 +762,6 @@ for _tag, _fn in {
     T_NONE: _d_none,
     T_STR: _d_str,
     T_BYTES: _d_bytes,
-    T_OPAQUE: _d_opaque,
     T_VTCP_SEGMENT: _d_segment,
     T_VTCP_DATAGRAM: _d_vtcp_datagram,
 }.items():

@@ -21,10 +21,8 @@ transport counters.  With one difference: the byte path forwards a
 frame in transit without reading its body, while the object path
 decodes every frame whole and encodes it again.  So a body that does
 not decode is dropped there and counted once on ``wire.decode_error``,
-a body in bytes the encoder would not write leaves in the bytes it
-would (``Pair.unread``), and a body that holds an OPAQUE value is
-pickled again and counted on ``wire.opaque_frames``
-(``Pair.opaque_skew``).
+and a body in bytes the encoder would not write leaves in the bytes it
+would (``Pair.unread``).
 
 The hostile half feeds every truncation and single-byte corruption of
 frames the byte paths accept to both: a byte path may only forward or
@@ -69,18 +67,6 @@ KINDS = [ConnectionType.STRUCTURED_NEAR, ConnectionType.STRUCTURED_NEAR,
          ConnectionType.LEAF]
 
 
-class Note:
-    """A routed payload of a type the codec does not know (it rides an
-    OPAQUE frame), delivered through ``payload_handlers`` like the
-    ledger's ``Probe``."""
-
-    def __init__(self, ident: int):
-        self.ident = ident
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Note and other.ident == self.ident
-
-
 class Recorder(UdpTransport):
     """The live transport over a stubbed socket: its own ``send`` /
     ``send_frame`` accounting, the datagrams kept as (frame bytes,
@@ -121,8 +107,10 @@ def _fixed_node(addrs: list[BrunetAddress], carries_frames: bool,
         conn.unanswered_pings = 2      # heard_from must be seen to reset it
         node.table.add(conn)
     node.ip_handler = lambda encap: calls.append(("ip", encap))
-    node.payload_handlers[Note] = lambda pkt: calls.append(
-        ("note", pkt.src, pkt.dest, pkt.hops, list(pkt.via), pkt.payload))
+    # application bytes routed to the node, delivered like the ledger's
+    # ``Probe`` through ``payload_handlers``
+    node.payload_handlers[bytes] = lambda pkt: calls.append(
+        ("bytes", pkt.src, pkt.dest, pkt.hops, list(pkt.via), pkt.payload))
     return node
 
 
@@ -138,8 +126,7 @@ def _snapshot(node: BrunetNode) -> dict:
         "metrics": {name: metrics.counter(name, node=node.name).value
                     for name in ("brunet.route.sent", "brunet.route.forwarded",
                                  "brunet.route.delivered",
-                                 "wire.decode_error", "wire.tx_bytes",
-                                 "wire.opaque_frames")},
+                                 "wire.decode_error", "wire.tx_bytes")},
         "hops": (node._m_hops.count, node._m_hops.total),
         "sent": node.transport.sent,
     }
@@ -150,15 +137,12 @@ def _decode_errors(node: BrunetNode) -> int:
                                         node=node.name).value
 
 
-def _reencode(buf: bytes) -> tuple:
-    """``encode(decode(buf))`` (None if ``buf`` does not decode) and how
-    many OPAQUE values that encode pickled."""
-    before = wire.codec.opaque_frames
+def _reencode(buf: bytes):
+    """``encode(decode(buf))``, or None if ``buf`` does not decode."""
     try:
-        again = wire.encode(wire.decode(buf))
+        return wire.encode(wire.decode(buf))
     except wire.DecodeError:
-        return None, 0
-    return again, wire.codec.opaque_frames - before
+        return None
 
 
 def _object_path(node: BrunetNode, buf: bytes) -> None:
@@ -182,7 +166,7 @@ class Pair:
                       for _ in range(9)]
         self.byte_calls: list = []
         self.obj_calls: list = []
-        #: handler calls made so far, by kind ("ip", "note")
+        #: handler calls made so far, by kind ("ip", "bytes")
         self.handled: Counter = Counter()
         self.byte = _fixed_node(self.addrs, True, self.byte_calls)
         self.obj = _fixed_node(self.addrs, False, self.obj_calls)
@@ -192,9 +176,6 @@ class Pair:
                       _fixed_node(self.addrs, False, []))
         #: frames forwarded unread by ``byte`` that ``obj`` dropped
         self.unread_forwarded = 0
-        #: OPAQUE values ``obj`` pickled again in frames ``byte`` forwarded
-        #: unread: how far its ``wire.opaque_frames`` runs ahead
-        self.opaque_skew = 0
 
     def both(self, act) -> int:
         """Run ``act(node)`` on both nodes, require identical behaviour;
@@ -205,11 +186,7 @@ class Pair:
         act(self.obj)
         assert self.byte.transport.out == self.obj.transport.out
         assert self.byte_calls == self.obj_calls
-        byte, obj = _snapshot(self.byte), _snapshot(self.obj)
-        assert (obj["metrics"].pop("wire.opaque_frames")
-                - byte["metrics"].pop("wire.opaque_frames")
-                == self.opaque_skew)
-        assert byte == obj
+        assert _snapshot(self.byte) == _snapshot(self.obj)
         assert self.obj.transport.frames_sent == 0
         self.handled.update(call[0] for call in self.byte_calls)
         for seen in (self.byte.transport.out, self.obj.transport.out,
@@ -224,10 +201,9 @@ class Pair:
         view = _transit(buf, self.mine)
         if (view is not None and next_hop(self.byte.table, self.addrs[0],
                                           *view[:3]) is not None):
-            again, opaques = _reencode(buf)
+            again = _reencode(buf)
             if again != buf:
                 return self.unread(buf, again)
-            self.opaque_skew += opaques
 
         def deliver(node: BrunetNode) -> None:
             if node is self.byte:
@@ -297,12 +273,12 @@ def _payload(rng: random.Random):
                    "structured.near", fanout=rng.randrange(2)),
         Forward(addr(), CtmReply(rng.randrange(1, 1 << 40), addr(), uris,
                                  "shortcut"), 80),
-        Note(rng.randrange(1 << 20)),
+        rng.randrange(1 << 20).to_bytes(3, "big"),
         # a tunnelled packet the IPOP layer would call misdelivered, and
-        # one whose body falls back to an OPAQUE pickle
+        # an RPC datagram
         IpEncap("not a packet", 12),
         IpEncap(VirtualIpPacket("10.128.0.2", "10.128.0.3", "udp", 7,
-                                {"rpc": [1, 2.5]}, 64), 64),
+                                b'[1,"m",2.5,16000]', 64), 64),
     ])
 
 
@@ -376,7 +352,7 @@ def test_byte_path_matches_object_path_on_random_frames(seed,
     assert stats["delivered"] > len(delivered_as_bytes) + 30
     assert stats["ttl_drop"] > 20 and stats["ip_misdelivered"] == 0
     assert pair.handled["ip"] > len(delivered_as_bytes)
-    assert pair.handled["note"] > 3
+    assert pair.handled["bytes"] > 3
 
 
 def test_delivery_without_an_ip_handler_counts_ip_drop(delivered_as_bytes):
@@ -520,7 +496,7 @@ def test_a_corrupt_body_is_forwarded_unread_and_dropped_where_decoded():
                                  size=80, ttl=TTL, via=[pair.addrs[3]]))
         for dest in (peer, me))
     assert _transit(passing, pair.mine) is not None
-    assert _reencode(passing)[0] is _reencode(arriving)[0] is None
+    assert _reencode(passing) is _reencode(arriving) is None
     assert pair.feed(passing) == 1 and pair.unread_forwarded == 1
     assert pair.feed(arriving) == 0
     assert _decode_errors(pair.byte) == 1
@@ -638,8 +614,6 @@ def test_origin_byte_path_matches_object_path(seed):
     assert 100 < as_bytes < sends - 100     # both sides, often
     assert stats["sent"] > as_bytes         # leaf fallback, inexact, traced
     assert stats["undeliverable"] > 3 and stats["delivered"] > 20
-    assert pair.byte.sim.obs.metrics.counter(
-        "wire.opaque_frames", node="relay").value > 20
 
 
 def _link(node: BrunetNode, peer: BrunetAddress) -> None:

@@ -1,7 +1,9 @@
-"""RPC substrate: calls, retries, idempotence, serialization."""
+"""RPC substrate: calls, retries, idempotence, serialization, and the
+JSON datagrams a call travels as."""
 
 import pytest
 
+from repro.middleware.pbs import JobSpec
 from repro.middleware.rpc import RpcClient, RpcFailure, RpcServer
 from repro.sim.process import Process, Timeout, WaitSignal
 from tests.conftest import make_mini_testbed
@@ -125,5 +127,61 @@ def test_late_response_after_failure_is_ignored(bed):
     # the slow server's (cached) responses eventually arrive: no effect
     sim.run(until=sim.now + 60)
     assert isinstance(done.value, RpcFailure)
+    server.close()
+    client.close()
+
+
+#: datagrams that are no RPC envelope: not UTF-8, not JSON, no list, the
+#: wrong arity or field types, nested past the stack, an int too long to
+#: parse, and not bytes at all
+GARBAGE = [
+    b"\xff\xfe\x00", b"not json", b"", b"{}", b"17",
+    b'{"a":1,"b":2,"c":3,"d":4}', b"[1]", b'[1,"m",2]', b'[1,"m",2,3,4]',
+    b'["1","m",null,16000]', b'[true,"m",null,16000]', b"[1,2,null,16000]",
+    b'[1,"m",null,70000]', b'[1,"m",null,"16000"]', b"[" * 10_000,
+    b"[" + b"9" * 5000 + b',"m",null,16000]', "[1,\"m\",null,16000]",
+]
+
+
+def test_malformed_datagrams_are_dropped_at_both_ends(bed):
+    sim, tb = bed
+    a, b = tb.vm(15), tb.vm(16)
+    seen = []
+    server = RpcServer(b, 6006, lambda m, body, src: seen.append(body) or 1)
+    client = RpcClient(a)
+    for junk in GARBAGE:
+        a.router.send_ip(b.virtual_ip, "udp", 6006, junk, 64)
+        b.router.send_ip(a.virtual_ip, "udp", client.reply_port, junk, 64)
+    sim.run(until=sim.now + 10)
+    assert server.requests_served == 0 and seen == []
+    done = client.call(b.virtual_ip, 6006, "ok", "after")
+    sim.run(until=sim.now + 10)
+    assert done.value == 1 and seen == ["after"]
+    assert server.requests_served == 1
+    server.close()
+    client.close()
+
+
+def test_bodies_cross_as_json(bed):
+    """A float arrives exactly, a ``(name, size)`` pair as a list that
+    unpacks the same, and a ``JobSpec`` as its fields, which rebuild it."""
+    sim, tb = bed
+    a, b = tb.vm(17), tb.vm(18)
+    seen = {}
+    server = RpcServer(b, 6007, lambda m, body, src: seen.setdefault(m, body))
+    client = RpcClient(a)
+    start_time = 0.1 + 0.2
+    spec = JobSpec("job", work_ref=5.0, input_size=51200.0 / 3,
+                   output_size=20480.0)
+    bodies = {"job_done": {"job_id": 7, "start_time": start_time},
+              "commit": ("job.out", 2e4 / 3), "run": vars(spec)}
+    done = {method: client.call(b.virtual_ip, 6007, method, body)
+            for method, body in bodies.items()}
+    sim.run(until=sim.now + 10)
+    assert {method: d.value for method, d in done.items()} == seen
+    assert seen["job_done"]["start_time"] == start_time
+    name, size = seen["commit"]
+    assert seen["commit"] == ["job.out", 2e4 / 3] and size == 2e4 / 3
+    assert JobSpec(**seen["run"]) == spec
     server.close()
     client.close()

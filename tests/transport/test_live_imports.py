@@ -7,7 +7,8 @@ node, the tap — no longer drag in the NAT model, flows, topology, the
 simulated transport or the application miniatures: import time and
 memory a live process pays at every start and never uses.  The far
 overlord draws from a pure-Python scalar stream, so numpy stays out of a
-running node too.
+running node too.  The codec frames protocol types only, so ``pickle``
+does not load either: no datagram can make a live node unpickle.
 """
 
 import subprocess
@@ -43,7 +44,7 @@ def test_live_node_modules_do_not_import_the_simulator():
 
 
 #: what a daemon neither imports nor loads while its overlay runs
-NOT_LIVE = ["numpy", "repro.apps.meme", "repro.apps.fastdnaml",
+NOT_LIVE = ["numpy", "pickle", "repro.apps.meme", "repro.apps.fastdnaml",
             "repro.apps.sequences"]
 
 OVERLAY = f"""
@@ -85,9 +86,10 @@ print(absent())
 
 
 def test_a_live_overlay_runs_without_numpy():
-    """Importing the daemon loads neither numpy nor the application
-    miniatures, and a two-node loopback overlay with the default
-    ``far_count`` draws its far targets without loading them either."""
+    """Importing the daemon loads neither numpy, pickle nor the
+    application miniatures, and a two-node loopback overlay with the
+    default ``far_count`` draws its far targets without loading them
+    either."""
     out = subprocess.run([sys.executable, "-c", OVERLAY], check=True,
                          capture_output=True, text=True, timeout=120,
                          env={"PYTHONPATH": str(SRC)}).stdout

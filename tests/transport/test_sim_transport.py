@@ -27,7 +27,11 @@ from repro.sim import Simulator
 from repro.transport.sim import SimTransport
 from repro.wire import UDP_IP_OVERHEAD, codec, decode, encode
 
-from tests.wire.test_codec_roundtrip import reserved_frames
+from tests.wire.test_codec_roundtrip import (
+    GADGET_HITS,
+    hostile_pickle_frame,
+    reserved_frames,
+)
 
 
 def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
@@ -314,7 +318,8 @@ def test_node_restart_reuses_transport_and_keeps_port():
 
 def test_reserved_tags_are_counted_once_each():
     """A frame with a reserved type tag fails in the transport's decode;
-    as a routed body it fails in the node's.  Each counts once."""
+    as a routed body it fails in the node's.  Each counts once, and the
+    retired tag 17's pickle gadget never runs."""
     sim = Simulator(seed=1, trace=False)
     site = Site(Internet(sim), "pub")
     me, peer = addr_for_ip("10.128.0.2"), addr_for_ip("10.128.0.3")
@@ -323,6 +328,7 @@ def test_reserved_tags_are_counted_once_each():
     node.start([])
     sender = site.add_host("b").bind_udp(6000, lambda *a: None)
     bare, routed = reserved_frames(peer, me)
+    routed.append(hostile_pickle_frame(peer, me))
     for frame in bare + routed:
         sender.send(node.transport.local_endpoint, frame, size=len(frame))
     sim.run(until=1.0)
@@ -330,3 +336,4 @@ def test_reserved_tags_are_counted_once_each():
     assert metrics.counter("wire.decode_error", node="a").value \
         == len(bare) + len(routed)
     assert node.stats["delivered"] == 0
+    assert GADGET_HITS == []

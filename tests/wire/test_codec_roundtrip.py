@@ -2,9 +2,13 @@
 
 For every protocol message type the invariant is
 ``decode(encode(m)) == m``; truncated or corrupted buffers must raise the
-typed :class:`~repro.wire.DecodeError` and nothing else.
+typed :class:`~repro.wire.DecodeError` and nothing else.  A value of a
+type without a frame does not encode, and the retired tag 17, which once
+carried a pickle of one, decodes as an unknown tag: a hostile pickle in
+it never runs.
 """
 
+import pickle
 import random
 from struct import Struct
 
@@ -63,10 +67,14 @@ def _icmp(rng: random.Random) -> IcmpEcho:
                     rng.random() * 1e4, rng.randrange(8, 1400))
 
 
+#: an RPC request as ``repro.middleware.rpc`` sends it: application bytes
+RPC_DATAGRAM = b'[7,"job_done",{"job_id":7,"start_time":12.5},16000]'
+
+
 def _vip(rng: random.Random) -> VirtualIpPacket:
     payload = rng.choice([
         None, "text-payload", b"\x00\x01raw", _icmp(rng),
-        {"op": "rpc", "args": [1, 2.5, "x"]},  # falls back to OPAQUE
+        RPC_DATAGRAM,
     ])
     return VirtualIpPacket(
         f"10.128.0.{rng.randrange(2, 255)}", f"10.128.1.{rng.randrange(2, 255)}",
@@ -178,11 +186,6 @@ def test_roundtrip_is_deterministic():
     rng_a, rng_b = random.Random(9), random.Random(9)
     for gen in GENERATORS.values():
         assert encode(gen(rng_a)) == encode(gen(rng_b))
-
-
-def test_opaque_fallback_roundtrips_arbitrary_payloads():
-    msg = IpEncap({"dht": ("put", "key", [1, 2, 3])}, 128)
-    assert decode(encode(msg)) == msg
 
 
 def test_deeply_nested_forward():
@@ -310,20 +313,49 @@ def test_malformed_utf8_string_field():
         decode(bytes(buf))
 
 
-def test_malformed_opaque_pickle():
-    msg = IpEncap({"k": "v"}, 1)
-    buf = bytearray(encode(msg))
-    # clobber the middle of the pickle blob
-    mid = len(buf) // 2
-    buf[mid:mid + 3] = b"\xff\xff\xff"
-    try:
-        decode(bytes(buf))
-    except DecodeError:
-        pass  # typed failure is the requirement; a lucky decode is fine
+#: what a hostile pickle's ``__reduce__`` made the decoder call
+GADGET_HITS: list = []
+
+
+def _gadget(*args) -> None:
+    GADGET_HITS.append(args)
+
+
+class _Gadget:
+    def __reduce__(self):
+        return _gadget, ("ran",)
+
+
+def hostile_pickle_frame(src, dest) -> bytes:
+    """A routed ``IpEncap`` / ``VirtualIpPacket`` from ``src`` to ``dest``
+    whose payload is a tag-17 frame: a pickle that calls :func:`_gadget`
+    when it is loaded."""
+    raw = pickle.dumps(_Gadget(), protocol=4)
+    envelope = encode(RoutedPacket(
+        src=src, dest=dest, size=80, exact=True, payload=IpEncap(
+            VirtualIpPacket("10.128.0.2", "10.128.0.3", "udp", 15001, None,
+                            64), 64)))
+    assert envelope[-1] == codec.T_NONE     # the payload sub-frame is last
+    return envelope[:-1] + bytes((17,)) + Struct(">I").pack(len(raw)) + raw
+
+
+def test_a_hostile_pickle_never_runs():
+    frame = hostile_pickle_frame(BrunetAddress(1), BrunetAddress(2))
+    with pytest.raises(DecodeError, match="unknown type tag 17"):
+        decode(frame)
+    assert codec.frame_view(frame, codec.address_bytes(BrunetAddress(2))) \
+        is None
+    assert GADGET_HITS == []
+
+
+def test_a_value_without_a_frame_does_not_encode():
+    for value in ({"op": "rpc"}, [1, 2], 3, 2.5, object()):
+        with pytest.raises(TypeError, match="no wire frame"):
+            encode(IpEncap(value, 1))
 
 
 # ---------------------------------------------------------------------------
-# VTCP datagrams ride their typed frame, never the OPAQUE pickle
+# VTCP datagrams ride their typed frame
 # ---------------------------------------------------------------------------
 
 def _vtcp_packets() -> list:
@@ -336,27 +368,25 @@ def _vtcp_packets() -> list:
             for seg in (data, ack)]
 
 
-def test_vtcp_datagrams_encode_without_opaque(monkeypatch):
-    before = codec.opaque_frames
-    frames = [encode(pkt) for pkt in _vtcp_packets()]
-    assert codec.opaque_frames == before
-    # no T_OPAQUE byte at any tag position: the frames decode with the
-    # pickle decoder unplugged
-    decoders = list(codec._DECODERS)
-    decoders[codec.T_OPAQUE] = None
-    monkeypatch.setattr(codec, "_DECODERS", decoders)
+def test_vtcp_datagrams_ride_their_typed_frame():
+    packets = _vtcp_packets()
+    frames = [encode(pkt) for pkt in packets]
     assert [decode(f) for f in frames] == _vtcp_packets()
+    for pkt, frame in zip(packets, frames):
+        datagram = encode(pkt.payload.payload)[1:]   # payloads come last
+        assert datagram[0] == codec.T_VTCP_DATAGRAM
+        assert frame.endswith(datagram)
     assert len(frames[0]) < 1400 + 120      # the body rides T_BYTES as is
 
 
 def test_vtcp_datagram_shape_is_strict():
-    """Only ``(u16 port, Segment)`` takes the typed frame; its decoder
-    accepts nothing but a segment after the port."""
-    before = codec.opaque_frames
+    """Only ``(u16 port, Segment)`` takes the typed frame, and a near miss
+    has no frame at all; the decoder accepts nothing but a segment after
+    the port."""
     for near_miss in [(70000, Segment(1, 2, "ACK")), (5000, "seg"),
                       (5000, Segment(1, 2, "ACK"), 3), [5000, Segment(1, 2, "ACK")]]:
-        assert decode(encode(near_miss)) == near_miss
-    assert codec.opaque_frames == before + 4
+        with pytest.raises(TypeError, match="no wire frame"):
+            encode(near_miss)
     buf = bytearray(encode((5000, Segment(1, 2, "ACK"))))
     assert buf[1] == codec.T_VTCP_DATAGRAM and buf[4] == codec.T_VTCP_SEGMENT
     buf[4] = codec.T_NONE
