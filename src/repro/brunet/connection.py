@@ -56,8 +56,8 @@ class Connection:
     """One established overlay link (one node's view of it)."""
 
     __slots__ = ("peer_addr", "remote_endpoint", "types", "established_at",
-                 "closed", "last_heard", "unanswered_pings", "packets_sent",
-                 "packets_received", "bytes_sent", "_table")
+                 "closed", "last_heard", "unanswered_pings", "ping_token",
+                 "packets_sent", "packets_received", "bytes_sent", "_table")
 
     def __init__(self, peer_addr: BrunetAddress, remote_endpoint: Endpoint,
                  conn_type: Union[ConnectionType, Iterable[ConnectionType]],
@@ -71,6 +71,9 @@ class Connection:
         self.closed = False
         self.last_heard = now
         self.unanswered_pings = 0
+        # the token of the last ping sent over the link: only its reply
+        # may teach the node a URI
+        self.ping_token = None
         self.packets_sent = 0
         self.packets_received = 0
         self.bytes_sent = 0

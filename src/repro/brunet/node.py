@@ -648,6 +648,7 @@ class BrunetNode:
                 continue
             if now - conn.last_heard >= cfg.ping_interval:
                 token = self.next_token()
+                conn.ping_token = token
                 conn.unanswered_pings += 1
                 if self.transport.carries_frames:
                     self.transport.send_frame(
@@ -681,7 +682,10 @@ class BrunetNode:
         conn = self.table.get(sender)
         if conn is None:
             return
-        if self.uris.learn(observed_uri):
+        # a reply that answers no ping of ours (a stranger that made itself
+        # a peer with one LinkRequest, say) refreshes the link but may not
+        # rewrite the URIs the node advertises
+        if token == conn.ping_token and self.uris.learn(observed_uri):
             self.trace("uri.learned", uri=str(observed_uri))
         if not known:
             # the peer answers but holds no state for us: it restarted (or

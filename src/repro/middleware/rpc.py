@@ -63,8 +63,8 @@ def _unpack(payload: Any, arity: int) -> Optional[list]:
         return None
     try:
         fields = json.loads(payload.decode())
-    except (ValueError, RecursionError):   # not UTF-8, not JSON, too deep
-        return None
+    except (ValueError, RecursionError):   # not UTF-8, not JSON, too deep,
+        return None                        # an int over 4 300 digits
     if (type(fields) is not list or len(fields) != arity
             or type(fields[0]) is not int):
         return None

@@ -7,6 +7,7 @@ signal down in isolation, and that nothing else drops a link.
 """
 
 from repro.brunet import BrunetConfig
+from repro.brunet.uri import Uri
 from repro.fault import FaultSchedule
 from tests.conftest import build_overlay
 
@@ -89,3 +90,24 @@ def test_healthy_links_never_dropped_by_liveness(sim, internet):
     assert not reasons & {"ping-timeout", "peer-forgot"}
     for n in nodes:
         assert len(n.table.all()) >= before[n.name]
+
+
+def test_only_the_reply_to_the_last_ping_teaches_a_uri(sim, internet):
+    """A reply refreshes the link whatever its token, but teaches its
+    observed URI only when it answers the last ping sent to its sender: a
+    peer that answers no ping (say, a stranger that one ``LinkRequest``
+    made a peer) cannot rewrite the URIs the node advertises."""
+    nodes, _ = build_overlay(sim, internet, 4)
+    a, b = _conn_pair(nodes)
+    conn = a.table.get(b.addr)
+    conn.last_heard = sim.now - a.config.ping_interval
+    sim.run(until=sim.now + a.config.ping_interval)
+    assert conn.ping_token is not None and conn.unanswered_pings == 0
+    planted = Uri.udp("10.9.9.9", 4000)
+    conn.last_heard = 0.0
+    a._handle_ping_reply(conn.ping_token + 1, b.addr, planted, True,
+                         conn.remote_endpoint)
+    assert planted not in a.uris and conn.last_heard == sim.now
+    a._handle_ping_reply(conn.ping_token, b.addr, planted, True,
+                         conn.remote_endpoint)
+    assert a.uris.advertised()[0] == planted

@@ -27,11 +27,7 @@ from repro.sim import Simulator
 from repro.transport.sim import SimTransport
 from repro.wire import UDP_IP_OVERHEAD, codec, decode, encode
 
-from tests.wire.test_codec_roundtrip import (
-    GADGET_HITS,
-    hostile_pickle_frame,
-    reserved_frames,
-)
+from tests.wire.test_codec_roundtrip import GADGET_HITS, reserved_frames
 
 
 def _build_overlay(mode: str, n: int = 8, seed: int = 11, until: float = 60.0):
@@ -328,7 +324,6 @@ def test_reserved_tags_are_counted_once_each():
     node.start([])
     sender = site.add_host("b").bind_udp(6000, lambda *a: None)
     bare, routed = reserved_frames(peer, me)
-    routed.append(hostile_pickle_frame(peer, me))
     for frame in bare + routed:
         sender.send(node.transport.local_endpoint, frame, size=len(frame))
     sim.run(until=1.0)

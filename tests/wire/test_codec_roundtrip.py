@@ -146,11 +146,27 @@ def _sample_messages(seed: int = 0, per_type: int = 25) -> list:
     return [gen(rng) for gen in GENERATORS.values() for _ in range(per_type)]
 
 
-#: tags 19-21 once carried a ring DHT's put / get / reply frames; they are
-#: reserved, and each body is in the layout it had, so a decoder that
-#: still knew the tag would accept it
+#: what a hostile pickle's ``__reduce__`` made the decoder call
+GADGET_HITS: list = []
+
+
+def _gadget(*args) -> None:
+    GADGET_HITS.append(args)
+
+
+class _Gadget:
+    def __reduce__(self):
+        return _gadget, ("ran",)
+
+
+_PICKLE = pickle.dumps(_Gadget(), protocol=4)
 _KEY = b"\x00\x03cpu"
+#: tag 17 once carried a pickle (here one whose loading calls
+#: :func:`_gadget`), tags 19-21 a ring DHT's put / get / reply frames; they
+#: are reserved, and each body is in the layout it had, so a decoder that
+#: still knew the tag would accept it
 RESERVED_BODIES = {
+    17: bytes((17,)) + Struct(">I").pack(len(_PICKLE)) + _PICKLE,
     19: Struct(">BQd20sHB").pack(19, 1, 60.0, bytes(20), 0, 1) + _KEY
     + bytes((codec.T_NONE,)),
     20: Struct(">BQ20s").pack(20, 2, bytes(20)) + _KEY,
@@ -313,34 +329,15 @@ def test_malformed_utf8_string_field():
         decode(bytes(buf))
 
 
-#: what a hostile pickle's ``__reduce__`` made the decoder call
-GADGET_HITS: list = []
-
-
-def _gadget(*args) -> None:
-    GADGET_HITS.append(args)
-
-
-class _Gadget:
-    def __reduce__(self):
-        return _gadget, ("ran",)
-
-
-def hostile_pickle_frame(src, dest) -> bytes:
-    """A routed ``IpEncap`` / ``VirtualIpPacket`` from ``src`` to ``dest``
-    whose payload is a tag-17 frame: a pickle that calls :func:`_gadget`
-    when it is loaded."""
-    raw = pickle.dumps(_Gadget(), protocol=4)
-    envelope = encode(RoutedPacket(
-        src=src, dest=dest, size=80, exact=True, payload=IpEncap(
-            VirtualIpPacket("10.128.0.2", "10.128.0.3", "udp", 15001, None,
-                            64), 64)))
-    assert envelope[-1] == codec.T_NONE     # the payload sub-frame is last
-    return envelope[:-1] + bytes((17,)) + Struct(">I").pack(len(raw)) + raw
-
-
 def test_a_hostile_pickle_never_runs():
-    frame = hostile_pickle_frame(BrunetAddress(1), BrunetAddress(2))
+    """Tag 17 as a tunnelled packet's payload, where the codec once
+    unpickled application data."""
+    envelope = encode(RoutedPacket(
+        src=BrunetAddress(1), dest=BrunetAddress(2), size=80, exact=True,
+        payload=IpEncap(VirtualIpPacket("10.128.0.2", "10.128.0.3", "udp",
+                                        15001, None, 64), 64)))
+    assert envelope[-1] == codec.T_NONE     # the payload sub-frame is last
+    frame = envelope[:-1] + RESERVED_BODIES[17]
     with pytest.raises(DecodeError, match="unknown type tag 17"):
         decode(frame)
     assert codec.frame_view(frame, codec.address_bytes(BrunetAddress(2))) \
