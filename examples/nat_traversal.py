@@ -29,7 +29,7 @@ def measure_shortcut(wow, sim, a, b) -> float:
     def drive() -> None:
         if "t" not in formed and sim.now - t0 < 600.0:
             a.router.send_ip(b.virtual_ip, "udp", 7, b"probe", 64)
-            a.node.inspect_traffic(b.addr)  # …and score it
+            a.node.shortcut_overlord.observe(b.addr)  # …and score it
             sim.schedule(1.0, drive)
     drive()
     sim.run(until=sim.now + 650.0)

@@ -2,8 +2,8 @@
 
 Owns the UDP socket, connection table, linker, overlords and the greedy
 router.  The IPOP layer sits on top via :attr:`ip_handler` (inbound
-tunnelled packets) and :meth:`inspect_traffic` (outbound traffic scores for
-the shortcut overlord).
+tunnelled packets) and :attr:`shortcut_overlord`'s ``observe`` (outbound
+traffic scores).
 
 On a transport that carries frames (``Transport.carries_frames``) every
 untraced datagram arrives as the received bytes, and the node is its
@@ -709,15 +709,6 @@ class BrunetNode:
                              CloseMessage(self.addr, reason),
                              self.config.size_ping)
         self.table.remove(conn.peer_addr)
-
-    # ------------------------------------------------------------------
-    # IPOP hooks
-    # ------------------------------------------------------------------
-    def inspect_traffic(self, dest_addr: BrunetAddress,
-                        packets: int = 1) -> None:
-        """Feed outbound virtual-IP traffic into the shortcut score queue."""
-        if self.active and self.overlords:
-            self.shortcut_overlord.observe(dest_addr, packets)
 
     # ------------------------------------------------------------------
     # misc

@@ -78,22 +78,19 @@ class IpopRouter:
     def send_ip(self, dst_ip: str, proto: str, port: int, payload: Any,
                 size: int) -> None:
         """Send one virtual-IP packet (fire and forget, like real IP)."""
-        pkt = VirtualIpPacket(self.virtual_ip, dst_ip, proto, port, payload,
-                              size + (self._tcp_header if proto == "tcp"
-                                      else IP_HEADER))
-        self._transmit(pkt)
-
-    def _transmit(self, pkt: VirtualIpPacket) -> None:
         node = self.node
+        size += self._tcp_header if proto == "tcp" else IP_HEADER
+        pkt = VirtualIpPacket(self.virtual_ip, dst_ip, proto, port, payload,
+                              size)
         memo = self._dest_addrs
-        dest_addr = memo.get(pkt.dst_ip)
+        dest_addr = memo.get(dst_ip)
         if dest_addr is None:
             if len(memo) >= ADDR_MEMO_MAX:
                 memo.clear()
-            dest_addr = memo[pkt.dst_ip] = addr_for_ip(pkt.dst_ip)
+            dest_addr = memo[dst_ip] = addr_for_ip(dst_ip)
         self.packets_out += 1
         self._m_encap_pkts.value += 1
-        self._m_encap_bytes.value += pkt.size
+        self._m_encap_bytes.value += size
         ref = None
         spans = node.sim.obs.spans
         if spans.enabled:
@@ -102,14 +99,15 @@ class IpopRouter:
                 now = node.sim.now
                 root = spans.start(
                     "ip.packet", node=node.name, t=now, trace_id=tid,
-                    src=pkt.src_ip, dst=pkt.dst_ip, proto=pkt.proto,
-                    port=pkt.port, size=pkt.size)
+                    src=self.virtual_ip, dst=dst_ip, proto=proto,
+                    port=port, size=size)
                 ref = TraceRef(tid, root)
                 spans.hop(ref, "ipop.encap", node.name, now,
                           dest=str(dest_addr))
-        node.inspect_traffic(dest_addr)
-        node.send_routed(dest_addr, IpEncap(pkt, pkt.size),
-                         size=pkt.size, exact=True, trace=ref)
+        if node.active:
+            node.shortcut_overlord.observe(dest_addr)
+        node.send_routed(dest_addr, IpEncap(pkt, size),
+                         size=size, exact=True, trace=ref)
 
     # -- overlay-facing ----------------------------------------------------
     def _on_encap(self, encap: IpEncap) -> None:
@@ -120,24 +118,21 @@ class IpopRouter:
         self.packets_in += 1
         self._m_decap_pkts.value += 1
         self._m_decap_bytes.value += pkt.size
-        if pkt.proto == "icmp":
-            self._on_icmp(pkt)
+        if pkt.proto != "icmp":
+            handler = self._handlers.get((pkt.proto, pkt.port))
+            if handler is not None:
+                handler(pkt)
+            else:
+                self.node.stats["ip_port_unreachable"] += 1
             return
-        handler = self._handlers.get((pkt.proto, pkt.port))
-        if handler is not None:
-            handler(pkt)
-        else:
-            self.node.stats["ip_port_unreachable"] += 1
-
-    def _on_icmp(self, pkt: VirtualIpPacket) -> None:
-        echo = pkt.payload
+        echo = pkt.payload      # the guest's kernel answers an echo itself
         if isinstance(echo, IcmpEcho) and not echo.is_reply:
             reply = IcmpEcho(echo.seq, True, echo.sent_at, echo.data_size)
             self.send_ip(pkt.src_ip, "icmp", 0, reply, echo.data_size + 8)
-        else:
-            handler = self._handlers.get(("icmp", 0))
-            if handler is not None:
-                handler(pkt)
+            return
+        handler = self._handlers.get(("icmp", 0))
+        if handler is not None:
+            handler(pkt)
 
     def detach(self) -> None:
         """Disconnect from the node (used on IPOP restart/migration)."""

@@ -63,7 +63,7 @@ class OverlayTransfer:
         # feed the whole burst up front so short messages (PVM tasks, RPC
         # payloads) count toward shortcut scores just like long streams
         if node is not None and node.active:
-            node.inspect_traffic(dst_addr, max(1, int(size / MTU)))
+            node.shortcut_overlord.observe(dst_addr, max(1, int(size / MTU)))
         self._tick_timer = self.sim.schedule(REPATH_INTERVAL, self._tick)
 
     # -- observability ------------------------------------------------------
@@ -115,7 +115,7 @@ class OverlayTransfer:
         node = self.broker.resolve(self.src_addr)
         if node is not None and node.active and self.flow.rate > 0:
             packets = max(1, int(self.flow.rate * REPATH_INTERVAL / MTU))
-            node.inspect_traffic(self.dst_addr, packets)
+            node.shortcut_overlord.observe(self.dst_addr, packets)
         self._repath()
         self._tick_timer = self.sim.schedule(REPATH_INTERVAL, self._tick)
 

@@ -3,8 +3,9 @@
 Middleware protocols (PBS, NFS control traffic) are modelled as synchronous
 RPCs over virtual UDP with timeout/retransmit — the reliability the real
 systems get from TCP.  Requests are idempotent at the server via a
-response cache keyed by request id, so retransmits after a migration outage
-do not double-execute handlers.
+response cache keyed by (requester IP, reply port, request id), so
+retransmits after a migration outage do not double-execute handlers; a
+body its handler raises :data:`BAD_BODY` on is dropped and counted.
 
 Servers can be **single-threaded** (``serialize=True``): requests queue and
 are served in arrival order, each consuming server CPU — this is the PBS
@@ -74,6 +75,8 @@ def _unpack(payload: Any, arity: int) -> Optional[list]:
 #: handler return type: plain body, or (body, response_size_bytes)
 Handler = Callable[[str, Any, str], Any]
 
+#: what a handler raises on a body of the wrong shape
+BAD_BODY = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 DEFAULT_REQUEST_SIZE = 256
 DEFAULT_RESPONSE_SIZE = 256
 RESPONSE_CACHE_SIZE = 512
@@ -91,8 +94,9 @@ class RpcServer:
         self.cpu_per_request = cpu_per_request
         self.serialize = serialize
         self.requests_served = 0
-        #: rid -> (encoded response, its size)
-        self._cache: OrderedDict[int, tuple[bytes, int]] = OrderedDict()
+        self.requests_dropped = 0   # bodies the handler could not take
+        #: (reply ip, reply port, rid) -> (encoded response, its size)
+        self._cache: OrderedDict[tuple, tuple[bytes, int]] = OrderedDict()
         #: (rid, method, body, reply ip, reply port) awaiting service
         self._queue: deque[tuple] = deque()
         self._wake = Signal(self.sim, f"rpc{port}.wake")
@@ -113,7 +117,7 @@ class RpcServer:
         if (type(method) is not str or type(reply_port) is not int
                 or not 0 <= reply_port <= 0xFFFF):
             return
-        cached = self._cache.get(rid)
+        cached = self._cache.get((pkt.src_ip, reply_port, rid))
         if cached is not None:
             self._respond(pkt.src_ip, reply_port, *cached)
             return
@@ -131,22 +135,27 @@ class RpcServer:
                 yield WaitSignal(self._wake)
                 continue
             req = self._queue.popleft()
-            if self._cache.get(req[0]) is not None:
+            if (req[3], req[4], req[0]) in self._cache:     # already served
                 continue
             yield Timeout(self.vm.host.compute_time(self.cpu_per_request))
             self._handle(*req)
 
     def _handle(self, rid: int, method: str, body: Any, src_ip: str,
                 reply_port: int) -> None:
-        if rid in self._cache:
+        key = (src_ip, reply_port, rid)
+        if key in self._cache:
+            return
+        try:
+            result = self.handler(method, body, src_ip)
+        except BAD_BODY:
+            self.requests_dropped += 1
             return
         self.requests_served += 1
-        result = self.handler(method, body, src_ip)
         if isinstance(result, tuple):
             reply, size = result
         else:
             reply, size = result, DEFAULT_RESPONSE_SIZE
-        cached = self._cache[rid] = (_pack(rid, reply), size)
+        cached = self._cache[key] = (_pack(rid, reply), size)
         while len(self._cache) > RESPONSE_CACHE_SIZE:
             self._cache.popitem(last=False)
         self._respond(src_ip, reply_port, *cached)

@@ -1,27 +1,30 @@
 """RealtimeKernel: the simulator surface, backed by asyncio + wall clock.
 
 Protocol code (``BrunetNode``, the linker, the overlords, ``IpopRouter``)
-consumes a narrow slice of :class:`~repro.sim.engine.Simulator`:
+consumes a narrow slice of :class:`~repro.sim.engine.Simulator` — ``now``,
+``schedule(delay, fn, *args)`` returning a cancellable handle, ``rng``
+(the named-stream :class:`~repro.sim.rng.RngRegistry`), ``obs`` and
+``tracer`` / ``trace()`` / ``trace_on`` — and this class implements
+exactly that slice over a running asyncio event loop, so the identical
+node objects drive real UDP sockets.  It is not a ``Simulator`` subclass:
+anything outside the slice raises ``AttributeError``.  Time is
+``monotonic() - epoch`` (asyncio's ``BaseEventLoop.time()`` is
+``time.monotonic()``), seconds since creation.
 
-- ``now`` and ``schedule(delay, fn, *args)`` returning a cancellable handle
-- ``rng`` — the named-stream :class:`~repro.sim.rng.RngRegistry`
-- ``obs`` — metrics / spans / flight recorder
-- ``tracer`` / ``trace()`` / ``trace_on``
-
-This class implements exactly that slice over a running asyncio event
-loop, so the identical node objects drive real UDP sockets.  Time is
-relative to kernel creation (``loop.time() - t0``), which keeps timer
-arithmetic in the same small-positive-float regime the simulator uses.
-
-It is intentionally *not* a subclass of ``Simulator`` — the discrete
-event queue and ``run()`` make no sense under a wall clock.  Anything outside the slice above raises ``AttributeError``
-loudly rather than silently misbehaving.
+The clock rule: time does not move inside a callback, as in the
+simulator.  When the kernel enters node code — a timer in :meth:`_fire`, a
+socket wake-up in ``UdpTransport._read_ready`` — it stamps ``now`` once,
+and drops the stamp when the callback returns or raises.  Inside, ``now``
+is that one value, an attribute load, and ``schedule_at`` converts
+through it.  Outside any callback — an asyncio task such as the daemon's
+control handler or ``ping()`` — ``now`` reads the clock, so a coroutine
+sees time advance across an ``await``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import Any, Callable, Optional
 
 from repro.obs.hub import Observability
@@ -58,30 +61,33 @@ class _Handle:
             self._timer.cancel()
 
 
+class _WallClock:
+    """``RealtimeKernel.now`` outside a callback, read off the clock (a
+    non-data descriptor: inside one, the instance's stamp shadows it)."""
+
+    def __get__(self, kernel: Optional["RealtimeKernel"], owner=None):
+        return self if kernel is None else monotonic() - kernel.epoch
+
+
 class RealtimeKernel:
     """Wall-clock stand-in for ``Simulator`` (see module docstring)."""
+
+    #: seconds since creation: the callback's entry stamp, else the clock
+    now = _WallClock()
 
     def __init__(self, seed: int = 0,
                  loop: Optional[asyncio.AbstractEventLoop] = None):
         self.loop = loop or asyncio.get_running_loop()
-        self._t0 = self.loop.time()
+        #: the clock's reading at kernel creation, time 0
+        self.epoch = monotonic()
         self.rng = RngRegistry(seed)
         self.tracer = Tracer(enabled=False)
         self.obs = Observability(self)
         self.events_processed = 0
-        #: mirrors ``Simulator.executing``; subsystems use it to coalesce
-        #: work until the end of the current callback
-        self.executing = False
         #: optional :class:`~repro.obs.prof.KernelProfiler` (same hook
         #: contract as ``Simulator.profiler``: every fired callback is
         #: counted, every stride-th one wall-timed into it)
         self.profiler = None
-
-    # -- clock ----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Seconds since kernel creation (monotonic)."""
-        return self.loop.time() - self._t0
 
     # -- scheduling ------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
@@ -101,29 +107,23 @@ class RealtimeKernel:
               args: tuple) -> None:
         handle.fired = True
         self.events_processed += 1
-        self.executing = True
+        self.now = monotonic() - self.epoch
         prof = self.profiler
-        if prof is None:
-            try:
+        try:
+            if prof is None:
                 fn(*args)
-            finally:
-                self.executing = False
-        else:
-            tick = prof._stride_tick - 1
-            if tick:
-                prof._stride_tick = tick
-                try:
-                    fn(*args)
-                finally:
-                    self.executing = False
+            elif prof._stride_tick > 1:
+                prof._stride_tick -= 1
+                fn(*args)
             else:
                 prof._stride_tick = prof.stride
                 t0 = perf_counter()
                 try:
                     fn(*args)
                 finally:
-                    self.executing = False
                     prof.account(fn, perf_counter() - t0, self)
+        finally:
+            del self.now
 
     # -- tracing ---------------------------------------------------------
     @property

@@ -37,6 +37,7 @@ import socket
 from array import array
 from fcntl import ioctl
 from termios import FIONREAD
+from time import monotonic
 from typing import Any, Optional
 
 from repro.phys.endpoints import Endpoint
@@ -137,36 +138,38 @@ class UdpTransport(Transport):
 
     def _read_ready(self) -> None:
         """The loop's reader callback: drain the queue, at most
-        :data:`READ_BATCH` datagrams."""
+        :data:`READ_BATCH` datagrams, under one clock stamp (the clock
+        rule of :mod:`repro.transport.runtime`)."""
         sock = self._sock
         fd = sock.fileno()
         next_size = self._next_size
-        for _ in range(READ_BATCH):
-            try:
-                data, addr = sock.recvfrom(MAX_DATAGRAM)
-            except BlockingIOError:
-                return
-            except OSError:
-                self._m_socket_err.inc()
-                return
-            self._on_datagram(data, addr)
-            if self._sock is not sock:
-                return      # the handler closed the transport
-            ioctl(fd, FIONREAD, next_size)
-            if not next_size[0]:
-                return
-
-    def _on_datagram(self, data: bytes, addr) -> None:
-        if self._handler is None:
-            return
-        self.received += 1
-        self._m_rx_bytes.value += len(data)
-        src = self._peers.get(addr)
-        if src is None:
-            if len(self._peers) >= ENDPOINT_MEMO_MAX:
-                self._peers.clear()
-            src = self._peers[addr] = Endpoint(addr[0], addr[1])
-        self._handler(data, src, len(data) + codec.UDP_IP_OVERHEAD)
+        self.kernel.now = monotonic() - self.kernel.epoch
+        try:
+            for _ in range(READ_BATCH):
+                try:
+                    data, addr = sock.recvfrom(MAX_DATAGRAM)
+                except BlockingIOError:
+                    return
+                except OSError:
+                    self._m_socket_err.inc()
+                    return
+                handler = self._handler
+                if handler is not None:
+                    self.received += 1
+                    self._m_rx_bytes.value += len(data)
+                    src = self._peers.get(addr)
+                    if src is None:
+                        if len(self._peers) >= ENDPOINT_MEMO_MAX:
+                            self._peers.clear()
+                        src = self._peers[addr] = Endpoint(addr[0], addr[1])
+                    handler(data, src, len(data) + codec.UDP_IP_OVERHEAD)
+                    if self._sock is not sock:
+                        return      # the handler closed the transport
+                ioctl(fd, FIONREAD, next_size)
+                if not next_size[0]:
+                    return
+        finally:
+            del self.kernel.now
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<UdpTransport {self.name} {self._endpoint}>"

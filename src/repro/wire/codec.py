@@ -441,7 +441,7 @@ def _e_ctm_reply(out: bytearray, m: CtmReply) -> None:
 
 def _e_ip_encap(out: bytearray, m: IpEncap) -> None:
     out += _IPENC.pack(T_IP_ENCAP, m.size)
-    _e_any(out, m.payload)
+    _ENCODERS.get(type(m.payload), _e_any)(out, m.payload)
 
 
 def _e_forward(out: bytearray, m: Forward) -> None:
@@ -476,7 +476,7 @@ def _e_virtual_ip(out: bytearray, m: VirtualIpPacket) -> None:
             _remember(_VIP_ENC, key, bytes(head))
     out += head
     out += _VIP_TAIL.pack(m.port, m.size)
-    _e_any(out, m.payload)
+    _ENCODERS.get(type(m.payload), _e_any)(out, m.payload)
 
 
 def _e_icmp_echo(out: bytearray, m: IcmpEcho) -> None:
@@ -628,7 +628,9 @@ def _d_ctm_reply(buf: bytes, pos: int, n: int):
 
 def _d_ip_encap(buf: bytes, pos: int, n: int):
     size = _IPENC.unpack_from(buf, pos - 1)[1]
-    payload, pos = _d_any(buf, pos + 4, n)
+    if pos + 4 >= n:            # _d_any's dispatch, one frame fewer
+        raise _trunc(1, pos + 4, n)
+    payload, pos = _DECODERS[buf[pos + 4]](buf, pos + 5, n)
     m = _new(IpEncap)
     m.__dict__ = {"payload": payload, "size": size}
     return m, pos
@@ -695,7 +697,9 @@ def _d_virtual_ip(buf: bytes, pos: int, n: int):
     if pos + 8 > n:
         raise _trunc(8, pos, n)
     port, size = _VIP_TAIL.unpack_from(buf, pos)
-    payload, pos = _d_any(buf, pos + 8, n)
+    if pos + 8 >= n:            # _d_any's dispatch, one frame fewer
+        raise _trunc(1, pos + 8, n)
+    payload, pos = _DECODERS[buf[pos + 8]](buf, pos + 9, n)
     m = _new(VirtualIpPacket)
     m.__dict__ = {"src_ip": src_ip, "dst_ip": dst_ip, "proto": proto,
                   "port": port, "payload": payload, "size": size}
@@ -744,7 +748,11 @@ def _d_bytes(buf: bytes, pos: int, n: int):
     return buf[pos:end], end
 
 
-_DECODERS: list = [None] * 256
+def _d_unknown(buf: bytes, pos: int, n: int):
+    raise DecodeError(f"unknown type tag {buf[pos - 1]}")
+
+
+_DECODERS: list = [_d_unknown] * 256
 for _tag, _fn in {
     T_LINK_REQUEST: _d_link_request,
     T_LINK_REPLY: _d_link_reply,
@@ -771,10 +779,7 @@ for _tag, _fn in {
 def _d_any(buf: bytes, pos: int, n: int):
     if pos >= n:
         raise _trunc(1, pos, n)
-    fn = _DECODERS[buf[pos]]
-    if fn is None:
-        raise DecodeError(f"unknown type tag {buf[pos]}")
-    return fn(buf, pos + 1, n)
+    return _DECODERS[buf[pos]](buf, pos + 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +818,7 @@ def encode_origin(src: bytes, dest: bytes, size: int, ttl: int,
     packet object."""
     out = bytearray(_ORIGIN.pack(WIRE_VERSION, T_ROUTED, src, dest, size,
                                  1, 0, _APPROACH_NONE, ttl, 1, 0, 1, src))
-    _e_any(out, payload)
+    _ENCODERS.get(type(payload), _e_any)(out, payload)
     return bytes(out)
 
 
@@ -864,11 +869,8 @@ def decode(buf: Any) -> Any:
     n = len(buf)
     if n < 2 or buf[0] != WIRE_VERSION:
         _check_version(buf)             # raises: say which
-    fn = _DECODERS[buf[1]]
-    if fn is None:
-        raise DecodeError(f"unknown type tag {buf[1]}")
     try:
-        msg, pos = fn(buf, 2, n)
+        msg, pos = _DECODERS[buf[1]](buf, 2, n)
     except DecodeError:
         raise
     except _MALFORMED as exc:

@@ -82,7 +82,7 @@ class TestShortcutsEndToEnd:
             pytest.skip("already adjacent in this topology")
 
         def drive():
-            a.inspect_traffic(b.addr, 1)
+            a.shortcut_overlord.observe(b.addr, 1)
         for i in range(60):
             sim.schedule(i * 1.0, drive)
         sim.run(until=sim.now + 90)
@@ -101,8 +101,8 @@ class TestShortcutsEndToEnd:
         # drive traffic to 3 destinations with increasing intensity
         for weight, target in enumerate(targets, start=1):
             for i in range(80):
-                sim.schedule(i * 1.0, a.inspect_traffic, target.addr,
-                             weight * 2)
+                sim.schedule(i * 1.0, a.shortcut_overlord.observe,
+                             target.addr, weight * 2)
         sim.run(until=sim.now + 150)
         shortcuts = a.table.by_type(ConnectionType.SHORTCUT)
         assert len(shortcuts) <= 2

@@ -195,9 +195,13 @@ def play(schedule: Schedule, overlord_cls, monkeypatch, *,
         if node.active:
             node.table.remove(dest)
 
+    def traffic(dest, packets):
+        if node.active:         # as the router and OverlayTransfer guard it
+            node.shortcut_overlord.observe(dest, packets)
+
     sim.schedule_at(schedule.t0, node.start, [])
     for t, op, *args in schedule.ops:
-        fn = {"traffic": node.inspect_traffic, "inbound": land, "die": die,
+        fn = {"traffic": traffic, "inbound": land, "die": die,
               "stop": stop, "start": lambda: node.start([])}[op]
         sim.schedule_at(t, fn, *args)
     run_to(sim, schedule.end, sliced, width)

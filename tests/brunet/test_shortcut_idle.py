@@ -81,7 +81,7 @@ def test_traffic_arms_one_node_and_only_while_it_lasts(sim, internet):
     nodes, _ = build_overlay(sim, internet, NODES)
     sender, others = nodes[3], nodes[:3] + nodes[4:]
     dest = BrunetAddress((int(nodes[9].addr) + 12345) % (1 << 160))
-    sender.inspect_traffic(dest, 3)
+    sender.shortcut_overlord.observe(dest, 3)
     assert sender.shortcut_overlord.timer_pending
     assert not any(n.shortcut_overlord.timer_pending for n in others)
     # 3 packets drain in 8 ticks; the zero score is collected 60 s later

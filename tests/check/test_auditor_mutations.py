@@ -281,7 +281,7 @@ def test_leak_flags_unarmed_shortcut_overlord(sim, overlay):
     ghost = BrunetAddress((int(node.addr) + 424_242) % ADDRESS_SPACE)
     # scored behind observe()'s back: nothing armed the timer
     node.shortcut_overlord.scores[ghost] = 3.0
-    healthy.inspect_traffic(ghost, 3)        # the real path arms itself
+    healthy.shortcut_overlord.observe(ghost, 3)  # the real path arms itself
     keys = {v.key for v in invariants.check_leaks(overlay, sim.now)}
     rule = "leak.overlord-unarmed:%s:ShortcutConnectionOverlord"
     assert rule % node.name in keys
@@ -358,7 +358,7 @@ def test_failed_shortcut_slot_is_pruned_with_no_traffic_behind_it(
     overlord = node.shortcut_overlord
     ghost = BrunetAddress((int(node.addr) + 424_242) % ADDRESS_SPACE)
     auditor = Auditor(sim, overlay, internet=internet).start()
-    node.inspect_traffic(ghost, 40)
+    node.shortcut_overlord.observe(ghost, 40)
     sim.run(until=sim.now + 5.0)
     assert ghost in overlord._pending
     expiry = overlord._pending[ghost]

@@ -6,6 +6,7 @@ tests only read from them; tests that mutate topology build their own.
 
 from __future__ import annotations
 
+import asyncio
 import collections
 import os
 import socket
@@ -126,14 +127,17 @@ def linked_live_pair(loop, ips: tuple[str, str], config=None):
     return nodes, routers, sockets
 
 
-def calls_by_name(fn, *args) -> collections.Counter:
+def calls_by_name(fn, *args, qualified: bool = False,
+                  skip: frozenset = frozenset()) -> collections.Counter:
     """Python-level ``call`` events while ``fn(*args)`` runs, by function
-    name (C functions are not counted)."""
+    name — ``Class.method`` with ``qualified`` — leaving out the code
+    objects in ``skip`` (C functions are not counted)."""
     calls: collections.Counter = collections.Counter()
+    key = "co_qualname" if qualified else "co_name"
 
     def profile(frame, event, _arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
+        if event == "call" and frame.f_code not in skip:
+            calls[getattr(frame.f_code, key)] += 1
 
     sys.setprofile(profile)
     try:
@@ -141,6 +145,28 @@ def calls_by_name(fn, *args) -> collections.Counter:
     finally:
         sys.setprofile(None)
     return calls
+
+
+#: left out of a live leg's count: the stub's own methods, which stand
+#: in for C calls on a real socket, and the loop's timer-heap comparisons,
+#: whose number depends on how many timers the loop holds
+NOT_COUNTED = frozenset(f.__code__ for f in (
+    StubSocket.sendto, StubSocket.recvfrom, StubSocket.fileno,
+    asyncio.TimerHandle.__lt__))
+
+
+def send_calls(fn, *args) -> collections.Counter:
+    """What a live node on stub sockets pays for ``fn(*args)``: its
+    Python-level calls by qualified name, :data:`NOT_COUNTED` left out."""
+    return calls_by_name(fn, *args, qualified=True, skip=NOT_COUNTED)
+
+
+def wakeup_calls(transport, frame: bytes, addr: tuple) -> collections.Counter:
+    """Queue ``frame`` from ``addr`` on ``transport``'s stub socket and
+    count the one ``_read_ready`` wake-up that reads it, as the loop
+    would enter it (as :func:`send_calls` counts)."""
+    transport._sock.deliver(frame, addr)
+    return send_calls(transport._read_ready)
 
 
 def count_calls(fn, *args) -> int:

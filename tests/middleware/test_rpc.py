@@ -1,9 +1,15 @@
 """RPC substrate: calls, retries, idempotence, serialization, and the
 JSON datagrams a call travels as."""
 
+import itertools
+import json
+
 import pytest
 
-from repro.middleware.pbs import JobSpec
+from repro.middleware import rpc
+from repro.middleware.nfs import NFS_PORT, NfsServer
+from repro.middleware.pbs import JobRecord, JobSpec, PbsMom, PbsServer
+from repro.middleware.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
 from repro.middleware.rpc import RpcClient, RpcFailure, RpcServer
 from repro.sim.process import Process, Timeout, WaitSignal
 from tests.conftest import make_mini_testbed
@@ -158,6 +164,67 @@ def test_malformed_datagrams_are_dropped_at_both_ends(bed):
     sim.run(until=sim.now + 10)
     assert done.value == 1 and seen == ["after"]
     assert server.requests_served == 1
+    server.close()
+    client.close()
+
+
+def _raw_request(rid, method, body, reply_port=16000) -> bytes:
+    return json.dumps([rid, method, body, reply_port]).encode()
+
+
+def test_a_body_its_handler_cannot_take_is_dropped(bed):
+    """Well-formed envelopes whose bodies the middleware handlers choke
+    on — a job that is a number, an NFS commit that is no pair, a
+    job_done without a start time from a busy worker — are counted and
+    dropped; the simulation runs on, and the services still answer."""
+    sim, tb = bed
+    a, b, c = tb.vm(19), tb.vm(20), tb.vm(21)
+    mom = PbsMom(b, a.virtual_ip)
+    nfs = NfsServer(c)
+    pbs = PbsServer(a)
+    pbs.busy[b.virtual_ip] = JobRecord(JobSpec("job", 1.0, 1.0, 1.0),
+                                       sim.now, status="running")
+    a.router.send_ip(b.virtual_ip, "udp", PBS_MOM_PORT,
+                     _raw_request(1, "run", 5), 64)
+    for body in (5, ["a", "b", "c"]):
+        a.router.send_ip(c.virtual_ip, "udp", NFS_PORT,
+                         _raw_request(2, "commit", body), 64)
+    a.router.send_ip(c.virtual_ip, "udp", NFS_PORT,
+                     _raw_request(3, "getattr", ["job.in"]), 64)
+    b.router.send_ip(a.virtual_ip, "udp", PBS_SERVER_PORT,
+                     _raw_request(4, "job_done", 5), 64)
+    sim.run(until=sim.now + 10)
+    servers = (mom.rpc_server, nfs.rpc, pbs.rpc_server)
+    assert [s.requests_dropped for s in servers] == [1, 3, 1]
+    assert [s.requests_served for s in servers] == [0, 0, 0]
+    client = RpcClient(a)
+    done = client.call(b.virtual_ip, PBS_MOM_PORT, "handshake", 7)
+    sim.run(until=sim.now + 10)
+    assert done.value == {"ok": True, "round": 7}
+    client.close()
+    for server in servers:
+        server.close()
+
+
+def test_a_forged_request_id_cannot_answer_another_client(bed,
+                                                          monkeypatch):
+    """The response cache is keyed by requester, not by request id
+    alone: a VM that sends a request carrying another client's next id
+    first does not make the server answer that client from its cache."""
+    sim, tb = bed
+    attacker, victim, b = tb.vm(22), tb.vm(23), tb.vm(24)
+    rid = 1_000_000
+    monkeypatch.setattr(rpc, "_rid_counter", itertools.count(rid))
+    server = RpcServer(b, 6008, lambda m, body, src: body)
+    attacker.router.send_ip(b.virtual_ip, "udp", 6008,
+                            _raw_request(rid, "echo", "forged"), 64)
+    sim.run(until=sim.now + 10)
+    assert server.requests_served == 1
+    client = RpcClient(victim)
+    done = client.call(b.virtual_ip, 6008, "echo", "mine")
+    sim.run(until=sim.now + 10)
+    assert done.value == "mine"
+    assert server.requests_served == 2
     server.close()
     client.close()
 

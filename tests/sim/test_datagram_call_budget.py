@@ -78,8 +78,10 @@ KEEPALIVE_BUDGET = 29
 TICK_EXCHANGE_MEASURED = {"reference": 34, "codec": 35}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
 TRANSIT_MEASURED = 15
-#: one zero-hop ``Pinger`` echo: timer → request → reply → handler
-ECHO_MEASURED = 62
+#: one zero-hop ``Pinger`` echo: timer → request → reply → handler (62
+#: while each ``IpopRouter.send_ip`` called a ``_transmit`` and the node's
+#: ``inspect_traffic``, and each arrival an ``_on_icmp``)
+ECHO_MEASURED = 56
 #: one ``_next_hop_scan`` miss on a warm table, per approach side: the
 #: scan, ``ConnectionTable.get`` (plain lookups only) and ``ring_view``
 SCAN_MISS_MEASURED = {None: 3, "left": 2, "right": 2}

@@ -16,6 +16,10 @@ other references a reader follows:
 * every backticked UPPER_SNAKE name (``READ_BATCH``, ``_RHDR``,
   ``NearConnectionOverlord.REANNOUNCE_MAX``) is assigned or imported
   somewhere under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``;
+* every backticked ``Class.member`` whose class is defined under
+  ``src/`` names a member that class or one of its bases defines or
+  assigns (``UdpTransport._read_ready``, ``IpopRouter.virtual_ip``), and
+  no span names a member in ``RETIRED`` bare;
 * every ``DESIGN.md §N[.M]`` citation in ``src/``, ``tests/`` and
   ``DOCS``, and every bare ``§N[.M]`` inside DESIGN.md, names a heading
   of DESIGN.md.
@@ -54,6 +58,11 @@ SECTION = re.compile(r"§(\d+(?:\.\d+)*)")
 #: a bare ``§N`` in DESIGN.md that is not one of its own sections
 FOREIGN = re.compile(r"RFC \d+\s$")
 HEADING = re.compile(r"#{2,4} (\d+(?:\.\d+)*)\.? ")
+#: ``Class.member``: a capitalised name, a dot, a name
+MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
+#: members folded away whose bare name still reads as theirs (other
+#: classes keep a ``_transmit``: name those with their class)
+RETIRED = ("_transmit", "inspect_traffic", "_on_icmp")
 
 
 def backticked(doc: str) -> list[tuple[str, str]]:
@@ -157,6 +166,64 @@ def call_problems(doc: str) -> list[str]:
             if (why := missing_call(span))]
 
 
+@functools.lru_cache(maxsize=None)
+def src_classes() -> dict[str, list[tuple[frozenset, list[str]]]]:
+    """Class name -> ``(members, base names)`` for every class defined
+    under ``src/``: what its body defines or assigns, ``self.<name>``
+    stores and ``__slots__`` strings."""
+    classes: dict[str, list] = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members = set()
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    members.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(
+                        node.ctx, ast.Store):
+                    members.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    members.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(
+                        node.value, str):
+                    members.add(node.value)
+            bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+            classes.setdefault(cls.name, []).append((frozenset(members),
+                                                     bases))
+    return classes
+
+
+def has_member(cls: str, member: str) -> bool:
+    return any(member in members or any(has_member(b, member)
+                                        for b in bases if b != cls)
+               for members, bases in src_classes().get(cls, ()))
+
+
+def missing_members(span: str) -> list[str]:
+    """The ``Class.member`` names in ``span`` whose class (defined under
+    ``src/``) has no such member, and the ``RETIRED`` names it uses bare
+    or on an instance (``node.inspect_traffic``)."""
+    missing = [m.group() for m in MEMBER.finditer(span)
+               if m.group(1) in src_classes()
+               and not has_member(m.group(1), m.group(2))]
+    for token in re.findall(r"[\w.]+", span):
+        *owner, name = token.split(".")
+        if name in RETIRED and not (owner and owner[-1][:1].isupper()):
+            missing.append(name)
+    return missing
+
+
+def member_problems(doc: str) -> list[str]:
+    return [f"{where}: {name} names no member of today's code"
+            for where, span in backticked(doc)
+            for name in missing_members(span)]
+
+
 def constant_problems(doc: str) -> list[str]:
     return [f"{where}: nothing assigns or imports {name}"
             for where, span in backticked(doc)
@@ -220,6 +287,11 @@ def test_backticked_constants_are_defined(doc):
     assert constant_problems(doc) == []
 
 
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_members_exist(doc):
+    assert member_problems(doc) == []
+
+
 def test_design_section_citations_name_existing_headings():
     sections = design_sections()
     problems = [f"{f.relative_to(ROOT)}: §{n}" for f in citing_files()
@@ -273,6 +345,24 @@ def test_call_check_catches_a_removed_function(span, resolves):
 ])
 def test_constant_check_catches_a_removed_name(span, missing):
     assert missing_constants(span) == missing
+
+
+@pytest.mark.parametrize("span,missing", [
+    ("UdpTransport._read_ready", []),
+    ("UdpTransport._on_datagram", ["UdpTransport._on_datagram"]),
+    ("IpopRouter._transmit / _on_encap", ["IpopRouter._transmit"]),
+    ("`_transmit`", ["_transmit"]),
+    ("VtcpSocket._transmit", []),
+    ("ShortcutConnectionOverlord.kick", []),         # from its base
+    ("RealtimeKernel.now", []),
+    ("node.inspect_traffic(dest)", ["inspect_traffic"]),
+    ("IpEncap.payload", []),
+    ("IpEncap.inner", ["IpEncap.inner"]),
+    ("BrunetConfig.wire_mode", []),
+    ("Simulator.run(until=t)", []),
+])
+def test_member_check_catches_a_folded_member(span, missing):
+    assert missing_members(span) == missing
 
 
 def test_citation_check_reads_lists_and_skips_rfc_sections():

@@ -162,8 +162,7 @@ def test_live_relay_forwards_without_the_codec(monkeypatch):
                 node.start([])
             _wire_chain(nodes, [t.local_endpoint for t in transports])
             calls = CodecCalls(monkeypatch)
-            transports[1]._on_datagram = calls.around(
-                transports[1]._on_datagram)
+            transports[1]._handler = calls.around(transports[1]._handler)
             replies = []
             done = asyncio.get_running_loop().create_future()
 

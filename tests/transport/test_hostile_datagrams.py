@@ -161,14 +161,14 @@ def test_malformed_frames_are_counted_and_the_node_keeps_working():
             hostile.bind(("127.0.0.1", 0))
             attacker = hostile.getsockname()
             read = 0
-            on_datagram = target._on_datagram
+            to_node = target._handler
 
-            def counted(data, addr):
+            def counted(data, src, size):
                 nonlocal read
-                read += addr == attacker
-                on_datagram(data, addr)
+                read += src == attacker
+                to_node(data, src, size)
 
-            target._on_datagram = counted
+            target._handler = counted
             to = (target.local_endpoint.ip, target.local_endpoint.port)
             for start in range(0, len(frames), BATCH):
                 for frame in frames[start:start + BATCH]:

@@ -287,8 +287,8 @@ def test_one_endpoint_per_peer_and_a_bounded_memo():
         peer = addr_for_ip("10.128.0.3")
         ports = range(10_000, 15_000)
         for token, port in enumerate(ports, 1):
-            t._on_datagram(encode(PingRequest(token, peer)),
-                           ("127.0.0.1", port))
+            stub.deliver(encode(PingRequest(token, peer)), ("127.0.0.1", port))
+            t._read_ready()
             assert len(t._peers) <= ENDPOINT_MEMO_MAX
         assert [addr for _, addr in stub.out] == [("127.0.0.1", port)
                                                    for port in ports]
@@ -297,7 +297,8 @@ def test_one_endpoint_per_peer_and_a_bounded_memo():
         assert [r.token for r in replies] == list(range(1, len(ports) + 1))
         assert [r.observed_uri.endpoint.port for r in replies] == list(ports)
         assert len(codec._URI_ENC) <= codec._CACHE_MAX
-        t._on_datagram(encode(PingRequest(0, peer)), ("127.0.0.1", 14_999))
+        stub.deliver(encode(PingRequest(0, peer)), ("127.0.0.1", 14_999))
+        t._read_ready()
         assert seen[-1] is seen[-2]             # the same peer, one Endpoint
         node.stop()
     finally:
