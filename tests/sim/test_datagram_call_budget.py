@@ -79,8 +79,8 @@ TICK_EXCHANGE_MEASURED = {"reference": 34, "codec": 35}
 #: B's share of one A → B → C routed packet (deliver, route, resend)
 TRANSIT_MEASURED = 15
 #: one zero-hop ``Pinger`` echo: timer → request → reply → handler (62
-#: while each ``IpopRouter.send_ip`` called a ``_transmit`` and the node's
-#: ``inspect_traffic``, and each arrival an ``_on_icmp``)
+#: means a send calls a ``_transmit`` and ``inspect_traffic`` wrapper
+#: again, and an arrival an ``_on_icmp``)
 ECHO_MEASURED = 56
 #: one ``_next_hop_scan`` miss on a warm table, per approach side: the
 #: scan, ``ConnectionTable.get`` (plain lookups only) and ``ring_view``
